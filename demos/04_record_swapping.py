@@ -4,8 +4,9 @@ A swap exchanges only the parameter values (here: area codes) of a group
 member and a close non-member from the superset population, so group
 counts move while population counts per area, every other attribute and
 the file-wide multiset of area codes all stay put.  Closeness is the
-weighted influential metric; the planner greedily picks the cheapest
-sampled pair per move.
+weighted influential metric; for each donor→recipient block of the flow
+the planner takes the cheapest remaining pairs, so the plan is a
+deterministic function of the inputs.
 """
 
 import collections
@@ -29,7 +30,7 @@ print(f"distance between records 0 and 1: {influential_metric(a, b, weights):.4f
 
 target = GoalSignal("quantity", QUANTITY_FINAL.astype(float), AREA_CODES)
 start = time.perf_counter()
-plan = plan_swaps(microfile, group, target, weights, candidate_cap=10_000, rng=20100923)
+plan = plan_swaps(microfile, group, target, weights)
 print(f"\nplanned {len(plan)} swaps in {time.perf_counter() - start:.2f}s, "
       f"total cost {plan.total_cost:.3f}")
 print("first three swaps:", plan.swaps[:3])

@@ -22,13 +22,18 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .config import GroupConfig, PipelineConfig, load_pipeline_config
 from .errors import ConfigError, GroupAnonError, StageError
 from .charts import svg_line_chart
 from .microfile import load_microfile, write_microfile
-from .pipeline import build_goal_signal, run_group, run_pipeline, write_outputs, write_signal_csv
+from .pipeline import (
+    _write_plan_csv,
+    build_goal_signal,
+    run_group,
+    run_pipeline,
+    write_outputs,
+    write_signal_csv,
+)
 from .verify import format_table, has_failures, verify_reference_values
 from .wavelet import decompose, get_filter
 
@@ -51,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="override the configured input CSV")
         p.add_argument("--output", help="override the configured output CSV")
         p.add_argument("--report", help="override the configured report directory")
-        p.add_argument("--seed", type=int, help="override the configured sampling seed")
+        p.add_argument("--seed", type=int,
+                       help="override the configured seed (reported only; no output depends on it)")
         if needs_group:
             p.add_argument("--group", required=True, help="group name from the config")
         return p
@@ -84,10 +90,10 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
-def _select_group(config: PipelineConfig, name: str) -> tuple[int, GroupConfig]:
-    for index, gcfg in enumerate(config.groups):
+def _select_group(config: PipelineConfig, name: str) -> GroupConfig:
+    for gcfg in config.groups:
         if gcfg.name == name:
-            return index, gcfg
+            return gcfg
     known = ", ".join(g.name for g in config.groups)
     raise ConfigError(f"no group named {name!r} in the config (have: {known})")
 
@@ -107,7 +113,7 @@ def _report_dir(config: PipelineConfig) -> Path:
 
 
 def _cmd_signal(config: PipelineConfig, name: str) -> int:
-    _, gcfg = _select_group(config, name)
+    gcfg = _select_group(config, name)
     m = _load_input(config)
     try:
         signal = build_goal_signal(m, gcfg)
@@ -122,7 +128,7 @@ def _cmd_signal(config: PipelineConfig, name: str) -> int:
 
 
 def _cmd_decompose(config: PipelineConfig, name: str) -> int:
-    _, gcfg = _select_group(config, name)
+    gcfg = _select_group(config, name)
     m = _load_input(config)
     try:
         signal = build_goal_signal(m, gcfg)
@@ -144,10 +150,9 @@ def _cmd_decompose(config: PipelineConfig, name: str) -> int:
 
 
 def _cmd_redistribute(config: PipelineConfig, name: str) -> int:
-    index, gcfg = _select_group(config, name)
+    gcfg = _select_group(config, name)
     m = _load_input(config)
-    rng = np.random.default_rng([config.seed, index])
-    _, result = run_group(m, gcfg, rng)
+    _, result = run_group(m, gcfg)
     out = _report_dir(config)
     write_signal_csv(out / f"{name}_signal_before.csv",
                      result.before.parameter_order, result.before.values)
@@ -169,19 +174,14 @@ def _cmd_redistribute(config: PipelineConfig, name: str) -> int:
 
 
 def _cmd_remap(config: PipelineConfig, name: str) -> int:
-    index, gcfg = _select_group(config, name)
+    gcfg = _select_group(config, name)
     m = _load_input(config)
-    rng = np.random.default_rng([config.seed, index])
-    modified, result = run_group(m, gcfg, rng)
+    modified, result = run_group(m, gcfg)
     out = _report_dir(config)
     output = config.output if config.output.is_absolute() else config.base_dir / config.output
     output.parent.mkdir(parents=True, exist_ok=True)
     write_microfile(modified, output)
-    with (out / f"{name}_swaps.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member_index", "partner_index", "cost"])
-        for (a, b), cost in zip(result.plan.swaps, result.plan.costs):
-            writer.writerow([a, b, f"{cost:.12g}"])
+    _write_plan_csv(out / f"{name}_swaps.csv", result.plan)
     print(f"wrote {output} ({len(result.plan)} swaps, total cost {result.plan.total_cost:.3f})")
     return EXIT_OK
 

@@ -53,7 +53,9 @@ class GroupConfig:
     ``solution`` injects explicit replacement coefficients (the solver is
     skipped, declared bounds are still checked and violations logged);
     ``target`` bypasses the signal-editing stages entirely and remaps the
-    group straight onto the given quantity signal.
+    group straight onto the given quantity signal.  ``candidate_cap`` is
+    deprecated: it is still validated, but the exact swap planner ignores
+    it and the run reports a warning when a group sets it.
     """
 
     name: str
@@ -68,13 +70,15 @@ class GroupConfig:
     shift: float | None = None
     margin: float = 0.0
     repair: str = "mean_fix"
-    candidate_cap: int = 10_000
+    candidate_cap: int | None = None
     chi_same: float = 0.0
     chi_diff: float = 1.0
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A whole run.  ``seed`` is recorded in the report; no stage depends on it."""
+
     input: Path
     output: Path
     report_dir: Path
@@ -267,8 +271,8 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     if repair not in REPAIRS:
         cur.fail(f"repair must be one of {REPAIRS}, got {repair!r}")
 
-    candidate_cap = cur.optional("candidate_cap", int, 10_000)
-    if candidate_cap < 1:
+    candidate_cap = cur.optional("candidate_cap", int)
+    if candidate_cap is not None and candidate_cap < 1:
         cur.fail("candidate_cap must be positive")
     chi_same = cur.optional("chi_same", float, 0.0)
     chi_diff = cur.optional("chi_diff", float, 1.0)

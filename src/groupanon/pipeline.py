@@ -87,10 +87,15 @@ def build_goal_signal(m: Microfile, gcfg: GroupConfig) -> GoalSignal:
     return difference_signal(main, sub)
 
 
-def run_group(m: Microfile, gcfg: GroupConfig, rng: np.random.Generator) -> tuple[Microfile, GroupRunResult]:
+def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResult]:
     """Run the four-stage scheme for one group against the current table."""
     timings: dict[str, float] = {}
     warnings: list[str] = []
+    if gcfg.candidate_cap is not None:
+        msg = (f"candidate_cap {gcfg.candidate_cap} is ignored: "
+               "the swap planner is exact and samples no candidates")
+        warnings.append(msg)
+        logger.warning("group %s: %s", gcfg.name, msg)
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -107,7 +112,7 @@ def run_group(m: Microfile, gcfg: GroupConfig, rng: np.random.Generator) -> tupl
     if gcfg.target is not None:
         # operator-declared target: skip the signal-editing stages entirely
         target = GoalSignal("quantity", gcfg.target, gcfg.group.parameter_order)
-        return _remap_stage(m, gcfg, rng, before, dec, dec.approx.copy(), [],
+        return _remap_stage(m, gcfg, before, dec, dec.approx.copy(), [],
                             before.values.copy(), 0.0, gcfg.target.copy(), target,
                             timings, warnings, stage)
 
@@ -143,15 +148,14 @@ def run_group(m: Microfile, gcfg: GroupConfig, rng: np.random.Generator) -> tupl
         return _repair_and_target(m, gcfg, before, reassembled, warnings)
 
     final, shift, target = stage("repair", repair)
-    return _remap_stage(m, gcfg, rng, before, dec, coeffs, checks, reassembled,
+    return _remap_stage(m, gcfg, before, dec, coeffs, checks, reassembled,
                         shift, final, target, timings, warnings, stage)
 
 
-def _remap_stage(m, gcfg, rng, before, dec, coeffs, checks, reassembled, shift,
+def _remap_stage(m, gcfg, before, dec, coeffs, checks, reassembled, shift,
                  final, target, timings, warnings, stage):
     plan = stage("plan", plan_swaps, m, gcfg.group, target,
-                 InfluentialWeights.from_microfile(m, gcfg.chi_same, gcfg.chi_diff),
-                 gcfg.candidate_cap, rng)
+                 InfluentialWeights.from_microfile(m, gcfg.chi_same, gcfg.chi_diff))
     modified = stage("apply", apply_swaps, m, plan)
 
     after = stage("recount", quantity_signal, modified, gcfg.group)
@@ -221,9 +225,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise StageError("load", "-", str(exc)) from exc
 
     results = []
-    for index, gcfg in enumerate(config.groups):
-        rng = np.random.default_rng([config.seed, index])
-        m, result = run_group(m, gcfg, rng)
+    for gcfg in config.groups:
+        m, result = run_group(m, gcfg)
         results.append(result)
     return PipelineResult(microfile=m, groups=results, seed=config.seed)
 

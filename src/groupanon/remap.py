@@ -6,18 +6,30 @@ signal while every other attribute of both records stays put.  Partners are
 drawn from the superset population when the group declares one, so
 concentration denominators are invariant under the plan.
 
-Pair selection is greedy: positions are processed largest imbalance first
-and each step picks, among at most ``candidate_cap`` sampled member/partner
-pairs, the pair with the smallest influential-metric distance, breaking
-ties toward the lower record-index pair.  Sampling is driven by a seeded
-generator, so plans are reproducible.
+Pair selection is greedy and exact.  Each greedy step moves a member from
+the position of largest surplus to the position of largest deficit; that
+order depends on the counts alone, so the planner computes the whole
+donor→recipient flow up front as blocks.  Within a block it repeatedly
+takes the cheapest remaining (member, partner) pair under the influential
+metric, breaking ties toward the lower member and then the lower partner
+record index.  Plans are therefore a deterministic function of the inputs.
+
+The cheapest pairs are found without scoring every pair.  Records with
+identical influential attributes are collapsed into classes; the classes
+are partitioned so that the nominal terms and the terms of zero ordinal
+values are constant; and each partition is searched with a k-d tree in
+log-ordinal coordinates, where every ordinal term grows with the distance
+along its axis.  A candidate list is trusted only up to the cost below
+which it provably holds every class.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import RemapError
 from .microfile import GroupSpec, Microfile, check_group_in_superset, members, superset_members
@@ -153,13 +165,20 @@ class _PairCost:
         return cost
 
 
+#: Nearest candidate groups fetched per view on a row's first query; every
+#: refill of a row's list multiplies the count by ``_GROWTH``.
+_FIRST_K = 8
+_GROWTH = 4
+#: Pairs up to which candidates are scored in full rather than searched: a
+#: k-d tree build and query costs about as much as scoring this many pairs.
+_SCORE_ALL = 4096
+
+
 def plan_swaps(
     m: Microfile,
     g: GroupSpec,
     q_target: GoalSignal,
     w: InfluentialWeights,
-    candidate_cap: int = 10_000,
-    rng: np.random.Generator | int | None = None,
 ) -> SwapPlan:
     """Greedy plan transforming the group's quantity signal into ``q_target``.
 
@@ -167,16 +186,14 @@ def plan_swaps(
     them) and every position gaining members needs enough partners there:
     non-members, restricted to the superset population when one is declared.
 
-    ``rng`` may be a seed or a generator; when omitted a fixed default seed
-    is used, so identical inputs always produce identical plans.
+    Each swap is the cheapest remaining (member, partner) pair of its
+    donor→recipient block, ties going to the lower member and then the lower
+    partner record index, so identical inputs always produce identical plans.
     """
-    if candidate_cap < 1:
-        raise RemapError("candidate_cap must be positive")
     if q_target.kind != "quantity":
         raise RemapError("target must be a quantity signal")
     if q_target.parameter_order != g.parameter_order:
         raise RemapError("target signal is built over a different parameter order")
-    rng = np.random.default_rng(0 if rng is None else rng)
 
     member_idx = members(m, g)
     target = q_target.values.astype(np.int64)
@@ -188,23 +205,17 @@ def plan_swaps(
         pool_mask = np.ones(m.n_records, dtype=bool)
     pool_mask[member_idx] = False
 
-    order = {value: i for i, value in enumerate(g.parameter_order)}
+    n_pos = len(g.parameter_order)
     param = m.column(g.parameter)
-    positions = np.full(m.n_records, -1, dtype=np.int64)
-    for value, pos in order.items():
-        positions[param == value] = pos
-
-    current = np.zeros(len(order), dtype=np.int64)
-    member_at: list[np.ndarray] = [np.empty(0, np.int64)] * len(order)
-    partner_at: list[np.ndarray] = [np.empty(0, np.int64)] * len(order)
+    positions = _positions(param, g.parameter_order)
     member_pos = positions[member_idx]
     if np.any(member_pos < 0):
         bad = np.unique(param[member_idx[member_pos < 0]])
         raise RemapError(f"members at parameter values outside the order: {list(bad)}")
-    for pos in range(len(order)):
-        member_at[pos] = member_idx[member_pos == pos]
-        current[pos] = member_at[pos].size
-        partner_at[pos] = np.flatnonzero(pool_mask & (positions == pos))
+    member_at = _by_position(member_idx, member_pos, n_pos)
+    pool_idx = np.flatnonzero(pool_mask & (positions >= 0))
+    partner_at = _by_position(pool_idx, positions[pool_idx], n_pos)
+    current = np.array([a.size for a in member_at], dtype=np.int64)
 
     if int(current.sum()) != int(target.sum()):
         raise RemapError(
@@ -219,38 +230,397 @@ def plan_swaps(
             )
 
     pair_cost = _PairCost(m, w)
+    blocks = _flow_blocks(-deficit)
+    space = _ClassSpace(pair_cost) if blocks else None
+    used = np.zeros(m.n_records, dtype=bool)
     swaps: list[tuple[int, int]] = []
     costs: list[float] = []
-    surplus = -deficit
-    while True:
-        donor = int(np.argmax(surplus))
-        recipient = int(np.argmax(-surplus))
-        if surplus[donor] <= 0:
-            break
-        mem = member_at[donor]
-        par = partner_at[recipient]
-        n_pairs = mem.size * par.size
-        if n_pairs <= candidate_cap:
-            mi = np.repeat(np.arange(mem.size), par.size)
-            pi = np.tile(np.arange(par.size), mem.size)
-        else:
-            mi = rng.integers(0, mem.size, candidate_cap)
-            pi = rng.integers(0, par.size, candidate_cap)
-        cand_cost = pair_cost(mem[mi], par[pi])
-        best = cand_cost.min()
-        tied = np.flatnonzero(cand_cost == best)
-        key = mem[mi[tied]].astype(np.int64) * m.n_records + par[pi[tied]]
-        choice = tied[int(np.argmin(key))]
-        rec_m, rec_p = int(mem[mi[choice]]), int(par[pi[choice]])
-
-        swaps.append((rec_m, rec_p))
-        costs.append(float(best))
-        member_at[donor] = mem[mem != rec_m]
-        partner_at[recipient] = par[par != rec_p]
-        surplus[donor] -= 1
-        surplus[recipient] += 1
+    for donor, recipient, k in blocks:
+        mem = member_at[donor][~used[member_at[donor]]]
+        par = partner_at[recipient][~used[partner_at[recipient]]]
+        for rec_m, rec_p, cost in _Block(space, mem, par).match(k):
+            swaps.append((rec_m, rec_p))
+            costs.append(cost)
+            used[rec_m] = used[rec_p] = True
 
     return SwapPlan(parameter=g.parameter, swaps=tuple(swaps), costs=tuple(costs))
+
+
+def _positions(param: np.ndarray, order) -> np.ndarray:
+    """Each record's index in the parameter order, -1 for values outside it."""
+    index = {value: i for i, value in enumerate(order)}
+    values, inverse = np.unique(param, return_inverse=True)
+    lookup = np.array([index.get(v, -1) for v in values.tolist()], dtype=np.int64)
+    return lookup[inverse.reshape(-1)]
+
+
+def _by_position(records: np.ndarray, pos: np.ndarray, n_pos: int) -> list[np.ndarray]:
+    """Ascending ``records`` split into one ascending array per position."""
+    order = np.argsort(pos, kind="stable")
+    return np.split(records[order], np.cumsum(np.bincount(pos, minlength=n_pos))[:-1])
+
+
+def _flow_blocks(surplus: np.ndarray) -> list[tuple[int, int, int]]:
+    """The greedy donor→recipient flow as (donor, recipient, swaps) blocks.
+
+    Each greedy step moves one member from the first position of largest
+    surplus to the first position of smallest surplus.  A step never changes
+    the other side's values, so the i-th donor is the i-th surplus unit
+    (position p, level l ≤ surplus[p]) by descending level and then
+    ascending position, and the i-th recipient likewise among the deficit
+    units.  Blocks are listed in the order of their first step.
+    """
+    donors, recipients = _level_order(surplus), _level_order(-surplus)
+    n = surplus.size
+    pairs, first, count = np.unique(donors * n + recipients, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)
+    return list(zip((pairs[order] // n).tolist(), (pairs[order] % n).tolist(),
+                    count[order].tolist()))
+
+
+def _level_order(units: np.ndarray) -> np.ndarray:
+    """Positions of the positive ``units``, one per unit, top level first."""
+    units = np.maximum(units, 0)
+    pos = np.repeat(np.arange(units.size), units)
+    start = np.cumsum(units) - units
+    level = units[pos] - (np.arange(pos.size) - start[pos])
+    return pos[np.lexsort((pos, -level))]
+
+
+def _row_ids(columns: list[np.ndarray]) -> np.ndarray:
+    """Dense ids numbering the distinct rows across equal-length ``columns``."""
+    ids = np.zeros(columns[0].size, dtype=np.int64)
+    for col in columns:
+        code = np.unique(col, return_inverse=True)[1].reshape(-1)
+        ids = np.unique(ids * (int(code.max()) + 1) + code, return_inverse=True)[1].reshape(-1)
+    return ids
+
+
+class _ClassSpace:
+    """Records collapsed into classes of identical influential attributes.
+
+    A pair's cost depends on the two records' attributes alone, so scoring
+    one representative record per class gives the cost of every pair of
+    their records.  Nonzero ordinal values also get k-d tree coordinates
+    √w·log(x)/2: with u = (log a − log b)/2, an ordinal term
+    w·((a−b)/(a+b))² equals w·tanh²(u), and the coordinates differ by √w·u.
+    """
+
+    def __init__(self, pair_cost: _PairCost):
+        self.pair_cost = pair_cost
+        self.of = _row_ids([col for _, col in pair_cost.ordinal]
+                           + [codes for _, codes in pair_cost.nominal])
+        self.rep = np.unique(self.of, return_index=True)[1]
+        n = self.rep.size
+        self.values = (np.stack([col[self.rep] for _, col in pair_cost.ordinal], axis=1)
+                       if pair_cost.ordinal else np.empty((n, 0)))
+        self.nominal = (np.stack([c[self.rep] for _, c in pair_cost.nominal], axis=1)
+                        if pair_cost.nominal else np.empty((n, 0), dtype=np.int64))
+        self.zero = self.values == 0
+        self.weight = np.array([weight for weight, _ in pair_cost.ordinal], dtype=float)
+        with np.errstate(divide="ignore"):
+            self.coords = np.where(self.zero, 0.0,
+                                   np.sqrt(self.weight) * np.log(self.values) / 2)
+        # within one partition the nominal and zero-valued ordinal terms are fixed
+        self.partition = _row_ids(list(self.nominal.T) + list(self.zero.T))
+
+    def floor(self, a: np.ndarray, b: int) -> np.ndarray:
+        """Cost of classes ``a`` against class ``b`` without their two-nonzero ordinal terms.
+
+        Summed in the metric's own order, so by monotone rounding it never
+        exceeds the computed cost of ``a`` against any class that shares
+        ``b``'s nominal codes and ordinal zeros.
+        """
+        pc = self.pair_cost
+        total = np.zeros(a.size)
+        for i, (weight, _) in enumerate(pc.ordinal):
+            total += np.where(self.zero[a, i] != self.zero[b, i], weight, 0.0)
+        for j, (weight, _) in enumerate(pc.nominal):
+            total += weight * np.where(self.nominal[a, j] == self.nominal[b, j],
+                                       pc.same_sq, pc.diff_sq)
+        return total
+
+    def radius(self, dims: np.ndarray, slack: np.ndarray) -> np.ndarray:
+        """Coordinate distance bound for classes whose ordinal terms in ``dims`` sum to ``slack``.
+
+        The squared distance Σ w·u² is a convex function of the terms
+        t = w·tanh²(u) (artanh(√x)² has a power series in x with positive
+        coefficients), so on the simplex Σ t ≤ slack it peaks with the whole
+        slack in one column: √max w·artanh²(√(slack/w)) over ``dims``,
+        unbounded once slack reaches a column's weight.
+        """
+        r2 = np.zeros(slack.shape)
+        with np.errstate(divide="ignore"):
+            for weight in self.weight[dims].tolist():
+                t = np.clip(slack / weight, 0.0, 1.0)
+                r2 = np.maximum(r2, weight * np.arctanh(np.sqrt(t)) ** 2)
+        return np.sqrt(r2)
+
+
+class _Queue:
+    """Classes present among ascending records, each with its records as an ascending queue.
+
+    Within a class the lowest remaining record always goes first, so the
+    records of class ``i`` before position ``next[i]`` are exactly its used
+    ones.
+    """
+
+    def __init__(self, of: np.ndarray, records: np.ndarray):
+        cls = of[records]
+        order = np.argsort(cls, kind="stable")
+        self.cls, start, count = np.unique(cls[order], return_index=True, return_counts=True)
+        self.recs = records[order]
+        self.rec_list = self.recs.tolist()
+        self.owner = np.repeat(np.arange(self.cls.size), count).tolist()
+        self.next = start.tolist()
+        self.end = (start + count).tolist()
+
+    def head(self, i: int) -> int:
+        """Lowest remaining record of class ``i``, -1 once the class is used up."""
+        j = self.next[i]
+        return self.rec_list[j] if j < self.end[i] else -1
+
+
+class _View:
+    """Live candidates of one partition for rows with one set of active ordinal columns.
+
+    Classes that agree on those columns cost the same against every such
+    row, so they merge into one group, whose next record is the lowest
+    remaining record of any of its classes; with no active column the whole
+    partition is one group.  Without ``dims`` every class is its own group,
+    for candidate sides small enough to be scored in full.  Groups are
+    searched with a k-d tree, rebuilt without used-up groups once half of
+    the groups it holds are found used up.
+    """
+
+    def __init__(self, space: _ClassSpace, cands: _Queue, classes: np.ndarray,
+                 dims: np.ndarray | None, base: int):
+        self.space, self.cands, self.dims, self.base = space, cands, dims, base
+        start = np.array(cands.next)[classes]
+        stop = np.array(cands.end)[classes]
+        classes, start, stop = classes[start < stop], start[start < stop], stop[start < stop]
+        if dims is None:
+            first = group = np.arange(classes.size)
+        elif dims.size:
+            values = space.values[cands.cls[classes]][:, dims]
+            _, first, group = np.unique(values, axis=0, return_index=True, return_inverse=True)
+            group = group.reshape(-1)
+        else:
+            first, group = np.zeros(min(classes.size, 1), dtype=int), np.zeros(classes.size, int)
+        self.rep = cands.cls[classes[first]]
+        self.tree: cKDTree | None = None
+        self.live = np.arange(first.size)
+        self.dead = 0
+        # each group's remaining records as positions in cands.recs, ascending by record
+        sizes = stop - start
+        pos = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        member_of = np.repeat(group, sizes)
+        self.pos = pos[np.lexsort((cands.recs[pos], member_of))].tolist()
+        count = np.bincount(member_of, minlength=first.size)
+        self.ptr = (np.cumsum(count) - count).tolist()
+        self.stop = np.cumsum(count).tolist()
+
+    def head(self, g: int) -> int:
+        """Lowest remaining record of group ``g``, -1 once the group is used up."""
+        cands, pos = self.cands, self.pos
+        p, stop = self.ptr[g], self.stop[g]
+        while p < stop and pos[p] < cands.next[cands.owner[pos[p]]]:
+            p += 1
+        if p == stop:
+            self.dead += self.ptr[g] < stop
+            self.ptr[g] = p
+            return -1
+        self.ptr[g] = p
+        return cands.rec_list[pos[p]]
+
+    def take(self, g: int) -> None:
+        """Use up group ``g``'s lowest remaining record (its class's head)."""
+        self.cands.next[self.cands.owner[self.pos[self.ptr[g]]]] += 1
+
+    def search(self, a: np.ndarray, k: int, full: int, score):
+        """Candidate groups of row classes ``a``: group indices, costs, proven limits.
+
+        Every live group is listed when there are at most ``full``;
+        otherwise the ``k`` nearest.  A list is cut at the largest cost up
+        to which it provably holds every live group: a group costing at
+        most c lies inside the ball of ``radius`` c, so it is among the k
+        nearest whenever that radius is shorter than the k-th distance.
+        """
+        sp = self.space
+        n = a.size
+        if 2 * self.dead > self.live.size:
+            self.live = np.array([g for g in self.live.tolist() if self.head(g) >= 0], dtype=int)
+            self.dead = 0
+            self.tree = None
+        if self.live.size <= full:
+            idx = np.broadcast_to(self.live, (n, self.live.size))
+            return idx, score(a, self.rep[idx]), np.full(n, np.inf)
+        if self.tree is None:
+            self.tree = cKDTree(sp.coords[self.rep[self.live]][:, self.dims])
+        dist, near = self.tree.query(sp.coords[a][:, self.dims], k=k)
+        idx, kth = self.live[near], dist[:, -1]
+        cost = score(a, self.rep[idx])
+        floor = sp.floor(a, self.rep[0])
+        # margins cover the rounding of costs, logarithms and tree distances
+        slack = (cost - floor[:, None]) * (1 + 1e-9) + 1e-12 * (1 + cost)
+        sure = sp.radius(self.dims, slack) * (1 + 1e-9) + 1e-9 < kth[:, None]
+        proven = np.maximum(np.where(sure, cost, -np.inf).max(axis=1),
+                            np.nextafter(floor, -np.inf))
+        return idx, cost, proven
+
+
+class _Block:
+    """Exact greedy matching of one donor→recipient block.
+
+    Repeatedly takes the cheapest remaining (member, partner) record pair,
+    ties to the lower member and then the lower partner index: the order of
+    sorting all pairs by (cost, member, partner) and sweeping with a used
+    mask.  A heap holds one entry per class of the side with fewer classes
+    (the rows): its cheapest candidate group on the other side, with the
+    row's and the group's lowest remaining records.  Keys only grow as
+    records are used, so an entry whose candidate record was taken is
+    re-scored when it reaches the top.
+    """
+
+    def __init__(self, space: _ClassSpace, mem: np.ndarray, par: np.ndarray):
+        self.space = space
+        mem_q, par_q = _Queue(space.of, mem), _Queue(space.of, par)
+        self.member_rows = mem_q.cls.size <= par_q.cls.size
+        self.rows, self.cands = (mem_q, par_q) if self.member_rows else (par_q, mem_q)
+        part = np.unique(space.partition[self.cands.cls], return_inverse=True)[1].reshape(-1)
+        order = np.argsort(part, kind="stable")
+        self.parts = np.split(order, np.cumsum(np.bincount(part))[:-1])
+        self.views: dict[tuple[int, int], _View] = {}
+        # candidate tokens number the groups of every view; token t is group
+        # t - view.base of view view_of[t]
+        self.view_of: list[_View] = []
+
+    def _score(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Costs of row classes ``a`` (per row) against candidate classes ``b``."""
+        sp = self.space
+        rows = sp.rep[np.broadcast_to(a[:, None], b.shape)].reshape(-1)
+        cands = sp.rep[b].reshape(-1)
+        cost = sp.pair_cost(rows, cands) if self.member_rows else sp.pair_cost(cands, rows)
+        return cost.reshape(b.shape)
+
+    def _head(self, t: int) -> int:
+        view = self.view_of[t]
+        return view.head(t - view.base)
+
+    def _view(self, key, classes: np.ndarray, dims: np.ndarray | None) -> _View:
+        view = self.views.get(key)
+        if view is None:
+            view = self.views[key] = _View(self.space, self.cands, classes, dims,
+                                           len(self.view_of))
+            self.view_of.extend([view] * view.rep.size)
+        return view
+
+    def candidates(self, rows: np.ndarray, k: int) -> list[list]:
+        """Candidate tokens for row classes ``rows``, cheapest first.
+
+        A candidate side small enough to score in full is listed class by
+        class; otherwise each partition contributes through the view of the
+        row's active ordinal columns.  Returns per row
+        ``[tokens, costs, limit, start]``, cut at the limit up to which the
+        list provably holds every live candidate; the limit is infinite
+        when it holds all of them.
+        """
+        sp = self.space
+        a = self.rows.cls[rows]
+        n = rows.size
+        full = max(k, _SCORE_ALL // n)
+        queries = []
+        if self.cands.cls.size <= full:
+            queries.append((self._view("all", np.arange(self.cands.cls.size), None),
+                            np.arange(n)))
+        else:
+            for pi, part in enumerate(self.parts):
+                b = self.cands.cls[part[0]]
+                active = ~sp.zero[a] & ~sp.zero[b] & (sp.weight > 0)
+                code = active @ (1 << np.arange(active.shape[1]))
+                for c in np.unique(code).tolist():
+                    sel = np.flatnonzero(code == c)
+                    dims = np.flatnonzero(active[sel[0]])
+                    queries.append((self._view((pi, c), part, dims), sel))
+        limit = np.full(n, np.inf)
+        row_of, tokens, costs = [], [], []
+        for view, sel in queries:
+            idx, cost, lim = view.search(a[sel], k, full, self._score)
+            limit[sel] = np.minimum(limit[sel], lim)
+            row_of.append(np.broadcast_to(sel[:, None], idx.shape).reshape(-1))
+            tokens.append(idx.reshape(-1) + view.base)
+            costs.append(cost.reshape(-1))
+        row_of, tokens, costs = (np.concatenate(x) for x in (row_of, tokens, costs))
+        order = np.lexsort((costs, row_of))
+        row_of, tokens, costs = row_of[order], tokens[order], costs[order]
+        keep = costs <= limit[row_of]
+        bounds = np.searchsorted(row_of[keep], np.arange(n + 1)).tolist()
+        tokens, costs = tokens[keep].tolist(), costs[keep].tolist()
+        return [[tokens[s:e], costs[s:e], lim, 0]
+                for s, e, lim in zip(bounds[:-1], bounds[1:], limit.tolist())]
+
+    def _entry(self, a: int, lists: list):
+        """Heap entry (cost, member, partner, row class, candidate token) of row ``a``.
+
+        When every listed candidate is used up the entry is a placeholder,
+        token -1, keyed by the list's proven limit: every unlisted
+        candidate costs more, so the placeholder sorts before the true entry.
+        """
+        row_head = self.rows.head(a)
+        if row_head < 0:
+            return None
+        tokens, costs, limit, p = lists[a]
+        while p < len(tokens) and self._head(tokens[p]) < 0:
+            p += 1
+        lists[a][3] = p
+        if p == len(tokens):
+            return None if limit == np.inf else (limit, -1, -1, a, -1)
+        cost, t = costs[p], tokens[p]
+        head = self._head(t)
+        for j in range(p + 1, len(tokens)):
+            if costs[j] != cost:
+                break
+            h = self._head(tokens[j])
+            if 0 <= h < head:
+                t, head = tokens[j], h
+        if self.member_rows:
+            return cost, row_head, head, a, t
+        return cost, head, row_head, a, t
+
+    def match(self, k: int) -> list[tuple[int, int, float]]:
+        """The block's ``k`` swaps in greedy order, as (member, partner, cost)."""
+        n = self.rows.cls.size
+        depth = [_FIRST_K] * n
+        lists = self.candidates(np.arange(n), _FIRST_K)
+        heap = [e for e in (self._entry(a, lists) for a in range(n)) if e is not None]
+        heapq.heapify(heap)
+        out = []
+        while len(out) < k:
+            cost, member, partner, a, t = heapq.heappop(heap)
+            if t < 0:
+                # placeholders on top: refill their lists in one deeper query
+                rows = [a]
+                while heap and heap[0][4] < 0:
+                    rows.append(heapq.heappop(heap)[3])
+                deeper = _GROWTH * max(depth[r] for r in rows)
+                for r in rows:
+                    depth[r] = deeper
+                for a, fresh in zip(rows, self.candidates(np.array(rows), deeper)):
+                    lists[a] = fresh
+                    entry = self._entry(a, lists)
+                    if entry is not None:
+                        heapq.heappush(heap, entry)
+                continue
+            if self._head(t) == (partner if self.member_rows else member):
+                out.append((member, partner, cost))
+                self.rows.next[a] += 1
+                view = self.view_of[t]
+                view.take(t - view.base)
+            entry = self._entry(a, lists)
+            if entry is not None:
+                heapq.heappush(heap, entry)
+        return out
 
 
 def apply_swaps(m: Microfile, plan: SwapPlan) -> Microfile:

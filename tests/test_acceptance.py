@@ -137,7 +137,7 @@ def test_c5_remap_realization(fixture_microfile, fixture_group):
         target = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
 
         start = time.perf_counter()
-        plan = plan_swaps(fixture_microfile, fixture_group, target, weights, rng=20100923)
+        plan = plan_swaps(fixture_microfile, fixture_group, target, weights)
         modified = apply_swaps(fixture_microfile, plan)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"remap took {elapsed:.1f}s"

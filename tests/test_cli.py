@@ -104,6 +104,14 @@ class TestRunCommand:
         assert np.array_equal(quantity_signal(out, ref.fixture_group()).values,
                               ref.QUANTITY_FINAL)
 
+    def test_candidate_cap_is_reported_as_ignored(self, config_factory, tmp_path):
+        path = config_factory(candidate_cap=500)
+        assert run_cli("run", "--config", str(path)) == 0
+        report = json.loads((tmp_path / "out/report/report.json").read_text())
+        warnings = report["groups"][0]["warnings"]
+        assert [w for w in warnings if "candidate_cap" in w] == [
+            "candidate_cap 500 is ignored: the swap planner is exact and samples no candidates"]
+
     def test_run_is_deterministic(self, config_factory, tmp_path):
         path = config_factory()
         assert run_cli("run", "--config", str(path)) == 0

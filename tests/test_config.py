@@ -118,3 +118,9 @@ class TestLoadConfig:
         config["groups"][0]["shift"] = "big"
         with pytest.raises(ConfigError, match="shift"):
             load_pipeline_config(write(tmp_path, config))
+
+    def test_candidate_cap_must_be_positive(self, tmp_path):
+        config = base_config()
+        config["groups"][0]["candidate_cap"] = 0
+        with pytest.raises(ConfigError, match="candidate_cap must be positive"):
+            load_pipeline_config(write(tmp_path, config))

@@ -1,12 +1,17 @@
 import collections
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupanon import reference as ref
+from groupanon import remap
 from groupanon.errors import RemapError
-from groupanon.microfile import Attribute, GroupSpec, Microfile, record_view, superset_members
-from groupanon.remap import InfluentialWeights, SwapPlan, apply_swaps, influential_metric, plan_swaps
+from groupanon.microfile import (Attribute, GroupSpec, Microfile, members, record_view,
+                                 superset_members)
+from groupanon.remap import (InfluentialWeights, SwapPlan, _PairCost, apply_swaps,
+                             influential_metric, plan_swaps)
 from groupanon.signals import GoalSignal, quantity_signal
 
 ORDER = ("a1", "a2", "a3", "a4")
@@ -116,7 +121,7 @@ class TestPlanSwaps:
     def test_fixture_realizes_reference_target(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
         w = InfluentialWeights.from_microfile(fixture_microfile)
-        plan = plan_swaps(fixture_microfile, fixture_group, tgt, w, rng=42)
+        plan = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         modified = apply_swaps(fixture_microfile, plan)
         # recount oracle: direct per-area tally over the new table
         counts = collections.Counter(
@@ -131,8 +136,8 @@ class TestPlanSwaps:
     def test_deterministic_for_fixed_inputs(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
         w = InfluentialWeights.from_microfile(fixture_microfile)
-        first = plan_swaps(fixture_microfile, fixture_group, tgt, w, rng=7)
-        second = plan_swaps(fixture_microfile, fixture_group, tgt, w, rng=7)
+        first = plan_swaps(fixture_microfile, fixture_group, tgt, w)
+        second = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         assert first.swaps == second.swaps
         assert first.costs == second.costs
 
@@ -165,20 +170,126 @@ class TestPlanSwaps:
             plan_swaps(m, toy_group(), target([0, 1, 0, 0]),
                        InfluentialWeights(ordinal={}, nominal={"service": 1.0}))
 
-    def test_candidate_cap_must_be_positive(self, fixture_microfile, fixture_group):
-        tgt = GoalSignal("quantity", ref.QUANTITY.astype(float), ref.AREA_CODES)
-        with pytest.raises(RemapError, match="cap"):
-            plan_swaps(fixture_microfile, fixture_group, tgt,
-                       InfluentialWeights.from_microfile(fixture_microfile), candidate_cap=0)
+    def test_members_outside_the_order_are_listed(self):
+        m = toy_microfile([("a1", "1", 30, 100), ("b7", "1", 40, 100), ("a2", "0", 30, 100)])
+        with pytest.raises(RemapError, match="outside the order.*b7"):
+            plan_swaps(m, toy_group(), target([1, 1, 0, 0]), WEIGHTS)
 
     def test_vectorized_costs_match_scalar_metric(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
         w = InfluentialWeights.from_microfile(fixture_microfile)
-        plan = plan_swaps(fixture_microfile, fixture_group, tgt, w, rng=3)
+        plan = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         for (a, b), cost in list(zip(plan.swaps, plan.costs))[:25]:
             scalar = influential_metric(record_view(fixture_microfile, a),
                                         record_view(fixture_microfile, b), w)
             assert cost == pytest.approx(scalar, rel=1e-12)
+
+
+def exhaustive_plan(m, g, tgt, w):
+    """The slow, obvious planner: every pair of every flow block, sorted and swept.
+
+    The flow blocks come from stepping the greedy donor/recipient choice one
+    swap at a time and totalling each (donor, recipient) pair in the order
+    of its first step.
+    """
+    param = m.column(g.parameter)
+    member = set(members(m, g).tolist())
+    pool = set(superset_members(m, g).tolist()) if g.superset_vital else set(range(m.n_records))
+    member_at = [[i for i in range(m.n_records) if i in member and param[i] == v]
+                 for v in g.parameter_order]
+    partner_at = [[i for i in sorted(pool - member) if param[i] == v] for v in g.parameter_order]
+    surplus = np.array([len(recs) for recs in member_at]) - tgt.values.astype(int)
+    flows = {}
+    while surplus.max() > 0:
+        donor, recipient = int(np.argmax(surplus)), int(np.argmin(surplus))
+        flows[donor, recipient] = flows.get((donor, recipient), 0) + 1
+        surplus[donor] -= 1
+        surplus[recipient] += 1
+
+    pair_cost = _PairCost(m, w)
+    used, swaps, costs = set(), [], []
+    for (donor, recipient), k in flows.items():
+        mem = np.array([i for i in member_at[donor] if i not in used], dtype=int)
+        par = np.array([i for i in partner_at[recipient] if i not in used], dtype=int)
+        left, right = np.repeat(mem, par.size), np.tile(par, mem.size)
+        cost = pair_cost(left, right)
+        taken = 0
+        for j in np.lexsort((right, left, cost)):
+            if taken == k:
+                break
+            if left[j] in used or right[j] in used:
+                continue
+            used.update((int(left[j]), int(right[j])))
+            swaps.append((int(left[j]), int(right[j])))
+            costs.append(float(cost[j]))
+            taken += 1
+    return tuple(swaps), tuple(costs)
+
+
+def random_case(seed, spread, nominal_only, chi_same, superset):
+    """Small random table, weights and feasible target over ORDER.
+
+    A narrow ``spread`` of ordinal values makes duplicate records and tied
+    costs common; every ordinal column also holds zeros.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 400))
+    service = rng.choice(["1", "0", "2"], n, p=[0.4, 0.3, 0.3])
+    sex = np.where((service == "1") | ~superset, "1", rng.choice(["1", "2"], n))
+    ordinal = {}
+    for name in ("age", "income"):
+        values = rng.integers(1, spread + 1, n).astype(float)
+        values[rng.random(n) < 0.15] = 0.0
+        ordinal[name] = values
+    m = Microfile(
+        attributes=(
+            Attribute("area", "nominal", "parameter"),
+            Attribute("service", "nominal", "vital", weight=1.0),
+            Attribute("kind", "nominal", "influential", weight=0.7),
+            Attribute("sex", "nominal", "plain"),
+            Attribute("age", "ordinal", "influential", weight=2.0),
+            Attribute("income", "ordinal", "influential", weight=1.0),
+        ),
+        columns={"area": rng.choice(ORDER, n), "service": service,
+                 "kind": rng.choice(["a", "b"], n), "sex": sex, **ordinal},
+    )
+    g = GroupSpec.create({"service": {"1"}}, "area", ORDER,
+                         superset_vital={"sex": {"1"}} if superset else None)
+    w = InfluentialWeights(ordinal={} if nominal_only else {"age": 2.0, "income": 1.0},
+                           nominal={"service": 1.0, "kind": 0.7},
+                           chi_same=chi_same, chi_diff=1.0)
+
+    pool = np.zeros(n, dtype=bool)
+    pool[superset_members(m, g) if superset else np.arange(n)] = True
+    pool[members(m, g)] = False
+    area = m.column("area")
+    current = np.array([np.sum((service == "1") & (area == v)) for v in ORDER])
+    partners = np.array([np.sum(pool & (area == v)) for v in ORDER])
+    # deal the members out afresh with skewed odds, never past a position's
+    # members plus partners
+    odds = rng.dirichlet(np.full(len(ORDER), 0.5)) + 1e-9
+    goal = np.zeros(len(ORDER), dtype=int)
+    for _ in range(current.sum()):
+        room = np.flatnonzero(goal < current + partners)
+        goal[rng.choice(room, p=odds[room] / odds[room].sum())] += 1
+    return m, g, target(goal), w
+
+
+class TestExhaustiveReference:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([3, 40, 100_000]),
+           nominal_only=st.booleans(), chi_same=st.sampled_from([0.0, 0.5]),
+           superset=st.booleans())
+    def test_plan_matches_exhaustive_greedy(self, seed, spread, nominal_only, chi_same, superset):
+        m, g, tgt, w = random_case(seed, spread, nominal_only, chi_same, superset)
+        expected = exhaustive_plan(m, g, tgt, w)
+        plan = plan_swaps(m, g, tgt, w)
+        assert (plan.swaps, plan.costs) == expected
+        # tree searches with shallow candidate lists put the completeness
+        # proof and the refills to work on tables this small
+        with mock.patch.multiple(remap, _FIRST_K=2, _SCORE_ALL=0):
+            plan = plan_swaps(m, g, tgt, w)
+        assert (plan.swaps, plan.costs) == expected
 
 
 class TestApplySwaps:
@@ -197,7 +308,7 @@ class TestApplySwaps:
     def test_preserves_parameter_multiset_and_other_columns(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
         w = InfluentialWeights.from_microfile(fixture_microfile)
-        plan = plan_swaps(fixture_microfile, fixture_group, tgt, w, rng=42)
+        plan = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         out = apply_swaps(fixture_microfile, plan)
         assert out.n_records == fixture_microfile.n_records
         # multiset oracle over the parameter column
@@ -210,7 +321,7 @@ class TestApplySwaps:
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
         w = InfluentialWeights.from_microfile(fixture_microfile)
         out = apply_swaps(fixture_microfile,
-                          plan_swaps(fixture_microfile, fixture_group, tgt, w, rng=42))
+                          plan_swaps(fixture_microfile, fixture_group, tgt, w))
 
         def rho(m):
             idx = superset_members(m, fixture_group)
