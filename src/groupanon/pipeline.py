@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +66,14 @@ class PipelineResult:
     seed: int
 
 
+@contextmanager
 def _stage(stages: dict[str, float], name: str):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-
-        def __exit__(self, *exc):
-            stages[name] = stages.get(name, 0.0) + time.perf_counter() - self.t0
-
-    return _Timer()
+    """Add the time spent in the block to ``stages[name]``, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - t0
 
 
 def build_goal_signal(m: Microfile, gcfg: GroupConfig) -> GoalSignal:
@@ -120,7 +120,7 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
 
     if gcfg.solution is not None:
         coeffs = gcfg.solution
-        checks = rd.check_solution(lp, coeffs)
+        checks = stage("check", rd.check_solution, lp, coeffs)
         for check in checks:
             if not check.satisfied:
                 msg = (
@@ -131,7 +131,7 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
                 logger.warning("group %s: %s", gcfg.name, msg)
     else:
         coeffs = stage("solve", rd.solve_constraints, lp, warm_start=dec.approx)
-        checks = rd.check_solution(lp, coeffs, tol=1e-6)
+        checks = stage("check", rd.check_solution, lp, coeffs, tol=1e-6)
         bad = [c for c in checks if not c.satisfied]
         if bad:
             raise StageError("solve", gcfg.name,

@@ -24,7 +24,6 @@ from .wavelet import (
     WaveletDecomposition,
     approximation_component,
     detail_component,
-    reconstruction_matrix,
 )
 
 __all__ = [
@@ -99,29 +98,44 @@ class ConstraintSpec:
 class LinearProgram:
     """Dense inequality system A x <= b over approximation coefficients.
 
-    ``rows`` keeps the operator-facing form of every constraint (raw
-    reconstruction-matrix coefficients, relation, resolved bound) for
-    reporting and conflict extraction.
+    Row i is reconstruction-matrix row ``sign_i * R[position_i - 1]`` with
+    bound ``sign_i * bound_i``, where the sign is -1 for a ">=" relation.
+    Negation is exact, so the operator-facing form of every row (raw
+    coefficients, relation, resolved bound) is recovered bit for bit from
+    ``a_ub``, ``b_ub`` and ``relations`` for reporting and conflict
+    extraction.
     """
 
     a_ub: np.ndarray
     b_ub: np.ndarray
     cost: np.ndarray
     nonnegative: bool
-    rows: tuple[tuple[np.ndarray, str, float], ...] = field(repr=False)
+    relations: tuple[str, ...] = field(repr=False)
 
     @property
     def n_vars(self) -> int:
         return int(self.a_ub.shape[1])
 
+    def _sign(self, i: int) -> float:
+        return 1.0 if self.relations[i] == "<=" else -1.0
+
+    @property
+    def rows(self) -> tuple[tuple[np.ndarray, str, float], ...]:
+        """Operator-facing (coefficients, relation, bound) of every row."""
+        return tuple(
+            (self.a_ub[i] * self._sign(i), rel, float(self.b_ub[i] * self._sign(i)))
+            for i, rel in enumerate(self.relations)
+        )
+
+    def describe_row(self, i: int) -> str:
+        """One row as text; coefficients below 5e-4 in magnitude are left out."""
+        sign = self._sign(i)
+        coeffs = self.a_ub[i] * sign
+        terms = [f"{coeffs[j]:+.3f}*a({j + 1})" for j in np.flatnonzero(np.abs(coeffs) >= 5e-4)]
+        return f"{' '.join(terms)} {self.relations[i]} {self.b_ub[i] * sign:.3f}"
+
     def describe(self) -> list[str]:
-        out = []
-        for coeffs, relation, bound in self.rows:
-            terms = [
-                f"{c:+.3f}*a({j + 1})" for j, c in enumerate(coeffs) if abs(c) >= 5e-4
-            ]
-            out.append(f"{' '.join(terms)} {relation} {bound:.3f}")
-        return out
+        return [self.describe_row(i) for i in range(len(self.relations))]
 
 
 def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> LinearProgram:
@@ -131,8 +145,6 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     reconstruction matrix of the decomposition.
     """
     m = dec.signal_length
-    matrix = reconstruction_matrix(dec.filter, dec.level, m)
-    original = approximation_component(dec)
     for row in spec.rows:
         if not 1 <= row.position <= m:
             raise ConstraintError(
@@ -141,18 +153,18 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     for pos in spec.objective.positions:
         if not 1 <= pos <= m:
             raise ConstraintError(f"objective position {pos} outside 1..{m}")
+    matrix = dec.reconstruction
+    original = approximation_component(dec)
 
-    a_rows, b_vals, meta = [], [], []
-    for row in spec.rows:
-        coeffs = matrix[row.position - 1]
-        bound = float(original[row.position - 1]) if row.bound == "original" else float(row.bound)
-        meta.append((coeffs, row.relation, bound))
-        if row.relation == "<=":
-            a_rows.append(coeffs)
-            b_vals.append(bound)
-        else:
-            a_rows.append(-coeffs)
-            b_vals.append(-bound)
+    positions = np.array([row.position - 1 for row in spec.rows])
+    relations = tuple(row.relation for row in spec.rows)
+    sign = np.array([1.0 if rel == "<=" else -1.0 for rel in relations])
+    bounds = np.array([
+        original[row.position - 1] if row.bound == "original" else float(row.bound)
+        for row in spec.rows
+    ])
+    a_ub = matrix[positions]
+    a_ub *= sign[:, None]
 
     cost = np.zeros(matrix.shape[1])
     if spec.objective.kind != "feasibility":
@@ -161,11 +173,11 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
             cost += direction * matrix[pos - 1]
 
     return LinearProgram(
-        a_ub=np.array(a_rows),
-        b_ub=np.array(b_vals),
+        a_ub=a_ub,
+        b_ub=bounds * sign,
         cost=cost,
         nonnegative=spec.nonnegative,
-        rows=tuple(meta),
+        relations=relations,
     )
 
 
@@ -187,8 +199,7 @@ def _conflict_subset(lp: LinearProgram) -> list[str]:
         res = _run_lp(lp, np.array(trial))
         if res.status == 2:
             keep = trial
-    described = lp.describe()
-    return [described[i] for i in keep]
+    return [lp.describe_row(i) for i in keep]
 
 
 def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None) -> np.ndarray:
@@ -219,38 +230,60 @@ def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None) -
 
 @dataclass(frozen=True)
 class RowCheck:
-    """Evaluation of one constraint row at a candidate point."""
+    """Evaluation of one constraint row at a candidate point.
 
-    position_text: str
+    ``position_text`` is the row's :meth:`LinearProgram.describe_row` line.
+    It is formatted only when read, because formatting every row of a long
+    axis costs far more than checking them.
+    """
+
     lhs: float
     relation: str
     bound: float
     satisfied: bool
     violation: float
+    index: int
+    lp: LinearProgram = field(repr=False, compare=False)
+
+    @property
+    def position_text(self) -> str:
+        return self.lp.describe_row(self.index)
 
 
 def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> list[RowCheck]:
-    """Evaluate every row at ``coeffs``; violations carry their magnitude."""
+    """Evaluate every row at ``coeffs``; violations carry their magnitude.
+
+    One product ``a_ub @ coeffs`` gives every left-hand side; a ">=" row's
+    is negated back, exactly.  Its gap in ``a_ub`` form, ``lhs - bound``,
+    equals ``bound - lhs`` of the operator-facing row.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
+    signed = lp.a_ub @ coeffs
     out = []
-    for text, (row, relation, bound) in zip(lp.describe(), lp.rows):
-        lhs = float(row @ coeffs)
-        gap = lhs - bound if relation == "<=" else bound - lhs
+    for i, (relation, value, b) in enumerate(zip(lp.relations, signed.tolist(),
+                                                 lp.b_ub.tolist())):
+        gap = value - b
+        if relation == "<=":
+            lhs, bound = value, b
+        else:
+            lhs, bound = -value, -b
         out.append(
             RowCheck(
-                position_text=text,
                 lhs=lhs,
                 relation=relation,
                 bound=bound,
                 satisfied=gap <= tol,
                 violation=max(gap, 0.0),
+                index=i,
+                lp=lp,
             )
         )
     return out
 
 
 def satisfies(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> bool:
-    return all(check.satisfied for check in check_solution(lp, coeffs, tol))
+    """True when ``coeffs`` meets every row within ``tol``; one mat-vec, no text."""
+    return bool(np.all(lp.a_ub @ np.asarray(coeffs, dtype=float) - lp.b_ub <= tol))
 
 
 def reassemble(dec: WaveletDecomposition, coeffs: np.ndarray) -> np.ndarray:
@@ -260,8 +293,7 @@ def reassemble(dec: WaveletDecomposition, coeffs: np.ndarray) -> np.ndarray:
         raise ConstraintError(
             f"expected {dec.approx.size} coefficients, got {coeffs.size}"
         )
-    matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
-    return matrix @ coeffs + detail_component(dec)
+    return dec.reconstruction @ coeffs + detail_component(dec)
 
 
 def make_nonnegative(values: np.ndarray, shift: float | None = None, margin: float = 0.0):

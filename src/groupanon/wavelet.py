@@ -28,6 +28,7 @@ the reference vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,11 +147,18 @@ def get_filter(name: str) -> FilterPair:
 
 
 def _circular_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution folded back onto length len(x)."""
+    """Full linear convolution folded back onto length len(x).
+
+    Needs len(taps) <= len(x), which every caller guarantees, so the full
+    convolution is shorter than 2*len(x) and only its tail wraps.  Output k
+    is ``0 + full[k] + full[k + n]`` in that order, the same additions as
+    an index-ordered scatter-add.
+    """
     n = x.size
     full = np.convolve(x, taps)
     out = np.zeros(n)
-    np.add.at(out, np.arange(full.size) % n, full)
+    out += full[:n]
+    out[: full.size - n] += full[n:]
     return out
 
 
@@ -203,6 +211,10 @@ class WaveletDecomposition:
     ``details[j]`` holds the level-j detail coefficients (length m/2**j),
     for j = level down to 1.  ``reconstruct`` reassembles the original
     signal to machine precision.
+
+    ``reconstruction`` is the decomposition's reconstruction matrix (see
+    :func:`reconstruction_matrix`), built on first read and then kept, so
+    constraint building and reassembly share one read-only copy.
     """
 
     level: int
@@ -213,6 +225,13 @@ class WaveletDecomposition:
 
     def detail_levels(self) -> list[int]:
         return sorted(self.details, reverse=True)
+
+    @cached_property
+    def reconstruction(self) -> np.ndarray:
+        """Read-only matrix R with R @ a the approximation component of ``a``."""
+        matrix = reconstruction_matrix(self.filter, self.level, self.signal_length)
+        matrix.setflags(write=False)
+        return matrix
 
 
 def decompose(values, filter_pair: FilterPair, level: int) -> WaveletDecomposition:
@@ -283,13 +302,26 @@ def reconstruction_matrix(filter_pair: FilterPair, level: int, length: int) -> n
     R @ a equals the approximation component for any coefficient vector a;
     column j is the synthesis cascade of the j-th unit vector.  Shape is
     (length, length / 2**level).
+
+    The periodized synthesis cascade is shift-equivariant by 2**level:
+    moving a coefficient one place moves its output 2**level places,
+    circularly.  So only column 0 is synthesized, and column j is column 0
+    rolled by j * 2**level, ``R[i, j] = col0[(i - j * 2**level) mod length]``.
+    One cascade replaces length / 2**level of them; entries agree with the
+    per-column cascades to rounding.
+
+    The result is the transpose of a C-ordered (columns, length) array, so
+    R is column-major.  Keep that layout: ``R @ a`` sums in an order that
+    depends on it, and a row-major R moves reassembled signals by ulps,
+    enough to flip ties in the integer rounding of published counts.
     """
     if level < 1 or length % (1 << level):
         raise WaveletError(f"length {length} is not divisible by 2**{level}")
     ncoef = length >> level
-    columns = np.empty((ncoef, length))
-    for j in range(ncoef):
-        unit = np.zeros(ncoef)
-        unit[j] = 1.0
-        columns[j] = _synthesize_approx(unit, level, filter_pair)
+    unit = np.zeros(ncoef)
+    unit[0] = 1.0
+    col0 = _synthesize_approx(unit, level, filter_pair)
+    # window s of [col0, col0] is col0 rolled by length - s
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([col0, col0]), length)
+    columns = windows[length - (np.arange(ncoef) << level)]
     return columns.T

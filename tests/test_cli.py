@@ -75,7 +75,7 @@ class TestRunCommand:
         assert report["seed"] == 20100923
         group = report["groups"][0]
         assert group["shift"] == 2150.0
-        assert set(group["timings"]) >= {"signal", "decompose", "plan", "apply"}
+        assert set(group["timings"]) >= {"signal", "decompose", "check", "plan", "apply"}
 
     def test_identity_constraints_leave_microfile_unchanged(self, config_factory, tmp_path):
         config = base_config()
@@ -89,6 +89,8 @@ class TestRunCommand:
         path = config_factory(config)
         assert run_cli("run", "--config", str(path)) == 0
         assert (tmp_path / "out/modified.csv").read_text() == (tmp_path / "military.csv").read_text()
+        report = json.loads((tmp_path / "out/report/report.json").read_text())
+        assert {"solve", "check"} <= set(report["groups"][0]["timings"])
 
     def test_mismatched_manual_target_is_stage_error(self, config_factory, capsys):
         bad = [int(v) for v in ref.QUANTITY]

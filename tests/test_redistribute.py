@@ -19,7 +19,7 @@ from groupanon.redistribute import (
     satisfies,
     solve_constraints,
 )
-from groupanon.wavelet import FILTERS, decompose
+from groupanon.wavelet import FILTERS, decompose, reconstruction_matrix
 
 DB2 = FILTERS["db2"]
 
@@ -140,6 +140,66 @@ class TestSolve:
         lp = build_constraints(quantity_dec, spec)
         with pytest.raises(UnboundedError):
             solve_constraints(lp)
+
+
+def reference_checks(dec, spec, coeffs, tol=1e-9):
+    """Row-by-row check straight from the spec: (text, lhs, satisfied, violation)."""
+    matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
+    out = []
+    for row in spec.rows:
+        coeffs_row, bound = matrix[row.position - 1], float(row.bound)
+        terms = [f"{c:+.3f}*a({j + 1})" for j, c in enumerate(coeffs_row) if abs(c) >= 5e-4]
+        lhs = float(coeffs_row @ coeffs)
+        gap = lhs - bound if row.relation == "<=" else bound - lhs
+        out.append((f"{' '.join(terms)} {row.relation} {bound:.3f}", lhs, gap <= tol,
+                    max(gap, 0.0)))
+    return out
+
+
+def random_long_axis_case():
+    """A 1,024-variable system (m = 4096, db2 level 2) and a point violating some rows."""
+    rng = np.random.default_rng(37)
+    dec = decompose(rng.poisson(20.0, size=4096).astype(float), DB2, 2)
+    approx = reconstruction_matrix(DB2, 2, 4096) @ dec.approx
+    positions = rng.choice(4096, size=600, replace=False) + 1
+    rows = tuple(
+        ConstraintRow(int(p), rel, float(approx[p - 1]) + (0.5 if rel == "<=" else -0.5))
+        for p, rel in zip(positions, rng.choice(["<=", ">="], size=positions.size))
+    )
+    coeffs = dec.approx + rng.normal(scale=0.5, size=dec.approx.size)
+    return dec, ConstraintSpec(rows=rows), coeffs
+
+
+class TestCheckSolutionAgainstRowLoop:
+    @pytest.mark.parametrize("case", ["quantity", "concentration", "random"])
+    def test_matches_per_row_reference(self, case, quantity_dec, concentration_dec):
+        if case == "quantity":
+            dec, spec, coeffs = quantity_dec, spec_from(ref.QUANTITY_SYSTEM), ref.QUANTITY_SOLUTION_RAW
+        elif case == "concentration":
+            dec, spec = concentration_dec, spec_from(ref.CONCENTRATION_SYSTEM)
+            coeffs = ref.CONCENTRATION_SOLUTION
+        else:
+            dec, spec, coeffs = random_long_axis_case()
+        lp = build_constraints(dec, spec)
+        checks = check_solution(lp, coeffs)
+        expected = reference_checks(dec, spec, coeffs)
+        assert any(not c.satisfied for c in checks)
+        assert len(checks) == len(expected)
+        described = lp.describe()
+        for i, (check, (text, lhs, ok, violation)) in enumerate(zip(checks, expected)):
+            assert check.satisfied == ok
+            assert check.violation == violation
+            assert check.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+            assert check.position_text == described[i] == text
+        assert satisfies(lp, coeffs) == all(c.satisfied for c in checks)
+
+    def test_rows_recover_operator_form_exactly(self):
+        dec, spec, _ = random_long_axis_case()
+        lp = build_constraints(dec, spec)
+        matrix = reconstruction_matrix(DB2, 2, 4096)
+        for (coeffs, relation, bound), row in zip(lp.rows, spec.rows):
+            assert coeffs.tobytes() == matrix[row.position - 1].tobytes()
+            assert (relation, bound) == (row.relation, row.bound)
 
 
 class TestReassemble:

@@ -3,9 +3,11 @@ import pytest
 
 from groupanon import reference as ref
 from groupanon.errors import WaveletError
+from groupanon.redistribute import reassemble
 from groupanon.wavelet import (
     FILTERS,
     FilterPair,
+    _circular_convolve,
     approximation_component,
     conv_down,
     decompose,
@@ -36,6 +38,27 @@ def conv_down_oracle(x, taps):
     return np.array([full[(2 * i + offset) % len(x)] for i in range(len(x) // 2)])
 
 
+def scatter_add_convolve(x, taps):
+    """The full convolution folded by an index-ordered scatter-add."""
+    full = np.convolve(x, taps)
+    out = np.zeros(x.size)
+    np.add.at(out, np.arange(full.size) % x.size, full)
+    return out
+
+
+def unit_cascade_matrix(fp, level, length):
+    """Reconstruction matrix by one synthesis cascade per unit vector."""
+    ncoef = length >> level
+    columns = np.empty((ncoef, length))
+    for j in range(ncoef):
+        col = np.zeros(ncoef)
+        col[j] = 1.0
+        for _ in range(level):
+            col = up_conv(col, fp.lowpass)
+        columns[j] = col
+    return columns.T
+
+
 class TestFilterPair:
     @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
     def test_registered_filters_hold_invariants(self, name):
@@ -57,6 +80,18 @@ class TestFilterPair:
         low = DB2.lowpass
         expected = np.array([-low[3], low[2], -low[1], low[0]])
         assert np.allclose(DB2.highpass, expected)
+
+
+class TestCircularConvolve:
+    def test_bitwise_equal_to_scatter_add(self):
+        rng = np.random.default_rng(29)
+        for n in (2, 4, 8, 16, 1000):
+            for k in (1, 2, 4, 8, n):
+                if k > n:
+                    continue
+                x, taps = rng.normal(size=n), rng.normal(size=k)
+                got = _circular_convolve(x, taps)
+                assert got.tobytes() == scatter_add_convolve(x, taps).tobytes()
 
 
 class TestConvDown:
@@ -179,13 +214,35 @@ class TestReconstructionMatrix:
         assert np.max(np.abs(matrix @ dec.approx - ref.QUANTITY_APPROX_COMPONENT)) < 1e-3
         assert np.max(np.abs(matrix @ dec.approx - approximation_component(dec))) < 1e-9
 
-    def test_columns_are_unit_cascades(self):
-        matrix = reconstruction_matrix(DB2, 2, 16)
-        for j in range(4):
-            unit = np.zeros(4)
-            unit[j] = 1.0
-            cascade = up_conv(up_conv(unit, DB2.lowpass), DB2.lowpass)
-            assert np.allclose(matrix[:, j], cascade, atol=1e-12)
+    @pytest.mark.parametrize("length", [16, 64, 1024])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
+    def test_columns_are_unit_cascades(self, name, level, length):
+        # db4 / level 2 / length 16 wraps every column around the axis
+        fp = get_filter(name)
+        matrix = reconstruction_matrix(fp, level, length)
+        expected = unit_cascade_matrix(fp, level, length)
+        assert matrix.shape == expected.shape
+        assert matrix.flags.f_contiguous
+        if (name, level) == ("db2", 2):
+            assert matrix.tobytes(order="A") == expected.tobytes(order="A")
+        else:
+            assert np.max(np.abs(matrix - expected)) <= 1e-15
+
+    def test_reassemble_keeps_column_major_summation(self):
+        rng = np.random.default_rng(31)
+        dec = decompose(rng.normal(size=1024) * 100, DB2, 2)
+        coeffs = rng.normal(size=dec.approx.size) * 100
+        expected = unit_cascade_matrix(DB2, 2, 1024) @ coeffs + detail_component(dec)
+        assert reassemble(dec, coeffs).tobytes() == expected.tobytes()
+
+    def test_decomposition_caches_one_read_only_matrix(self):
+        dec = decompose(ref.QUANTITY, DB2, 2)
+        matrix = dec.reconstruction
+        assert matrix is dec.reconstruction
+        assert np.array_equal(matrix, reconstruction_matrix(DB2, 2, 16))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
