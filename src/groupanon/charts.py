@@ -9,6 +9,8 @@ from __future__ import annotations
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+from .atomic import atomic_write
+
 __all__ = ["svg_line_chart"]
 
 _WIDTH, _HEIGHT = 720, 360
@@ -16,7 +18,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 60
 
 
 def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
-    """Write a single-series line chart; one x position per label."""
+    """Write a single-series line chart, atomically; one x position per label."""
     values = [float(v) for v in values]
     labels = [str(x) for x in labels]
     if len(labels) != len(values) or not values:
@@ -88,4 +90,5 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
         parts.append(f'<circle cx="{x_at(i):.1f}" cy="{y_at(v):.1f}" r="2.5" fill="#1f6fb2"/>')
     parts.append("</svg>")
 
-    Path(path).write_text("\n".join(parts))
+    with atomic_write(path) as fh:
+        fh.write("\n".join(parts))

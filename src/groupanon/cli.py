@@ -25,10 +25,12 @@ from pathlib import Path
 from .config import GroupConfig, PipelineConfig, load_pipeline_config
 from .errors import ConfigError, GroupAnonError, StageError
 from .charts import svg_line_chart
-from .microfile import load_microfile, write_microfile
+from .atomic import atomic_write
+from .microfile import write_microfile
 from .pipeline import (
     _write_plan_csv,
     build_goal_signal,
+    load_input,
     run_group,
     run_pipeline,
     write_outputs,
@@ -98,23 +100,15 @@ def _select_group(config: PipelineConfig, name: str) -> GroupConfig:
     raise ConfigError(f"no group named {name!r} in the config (have: {known})")
 
 
-def _load_input(config: PipelineConfig):
-    path = config.input if config.input.is_absolute() else config.base_dir / config.input
-    try:
-        return load_microfile(path, config.schema, config.identifiers)
-    except GroupAnonError as exc:
-        raise StageError("load", "-", str(exc)) from exc
-
-
 def _report_dir(config: PipelineConfig) -> Path:
-    path = config.report_dir if config.report_dir.is_absolute() else config.base_dir / config.report_dir
+    path = config.report_path
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _cmd_signal(config: PipelineConfig, name: str) -> int:
     gcfg = _select_group(config, name)
-    m = _load_input(config)
+    m = load_input(config)
     try:
         signal = build_goal_signal(m, gcfg)
     except GroupAnonError as exc:
@@ -129,7 +123,7 @@ def _cmd_signal(config: PipelineConfig, name: str) -> int:
 
 def _cmd_decompose(config: PipelineConfig, name: str) -> int:
     gcfg = _select_group(config, name)
-    m = _load_input(config)
+    m = load_input(config)
     try:
         signal = build_goal_signal(m, gcfg)
         dec = decompose(signal.values, get_filter(gcfg.wavelet_family), gcfg.level)
@@ -137,7 +131,7 @@ def _cmd_decompose(config: PipelineConfig, name: str) -> int:
         raise StageError("decompose", name, str(exc)) from exc
     out = _report_dir(config)
     path = out / f"{name}_coefficients.csv"
-    with path.open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component", "index", "value"])
         for i, v in enumerate(dec.approx, start=1):
@@ -151,7 +145,7 @@ def _cmd_decompose(config: PipelineConfig, name: str) -> int:
 
 def _cmd_redistribute(config: PipelineConfig, name: str) -> int:
     gcfg = _select_group(config, name)
-    m = _load_input(config)
+    m = load_input(config)
     _, result = run_group(m, gcfg)
     out = _report_dir(config)
     write_signal_csv(out / f"{name}_signal_before.csv",
@@ -168,17 +162,18 @@ def _cmd_redistribute(config: PipelineConfig, name: str) -> int:
             for c in result.solution_checks
         ],
     }
-    (out / f"{name}_redistribution.json").write_text(json.dumps(payload, indent=2) + "\n")
+    with atomic_write(out / f"{name}_redistribution.json") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     print(f"wrote redistribution artifacts for {name!r} under {out}")
     return EXIT_OK
 
 
 def _cmd_remap(config: PipelineConfig, name: str) -> int:
     gcfg = _select_group(config, name)
-    m = _load_input(config)
+    m = load_input(config)
     modified, result = run_group(m, gcfg)
     out = _report_dir(config)
-    output = config.output if config.output.is_absolute() else config.base_dir / config.output
+    output = config.output_path
     output.parent.mkdir(parents=True, exist_ok=True)
     write_microfile(modified, output)
     _write_plan_csv(out / f"{name}_swaps.csv", result.plan)
@@ -189,11 +184,10 @@ def _cmd_remap(config: PipelineConfig, name: str) -> int:
 def _cmd_run(config: PipelineConfig) -> int:
     result = run_pipeline(config)
     write_outputs(config, result)
-    output = config.output if config.output.is_absolute() else config.base_dir / config.output
     for g in result.groups:
         print(f"group {g.name}: {len(g.plan)} swaps, total cost {g.plan.total_cost:.3f}, "
               f"shift {g.shift:g}")
-    print(f"wrote {output}")
+    print(f"wrote {config.output_path}")
     return EXIT_OK
 
 

@@ -88,6 +88,25 @@ class PipelineConfig:
     groups: tuple[GroupConfig, ...]
     base_dir: Path = field(default_factory=Path)
 
+    # ``base_dir / p`` is ``p`` itself when ``p`` is absolute, so relative
+    # paths (including command-line overrides) resolve against the config's
+    # directory and absolute ones are kept.
+
+    @property
+    def input_path(self) -> Path:
+        """The input CSV, resolved against the config file's directory."""
+        return self.base_dir / self.input
+
+    @property
+    def output_path(self) -> Path:
+        """The output CSV, resolved against the config file's directory."""
+        return self.base_dir / self.output
+
+    @property
+    def report_path(self) -> Path:
+        """The report directory, resolved against the config file's directory."""
+        return self.base_dir / self.report_dir
+
 
 class _Cursor:
     """Typed access into parsed JSON with path-tagged errors."""

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ParseError, SchemaError
 
 __all__ = [
@@ -222,8 +225,9 @@ def load_microfile(
 
     ``schema`` must name a subset of the header columns; columns listed in
     ``identifiers`` are dropped with a warning, undeclared columns are
-    ignored.  Ordinal cells parse as float64; empty cells are allowed (as
-    missing values) only in plain columns.
+    ignored.  Ordinal cells must parse as finite float64 values; empty
+    cells are allowed (as missing values, NaN in ordinal columns) only in
+    plain columns.  Any other cell is a ``ParseError`` naming its row.
     """
     path = Path(path)
     if not schema:
@@ -251,46 +255,73 @@ def load_microfile(
         raise SchemaError(f"{path}: declared columns missing from header: {missing}")
 
     width = len(header)
-    for rownum, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {rownum} has {len(row)} fields, expected {width}"
-            )
+    if set(map(len, rows)) - {width}:
+        rownum, row = next((i, row) for i, row in enumerate(rows, start=2) if len(row) != width)
+        raise ParseError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
 
     columns: dict[str, np.ndarray] = {}
     for attr in schema:
-        pos = positions[attr.name]
-        raw = [row[pos] for row in rows]
+        raw = list(map(itemgetter(positions[attr.name]), rows))
         if attr.kind == "nominal":
-            empty_ok = attr.role == "plain"
-            for rownum, value in enumerate(raw, start=2):
-                if value == "" and not empty_ok:
-                    raise ParseError(
-                        f"{path}: row {rownum}: empty value in "
-                        f"{attr.role} column {attr.name!r}"
-                    )
+            if attr.role != "plain" and "" in raw:
+                raise _empty_cell_error(path, raw.index("") + 2, attr)
             columns[attr.name] = np.array(raw, dtype=str) if raw else np.empty(0, dtype="<U1")
         else:
-            values = np.empty(len(raw))
-            for i, value in enumerate(raw):
-                if value == "":
-                    if attr.role != "plain":
-                        raise ParseError(
-                            f"{path}: row {i + 2}: empty value in "
-                            f"{attr.role} column {attr.name!r}"
-                        )
-                    values[i] = np.nan
-                    continue
-                try:
-                    values[i] = float(value)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {i + 2}: non-numeric value {value!r} in "
-                        f"ordinal column {attr.name!r}"
-                    ) from None
-            columns[attr.name] = values
+            columns[attr.name] = _parse_ordinal(path, attr, raw)
 
     return Microfile(attributes=tuple(schema), columns=columns)
+
+
+#: Stands in for an empty cell of a plain ordinal column while parsing.
+_EMPTY_AS_NAN = {"": "nan"}
+
+
+def _parse_ordinal(path: Path, attr: Attribute, raw: list[str]) -> np.ndarray:
+    """One ordinal column's cells as float64, NaN where a plain cell is empty."""
+    missing = attr.role == "plain" and "" in raw
+    cells = map(_EMPTY_AS_NAN.get, raw, raw) if missing else raw
+    try:
+        values = np.fromiter(map(float, cells), float, len(raw))
+    except ValueError:
+        _raise_first_bad_cell(path, attr, raw)
+    ok = np.isfinite(values)
+    if missing:
+        ok |= np.fromiter(map(not_, raw), bool, len(raw))
+    if not ok.all():
+        _raise_first_bad_cell(path, attr, raw)
+    return values
+
+
+def _raise_first_bad_cell(path: Path, attr: Attribute, raw: list[str]) -> None:
+    """Raise for the first cell of an ordinal column that is not a finite float.
+
+    Only called once the column is known to hold such a cell; the row scan
+    names the same row as a reader that checks cell by cell.
+    """
+    for rownum, value in enumerate(raw, start=2):
+        if value == "":
+            if attr.role != "plain":
+                raise _empty_cell_error(path, rownum, attr)
+            continue
+        try:
+            parsed = float(value)
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {rownum}: non-numeric value {value!r} in "
+                f"ordinal column {attr.name!r}"
+            ) from None
+        if not math.isfinite(parsed):
+            raise ParseError(
+                f"{path}: row {rownum}: non-finite value {value!r} in "
+                f"ordinal column {attr.name!r}"
+            )
+    raise AssertionError("no bad cell found in a column that failed to parse")
+
+
+def _empty_cell_error(path: Path, rownum: int, attr: Attribute) -> ParseError:
+    return ParseError(
+        f"{path}: row {rownum}: empty value in {attr.role} column {attr.name!r}"
+    )
 
 
 def _format_cell(attr: Attribute, value) -> str:
@@ -304,18 +335,26 @@ def _format_cell(attr: Attribute, value) -> str:
     return repr(v)
 
 
+def _format_column(attr: Attribute, col: np.ndarray) -> list[str]:
+    """``_format_cell`` of every value in ``col``, run once per distinct value.
+
+    ``np.unique`` merges -0.0 with 0.0 and every NaN with every other NaN;
+    each merged group formats to one text ("0" and ""), so the result equals
+    formatting cell by cell.
+    """
+    distinct, inverse = np.unique(col, return_inverse=True)
+    text = np.array([_format_cell(attr, v) for v in distinct], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_microfile(m: Microfile, path: str | Path) -> None:
     """Emit CSV with the header first; order of records and columns preserved.
 
     Integer-valued ordinals are written without a decimal point, so a file
-    of integer codes round-trips textually.
+    of integer codes round-trips textually.  The file is replaced atomically:
+    if writing fails, ``path`` keeps its previous content.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in m.attributes])
-        cols = [m.columns[a.name] for a in m.attributes]
-        for i in range(m.n_records):
-            writer.writerow(
-                [_format_cell(a, col[i]) for a, col in zip(m.attributes, cols)]
-            )
+        writer.writerows(zip(*[_format_column(a, m.columns[a.name]) for a in m.attributes]))

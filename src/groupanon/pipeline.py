@@ -9,8 +9,10 @@ half-written.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import redistribute as rd
+from .atomic import atomic_write
 from .charts import svg_line_chart
 from .config import GroupConfig, PipelineConfig
 from .errors import GroupAnonError, StageError
@@ -32,7 +35,7 @@ from .signals import (
 )
 from .wavelet import WaveletDecomposition, decompose, get_filter
 
-__all__ = ["GroupRunResult", "PipelineResult", "run_pipeline", "write_outputs",
+__all__ = ["GroupRunResult", "PipelineResult", "load_input", "run_pipeline", "write_outputs",
            "build_goal_signal", "run_group"]
 
 logger = logging.getLogger(__name__)
@@ -64,6 +67,8 @@ class PipelineResult:
     microfile: Microfile
     groups: list[GroupRunResult]
     seed: int
+    load_s: float
+    bytes_read: int
 
 
 @contextmanager
@@ -216,56 +221,66 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
     return final, shift, target
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Load the input table and process every group in declared order."""
-    input_path = config.input if config.input.is_absolute() else config.base_dir / config.input
+def load_input(config: PipelineConfig) -> Microfile:
+    """The configured input table; a failure to load is a ``load`` stage error."""
     try:
-        m = load_microfile(input_path, config.schema, config.identifiers)
+        return load_microfile(config.input_path, config.schema, config.identifiers)
     except GroupAnonError as exc:
         raise StageError("load", "-", str(exc)) from exc
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    """Load the input table and process every group in declared order."""
+    t0 = time.perf_counter()
+    m = load_input(config)
+    load_s = time.perf_counter() - t0
+    bytes_read = os.path.getsize(config.input_path)
 
     results = []
     for gcfg in config.groups:
         m, result = run_group(m, gcfg)
         results.append(result)
-    return PipelineResult(microfile=m, groups=results, seed=config.seed)
-
-
-def _signal_rows(signal_values, order):
-    return [(value, float(v)) for value, v in zip(order, signal_values)]
+    return PipelineResult(microfile=m, groups=results, seed=config.seed, load_s=load_s,
+                          bytes_read=bytes_read)
 
 
 def write_signal_csv(path, order, values) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter_value", "value"])
-        for value, v in _signal_rows(values, order):
-            writer.writerow([value, f"{v:.12g}"])
+        writer.writerows([value, f"{float(v):.12g}"] for value, v in zip(order, values))
 
 
 def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
-    """Write the modified table, per-group artifacts and the JSON report."""
-    base = config.base_dir
-    output = config.output if config.output.is_absolute() else base / config.output
-    report_dir = config.report_dir if config.report_dir.is_absolute() else base / config.report_dir
+    """Write the modified table, per-group artifacts and the JSON report.
+
+    Every file is replaced atomically, and ``report.json`` comes last, so a
+    run that fails while writing leaves the previous report in place.
+    """
+    output = config.output_path
+    report_dir = config.report_path
     report_dir.mkdir(parents=True, exist_ok=True)
     output.parent.mkdir(parents=True, exist_ok=True)
 
-    write_microfile(result.microfile, output)
+    t0 = time.perf_counter()
+    written = [output]
 
-    report = {"seed": result.seed, "output": str(output), "groups": []}
+    def artifact(name):
+        written.append(report_dir / name)
+        return written[-1]
+
+    write_microfile(result.microfile, output)
+    groups = []
     for g in result.groups:
         order = g.before.parameter_order
-        write_signal_csv(report_dir / f"{g.name}_signal_before.csv", order, g.before.values)
-        write_signal_csv(report_dir / f"{g.name}_signal_after.csv", order, g.after.values)
-        svg_line_chart(order, g.before.values, report_dir / f"{g.name}_before.svg",
+        write_signal_csv(artifact(f"{g.name}_signal_before.csv"), order, g.before.values)
+        write_signal_csv(artifact(f"{g.name}_signal_after.csv"), order, g.after.values)
+        svg_line_chart(order, g.before.values, artifact(f"{g.name}_before.svg"),
                        title=f"{g.name}: goal signal (before)")
-        svg_line_chart(order, g.after.values, report_dir / f"{g.name}_after.svg",
+        svg_line_chart(order, g.after.values, artifact(f"{g.name}_after.svg"),
                        title=f"{g.name}: goal signal (after)")
-        _write_plan_csv(report_dir / f"{g.name}_swaps.csv", g.plan)
-        report["groups"].append(
+        _write_plan_csv(artifact(f"{g.name}_swaps.csv"), g.plan)
+        groups.append(
             {
                 "name": g.name,
                 "signal_before": [float(v) for v in g.before.values],
@@ -278,14 +293,26 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
                 "warnings": g.warnings,
             }
         )
-    (report_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_s = time.perf_counter() - t0
+
+    report = {
+        "seed": result.seed,
+        "output": str(output),
+        "io": {
+            "load_s": round(result.load_s, 6),
+            "write_s": round(write_s, 6),
+            "records": result.microfile.n_records,
+            "bytes_read": result.bytes_read,
+            "bytes_written": sum(os.path.getsize(p) for p in written),
+        },
+        "groups": groups,
+    }
+    with atomic_write(report_dir / "report.json") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
 
 
 def _write_plan_csv(path, plan: SwapPlan) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["member_index", "partner_index", "cost"])
-        for (a, b), cost in zip(plan.swaps, plan.costs):
-            writer.writerow([a, b, f"{cost:.12g}"])
+        writer.writerows([a, b, f"{cost:.12g}"] for (a, b), cost in zip(plan.swaps, plan.costs))

@@ -76,6 +76,15 @@ class TestRunCommand:
         group = report["groups"][0]
         assert group["shift"] == 2150.0
         assert set(group["timings"]) >= {"signal", "decompose", "check", "plan", "apply"}
+        io = report["io"]
+        assert set(io) == {"load_s", "write_s", "records", "bytes_read", "bytes_written"}
+        assert io["load_s"] > 0 and io["write_s"] > 0
+        assert io["records"] == out.n_records == 12894
+        assert io["bytes_read"] == (tmp_path / "military.csv").stat().st_size
+        written = [tmp_path / "out/modified.csv"] + [
+            tmp_path / f"out/report/active-duty{suffix}" for suffix in
+            ("_signal_before.csv", "_signal_after.csv", "_before.svg", "_after.svg", "_swaps.csv")]
+        assert io["bytes_written"] == sum(p.stat().st_size for p in written)
 
     def test_identity_constraints_leave_microfile_unchanged(self, config_factory, tmp_path):
         config = base_config()
@@ -91,6 +100,7 @@ class TestRunCommand:
         assert (tmp_path / "out/modified.csv").read_text() == (tmp_path / "military.csv").read_text()
         report = json.loads((tmp_path / "out/report/report.json").read_text())
         assert {"solve", "check"} <= set(report["groups"][0]["timings"])
+        assert report["io"]["bytes_read"] == (tmp_path / "out/modified.csv").stat().st_size
 
     def test_mismatched_manual_target_is_stage_error(self, config_factory, capsys):
         bad = [int(v) for v in ref.QUANTITY]
@@ -118,8 +128,14 @@ class TestRunCommand:
         path = config_factory()
         assert run_cli("run", "--config", str(path)) == 0
         first = (tmp_path / "out/modified.csv").read_text()
+        first_io = json.loads((tmp_path / "out/report/report.json").read_text())["io"]
         assert run_cli("run", "--config", str(path)) == 0
         assert (tmp_path / "out/modified.csv").read_text() == first
+        io = json.loads((tmp_path / "out/report/report.json").read_text())["io"]
+        for key in ("records", "bytes_read", "bytes_written"):
+            assert io[key] == first_io[key]
+        # every output was replaced through a temporary file that is gone again
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
     def test_concentration_identity_run(self, config_factory, tmp_path):
         config = base_config()
@@ -243,6 +259,22 @@ class TestExitCodes:
         out_alt = tmp_path / "alt.csv"
         assert run_cli("run", "--config", str(path), "--output", str(out_alt), "--seed", "99") == 0
         assert out_alt.exists()
+
+    def test_relative_overrides_resolve_against_config_dir(self, config_factory, tmp_path,
+                                                           monkeypatch):
+        path = config_factory()
+        (tmp_path / "in").mkdir()
+        (tmp_path / "military.csv").rename(tmp_path / "in/data.csv")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("run", "--config", str(path), "--input", "in/data.csv",
+                       "--output", "alt/table.csv", "--report", "alt/report") == 0
+        assert (tmp_path / "alt/table.csv").exists()
+        report = json.loads((tmp_path / "alt/report/report.json").read_text())
+        assert report["output"] == str(tmp_path / "alt/table.csv")
+        assert report["io"]["bytes_read"] == (tmp_path / "in/data.csv").stat().st_size
+        assert list(elsewhere.iterdir()) == []
 
     def test_unwritable_output_is_io_error(self, config_factory, capsys):
         path = config_factory()

@@ -1,9 +1,12 @@
 import csv
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from groupanon import microfile
 from groupanon import reference as ref
 from groupanon.errors import ParseError, SchemaError
 from groupanon.microfile import (
@@ -39,6 +42,194 @@ def toy_file(tmp_path, rows=None):
         ["a1", "1", "150"],
     ]
     return write_csv(tmp_path / "toy.csv", ["area", "service", "pay"], rows)
+
+
+def reference_load(path, schema, identifiers=()):
+    """Row-by-row, cell-by-cell loader: the reference for ``load_microfile``.
+
+    It accepts non-finite ordinal cells, which ``load_microfile`` rejects, so
+    differential tests keep such cells out of their inputs.
+    """
+    path = Path(path)
+    if not schema:
+        raise SchemaError("schema must declare at least one attribute")
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: file is empty") from None
+            rows = list(reader)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
+
+    positions = {name: i for i, name in enumerate(header)}
+    schema_names = {a.name for a in schema}
+    if overlap := schema_names & set(identifiers):
+        raise SchemaError(f"attributes {sorted(overlap)} declared both in schema and as identifiers")
+    missing = [a.name for a in schema if a.name not in positions]
+    if missing:
+        raise SchemaError(f"{path}: declared columns missing from header: {missing}")
+
+    width = len(header)
+    for rownum, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: row {rownum} has {len(row)} fields, expected {width}"
+            )
+
+    columns = {}
+    for attr in schema:
+        pos = positions[attr.name]
+        raw = [row[pos] for row in rows]
+        if attr.kind == "nominal":
+            empty_ok = attr.role == "plain"
+            for rownum, value in enumerate(raw, start=2):
+                if value == "" and not empty_ok:
+                    raise ParseError(
+                        f"{path}: row {rownum}: empty value in "
+                        f"{attr.role} column {attr.name!r}"
+                    )
+            columns[attr.name] = np.array(raw, dtype=str) if raw else np.empty(0, dtype="<U1")
+        else:
+            values = np.empty(len(raw))
+            for i, value in enumerate(raw):
+                if value == "":
+                    if attr.role != "plain":
+                        raise ParseError(
+                            f"{path}: row {i + 2}: empty value in "
+                            f"{attr.role} column {attr.name!r}"
+                        )
+                    values[i] = np.nan
+                    continue
+                try:
+                    values[i] = float(value)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {i + 2}: non-numeric value {value!r} in "
+                        f"ordinal column {attr.name!r}"
+                    ) from None
+            columns[attr.name] = values
+
+    return Microfile(attributes=tuple(schema), columns=columns)
+
+
+def reference_write(m, path):
+    """Row-by-row writer: the reference for ``write_microfile``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([a.name for a in m.attributes])
+        cols = [m.columns[a.name] for a in m.attributes]
+        for i in range(m.n_records):
+            writer.writerow(
+                [microfile._format_cell(a, col[i]) for a, col in zip(m.attributes, cols)]
+            )
+
+
+def load_outcome(loader, path, schema):
+    """Columns as (dtype, bytes) per name, or the (type, message) of the error raised."""
+    try:
+        m = loader(path, schema)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return {name: (col.dtype, col.tobytes()) for name, col in m.columns.items()}
+
+
+# Cells the differential tests draw from: text that needs quoting, unicode,
+# codes with leading zeros and surrounding spaces; ordinals at the edges of
+# integer formatting (1e15) and of float repr.  Generated text leaves out NUL,
+# which NumPy's fixed-width strings drop from the end of a value, and lone
+# surrogates, which no text encoding writes.
+NOMINAL_CELLS = st.one_of(
+    st.sampled_from(["06010", " a ", "a,b", 'say "hi"', "line\nbreak", "cr\rlf\r\n",
+                     "ünïcødé", "中文", "😀", "0", "-0.0", "nan", " "]),
+    st.text(st.characters(min_codepoint=1, max_codepoint=0xD7FF), max_size=6),
+)
+ORDINAL_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.1, 1 / 3, 1e15 - 1, 1e15, 1e16, -1e15, -7.0, -2.5, 42.0,
+                     5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),
+)
+ROLES = {"plain": None, "vital": 1.0, "influential": 0.5, "parameter": None}
+
+
+@st.composite
+def tables(draw):
+    """A random microfile; NaN (a missing value) only in plain ordinal columns."""
+    n = draw(st.integers(0, 25))
+    attributes, columns = [], {}
+    for j in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["nominal", "ordinal"]))
+        role = draw(st.sampled_from(sorted(ROLES)))
+        attr = Attribute(f"c{j}", kind, role, ROLES[role])
+        if kind == "nominal":
+            cells = NOMINAL_CELLS if role == "plain" else NOMINAL_CELLS.filter(bool)
+            col = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=str)
+        else:
+            values = st.one_of(ORDINAL_VALUES, st.just(np.nan)) if role == "plain" else ORDINAL_VALUES
+            col = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+        attributes.append(attr)
+        columns[attr.name] = col.reshape(n)
+    return Microfile(tuple(attributes), columns)
+
+
+ORDINAL_TEXT = st.one_of(
+    ORDINAL_VALUES.map(repr),
+    st.sampled_from(["", "1e3", " 7", "+5", "1_000", ".5", "5.", "-0", "0x10", "abc", "1,5"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """(header, rows, schema) of a CSV file whose cells may be malformed or ragged."""
+    width = draw(st.integers(1, 4))
+    kinds = [draw(st.sampled_from(["nominal", "ordinal"])) for _ in range(width)]
+    roles = [draw(st.sampled_from(sorted(ROLES))) for _ in range(width)]
+    schema = tuple(Attribute(f"c{j}", k, r, ROLES[r]) for j, (k, r) in enumerate(zip(kinds, roles)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(ORDINAL_TEXT if k == "ordinal" else NOMINAL_CELLS) for k in kinds]
+        if draw(st.integers(0, 30)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        rows.append(row)
+    return [a.name for a in schema], rows, schema
+
+
+class TestColumnwiseIOAgainstRowReference:
+    @settings(max_examples=200, deadline=None)
+    @given(m=tables())
+    def test_write_is_byte_equal_and_loads_equal(self, tmp_path_factory, m):
+        d = tmp_path_factory.mktemp("diff")
+        write_microfile(m, d / "new.csv")
+        reference_write(m, d / "ref.csv")
+        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+        got = load_outcome(load_microfile, d / "new.csv", m.attributes)
+        assert got == load_outcome(reference_load, d / "new.csv", m.attributes)
+        assert isinstance(got, dict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=csv_texts())
+    def test_load_matches_reference_on_arbitrary_cells(self, tmp_path_factory, table):
+        header, rows, schema = table
+        path = write_csv(tmp_path_factory.mktemp("diff") / "in.csv", header, rows)
+        assert load_outcome(load_microfile, path, schema) == load_outcome(reference_load, path, schema)
+
+    @pytest.mark.parametrize("rows", [
+        [["a1", "1", "10"], ["a2", "0"], ["a3"]],                # ragged
+        [["a1", "1", "10"], ["a2", "", "11"]],                   # empty vital nominal
+        [["a1", "1", "10"], ["a2", "0", ""]],                    # empty influential ordinal
+        [["a1", "1", "10"], ["a2", "0", "lots"]],                # non-numeric ordinal
+        [["a1", "1", "ten"], ["a2", "0", ""]],                   # non-numeric before empty
+        [["a1", "1", ""], ["a2", "0", "ten"]],                   # empty before non-numeric
+        [["a1", "", "ten"]],                                     # first failing column wins
+    ])
+    def test_error_parity(self, tmp_path, rows):
+        path = toy_file(tmp_path, rows)
+        outcome = load_outcome(load_microfile, path, TOY_SCHEMA)
+        assert outcome == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert outcome[0] is ParseError
 
 
 class TestAttribute:
@@ -122,6 +313,24 @@ class TestLoad:
         m = load_microfile(path, schema)
         assert np.isnan(m.column("pay")[0])
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400", "nan", "NaN"])
+    @pytest.mark.parametrize("role", ["influential", "plain"])
+    def test_non_finite_ordinal_names_row_and_column(self, tmp_path, cell, role):
+        plain = role == "plain"
+        schema = TOY_SCHEMA[:2] + (Attribute("pay", "ordinal", role, None if plain else 1.0),)
+        path = toy_file(tmp_path, [["a1", "1", "100"], ["a2", "0", "" if plain else "200"],
+                                   ["a1", "1", cell]])
+        with pytest.raises(ParseError, match=f"row 4: non-finite value '{cell}' in ordinal column 'pay'"):
+            load_microfile(path, schema)
+
+    def test_nan_in_vital_ordinal_is_rejected(self, tmp_path):
+        schema = (Attribute("area", "nominal", "parameter"),
+                  Attribute("service", "ordinal", "vital", weight=1.0),
+                  Attribute("pay", "ordinal", "plain"))
+        path = toy_file(tmp_path, [["a1", "1", ""], ["a2", "nan", "5"]])
+        with pytest.raises(ParseError, match="row 3: non-finite value 'nan' in ordinal column 'service'"):
+            load_microfile(path, schema)
+
     def test_undeclared_columns_ignored(self, tmp_path):
         path = write_csv(
             tmp_path / "f.csv",
@@ -156,6 +365,29 @@ class TestWrite:
         out = tmp_path / "empty_out.csv"
         write_microfile(m, out)
         assert out.read_text().strip() == "area,service,pay"
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        m = load_microfile(toy_file(tmp_path), TOY_SCHEMA)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "copy.csv"
+        write_microfile(m, out)
+        previous = out.read_bytes()
+
+        format_cell, calls = microfile._format_cell, []
+
+        def failing(attr, value):
+            calls.append(value)
+            if len(calls) > 3:
+                raise RuntimeError("formatter failed")
+            return format_cell(attr, value)
+
+        monkeypatch.setattr(microfile, "_format_cell", failing)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_microfile(m.with_column("pay", np.array([1.0, 2.0, 3.0])), out)
+        assert len(calls) == 4
+        assert out.read_bytes() == previous
+        assert list(out_dir.iterdir()) == [out]
 
     def test_record_count_invariant(self, tmp_path, fixture_microfile):
         out = tmp_path / "again.csv"
