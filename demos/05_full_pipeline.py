@@ -6,6 +6,7 @@ would, and checks the published table realizes the modified signal.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import groupanon
 from groupanon.microfile import load_microfile
 from groupanon.reference import (
     AREA_CODES,
@@ -66,10 +68,18 @@ config = {
 (workdir / "config.json").write_text(json.dumps(config, indent=2))
 
 
+# The child runs in the work directory, so a relative PYTHONPATH (such as
+# PYTHONPATH=src from a source checkout) would not find the package there;
+# put the directory this process imported it from first, as an absolute path.
+package_root = str(Path(groupanon.__file__).resolve().parent.parent)
+child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def run(*args):
     print("$", "groupanon", *args)
     result = subprocess.run([sys.executable, "-m", "groupanon.cli", *args],
-                            cwd=workdir, text=True, capture_output=True)
+                            cwd=workdir, env=child_env, text=True, capture_output=True)
     print(result.stdout, end="")
     if result.returncode:
         print(result.stderr, end="")

@@ -58,6 +58,7 @@ class GroupRunResult:
     target: GoalSignal
     plan: SwapPlan
     after: GoalSignal
+    lp: rd.LinearProgram | None = None
     timings: dict[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -117,7 +118,7 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
     if gcfg.target is not None:
         # operator-declared target: skip the signal-editing stages entirely
         target = GoalSignal("quantity", gcfg.target, gcfg.group.parameter_order)
-        return _remap_stage(m, gcfg, before, dec, dec.approx.copy(), [],
+        return _remap_stage(m, gcfg, before, dec, None, dec.approx.copy(), [],
                             before.values.copy(), 0.0, gcfg.target.copy(), target,
                             timings, warnings, stage)
 
@@ -153,11 +154,11 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
         return _repair_and_target(m, gcfg, before, reassembled, warnings)
 
     final, shift, target = stage("repair", repair)
-    return _remap_stage(m, gcfg, before, dec, coeffs, checks, reassembled,
+    return _remap_stage(m, gcfg, before, dec, lp, coeffs, checks, reassembled,
                         shift, final, target, timings, warnings, stage)
 
 
-def _remap_stage(m, gcfg, before, dec, coeffs, checks, reassembled, shift,
+def _remap_stage(m, gcfg, before, dec, lp, coeffs, checks, reassembled, shift,
                  final, target, timings, warnings, stage):
     plan = stage("plan", plan_swaps, m, gcfg.group, target,
                  InfluentialWeights.from_microfile(m, gcfg.chi_same, gcfg.chi_diff))
@@ -179,6 +180,7 @@ def _remap_stage(m, gcfg, before, dec, coeffs, checks, reassembled, shift,
         target=target,
         plan=plan,
         after=after,
+        lp=lp,
         timings=timings,
         warnings=warnings,
     )
@@ -289,6 +291,7 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
                 "shift": g.shift,
                 "swaps": len(g.plan),
                 "total_swap_cost": g.plan.total_cost,
+                "lp": _lp_summary(g.lp, g.solution_checks),
                 "timings": {k: round(v, 6) for k, v in g.timings.items()},
                 "warnings": g.warnings,
             }
@@ -309,6 +312,19 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
     }
     with atomic_write(report_dir / "report.json") as fh:
         fh.write(json.dumps(report, indent=2) + "\n")
+
+
+def _lp_summary(lp: rd.LinearProgram | None, checks: list) -> dict | None:
+    """Size of the group's LP and how its coefficients met it; None without an LP."""
+    if lp is None:
+        return None
+    return {
+        "rows": len(lp.relations),
+        "vars": lp.n_vars,
+        "nonzeros": int(lp.a_ub.nnz),
+        "violated_rows": sum(not c.satisfied for c in checks),
+        "max_violation": max((c.violation for c in checks), default=0.0),
+    }
 
 
 def _write_plan_csv(path, plan: SwapPlan) -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .errors import ConstraintError, InfeasibleError, UnboundedError
 from .wavelet import (
@@ -96,17 +97,19 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense inequality system A x <= b over approximation coefficients.
+    """Sparse inequality system A x <= b over approximation coefficients.
 
-    Row i is reconstruction-matrix row ``sign_i * R[position_i - 1]`` with
-    bound ``sign_i * bound_i``, where the sign is -1 for a ">=" relation.
-    Negation is exact, so the operator-facing form of every row (raw
-    coefficients, relation, resolved bound) is recovered bit for bit from
-    ``a_ub``, ``b_ub`` and ``relations`` for reporting and conflict
-    extraction.
+    ``a_ub`` is a CSR matrix: row i holds the nonzeros of
+    reconstruction-matrix row ``sign_i * R[position_i - 1]``, with bound
+    ``sign_i * bound_i``, where the sign is -1 for a ">=" relation.  It is
+    built, solved and checked in that form.  Negation is exact and R has
+    no negative zeros, so the operator-facing form of every row (raw
+    coefficients, relation, resolved bound) is recovered bit for bit by
+    scattering a row's entries times its sign into zeros, for reporting
+    and conflict extraction.
     """
 
-    a_ub: np.ndarray
+    a_ub: csr_array
     b_ub: np.ndarray
     cost: np.ndarray
     nonnegative: bool
@@ -119,18 +122,28 @@ class LinearProgram:
     def _sign(self, i: int) -> float:
         return 1.0 if self.relations[i] == "<=" else -1.0
 
+    def _coefficients(self, i: int) -> np.ndarray:
+        """Row i in operator form, dense: its stored entries times its sign, scattered.
+
+        ``toarray()`` would negate the zeros of a ">=" row to -0.0 as well.
+        """
+        start, end = self.a_ub.indptr[i], self.a_ub.indptr[i + 1]
+        row = np.zeros(self.n_vars)
+        row[self.a_ub.indices[start:end]] = self.a_ub.data[start:end] * self._sign(i)
+        return row
+
     @property
     def rows(self) -> tuple[tuple[np.ndarray, str, float], ...]:
         """Operator-facing (coefficients, relation, bound) of every row."""
         return tuple(
-            (self.a_ub[i] * self._sign(i), rel, float(self.b_ub[i] * self._sign(i)))
+            (self._coefficients(i), rel, float(self.b_ub[i] * self._sign(i)))
             for i, rel in enumerate(self.relations)
         )
 
     def describe_row(self, i: int) -> str:
         """One row as text; coefficients below 5e-4 in magnitude are left out."""
         sign = self._sign(i)
-        coeffs = self.a_ub[i] * sign
+        coeffs = self._coefficients(i)
         terms = [f"{coeffs[j]:+.3f}*a({j + 1})" for j in np.flatnonzero(np.abs(coeffs) >= 5e-4)]
         return f"{' '.join(terms)} {self.relations[i]} {self.b_ub[i] * sign:.3f}"
 
@@ -142,7 +155,8 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     """Turn position bounds into a linear program over new coefficients.
 
     Row (i, rel, b) becomes sum_j R[i-1, j] * a_j rel b, with R the
-    reconstruction matrix of the decomposition.
+    reconstruction matrix of the decomposition.  The rows are gathered from
+    R's CSR view, so only their nonzeros are copied.
     """
     m = dec.signal_length
     for row in spec.rows:
@@ -163,8 +177,8 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
         original[row.position - 1] if row.bound == "original" else float(row.bound)
         for row in spec.rows
     ])
-    a_ub = matrix[positions]
-    a_ub *= sign[:, None]
+    a_ub = dec.reconstruction_csr[positions]
+    a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
 
     cost = np.zeros(matrix.shape[1])
     if spec.objective.kind != "feasibility":
@@ -253,8 +267,8 @@ class RowCheck:
 def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> list[RowCheck]:
     """Evaluate every row at ``coeffs``; violations carry their magnitude.
 
-    One product ``a_ub @ coeffs`` gives every left-hand side; a ">=" row's
-    is negated back, exactly.  Its gap in ``a_ub`` form, ``lhs - bound``,
+    One sparse product ``a_ub @ coeffs`` gives every left-hand side; a ">="
+    row's is negated back, exactly.  Its gap in ``a_ub`` form, ``lhs - bound``,
     equals ``bound - lhs`` of the operator-facing row.
     """
     coeffs = np.asarray(coeffs, dtype=float)
@@ -282,7 +296,7 @@ def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> 
 
 
 def satisfies(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when ``coeffs`` meets every row within ``tol``; one mat-vec, no text."""
+    """True when ``coeffs`` meets every row within ``tol``; one sparse mat-vec, no text."""
     return bool(np.all(lp.a_ub @ np.asarray(coeffs, dtype=float) - lp.b_ub <= tol))
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import WaveletError
 
@@ -215,6 +216,9 @@ class WaveletDecomposition:
     ``reconstruction`` is the decomposition's reconstruction matrix (see
     :func:`reconstruction_matrix`), built on first read and then kept, so
     constraint building and reassembly share one read-only copy.
+    ``reconstruction_csr`` is the same matrix in compressed sparse rows,
+    also built once: a row of R has at most filter-length nonzeros, so
+    constraint rows gathered from it cost O(rows) rather than O(rows * m).
     """
 
     level: int
@@ -231,6 +235,14 @@ class WaveletDecomposition:
         """Read-only matrix R with R @ a the approximation component of ``a``."""
         matrix = reconstruction_matrix(self.filter, self.level, self.signal_length)
         matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def reconstruction_csr(self) -> csr_array:
+        """Read-only CSR form of ``reconstruction``: its nonzeros, column-sorted per row."""
+        matrix = csr_array(self.reconstruction)
+        for part in (matrix.data, matrix.indices, matrix.indptr):
+            part.setflags(write=False)
         return matrix
 
 

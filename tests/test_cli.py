@@ -76,6 +76,11 @@ class TestRunCommand:
         group = report["groups"][0]
         assert group["shift"] == 2150.0
         assert set(group["timings"]) >= {"signal", "decompose", "check", "plan", "apply"}
+        lp = group["lp"]
+        assert set(lp) == {"rows", "vars", "nonzeros", "violated_rows", "max_violation"}
+        assert (lp["rows"], lp["vars"]) == (len(ref.QUANTITY_SYSTEM), 4)
+        assert 0 < lp["nonzeros"] <= lp["rows"] * lp["vars"]
+        assert (lp["violated_rows"], lp["max_violation"]) == (0, 0.0)
         io = report["io"]
         assert set(io) == {"load_s", "write_s", "records", "bytes_read", "bytes_written"}
         assert io["load_s"] > 0 and io["write_s"] > 0
@@ -115,6 +120,12 @@ class TestRunCommand:
         out = load_microfile(tmp_path / "out/modified.csv", ref.FIXTURE_SCHEMA)
         assert np.array_equal(quantity_signal(out, ref.fixture_group()).values,
                               ref.QUANTITY_FINAL)
+
+    def test_declared_target_reports_no_lp(self, config_factory, tmp_path):
+        path = config_factory(target=[int(v) for v in ref.QUANTITY_FINAL])
+        assert run_cli("run", "--config", str(path)) == 0
+        report = json.loads((tmp_path / "out/report/report.json").read_text())
+        assert report["groups"][0]["lp"] is None
 
     def test_candidate_cap_is_reported_as_ignored(self, config_factory, tmp_path):
         path = config_factory(candidate_cap=500)

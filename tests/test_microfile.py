@@ -1,4 +1,5 @@
 import csv
+import gc
 import logging
 from pathlib import Path
 
@@ -330,6 +331,31 @@ class TestLoad:
         path = toy_file(tmp_path, [["a1", "1", ""], ["a2", "nan", "5"]])
         with pytest.raises(ParseError, match="row 3: non-finite value 'nan' in ordinal column 'service'"):
             load_microfile(path, schema)
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["loads", "parse_error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    def test_gc_paused_while_loading_and_restored(self, tmp_path, monkeypatch, enabled, bad):
+        path = toy_file(tmp_path, [["a1", "1", "100"], ["a2", "0", "lots" if bad else "5"]])
+        seen = []
+        parse = microfile._parse_ordinal
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return parse(*args)
+
+        monkeypatch.setattr(microfile, "_parse_ordinal", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if bad:
+                with pytest.raises(ParseError, match="row 3"):
+                    load_microfile(path, TOY_SCHEMA)
+            else:
+                assert load_microfile(path, TOY_SCHEMA).n_records == 2
+            assert seen == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_undeclared_columns_ignored(self, tmp_path):
         path = write_csv(

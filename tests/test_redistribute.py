@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import linprog
 
 from groupanon import reference as ref
 from groupanon.errors import ConstraintError, InfeasibleError, UnboundedError
@@ -19,7 +20,7 @@ from groupanon.redistribute import (
     satisfies,
     solve_constraints,
 )
-from groupanon.wavelet import FILTERS, decompose, reconstruction_matrix
+from groupanon.wavelet import FILTERS, approximation_component, decompose, reconstruction_matrix
 
 DB2 = FILTERS["db2"]
 
@@ -142,16 +143,20 @@ class TestSolve:
             solve_constraints(lp)
 
 
+def row_text(coeffs_row, relation, bound):
+    terms = [f"{c:+.3f}*a({j + 1})" for j, c in enumerate(coeffs_row) if abs(c) >= 5e-4]
+    return f"{' '.join(terms)} {relation} {bound:.3f}"
+
+
 def reference_checks(dec, spec, coeffs, tol=1e-9):
     """Row-by-row check straight from the spec: (text, lhs, satisfied, violation)."""
     matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
     out = []
     for row in spec.rows:
         coeffs_row, bound = matrix[row.position - 1], float(row.bound)
-        terms = [f"{c:+.3f}*a({j + 1})" for j, c in enumerate(coeffs_row) if abs(c) >= 5e-4]
         lhs = float(coeffs_row @ coeffs)
         gap = lhs - bound if row.relation == "<=" else bound - lhs
-        out.append((f"{' '.join(terms)} {row.relation} {bound:.3f}", lhs, gap <= tol,
+        out.append((row_text(coeffs_row, row.relation, bound), lhs, gap <= tol,
                     max(gap, 0.0)))
     return out
 
@@ -200,6 +205,128 @@ class TestCheckSolutionAgainstRowLoop:
         for (coeffs, relation, bound), row in zip(lp.rows, spec.rows):
             assert coeffs.tobytes() == matrix[row.position - 1].tobytes()
             assert (relation, bound) == (row.relation, row.bound)
+
+
+def dense_system(dec, spec):
+    """The obvious dense form of the system: ``R[positions] * sign[:, None]`` and its bounds."""
+    matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
+    original = approximation_component(dec)
+    positions = np.array([row.position - 1 for row in spec.rows])
+    sign = np.array([1.0 if row.relation == "<=" else -1.0 for row in spec.rows])
+    bounds = np.array([original[row.position - 1] if row.bound == "original" else float(row.bound)
+                       for row in spec.rows])
+    return matrix[positions] * sign[:, None], bounds * sign
+
+
+def dense_text(dense_row, relation, signed_bound):
+    sign = 1.0 if relation == "<=" else -1.0
+    return row_text(dense_row * sign, relation, signed_bound * sign)
+
+
+def dense_linprog(lp, a, b):
+    bounds = [(0, None) if lp.nonnegative else (None, None)] * a.shape[1]
+    return linprog(lp.cost, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+
+
+def banded_case(seed, m, objective):
+    """db2 level 2 over a Poisson signal, banded at every position (two rows each).
+
+    The original coefficients meet every row, so the system is feasible;
+    "minimize" targets positions whose ">=" rows bound the objective.
+    """
+    rng = np.random.default_rng(seed)
+    dec = decompose(rng.poisson(20.0, size=m).astype(float), DB2, 2)
+    approx = reconstruction_matrix(DB2, 2, m) @ dec.approx
+    width = rng.uniform(0.5, 3.0, size=m)
+    rows = []
+    for p in range(1, m + 1):
+        rows.append(ConstraintRow(p, "<=", float(approx[p - 1] + width[p - 1])))
+        rows.append(ConstraintRow(p, ">=", float(max(approx[p - 1] - width[p - 1], 0.0))))
+    picks = tuple(int(p) for p in rng.choice(m, size=2, replace=False) + 1)
+    return dec, ConstraintSpec(rows=tuple(rows), objective=Objective(objective, picks))
+
+
+def fixture_cases():
+    yield "C3-quantity", decompose(ref.QUANTITY, DB2, 2), spec_from(ref.QUANTITY_SYSTEM)
+    yield ("C3-concentration", decompose(ref.CONCENTRATION, DB2, 2),
+           spec_from(ref.CONCENTRATION_SYSTEM))
+    yield ("C3-quantity-original", decompose(ref.QUANTITY, DB2, 2),
+           spec_from(ref.QUANTITY_SYSTEM, bounds="original"))
+
+
+class TestSparseOperatorAgainstDense:
+    """The CSR system against the dense one built straight from R."""
+
+    def all_cases(self):
+        yield from fixture_cases()
+        for seed in (3, 11):
+            yield f"banded-{seed}", *banded_case(seed, 1024, "minimize")
+        yield "random", *random_long_axis_case()[:2]
+
+    def test_matrix_equals_dense_rows_without_explicit_zeros(self):
+        for name, dec, spec in self.all_cases():
+            lp = build_constraints(dec, spec)
+            a, b = dense_system(dec, spec)
+            assert lp.a_ub.format == "csr", name
+            assert np.array_equal(lp.a_ub.toarray(), a), name
+            assert lp.b_ub.tobytes() == b.tobytes(), name
+            assert np.all(lp.a_ub.data != 0), name
+            matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
+            widest = int(np.count_nonzero(matrix, axis=1).max())
+            assert lp.a_ub.nnz <= len(spec.rows) * widest, name
+
+    @pytest.mark.parametrize("objective", ["feasibility", "maximize", "minimize"])
+    def test_fixture_solutions_bitwise_equal_dense_linprog(self, objective):
+        for name, dec, spec in fixture_cases():
+            spec = ConstraintSpec(rows=spec.rows,
+                                  objective=Objective(objective, () if objective == "feasibility"
+                                                      else (2, 9)))
+            lp = build_constraints(dec, spec)
+            res = dense_linprog(lp, *dense_system(dec, spec))
+            assert res.status == 0, name
+            assert solve_constraints(lp).tobytes() == res.x.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [5, 17, 29])
+    def test_long_axis_solutions_bitwise_equal_dense_linprog(self, seed):
+        dec, spec = banded_case(seed, 4096 if seed == 5 else 1024, "minimize")
+        lp = build_constraints(dec, spec)
+        res = dense_linprog(lp, *dense_system(dec, spec))
+        assert res.status == 0
+        assert solve_constraints(lp).tobytes() == res.x.tobytes()
+
+    def test_checks_match_dense_mat_vec(self):
+        rng = np.random.default_rng(59)
+        for name, dec, spec in self.all_cases():
+            lp = build_constraints(dec, spec)
+            a, b = dense_system(dec, spec)
+            coeffs = dec.approx + rng.normal(scale=0.5 * np.abs(dec.approx).mean(),
+                                             size=dec.approx.size)
+            signed = a @ coeffs
+            checks = check_solution(lp, coeffs)
+            for i, (check, row) in enumerate(zip(checks, spec.rows)):
+                sign = 1.0 if row.relation == "<=" else -1.0
+                assert check.relation == row.relation
+                assert check.bound == b[i] * sign
+                assert check.satisfied == (signed[i] - b[i] <= 1e-9)
+                assert check.lhs == pytest.approx(signed[i] * sign, rel=1e-12, abs=1e-12)
+                assert check.position_text == dense_text(a[i], row.relation, b[i])
+            assert satisfies(lp, coeffs) == bool(np.all(signed - b <= 1e-9))
+
+    def test_infeasible_conflict_text_matches_dense_deletion_filter(self, quantity_dec):
+        rows = spec_from(ref.QUANTITY_SYSTEM).rows + (
+            ConstraintRow(7, "<=", 10.0), ConstraintRow(7, ">=", 500.0))
+        spec = ConstraintSpec(rows=rows)
+        lp = build_constraints(quantity_dec, spec)
+        a, b = dense_system(quantity_dec, spec)
+        keep = list(range(len(b)))
+        for idx in list(keep):
+            trial = [i for i in keep if i != idx]
+            if trial and dense_linprog(lp, a[trial], b[trial]).status == 2:
+                keep = trial
+        expected = [dense_text(a[i], rows[i].relation, b[i]) for i in keep]
+        with pytest.raises(InfeasibleError) as err:
+            solve_constraints(lp)
+        assert err.value.conflict == expected
 
 
 class TestReassemble:

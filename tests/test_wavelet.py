@@ -244,6 +244,21 @@ class TestReconstructionMatrix:
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
+    def test_csr_view_holds_exactly_the_nonzeros(self, name, level):
+        fp = get_filter(name)
+        dec = decompose(np.random.default_rng(level).normal(size=64), fp, level)
+        matrix, sparse = dec.reconstruction, dec.reconstruction_csr
+        assert sparse is dec.reconstruction_csr
+        assert sparse.nnz == np.count_nonzero(matrix) and np.all(sparse.data != 0)
+        assert sparse.toarray().tobytes() == np.ascontiguousarray(matrix).tobytes()
+        # no negative zeros in R: negating and scattering rows recovers them exactly
+        assert not np.signbit(matrix[matrix == 0]).any()
+        assert np.count_nonzero(matrix, axis=1).max() <= len(fp)
+        with pytest.raises(ValueError):
+            sparse.data[0] = 1.0
+
     def test_linearity(self):
         rng = np.random.default_rng(5)
         matrix = reconstruction_matrix(DB2, 2, 16)
