@@ -348,7 +348,7 @@ def _format_cell(attr: Attribute, value) -> str:
     if attr.kind == "nominal":
         return str(value)
     v = float(value)
-    if np.isnan(v):
+    if math.isnan(v):
         return ""
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
@@ -360,10 +360,11 @@ def _format_column(attr: Attribute, col: np.ndarray) -> list[str]:
 
     ``np.unique`` merges -0.0 with 0.0 and every NaN with every other NaN;
     each merged group formats to one text ("0" and ""), so the result equals
-    formatting cell by cell.
+    formatting cell by cell.  The distinct values go in as Python scalars,
+    which format several times faster than numpy ones.
     """
     distinct, inverse = np.unique(col, return_inverse=True)
-    text = np.array([_format_cell(attr, v) for v in distinct], dtype=object)
+    text = np.array([_format_cell(attr, v) for v in distinct.tolist()], dtype=object)
     return text[inverse].tolist()
 
 

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -51,7 +52,7 @@ class GroupRunResult:
     before: GoalSignal
     decomposition: WaveletDecomposition
     coefficients: np.ndarray
-    solution_checks: list
+    solution_checks: Sequence
     reassembled: np.ndarray
     shift: float
     final_signal: np.ndarray
@@ -127,21 +128,21 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
     if gcfg.solution is not None:
         coeffs = gcfg.solution
         checks = stage("check", rd.check_solution, lp, coeffs)
-        for check in checks:
-            if not check.satisfied:
-                msg = (
-                    f"declared solution violates {check.position_text} "
-                    f"by {check.violation:.6g}"
-                )
-                warnings.append(msg)
-                logger.warning("group %s: %s", gcfg.name, msg)
+        for i in np.flatnonzero(~checks.satisfied).tolist():
+            check = checks[i]
+            msg = (
+                f"declared solution violates {check.position_text} "
+                f"by {check.violation:.6g}"
+            )
+            warnings.append(msg)
+            logger.warning("group %s: %s", gcfg.name, msg)
     else:
         coeffs = stage("solve", rd.solve_constraints, lp, warm_start=dec.approx)
         checks = stage("check", rd.check_solution, lp, coeffs, tol=1e-6)
-        bad = [c for c in checks if not c.satisfied]
-        if bad:
+        bad = np.flatnonzero(~checks.satisfied)
+        if bad.size:
             raise StageError("solve", gcfg.name,
-                             f"solver output violates {bad[0].position_text}")
+                             f"solver output violates {checks[int(bad[0])].position_text}")
 
     reassembled = stage("reassemble", rd.reassemble, dec, coeffs)
     redec = decompose(reassembled, dec.filter, dec.level)
@@ -314,7 +315,7 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
         fh.write(json.dumps(report, indent=2) + "\n")
 
 
-def _lp_summary(lp: rd.LinearProgram | None, checks: list) -> dict | None:
+def _lp_summary(lp: rd.LinearProgram | None, checks: rd.RowChecks) -> dict | None:
     """Size of the group's LP and how its coefficients met it; None without an LP."""
     if lp is None:
         return None
@@ -322,8 +323,8 @@ def _lp_summary(lp: rd.LinearProgram | None, checks: list) -> dict | None:
         "rows": len(lp.relations),
         "vars": lp.n_vars,
         "nonzeros": int(lp.a_ub.nnz),
-        "violated_rows": sum(not c.satisfied for c in checks),
-        "max_violation": max((c.violation for c in checks), default=0.0),
+        "violated_rows": int(np.count_nonzero(~checks.satisfied)),
+        "max_violation": float(checks.violation.max(initial=0.0)),
     }
 
 

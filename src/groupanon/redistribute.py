@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "ConstraintSpec",
     "LinearProgram",
     "RowCheck",
+    "RowChecks",
     "RedistributionResult",
     "build_constraints",
     "solve_constraints",
@@ -264,7 +267,41 @@ class RowCheck:
         return self.lp.describe_row(self.index)
 
 
-def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> list[RowCheck]:
+class RowChecks(Sequence):
+    """Every row of a system evaluated at one point, kept as vectors.
+
+    ``lhs``, ``bound``, ``satisfied`` and ``violation`` hold one entry per
+    row, in the operator-facing form.  Indexing or iterating builds the
+    row's :class:`RowCheck` on demand, so a long axis pays for row objects
+    only where they are read.
+    """
+
+    def __init__(self, lp: LinearProgram, lhs: np.ndarray, bound: np.ndarray,
+                 satisfied: np.ndarray, violation: np.ndarray):
+        self.lp = lp
+        self.lhs, self.bound = lhs, bound
+        self.satisfied, self.violation = satisfied, violation
+
+    def __len__(self) -> int:
+        return int(self.satisfied.size)
+
+    def __getitem__(self, i: int) -> RowCheck:
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("row check index out of range")
+        i %= len(self)
+        return RowCheck(
+            lhs=float(self.lhs[i]),
+            relation=self.lp.relations[i],
+            bound=float(self.bound[i]),
+            satisfied=bool(self.satisfied[i]),
+            violation=float(self.violation[i]),
+            index=i,
+            lp=self.lp,
+        )
+
+
+def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> RowChecks:
     """Evaluate every row at ``coeffs``; violations carry their magnitude.
 
     One sparse product ``a_ub @ coeffs`` gives every left-hand side; a ">="
@@ -273,26 +310,15 @@ def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> 
     """
     coeffs = np.asarray(coeffs, dtype=float)
     signed = lp.a_ub @ coeffs
-    out = []
-    for i, (relation, value, b) in enumerate(zip(lp.relations, signed.tolist(),
-                                                 lp.b_ub.tolist())):
-        gap = value - b
-        if relation == "<=":
-            lhs, bound = value, b
-        else:
-            lhs, bound = -value, -b
-        out.append(
-            RowCheck(
-                lhs=lhs,
-                relation=relation,
-                bound=bound,
-                satisfied=gap <= tol,
-                violation=max(gap, 0.0),
-                index=i,
-                lp=lp,
-            )
-        )
-    return out
+    gap = signed - lp.b_ub
+    upper = np.array([relation == "<=" for relation in lp.relations], dtype=bool)
+    return RowChecks(
+        lp,
+        lhs=np.where(upper, signed, -signed),
+        bound=np.where(upper, lp.b_ub, -lp.b_ub),
+        satisfied=gap <= tol,
+        violation=np.where(gap < 0.0, 0.0, gap),
+    )
 
 
 def satisfies(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> bool:

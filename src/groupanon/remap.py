@@ -14,13 +14,17 @@ takes the cheapest remaining (member, partner) pair under the influential
 metric, breaking ties toward the lower member and then the lower partner
 record index.  Plans are therefore a deterministic function of the inputs.
 
-The cheapest pairs are found without scoring every pair.  Records with
-identical influential attributes are collapsed into classes; the classes
-are partitioned so that the nominal terms and the terms of zero ordinal
-values are constant; and each partition is searched with a k-d tree in
-log-ordinal coordinates, where every ordinal term grows with the distance
-along its axis.  A candidate list is trusted only up to the cost below
-which it provably holds every class.
+A block with few enough (member, partner) pairs is matched by the obvious
+sweep: score every pair, sort by (cost, member, partner) and take pairs
+whose records are both still free.  In larger blocks the cheapest pairs
+are found without scoring every pair.  Records with identical influential
+attributes are collapsed into classes; the classes are partitioned so that
+the nominal terms and the terms of zero ordinal values are constant; and
+each partition is searched with a k-d tree in log-ordinal coordinates,
+where every ordinal term grows with the distance along its axis.  A
+candidate list is trusted only up to the cost below which it provably
+holds every class.  The class space is built once, on the first block
+that needs it.
 """
 
 from __future__ import annotations
@@ -171,6 +175,7 @@ _FIRST_K = 8
 _GROWTH = 4
 #: Pairs up to which candidates are scored in full rather than searched: a
 #: k-d tree build and query costs about as much as scoring this many pairs.
+#: A whole block with at most this many pairs is matched by ``_sweep``.
 _SCORE_ALL = 4096
 
 
@@ -230,15 +235,20 @@ def plan_swaps(
             )
 
     pair_cost = _PairCost(m, w)
-    blocks = _flow_blocks(-deficit)
-    space = _ClassSpace(pair_cost) if blocks else None
+    space: _ClassSpace | None = None
     used = np.zeros(m.n_records, dtype=bool)
     swaps: list[tuple[int, int]] = []
     costs: list[float] = []
-    for donor, recipient, k in blocks:
+    for donor, recipient, k in _flow_blocks(-deficit):
         mem = member_at[donor][~used[member_at[donor]]]
         par = partner_at[recipient][~used[partner_at[recipient]]]
-        for rec_m, rec_p, cost in _Block(space, mem, par).match(k):
+        if mem.size * par.size <= _SCORE_ALL:
+            matched = _sweep(pair_cost, mem, par, k)
+        else:
+            if space is None:
+                space = _ClassSpace(pair_cost)
+            matched = _Block(space, mem, par).match(k)
+        for rec_m, rec_p, cost in matched:
             swaps.append((rec_m, rec_p))
             costs.append(cost)
             used[rec_m] = used[rec_p] = True
@@ -286,6 +296,31 @@ def _level_order(units: np.ndarray) -> np.ndarray:
     start = np.cumsum(units) - units
     level = units[pos] - (np.arange(pos.size) - start[pos])
     return pos[np.lexsort((pos, -level))]
+
+
+def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray,
+           k: int) -> list[tuple[int, int, float]]:
+    """The block's ``k`` swaps in greedy order, as (member, partner, cost), by scoring every pair.
+
+    Sorts all pairs by (cost, member, partner) and takes each pair whose two
+    records are still free: the order ``_Block`` reproduces without scoring
+    every pair.  Members and partners are disjoint, so one used set serves
+    both sides.
+    """
+    left, right = np.repeat(mem, par.size), np.tile(par, mem.size)
+    cost = pair_cost(left, right)
+    order = np.lexsort((right, left, cost))
+    used: set[int] = set()
+    out = []
+    for a, b, c in zip(left[order].tolist(), right[order].tolist(), cost[order].tolist()):
+        if len(out) == k:
+            break
+        if a in used or b in used:
+            continue
+        used.add(a)
+        used.add(b)
+        out.append((a, b, c))
+    return out
 
 
 def _row_ids(columns: list[np.ndarray]) -> np.ndarray:
@@ -471,16 +506,17 @@ class _View:
 
 
 class _Block:
-    """Exact greedy matching of one donor→recipient block.
+    """Exact greedy matching of one donor→recipient block too large to sweep.
 
     Repeatedly takes the cheapest remaining (member, partner) record pair,
     ties to the lower member and then the lower partner index: the order of
     sorting all pairs by (cost, member, partner) and sweeping with a used
-    mask.  A heap holds one entry per class of the side with fewer classes
-    (the rows): its cheapest candidate group on the other side, with the
-    row's and the group's lowest remaining records.  Keys only grow as
-    records are used, so an entry whose candidate record was taken is
-    re-scored when it reaches the top.
+    mask, which ``_sweep`` does literally for blocks of at most
+    ``_SCORE_ALL`` pairs.  A heap holds one entry per class of the side with
+    fewer classes (the rows): its cheapest candidate group on the other
+    side, with the row's and the group's lowest remaining records.  Keys
+    only grow as records are used, so an entry whose candidate record was
+    taken is re-scored when it reaches the top.
     """
 
     def __init__(self, space: _ClassSpace, mem: np.ndarray, par: np.ndarray):
@@ -632,8 +668,13 @@ def apply_swaps(m: Microfile, plan: SwapPlan) -> Microfile:
     name = plan.parameter
     column = m.column(name).copy()
     n = m.n_records
-    for a, b in plan.swaps:
-        if not (0 <= a < n and 0 <= b < n):
-            raise RemapError(f"swap ({a}, {b}) is out of range for {n} records")
-        column[a], column[b] = column[b], column[a]
+    pairs = np.array(plan.swaps, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        a, b = plan.swaps[int(bad[0])]
+        raise RemapError(f"swap ({a}, {b}) is out of range for {n} records")
+    # a plan uses each record at most once, so one gather-then-scatter
+    # exchanges every pair
+    left, right = pairs[:, 0], pairs[:, 1]
+    column[left], column[right] = column[right], column[left]
     return m.with_column(name, column)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array
 
 from .errors import WaveletError
 
@@ -215,9 +215,10 @@ class WaveletDecomposition:
 
     ``reconstruction`` is the decomposition's reconstruction matrix (see
     :func:`reconstruction_matrix`), built on first read and then kept, so
-    constraint building and reassembly share one read-only copy.
+    objective rows and reassembly share one read-only copy.
     ``reconstruction_csr`` is the same matrix in compressed sparse rows,
-    also built once: a row of R has at most filter-length nonzeros, so
+    also built once, straight from the synthesized column 0 without the
+    dense matrix: a row of R has at most filter-length nonzeros, so
     constraint rows gathered from it cost O(rows) rather than O(rows * m).
     """
 
@@ -239,8 +240,26 @@ class WaveletDecomposition:
 
     @cached_property
     def reconstruction_csr(self) -> csr_array:
-        """Read-only CSR form of ``reconstruction``: its nonzeros, column-sorted per row."""
-        matrix = csr_array(self.reconstruction)
+        """Read-only CSR form of ``reconstruction``: its nonzeros, column-sorted per row.
+
+        Column j of R is column 0 rolled by j * 2**level (see
+        :func:`reconstruction_matrix`), so its nonzeros sit at rows
+        ``(nz + j * 2**level) mod length`` and hold ``col0[nz]``, where
+        ``nz`` are the nonzero rows of column 0.  The entries are R's own,
+        so the result equals ``csr_array(self.reconstruction)`` bit for bit.
+        """
+        length, level = self.signal_length, self.level
+        col0 = _column0(self.filter, level, length)
+        nz = np.flatnonzero(col0)
+        ncoef = length >> level
+        # the index width csr_array picks for a matrix of this size
+        index = np.int32 if max(length, ncoef * nz.size) <= np.iinfo(np.int32).max else np.int64
+        shift = np.arange(ncoef) << level
+        rows = ((nz[None, :] + shift[:, None]) % length).astype(index)
+        cols = np.repeat(np.arange(ncoef, dtype=index), nz.size)
+        matrix = coo_array((np.tile(col0[nz], ncoef), (rows.reshape(-1), cols)),
+                           shape=(length, ncoef)).tocsr()
+        matrix.sort_indices()
         for part in (matrix.data, matrix.indices, matrix.indptr):
             part.setflags(write=False)
         return matrix
@@ -327,13 +346,18 @@ def reconstruction_matrix(filter_pair: FilterPair, level: int, length: int) -> n
     depends on it, and a row-major R moves reassembled signals by ulps,
     enough to flip ties in the integer rounding of published counts.
     """
-    if level < 1 or length % (1 << level):
-        raise WaveletError(f"length {length} is not divisible by 2**{level}")
+    col0 = _column0(filter_pair, level, length)
     ncoef = length >> level
-    unit = np.zeros(ncoef)
-    unit[0] = 1.0
-    col0 = _synthesize_approx(unit, level, filter_pair)
     # window s of [col0, col0] is col0 rolled by length - s
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([col0, col0]), length)
     columns = windows[length - (np.arange(ncoef) << level)]
     return columns.T
+
+
+def _column0(filter_pair: FilterPair, level: int, length: int) -> np.ndarray:
+    """Column 0 of the reconstruction matrix: the synthesis cascade of the first unit vector."""
+    if level < 1 or length % (1 << level):
+        raise WaveletError(f"length {length} is not divisible by 2**{level}")
+    unit = np.zeros(length >> level)
+    unit[0] = 1.0
+    return _synthesize_approx(unit, level, filter_pair)

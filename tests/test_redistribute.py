@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import linprog
 
+from groupanon import redistribute as rd
 from groupanon import reference as ref
 from groupanon.errors import ConstraintError, InfeasibleError, UnboundedError
 from groupanon.redistribute import (
@@ -197,6 +200,25 @@ class TestCheckSolutionAgainstRowLoop:
             assert check.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
             assert check.position_text == described[i] == text
         assert satisfies(lp, coeffs) == all(c.satisfied for c in checks)
+
+    def test_vectors_agree_with_rows_built_on_read(self):
+        dec, spec, coeffs = random_long_axis_case()
+        lp = build_constraints(dec, spec)
+        with mock.patch.object(rd, "RowCheck", wraps=rd.RowCheck) as row_check:
+            checks = check_solution(lp, coeffs)
+            assert row_check.call_count == 0
+            rows = list(checks)
+            assert row_check.call_count == len(spec.rows)
+        assert len(checks) == len(rows) == len(spec.rows)
+        assert checks.satisfied.tolist() == [c.satisfied for c in rows]
+        assert checks.violation.tolist() == [c.violation for c in rows]
+        assert checks.lhs.tolist() == [c.lhs for c in rows]
+        assert checks.bound.tolist() == [c.bound for c in rows]
+        assert checks[-1] == rows[-1] and checks[-1].index == len(rows) - 1
+        with pytest.raises(IndexError):
+            checks[len(rows)]
+        bad = np.flatnonzero(~checks.satisfied)
+        assert bad.size and checks.index(checks[int(bad[-1])]) == bad[-1]
 
     def test_rows_recover_operator_form_exactly(self):
         dec, spec, _ = random_long_axis_case()

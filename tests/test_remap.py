@@ -10,8 +10,8 @@ from groupanon import remap
 from groupanon.errors import RemapError
 from groupanon.microfile import (Attribute, GroupSpec, Microfile, members, record_view,
                                  superset_members)
-from groupanon.remap import (InfluentialWeights, SwapPlan, _PairCost, apply_swaps,
-                             influential_metric, plan_swaps)
+from groupanon.remap import (InfluentialWeights, SwapPlan, _Block, _ClassSpace, _PairCost,
+                             _sweep, apply_swaps, influential_metric, plan_swaps)
 from groupanon.signals import GoalSignal, quantity_signal
 
 ORDER = ("a1", "a2", "a3", "a4")
@@ -292,6 +292,62 @@ class TestExhaustiveReference:
         assert (plan.swaps, plan.costs) == expected
 
 
+class TestSmallBlockSweep:
+    def test_block_matches_sweep_across_the_score_all_threshold(self):
+        # blocks on both sides of _SCORE_ALL pairs, with tied costs (narrow
+        # spreads, nominal-only weights) and zero ordinals in every table
+        sides = collections.Counter()
+        for seed in range(48):
+            rng = np.random.default_rng(seed)
+            m, _, _, w = random_case(seed, spread=[3, 40, 100_000][seed % 3],
+                                     nominal_only=seed % 4 == 1, chi_same=[0.0, 0.5][seed % 2],
+                                     superset=False)
+            pair_cost = _PairCost(m, w)
+            space = _ClassSpace(pair_cost)
+            records = rng.permutation(m.n_records)
+            n_mem = int(rng.integers(1, m.n_records // 2 + 1))
+            n_par = int(rng.integers(1, m.n_records - n_mem + 1))
+            mem = np.sort(records[:n_mem])
+            par = np.sort(records[n_mem:n_mem + n_par])
+            k = int(rng.integers(0, min(n_mem, n_par) + 1))
+            sides[mem.size * par.size <= remap._SCORE_ALL] += 1
+            assert _Block(space, mem, par).match(k) == _sweep(pair_cost, mem, par, k)
+        assert sides[True] >= 10 and sides[False] >= 10
+
+    def test_sweep_takes_each_record_once_cheapest_first(self):
+        w = InfluentialWeights(ordinal={"age": 1.0}, nominal={})
+        m = toy_microfile([("a1", "1", 10, 0), ("a1", "1", 20, 0),
+                           ("a2", "0", 20, 0), ("a2", "0", 11, 0), ("a2", "0", 0, 0)])
+        matched = _sweep(_PairCost(m, w), np.array([0, 1]), np.array([2, 3, 4]), 2)
+        # (1, 2) costs 0 and goes first; record 0 then gets its cheapest partner, 3
+        assert [(a, b) for a, b, _ in matched] == [(1, 2), (0, 3)]
+        assert matched[0][2] == 0.0
+
+    def test_tiny_blocks_build_no_class_space_or_tree(self):
+        # 64 positions of 2 members and 4 partners; every even position hands
+        # one member to the next odd one, so every block is 2 x 4 pairs
+        order = tuple(f"p{i:02d}" for i in range(64))
+        rows = []
+        for i, area in enumerate(order):
+            rows += [(area, "1", 20 + i, 100 + 3 * i), (area, "1", 40 + i, 0)]
+            rows += [(area, "0", 21 + i, 100 + 2 * i), (area, "0", 0, 50),
+                     (area, "0", 39 + i, 7), (area, "0", 20 + i, 100 + 3 * i)]
+        m = toy_microfile(rows)
+        g = GroupSpec.create({"service": {"1"}}, "area", order, superset_vital={"sex": {"1"}})
+        tgt = GoalSignal("quantity", np.array([1.0, 3.0] * 32), order)
+        expected = exhaustive_plan(m, g, tgt, WEIGHTS)
+        with mock.patch.object(remap, "_ClassSpace", wraps=remap._ClassSpace) as space, \
+                mock.patch.object(remap, "cKDTree", wraps=remap.cKDTree) as tree:
+            plan = plan_swaps(m, g, tgt, WEIGHTS)
+            assert space.call_count == 0 and tree.call_count == 0
+            # forced onto _Block, the class space is still built only once
+            with mock.patch.object(remap, "_SCORE_ALL", 0):
+                forced = plan_swaps(m, g, tgt, WEIGHTS)
+            assert space.call_count == 1
+        assert len(plan) == 32
+        assert (plan.swaps, plan.costs) == (forced.swaps, forced.costs) == expected
+
+
 class TestApplySwaps:
     def test_empty_plan_is_identity(self, fixture_microfile):
         plan = SwapPlan(parameter="area", swaps=(), costs=())
@@ -338,3 +394,25 @@ class TestApplySwaps:
         m = toy_microfile([("a1", "1", 30, 100)])
         with pytest.raises(RemapError, match="range"):
             apply_swaps(m, SwapPlan(parameter="area", swaps=((0, 5),), costs=(0.0,)))
+
+    def test_first_out_of_range_swap_is_named(self):
+        m = toy_microfile([("a1", "1", 30, 100), ("a2", "0", 31, 200), ("a3", "0", 32, 300)])
+        plan = SwapPlan(parameter="area", swaps=((0, 1), (-1, 2), (3, 4)), costs=(0.0,) * 3)
+        with pytest.raises(RemapError, match=r"^swap \(-1, 2\) is out of range for 3 records$"):
+            apply_swaps(m, plan)
+        plan = SwapPlan(parameter="area", swaps=((2, 0), (1, 3)), costs=(0.0, 0.0))
+        with pytest.raises(RemapError, match=r"^swap \(1, 3\) is out of range for 3 records$"):
+            apply_swaps(m, plan)
+        # nothing is exchanged in the input when a plan is rejected
+        assert list(m.column("area")) == ["a1", "a2", "a3"]
+
+    def test_swaps_exchange_pairs_like_a_loop(self):
+        rng = np.random.default_rng(3)
+        m = toy_microfile([(f"a{i % 4 + 1}", "1", i, i) for i in range(40)])
+        records = rng.permutation(40)[:30].reshape(-1, 2)
+        plan = SwapPlan(parameter="area", swaps=tuple(map(tuple, records.tolist())),
+                        costs=(0.0,) * 15)
+        expected = list(m.column("area"))
+        for a, b in plan.swaps:
+            expected[a], expected[b] = expected[b], expected[a]
+        assert list(apply_swaps(m, plan).column("area")) == expected

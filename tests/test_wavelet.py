@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from groupanon import reference as ref
 from groupanon.errors import WaveletError
@@ -248,16 +249,23 @@ class TestReconstructionMatrix:
     @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
     def test_csr_view_holds_exactly_the_nonzeros(self, name, level):
         fp = get_filter(name)
-        dec = decompose(np.random.default_rng(level).normal(size=64), fp, level)
-        matrix, sparse = dec.reconstruction, dec.reconstruction_csr
-        assert sparse is dec.reconstruction_csr
-        assert sparse.nnz == np.count_nonzero(matrix) and np.all(sparse.data != 0)
-        assert sparse.toarray().tobytes() == np.ascontiguousarray(matrix).tobytes()
-        # no negative zeros in R: negating and scattering rows recovers them exactly
-        assert not np.signbit(matrix[matrix == 0]).any()
-        assert np.count_nonzero(matrix, axis=1).max() <= len(fp)
-        with pytest.raises(ValueError):
-            sparse.data[0] = 1.0
+        for length in (64, 1024, 4096):
+            dec = decompose(np.random.default_rng(level).normal(size=length), fp, level)
+            matrix, sparse = dec.reconstruction, dec.reconstruction_csr
+            assert sparse is dec.reconstruction_csr
+            # built from column 0 alone, yet the same arrays as compressing dense R
+            dense = csr_array(matrix)
+            assert sparse.indptr.dtype == dense.indptr.dtype
+            assert np.array_equal(sparse.indptr, dense.indptr)
+            assert np.array_equal(sparse.indices, dense.indices)
+            assert sparse.data.tobytes() == dense.data.tobytes()
+            assert sparse.nnz == np.count_nonzero(matrix) and np.all(sparse.data != 0)
+            assert sparse.toarray().tobytes() == np.ascontiguousarray(matrix).tobytes()
+            # no negative zeros in R: negating and scattering rows recovers them exactly
+            assert not np.signbit(matrix[matrix == 0]).any()
+            assert np.count_nonzero(matrix, axis=1).max() <= len(fp)
+            with pytest.raises(ValueError):
+                sparse.data[0] = 1.0
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
