@@ -29,6 +29,7 @@ from .microfile import Microfile, load_microfile, write_microfile
 from .remap import InfluentialWeights, SwapPlan, apply_swaps, plan_swaps
 from .signals import (
     GoalSignal,
+    clamping_warning,
     concentration_signal,
     concentration_to_quantity,
     difference_signal,
@@ -209,8 +210,7 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
         shifted, shift = rd.make_nonnegative(reassembled, gcfg.shift, gcfg.margin)
         c_fin = GoalSignal("concentration", shifted, before.parameter_order,
                            denominators=before.denominators)
-        target = concentration_to_quantity(c_fin, total)
-        return shifted, shift, target
+        return shifted, shift, _to_quantity(c_fin, total, warnings)
 
     # difference: the modified difference is added back onto the subordinate
     # concentrations and the main group absorbs the change
@@ -220,8 +220,14 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
     sub = concentration_signal(m, gcfg.subordinate)
     c_new = GoalSignal("concentration", final + sub.values, before.parameter_order,
                        denominators=before.denominators)
-    target = concentration_to_quantity(c_new, total)
-    return final, shift, target
+    return final, shift, _to_quantity(c_new, total, warnings)
+
+
+def _to_quantity(c_target: GoalSignal, total: int, warnings: list[str]) -> GoalSignal:
+    """``concentration_to_quantity``, with its clamping warning kept for the report."""
+    if warning := clamping_warning(c_target):
+        warnings.append(warning)
+    return concentration_to_quantity(c_target, total)
 
 
 def load_input(config: PipelineConfig) -> Microfile:

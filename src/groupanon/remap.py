@@ -217,10 +217,10 @@ def plan_swaps(
     if np.any(member_pos < 0):
         bad = np.unique(param[member_idx[member_pos < 0]])
         raise RemapError(f"members at parameter values outside the order: {list(bad)}")
-    member_at = _by_position(member_idx, member_pos, n_pos)
+    member_recs, member_start = _by_position(member_idx, member_pos, n_pos)
     pool_idx = np.flatnonzero(pool_mask & (positions >= 0))
-    partner_at = _by_position(pool_idx, positions[pool_idx], n_pos)
-    current = np.array([a.size for a in member_at], dtype=np.int64)
+    partner_recs, partner_start = _by_position(pool_idx, positions[pool_idx], n_pos)
+    current, partners = np.diff(member_start), np.diff(partner_start)
 
     if int(current.sum()) != int(target.sum()):
         raise RemapError(
@@ -228,10 +228,10 @@ def plan_swaps(
         )
     deficit = target - current
     for pos in np.flatnonzero(deficit > 0):
-        if partner_at[pos].size < deficit[pos]:
+        if partners[pos] < deficit[pos]:
             raise RemapError(
                 f"not enough partners at parameter value {g.parameter_order[pos]!r}: "
-                f"need {int(deficit[pos])}, have {int(partner_at[pos].size)}"
+                f"need {int(deficit[pos])}, have {int(partners[pos])}"
             )
 
     pair_cost = _PairCost(m, w)
@@ -240,8 +240,9 @@ def plan_swaps(
     swaps: list[tuple[int, int]] = []
     costs: list[float] = []
     for donor, recipient, k in _flow_blocks(-deficit):
-        mem = member_at[donor][~used[member_at[donor]]]
-        par = partner_at[recipient][~used[partner_at[recipient]]]
+        mem = member_recs[member_start[donor]:member_start[donor + 1]]
+        par = partner_recs[partner_start[recipient]:partner_start[recipient + 1]]
+        mem, par = mem[~used[mem]], par[~used[par]]
         if mem.size * par.size <= _SCORE_ALL:
             matched = _sweep(pair_cost, mem, par, k)
         else:
@@ -264,10 +265,15 @@ def _positions(param: np.ndarray, order) -> np.ndarray:
     return lookup[inverse.reshape(-1)]
 
 
-def _by_position(records: np.ndarray, pos: np.ndarray, n_pos: int) -> list[np.ndarray]:
-    """Ascending ``records`` split into one ascending array per position."""
-    order = np.argsort(pos, kind="stable")
-    return np.split(records[order], np.cumsum(np.bincount(pos, minlength=n_pos))[:-1])
+def _by_position(records: np.ndarray, pos: np.ndarray,
+                 n_pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``records`` ordered by position, and each position's offset.
+
+    Position p's records, still ascending, are ``sorted[start[p]:start[p + 1]]``.
+    """
+    start = np.zeros(n_pos + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pos, minlength=n_pos), out=start[1:])
+    return records[np.argsort(pos, kind="stable")], start
 
 
 def _flow_blocks(surplus: np.ndarray) -> list[tuple[int, int, int]]:

@@ -29,6 +29,7 @@ __all__ = [
     "concentration_signal",
     "difference_signal",
     "concentration_to_quantity",
+    "clamping_warning",
 ]
 
 logger = logging.getLogger(__name__)
@@ -152,6 +153,14 @@ def difference_signal(main: GoalSignal, subordinate: GoalSignal) -> GoalSignal:
     )
 
 
+def clamping_warning(c_target: GoalSignal) -> str | None:
+    """The warning ``concentration_to_quantity`` gives for ``c_target``, if any."""
+    negative = int((c_target.values < 0).sum())
+    if not negative:
+        return None
+    return f"clamping {negative} negative concentration value(s) to zero before conversion"
+
+
 def concentration_to_quantity(c_target: GoalSignal, total: int) -> GoalSignal:
     """Integer quantity signal proportional to concentration times denominator.
 
@@ -163,11 +172,8 @@ def concentration_to_quantity(c_target: GoalSignal, total: int) -> GoalSignal:
     if total <= 0:
         raise SignalError("total to distribute must be positive")
     c = c_target.values
-    if np.any(c < 0):
-        logger.warning(
-            "clamping %d negative concentration value(s) to zero before conversion",
-            int((c < 0).sum()),
-        )
+    if warning := clamping_warning(c_target):
+        logger.warning("%s", warning)
         c = np.where(c < 0, 0.0, c)
     mass = c * c_target.denominators
     if not mass.any():

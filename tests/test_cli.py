@@ -164,6 +164,26 @@ class TestRunCommand:
         # identity concentrations convert back to the original counts
         assert np.array_equal(quantity_signal(out, ref.fixture_group()).values, ref.QUANTITY)
 
+    def test_concentration_clamping_is_reported(self, config_factory, tmp_path, caplog):
+        # a declared shift of -0.02 pushes the one concentration below 0.02
+        # (position 7, 0.0148) negative; the conversion clamps it to zero
+        config = base_config()
+        group = config["groups"][0]
+        group["signal"] = "concentration"
+        group["constraints"] = {
+            "rows": [{"position": i, "relation": "<=", "bound": "original"} for i in range(1, 17)],
+            "objective": "feasibility",
+        }
+        del group["solution"]
+        group["shift"] = -0.02
+        path = config_factory(config)
+        assert run_cli("run", "--config", str(path)) == 0
+        report = json.loads((tmp_path / "out/report/report.json").read_text())
+        warning = "clamping 1 negative concentration value(s) to zero before conversion"
+        assert report["groups"][0]["warnings"] == [warning]
+        assert report["groups"][0]["signal_after"][6] == 0
+        assert [r.getMessage() for r in caplog.records].count(warning) == 1
+
     def test_difference_identity_run(self, config_factory, tmp_path):
         config = base_config()
         group = config["groups"][0]

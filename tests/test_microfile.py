@@ -1,6 +1,7 @@
 import csv
 import gc
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,73 @@ class TestColumnwiseIOAgainstRowReference:
         assert outcome[0] is ParseError
 
 
+class TestChunkedIOAgainstRowReference(TestColumnwiseIOAgainstRowReference):
+    """The differential cases again, parsed in chunks of 1, 2 and 3 rows."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def tiny_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", request.param)
+
+
+class TestChunkBoundaries:
+    """Two-row chunks: an error held from one chunk against what later chunks hold."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_chunks(self, monkeypatch):
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", 2)
+
+    @staticmethod
+    def outcome(path, schema=TOY_SCHEMA):
+        got = load_outcome(load_microfile, path, schema)
+        assert got == load_outcome(reference_load, path, schema)
+        return got
+
+    def test_ragged_row_in_chunk_3_outranks_bad_ordinal_in_chunk_1(self, tmp_path):
+        path = toy_file(tmp_path, [["a1", "1", "lots"], ["a2", "0", "5"],
+                                   ["a1", "1", "6"], ["a2", "0", "7"],
+                                   ["a1", "1", "8"], ["a2", "0"]])
+        assert self.outcome(path) == (ParseError, f"{path}: row 7 has 2 fields, expected 3")
+
+    def test_ragged_row_outranks_bad_cell_in_first_column(self, tmp_path):
+        path = toy_file(tmp_path, [["", "1", "5"], ["a2", "0", "5"],
+                                   ["a1", "1", "6"], ["a2", "0", "7", "extra"]])
+        assert self.outcome(path) == (ParseError, f"{path}: row 5 has 4 fields, expected 3")
+
+    def test_earlier_column_in_later_chunk_outranks_later_column(self, tmp_path):
+        path = toy_file(tmp_path, [["a1", "1", "5"], ["a2", "0", "lots"],
+                                   ["a1", "", "6"], ["a2", "0", "7"]])
+        assert self.outcome(path) == (
+            ParseError, f"{path}: row 4: empty value in vital column 'service'")
+
+    def test_empty_vital_nominal_names_the_file_row(self, tmp_path):
+        rows = [["a1", "1", "5"]] * 4 + [["a2", "", "5"]]
+        path = toy_file(tmp_path, rows)
+        assert self.outcome(path) == (
+            ParseError, f"{path}: row 6: empty value in vital column 'service'")
+
+    @pytest.mark.parametrize("cell, what", [("lots", "non-numeric"), ("inf", "non-finite")])
+    def test_bad_ordinal_names_the_file_row(self, tmp_path, cell, what):
+        # the reference accepts non-finite cells, so the message is checked alone
+        path = toy_file(tmp_path, [["a1", "1", "5"]] * 3 + [["a2", "0", cell]])
+        assert load_outcome(load_microfile, path, TOY_SCHEMA) == (
+            ParseError, f"{path}: row 5: {what} value {cell!r} in ordinal column 'pay'")
+
+    def test_parts_of_different_widths_join_to_the_full_width(self, tmp_path):
+        path = toy_file(tmp_path, [["a", "1", "5"], ["b", "0", "5"], ["a-long-code", "1", "6"]])
+        got = self.outcome(path)
+        assert got["area"][0] == np.dtype("<U11")
+
+    @pytest.mark.parametrize("header", [["area", "service", "pay"], ["area", "service"]],
+                             ids=["ragged_first", "schema_error_first"])
+    def test_read_error_in_a_later_chunk_comes_first(self, tmp_path, header):
+        huge = "x" * (csv.field_size_limit() + 1)
+        path = write_csv(tmp_path / "f.csv", header,
+                         [["a1", "1"], ["a2", "0", "5"], ["a1", "1", "6"], ["a2", "0", huge]])
+        for loader in (load_microfile, reference_load):
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                loader(path, TOY_SCHEMA)
+
+
 class TestAttribute:
     def test_rejects_unknown_kind(self):
         with pytest.raises(SchemaError, match="kind"):
@@ -356,6 +424,26 @@ class TestLoad:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+    def test_load_transient_is_bounded_by_the_chunk(self, tmp_path):
+        n = 200_000
+        path = tmp_path / "big.csv"
+        with open(path, "w") as fh:
+            fh.write("area,age\n")
+            fh.writelines(f"{6000 + i % 97:05d},{18 + i % 71}\n" for i in range(n))
+        schema = (Attribute("area", "nominal", "parameter"),
+                  Attribute("age", "ordinal", "influential", weight=1.0))
+        tracemalloc.start()
+        try:
+            m = load_microfile(path, schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(col.nbytes for col in m.columns.values())
+        assert m.n_records == n
+        # the kept columns, their chunk parts while they are joined, and one
+        # 16,384-row chunk of row lists and cell strings (~3 MB here)
+        assert peak < 3 * kept + 8 * 2**20
 
     def test_undeclared_columns_ignored(self, tmp_path):
         path = write_csv(
