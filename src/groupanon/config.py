@@ -38,12 +38,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .microfile import Attribute, GroupSpec
-from .redistribute import ConstraintRow, ConstraintSpec, Objective
+from .redistribute import REPAIRS, ConstraintRow, ConstraintSpec, Objective
 
 __all__ = ["GroupConfig", "PipelineConfig", "load_pipeline_config"]
 
 SIGNAL_KINDS = ("quantity", "concentration", "difference")
-REPAIRS = ("mean_fix", "mean_std", "none")
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,7 @@ class GroupRunResult:
     plan: SwapPlan
     after: GoalSignal
     lp: rd.LinearProgram | None = None
+    published_checks: rd.RowChecks | None = None
     timings: dict[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -170,6 +171,18 @@ def _remap_stage(m, gcfg, before, dec, lp, coeffs, checks, reassembled, shift,
     if not np.array_equal(after.values, target.values):
         raise StageError("recount", gcfg.name, "swap plan failed to realize the target signal")
 
+    published = None
+    if lp is not None:
+        published = stage("audit", _audit_published, modified, gcfg, before, dec, lp, after)
+        bad = np.flatnonzero(~published.satisfied)
+        if bad.size:
+            worst = published[int(np.argmax(published.violation))]
+            msg = (f"published signal violates {bad.size} of {len(published)} declared rows; "
+                   f"worst is the row at position {gcfg.constraints.rows[worst.index].position} "
+                   f"({worst.position_text}), off by {worst.violation:.6g}")
+            warnings.append(msg)
+            logger.warning("group %s: %s", gcfg.name, msg)
+
     return modified, GroupRunResult(
         name=gcfg.name,
         before=before,
@@ -183,9 +196,29 @@ def _remap_stage(m, gcfg, before, dec, lp, coeffs, checks, reassembled, shift,
         plan=plan,
         after=after,
         lp=lp,
+        published_checks=published,
         timings=timings,
         warnings=warnings,
     )
+
+
+def _audit_published(modified: Microfile, gcfg: GroupConfig, before: GoalSignal,
+                     dec: WaveletDecomposition, lp: rd.LinearProgram,
+                     after: GoalSignal) -> rd.RowChecks:
+    """The declared rows evaluated at the published signal's approximation coefficients.
+
+    The published signal is the recounted quantity, or for a concentration
+    or difference group the concentration it implies.  Swap partners come
+    from the superset population, so the superset counts, the
+    denominators, are the same after the swaps as before.
+    """
+    published = after.values
+    if gcfg.signal != "quantity":
+        published = published / before.denominators
+    if gcfg.signal == "difference":
+        published = published - concentration_signal(modified, gcfg.subordinate).values
+    redec = decompose(published, dec.filter, dec.level)
+    return rd.check_solution(lp, redec.approx, tol=1e-9)
 
 
 def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
@@ -298,7 +331,7 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
                 "shift": g.shift,
                 "swaps": len(g.plan),
                 "total_swap_cost": g.plan.total_cost,
-                "lp": _lp_summary(g.lp, g.solution_checks),
+                "lp": _lp_summary(g.lp, g.solution_checks, g.published_checks),
                 "timings": {k: round(v, 6) for k, v in g.timings.items()},
                 "warnings": g.warnings,
             }
@@ -321,8 +354,12 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
         fh.write(json.dumps(report, indent=2) + "\n")
 
 
-def _lp_summary(lp: rd.LinearProgram | None, checks: rd.RowChecks) -> dict | None:
-    """Size of the group's LP and how its coefficients met it; None without an LP."""
+def _lp_summary(lp: rd.LinearProgram | None, checks: rd.RowChecks,
+                published: rd.RowChecks | None) -> dict | None:
+    """Size of the group's LP and how its coefficients and the published signal met it.
+
+    None without an LP, that is for a group with a declared target.
+    """
     if lp is None:
         return None
     return {
@@ -331,6 +368,8 @@ def _lp_summary(lp: rd.LinearProgram | None, checks: rd.RowChecks) -> dict | Non
         "nonzeros": int(lp.a_ub.nnz),
         "violated_rows": int(np.count_nonzero(~checks.satisfied)),
         "max_violation": float(checks.violation.max(initial=0.0)),
+        "published_violated_rows": int(np.count_nonzero(~published.satisfied)),
+        "published_max_violation": float(published.violation.max(initial=0.0)),
     }
 
 

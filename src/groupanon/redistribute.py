@@ -98,6 +98,14 @@ class ConstraintSpec:
             raise ConstraintError("constraint spec must contain at least one row")
 
 
+def _scatter_row(matrix: csr_array, i: int, scale: float) -> np.ndarray:
+    """Row i of a CSR matrix as a dense vector: its stored entries times ``scale``, in zeros."""
+    start, end = matrix.indptr[i], matrix.indptr[i + 1]
+    row = np.zeros(matrix.shape[1])
+    row[matrix.indices[start:end]] = matrix.data[start:end] * scale
+    return row
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Sparse inequality system A x <= b over approximation coefficients.
@@ -130,10 +138,7 @@ class LinearProgram:
 
         ``toarray()`` would negate the zeros of a ">=" row to -0.0 as well.
         """
-        start, end = self.a_ub.indptr[i], self.a_ub.indptr[i + 1]
-        row = np.zeros(self.n_vars)
-        row[self.a_ub.indices[start:end]] = self.a_ub.data[start:end] * self._sign(i)
-        return row
+        return _scatter_row(self.a_ub, i, self._sign(i))
 
     @property
     def rows(self) -> tuple[tuple[np.ndarray, str, float], ...]:
@@ -158,8 +163,9 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     """Turn position bounds into a linear program over new coefficients.
 
     Row (i, rel, b) becomes sum_j R[i-1, j] * a_j rel b, with R the
-    reconstruction matrix of the decomposition.  The rows are gathered from
-    R's CSR view, so only their nonzeros are copied.
+    reconstruction matrix of the decomposition.  Constraint and objective
+    rows are read from R's CSR view, so only their nonzeros are copied and
+    no dense R is built.
     """
     m = dec.signal_length
     for row in spec.rows:
@@ -170,7 +176,7 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     for pos in spec.objective.positions:
         if not 1 <= pos <= m:
             raise ConstraintError(f"objective position {pos} outside 1..{m}")
-    matrix = dec.reconstruction
+    matrix = dec.reconstruction_csr
     original = approximation_component(dec)
 
     positions = np.array([row.position - 1 for row in spec.rows])
@@ -180,14 +186,14 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
         original[row.position - 1] if row.bound == "original" else float(row.bound)
         for row in spec.rows
     ])
-    a_ub = dec.reconstruction_csr[positions]
+    a_ub = matrix[positions]
     a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
 
-    cost = np.zeros(matrix.shape[1])
+    cost = np.zeros(dec.approx.size)
     if spec.objective.kind != "feasibility":
         direction = -1.0 if spec.objective.kind == "maximize" else 1.0
         for pos in spec.objective.positions:
-            cost += direction * matrix[pos - 1]
+            cost += _scatter_row(matrix, pos - 1, direction)
 
     return LinearProgram(
         a_ub=a_ub,
@@ -327,13 +333,20 @@ def satisfies(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def reassemble(dec: WaveletDecomposition, coeffs: np.ndarray) -> np.ndarray:
-    """New signal from replacement approximation coefficients plus kept details."""
+    """New signal from replacement approximation coefficients plus kept details.
+
+    The approximation part is ``R @ coeffs`` over R's CSR rows, summed in a
+    fixed order: row i starts at 0.0 and adds ``data[j] * coeffs[indices[j]]``
+    for its stored entries in column order.  That is scipy's compiled CSR
+    row loop, not a BLAS kernel, so published counts do not depend on the
+    BLAS build or the CPU.  Each row has at most filter-length terms.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != dec.approx.shape:
         raise ConstraintError(
             f"expected {dec.approx.size} coefficients, got {coeffs.size}"
         )
-    return dec.reconstruction @ coeffs + detail_component(dec)
+    return dec.reconstruction_csr @ coeffs + detail_component(dec)
 
 
 def make_nonnegative(values: np.ndarray, shift: float | None = None, margin: float = 0.0):

@@ -190,19 +190,27 @@ def up_conv(x, taps) -> np.ndarray:
     Adjoint of :func:`conv_down` for the same taps: zeros are inserted
     between samples and the result is circularly convolved with the
     time-reversed filter at the matching phase.  Output length is
-    2*len(x).
+    n = 2*len(x).
+
+    With ``up`` the zero-inserted input and ``phase`` the module alignment
+    constant, output i is ``0.0 + sum_k taps[k] * up[(i - phase + k) mod n]``,
+    added for k ascending.  That order is fixed here rather than left to a
+    BLAS dot product.  The sum runs polyphase: tap k only meets the samples
+    of one output parity, so the zero products of the upsampling are
+    skipped.  Adding a zero product leaves a finite sum unchanged, so the
+    result is bitwise that of the full sum, in O(n * taps).
     """
     x = np.asarray(x, dtype=float)
     taps = np.asarray(taps, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise WaveletError("input coefficient vector must be non-empty")
-    n = 2 * x.size
-    up = np.zeros(n)
-    up[::2] = x
-    synth = np.zeros(n)
+    out = np.zeros(2 * x.size)
     phase = downsample_offset(taps.size)
-    np.add.at(synth, (phase - np.arange(taps.size)) % n, taps)
-    return _circular_convolve(up, synth)
+    for k, tap in enumerate(taps):
+        # outputs of parity p meet tap k at even samples, up[2j] = x[j]
+        p = (phase - k) % 2
+        out[p::2] += tap * np.roll(x, (phase - k - p) // 2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -213,13 +221,12 @@ class WaveletDecomposition:
     for j = level down to 1.  ``reconstruct`` reassembles the original
     signal to machine precision.
 
-    ``reconstruction`` is the decomposition's reconstruction matrix (see
-    :func:`reconstruction_matrix`), built on first read and then kept, so
-    objective rows and reassembly share one read-only copy.
-    ``reconstruction_csr`` is the same matrix in compressed sparse rows,
-    also built once, straight from the synthesized column 0 without the
-    dense matrix: a row of R has at most filter-length nonzeros, so
-    constraint rows gathered from it cost O(rows) rather than O(rows * m).
+    ``reconstruction_csr`` is the decomposition's reconstruction matrix R
+    (see :func:`reconstruction_matrix`) in compressed sparse rows, built on
+    first read and then kept read-only, straight from the synthesized
+    column 0 without a dense R.  A row of R has at most filter-length
+    nonzeros, so constraint rows, objective rows and reassembly read O(m)
+    entries, where the dense matrix holds m**2 / 2**level.
     """
 
     level: int
@@ -232,21 +239,15 @@ class WaveletDecomposition:
         return sorted(self.details, reverse=True)
 
     @cached_property
-    def reconstruction(self) -> np.ndarray:
-        """Read-only matrix R with R @ a the approximation component of ``a``."""
-        matrix = reconstruction_matrix(self.filter, self.level, self.signal_length)
-        matrix.setflags(write=False)
-        return matrix
-
-    @cached_property
     def reconstruction_csr(self) -> csr_array:
-        """Read-only CSR form of ``reconstruction``: its nonzeros, column-sorted per row.
+        """Read-only CSR form of R: its nonzeros, column-sorted per row.
 
         Column j of R is column 0 rolled by j * 2**level (see
         :func:`reconstruction_matrix`), so its nonzeros sit at rows
         ``(nz + j * 2**level) mod length`` and hold ``col0[nz]``, where
         ``nz`` are the nonzero rows of column 0.  The entries are R's own,
-        so the result equals ``csr_array(self.reconstruction)`` bit for bit.
+        so the result equals ``csr_array(reconstruction_matrix(...))`` for
+        the same filter, level and length, bit for bit.
         """
         length, level = self.signal_length, self.level
         col0 = _column0(self.filter, level, length)
@@ -342,9 +343,10 @@ def reconstruction_matrix(filter_pair: FilterPair, level: int, length: int) -> n
     per-column cascades to rounding.
 
     The result is the transpose of a C-ordered (columns, length) array, so
-    R is column-major.  Keep that layout: ``R @ a`` sums in an order that
-    depends on it, and a row-major R moves reassembled signals by ulps,
-    enough to flip ties in the integer rounding of published counts.
+    R is column-major.  It holds length**2 / 2**level entries, nearly all
+    zero, and serves demos and tests: no run path builds it.  Constraints
+    and reassembly read the same entries from
+    :attr:`WaveletDecomposition.reconstruction_csr`.
     """
     col0 = _column0(filter_pair, level, length)
     ncoef = length >> level

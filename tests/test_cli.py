@@ -1,13 +1,16 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from conftest import base_config
 from groupanon import reference as ref
 from groupanon.cli import main
 from groupanon.microfile import load_microfile
-from groupanon.signals import quantity_signal
+from groupanon.signals import concentration_signal, quantity_signal
+from groupanon.wavelet import approximation_component, decompose, get_filter
 
 
 def run_cli(*argv):
@@ -77,7 +80,8 @@ class TestRunCommand:
         assert group["shift"] == 2150.0
         assert set(group["timings"]) >= {"signal", "decompose", "check", "plan", "apply"}
         lp = group["lp"]
-        assert set(lp) == {"rows", "vars", "nonzeros", "violated_rows", "max_violation"}
+        assert set(lp) == {"rows", "vars", "nonzeros", "violated_rows", "max_violation",
+                           "published_violated_rows", "published_max_violation"}
         assert (lp["rows"], lp["vars"]) == (len(ref.QUANTITY_SYSTEM), 4)
         assert 0 < lp["nonzeros"] <= lp["rows"] * lp["vars"]
         assert (lp["violated_rows"], lp["max_violation"]) == (0, 0.0)
@@ -90,6 +94,66 @@ class TestRunCommand:
             tmp_path / f"out/report/active-duty{suffix}" for suffix in
             ("_signal_before.csv", "_signal_after.csv", "_before.svg", "_after.svg", "_swaps.csv")]
         assert io["bytes_written"] == sum(p.stat().st_size for p in written)
+
+    def test_published_bounds_are_audited(self, config_factory, tmp_path):
+        path = config_factory()
+        assert run_cli("run", "--config", str(path)) == 0
+        group = json.loads((tmp_path / "out/report/report.json").read_text())["groups"][0]
+        # independent recount: the published counts' approximation component
+        out = load_microfile(tmp_path / "out/modified.csv", ref.FIXTURE_SCHEMA)
+        published = quantity_signal(out, ref.fixture_group()).values
+        approx = approximation_component(decompose(published, get_filter("db2"), 2))
+        gaps = {pos: approx[pos - 1] - bound if rel == "<=" else bound - approx[pos - 1]
+                for pos, rel, bound, _ in ref.QUANTITY_SYSTEM}
+        assert sorted(pos for pos, gap in gaps.items() if gap > 1e-9) == [3, 14]
+        lp = group["lp"]
+        assert lp["published_violated_rows"] == 2
+        assert lp["published_max_violation"] == pytest.approx(max(gaps.values()), rel=1e-9)
+        assert "audit" in group["timings"]
+        audit = [w for w in group["warnings"] if w.startswith("published signal")]
+        assert len(audit) == 1
+        assert "violates 2 of 12 declared rows" in audit[0]
+        assert "position 14" in audit[0] and "off by 206.203" in audit[0]
+
+    @pytest.mark.parametrize("kind", ["concentration", "difference"])
+    def test_audit_recounts_the_published_concentrations(self, kind, config_factory, tmp_path):
+        main_group = ref.fixture_group()
+        sub_group = dataclasses.replace(main_group, vital=(("military_service", frozenset("3")),))
+
+        def signal(table):
+            values = concentration_signal(table, main_group).values
+            if kind == "difference":
+                values = values - concentration_signal(table, sub_group).values
+            return values
+
+        def approx(values):
+            return approximation_component(decompose(values, get_filter("db2"), 2))
+
+        # cap the spike at position 16 and loosely floor the rest
+        original = approx(signal(ref.load_quantity_microfile()))
+        rows = [(16, "<=", 0.9 * original[15])] + [
+            (p, ">=", original[p - 1] - 0.3 * abs(original[p - 1])) for p in range(1, 16)]
+        config = base_config()
+        group = config["groups"][0]
+        group["signal"] = kind
+        if kind == "difference":
+            group["subordinate_vital"] = {"military_service": ["3"]}
+        group["constraints"] = {
+            "rows": [{"position": p, "relation": rel, "bound": float(b)} for p, rel, b in rows],
+            "objective": "feasibility",
+        }
+        del group["solution"]
+        group["shift"] = "auto"
+        path = config_factory(config)
+        assert run_cli("run", "--config", str(path)) == 0
+        group = json.loads((tmp_path / "out/report/report.json").read_text())["groups"][0]
+        assert group["swaps"] > 0
+        published = approx(signal(load_microfile(tmp_path / "out/modified.csv",
+                                                 ref.FIXTURE_SCHEMA)))
+        gaps = np.array([published[p - 1] - b if rel == "<=" else b - published[p - 1]
+                         for p, rel, b in rows])
+        assert group["lp"]["published_violated_rows"] == np.count_nonzero(gaps > 1e-9) > 0
+        assert group["lp"]["published_max_violation"] == pytest.approx(gaps.max(), rel=1e-9)
 
     def test_identity_constraints_leave_microfile_unchanged(self, config_factory, tmp_path):
         config = base_config()

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -308,6 +309,18 @@ class TestSparseOperatorAgainstDense:
             assert res.status == 0, name
             assert solve_constraints(lp).tobytes() == res.x.tobytes(), name
 
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_cost_equals_sum_of_dense_objective_rows(self, objective):
+        direction = -1.0 if objective == "maximize" else 1.0
+        for name, dec, spec in self.all_cases():
+            positions = (2, 9, 2) if dec.signal_length == 16 else (1, 514, 1023)
+            spec = ConstraintSpec(rows=spec.rows, objective=Objective(objective, positions))
+            matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
+            expected = np.zeros(matrix.shape[1])
+            for pos in positions:
+                expected += direction * matrix[pos - 1]
+            assert build_constraints(dec, spec).cost.tobytes() == expected.tobytes(), name
+
     @pytest.mark.parametrize("seed", [5, 17, 29])
     def test_long_axis_solutions_bitwise_equal_dense_linprog(self, seed):
         dec, spec = banded_case(seed, 4096 if seed == 5 else 1024, "minimize")
@@ -374,6 +387,26 @@ class TestReassemble:
     def test_wrong_length_rejected(self, quantity_dec):
         with pytest.raises(ConstraintError, match="coefficients"):
             reassemble(quantity_dec, np.zeros(5))
+
+    def test_constraints_and_reassembly_build_no_dense_matrix(self):
+        m = 8192
+        rng = np.random.default_rng(61)
+        signal = rng.poisson(20.0, size=m).astype(float)
+        dec = decompose(signal, DB2, 2)
+        spec = ConstraintSpec(rows=tuple(ConstraintRow(p, ">=") for p in range(1, m + 1)),
+                              objective=Objective("minimize", (17, 4000)))
+        tracemalloc.start()
+        try:
+            lp = build_constraints(dec, spec)
+            out = reassemble(dec, dec.approx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lp.a_ub.shape == (m, m // 4) and lp.cost.any()
+        assert np.max(np.abs(out - signal)) < 1e-9
+        # a dense R here is m * m/4 float64s, 128 MiB; the CSR rows, the LP
+        # and the synthesis buffers are O(m), about 1 MiB
+        assert peak < 8 * 2**20
 
 
 class TestRepairs:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -45,6 +47,41 @@ def scatter_add_convolve(x, taps):
     out = np.zeros(x.size)
     np.add.at(out, np.arange(full.size) % x.size, full)
     return out
+
+
+def convolve_up_conv(x, taps):
+    """The obvious O(n**2) synthesis: a length-n circular convolution.
+
+    Zeros are inserted between samples and the result is circularly
+    convolved with the time-reversed filter scattered into a length-n
+    vector, summed in the BLAS dot-product order.
+    """
+    x = np.asarray(x, dtype=float)
+    n = 2 * x.size
+    up = np.zeros(n)
+    up[::2] = x
+    synth = np.zeros(n)
+    phase = downsample_offset(taps.size)
+    np.add.at(synth, (phase - np.arange(taps.size)) % n, taps)
+    return _circular_convolve(up, synth)
+
+
+def up_conv_loop(x, taps):
+    """The defined synthesis sum: ``0.0 + sum_k taps[k] * up[(i - phase + k) mod n]``, k ascending.
+
+    Every product is added, the zero samples of the upsampling included.
+    """
+    n = 2 * len(x)
+    up = [0.0] * n
+    up[::2] = [float(v) for v in x]
+    phase = downsample_offset(len(taps))
+    out = []
+    for i in range(n):
+        total = 0.0
+        for k, tap in enumerate(taps):
+            total += float(tap) * up[(i - phase + k) % n]
+        out.append(total)
+    return np.array(out)
 
 
 def unit_cascade_matrix(fp, level, length):
@@ -157,6 +194,27 @@ class TestUpConv:
         with pytest.raises(WaveletError, match="non-empty"):
             up_conv(np.array([]), DB2.lowpass)
 
+    @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
+    def test_matches_length_n_convolution(self, name):
+        fp = get_filter(name)
+        rng = np.random.default_rng(43)
+        for length in (2, 4, 6, 8, 16, 30, 64, 256, 1024, 4096):
+            for taps in (fp.lowpass, fp.highpass):
+                x = rng.normal(scale=100.0, size=length // 2)
+                got, expected = up_conv(x, taps), convolve_up_conv(x, taps)
+                assert got.shape == expected.shape == (length,)
+                # a different summation order of at most len(taps) terms
+                assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
+    def test_bitwise_equal_to_defined_sum(self, name):
+        fp = get_filter(name)
+        rng = np.random.default_rng(47)
+        for length in (2, 4, 6, 8, 16, 30, 64, 256, 4096):
+            for taps in (fp.lowpass, fp.highpass):
+                x = rng.normal(scale=100.0, size=length // 2)
+                assert up_conv(x, taps).tobytes() == up_conv_loop(x, taps).tobytes()
+
 
 class TestDecompose:
     def test_reference_quantity_detail(self):
@@ -230,20 +288,38 @@ class TestReconstructionMatrix:
         else:
             assert np.max(np.abs(matrix - expected)) <= 1e-15
 
-    def test_reassemble_keeps_column_major_summation(self):
+    @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
+    def test_reassemble_sums_csr_rows_left_to_right(self, name):
+        fp = get_filter(name)
         rng = np.random.default_rng(31)
-        dec = decompose(rng.normal(size=1024) * 100, DB2, 2)
+        dec = decompose(rng.normal(size=1024) * 100, fp, 2)
         coeffs = rng.normal(size=dec.approx.size) * 100
-        expected = unit_cascade_matrix(DB2, 2, 1024) @ coeffs + detail_component(dec)
-        assert reassemble(dec, coeffs).tobytes() == expected.tobytes()
+        sparse = dec.reconstruction_csr
+        data, indices, indptr = sparse.data.tolist(), sparse.indices.tolist(), sparse.indptr.tolist()
+        loop, exact, scale = [], [], []
+        for i in range(dec.signal_length):
+            terms = [data[j] * float(coeffs[indices[j]]) for j in range(indptr[i], indptr[i + 1])]
+            total = 0.0
+            for term in terms:
+                total += term
+            loop.append(total)
+            exact.append(math.fsum(terms))
+            scale.append(math.fsum(abs(term) for term in terms))
+        got = reassemble(dec, coeffs)
+        assert got.tobytes() == (np.array(loop) + detail_component(dec)).tobytes()
+        # within 4 ulps of the correctly rounded row sum, counted at the size
+        # of the row's terms: a row that cancels has a far smaller result
+        assert np.all(np.abs(np.array(loop) - exact) <= 4 * np.spacing(np.array(scale)))
 
     def test_decomposition_caches_one_read_only_matrix(self):
         dec = decompose(ref.QUANTITY, DB2, 2)
-        matrix = dec.reconstruction
-        assert matrix is dec.reconstruction
-        assert np.array_equal(matrix, reconstruction_matrix(DB2, 2, 16))
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
+        sparse = dec.reconstruction_csr
+        assert sparse is dec.reconstruction_csr
+        assert np.array_equal(sparse.toarray(), reconstruction_matrix(DB2, 2, 16))
+        for part in (sparse.data, sparse.indices, sparse.indptr):
+            with pytest.raises(ValueError):
+                part[0] = 1
+        assert not hasattr(dec, "reconstruction")
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     @pytest.mark.parametrize("name", ["db2", "db4", "haar"])
@@ -251,7 +327,7 @@ class TestReconstructionMatrix:
         fp = get_filter(name)
         for length in (64, 1024, 4096):
             dec = decompose(np.random.default_rng(level).normal(size=length), fp, level)
-            matrix, sparse = dec.reconstruction, dec.reconstruction_csr
+            matrix, sparse = reconstruction_matrix(fp, level, length), dec.reconstruction_csr
             assert sparse is dec.reconstruction_csr
             # built from column 0 alone, yet the same arrays as compressing dense R
             dense = csr_array(matrix)
