@@ -33,14 +33,12 @@ from .redistribute import (
     ConstraintRow,
     ConstraintSpec,
     Objective,
-    RedistributionResult,
     build_constraints,
     check_solution,
     make_nonnegative,
     mean_fix,
     normalize_mean_std,
     reassemble,
-    redistribute_signal,
     round_to_integers,
     satisfies,
     solve_constraints,

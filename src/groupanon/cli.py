@@ -28,8 +28,10 @@ from .charts import svg_line_chart
 from .atomic import atomic_write
 from .microfile import write_microfile
 from .pipeline import (
+    GroupLog,
     _write_plan_csv,
     build_goal_signal,
+    edit_group,
     load_input,
     run_group,
     run_pipeline,
@@ -66,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("signal", "write a group's goal signal as CSV plus an SVG chart", True)
     add("decompose", "write a group's wavelet coefficients as CSV", True)
-    add("redistribute", "run a group through constraint solving and repair", True)
+    add("redistribute", "run a group through constraint solving and repair (no swaps)", True)
     add("remap", "realize one group's modified signal in the table", True)
     add("run", "run the full pipeline over every configured group", False)
     p = sub.add_parser("verify", help="recompute the bundled reference values")
@@ -146,20 +148,21 @@ def _cmd_decompose(config: PipelineConfig, name: str) -> int:
 def _cmd_redistribute(config: PipelineConfig, name: str) -> int:
     gcfg = _select_group(config, name)
     m = load_input(config)
-    _, result = run_group(m, gcfg)
+    log = GroupLog(name)
+    edit = edit_group(m, gcfg, log)
     out = _report_dir(config)
     write_signal_csv(out / f"{name}_signal_before.csv",
-                     result.before.parameter_order, result.before.values)
+                     edit.before.parameter_order, edit.before.values)
     write_signal_csv(out / f"{name}_signal_redistributed.csv",
-                     result.before.parameter_order, result.final_signal)
+                     edit.before.parameter_order, edit.final_signal)
     payload = {
         "group": name,
-        "coefficients": [float(v) for v in result.coefficients],
-        "shift": result.shift,
-        "warnings": result.warnings,
+        "coefficients": [float(v) for v in edit.coefficients],
+        "shift": edit.shift,
+        "warnings": log.warnings,
         "constraints": [
             {"row": c.position_text, "lhs": c.lhs, "satisfied": c.satisfied}
-            for c in result.solution_checks
+            for c in edit.checks
         ],
     }
     with atomic_write(out / f"{name}_redistribution.json") as fh:
@@ -186,7 +189,7 @@ def _cmd_run(config: PipelineConfig) -> int:
     write_outputs(config, result)
     for g in result.groups:
         print(f"group {g.name}: {len(g.plan)} swaps, total cost {g.plan.total_cost:.3f}, "
-              f"shift {g.shift:g}")
+              f"shift {g.edit.shift:g}")
     print(f"wrote {config.output_path}")
     return EXIT_OK
 

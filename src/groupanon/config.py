@@ -25,7 +25,8 @@ Layout (see README for the full reference):
       }]
     }
 
-Errors carry the file name and the JSON path of the offending field.
+Errors carry the file name and the JSON path of the offending field.  A
+field an object does not define is an error too.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ from .redistribute import REPAIRS, ConstraintRow, ConstraintSpec, Objective
 __all__ = ["GroupConfig", "PipelineConfig", "load_pipeline_config"]
 
 SIGNAL_KINDS = ("quantity", "concentration", "difference")
+
+ROOT_FIELDS = ("input", "output", "report_dir", "seed", "schema", "groups")
+ATTRIBUTE_FIELDS = ("name", "kind", "role", "weight")
+GROUP_FIELDS = ("name", "vital", "parameter", "parameter_order", "superset", "signal",
+                "subordinate_vital", "wavelet", "constraints", "solution", "target", "shift",
+                "margin", "repair", "candidate_cap", "chi_same", "chi_diff")
+WAVELET_FIELDS = ("family", "level")
+CONSTRAINTS_FIELDS = ("rows", "objective", "nonnegative_coefficients")
+ROW_FIELDS = ("position", "relation", "bound")
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,13 @@ class _Cursor:
             return _Cursor(self.data[key], f"{self.path}[{key}]", self.source)
         return _Cursor(self.data[key], f"{self.path}.{key}", self.source)
 
+    def known(self, fields):
+        """Reject a field of this object that is not in ``fields``, naming it."""
+        if isinstance(self.data, dict):
+            for key in self.data:
+                if key not in fields:
+                    self.fail(f"unknown field {key!r}")
+
     def require(self, key, kind, what=""):
         if not isinstance(self.data, dict):
             self.fail("expected an object")
@@ -151,6 +168,7 @@ class _Cursor:
 
 
 def _parse_attribute(cur: _Cursor) -> tuple[Attribute | None, str | None]:
+    cur.known(ATTRIBUTE_FIELDS)
     name = cur.require("name", str)
     kind = cur.require("kind", str)
     role = cur.require("role", str)
@@ -192,11 +210,13 @@ def _parse_objective(cur: _Cursor) -> Objective:
 
 
 def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
+    cur.known(CONSTRAINTS_FIELDS)
     rows = []
     rows_cur = cur.child("rows") if isinstance(cur.data, dict) and "rows" in cur.data else None
     if rows_cur is None:
         cur.fail('missing required field "rows"')
     for row_cur in rows_cur.items():
+        row_cur.known(ROW_FIELDS)
         position = row_cur.require("position", int)
         if not 1 <= position <= m:
             row_cur.fail(f"position {position} outside 1..{m}")
@@ -219,6 +239,7 @@ def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
 
 
 def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
+    cur.known(GROUP_FIELDS)
     by_name = {a.name: a for a in schema}
     name = cur.require("name", str)
     parameter = cur.require("parameter", str)
@@ -251,6 +272,7 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     wavelet_cur = cur.child("wavelet") if "wavelet" in cur.data else None
     family, level = "db2", 2
     if wavelet_cur is not None:
+        wavelet_cur.known(WAVELET_FIELDS)
         family = wavelet_cur.optional("family", str, "db2")
         level = wavelet_cur.optional("level", int, 2)
     m = len(order)
@@ -331,6 +353,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
     root = _Cursor(data, "$", str(path))
+    root.known(ROOT_FIELDS)
     input_path = Path(root.require("input", str))
     output = Path(root.require("output", str))
     report_dir = Path(root.optional("report_dir", str, "report"))

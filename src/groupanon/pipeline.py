@@ -16,7 +16,7 @@ import os
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .atomic import atomic_write
 from .charts import svg_line_chart
 from .config import GroupConfig, PipelineConfig
 from .errors import GroupAnonError, StageError
-from .microfile import Microfile, load_microfile, write_microfile
+from .microfile import Microfile, load_microfile, members, write_microfile
 from .remap import InfluentialWeights, SwapPlan, apply_swaps, plan_swaps
 from .signals import (
     GoalSignal,
@@ -37,8 +37,9 @@ from .signals import (
 )
 from .wavelet import WaveletDecomposition, decompose, get_filter
 
-__all__ = ["GroupRunResult", "PipelineResult", "load_input", "run_pipeline", "write_outputs",
-           "build_goal_signal", "run_group"]
+__all__ = ["GroupEdit", "GroupLog", "GroupRunResult", "PipelineResult", "load_input",
+           "run_pipeline", "write_outputs", "build_goal_signal", "run_group", "edit_group",
+           "realize_group"]
 
 logger = logging.getLogger(__name__)
 
@@ -46,24 +47,36 @@ _DETAIL_PRESERVATION_TOL = 1e-6
 
 
 @dataclass
-class GroupRunResult:
-    """Everything one group's run produced, for the report."""
+class GroupEdit:
+    """The edit half of one group's run: the goal signal, its edit and the quantity target.
 
-    name: str
+    ``lp`` is None and ``checks`` empty for a group with a declared
+    ``target``, which builds no system; its coefficients are then the
+    original ones and its final signal is the target.
+    """
+
     before: GoalSignal
     decomposition: WaveletDecomposition
+    lp: rd.LinearProgram | None
     coefficients: np.ndarray
-    solution_checks: Sequence
+    checks: Sequence
     reassembled: np.ndarray
     shift: float
     final_signal: np.ndarray
     target: GoalSignal
+
+
+@dataclass
+class GroupRunResult:
+    """Everything one group's run produced, for the report."""
+
+    name: str
+    edit: GroupEdit
     plan: SwapPlan
     after: GoalSignal
-    lp: rd.LinearProgram | None = None
-    published_checks: rd.RowChecks | None = None
-    timings: dict[str, float] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    published_checks: rd.RowChecks | None
+    timings: dict[str, float]
+    warnings: list[str]
 
 
 @dataclass
@@ -96,24 +109,42 @@ def build_goal_signal(m: Microfile, gcfg: GroupConfig) -> GoalSignal:
     return difference_signal(main, sub)
 
 
-def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResult]:
-    """Run the four-stage scheme for one group against the current table."""
-    timings: dict[str, float] = {}
-    warnings: list[str] = []
-    if gcfg.candidate_cap is not None:
-        msg = (f"candidate_cap {gcfg.candidate_cap} is ignored: "
-               "the swap planner is exact and samples no candidates")
-        warnings.append(msg)
-        logger.warning("group %s: %s", gcfg.name, msg)
+class GroupLog:
+    """One group's stage timings and warnings, shared by its edit and realize halves."""
 
-    def stage(name, fn, *args, **kwargs):
+    def __init__(self, name: str):
+        self.name = name
+        self.timings: dict[str, float] = {}
+        self.warnings: list[str] = []
+
+    def stage(self, name, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` timed as stage ``name``; a failure becomes a ``StageError``."""
         try:
-            with _stage(timings, name):
+            with _stage(self.timings, name):
                 return fn(*args, **kwargs)
         except StageError:
             raise
         except GroupAnonError as exc:
-            raise StageError(name, gcfg.name, str(exc)) from exc
+            raise StageError(name, self.name, str(exc)) from exc
+
+    def warn(self, message: str) -> None:
+        """Keep ``message`` for the report and log it."""
+        self.warnings.append(message)
+        logger.warning("group %s: %s", self.name, message)
+
+
+def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResult]:
+    """Run the four-stage scheme for one group against the current table."""
+    log = GroupLog(gcfg.name)
+    return realize_group(m, gcfg, edit_group(m, gcfg, log), log)
+
+
+def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
+    """Signal, decomposition, constrained edit and repair: the group's quantity target."""
+    stage = log.stage
+    if gcfg.candidate_cap is not None:
+        log.warn(f"candidate_cap {gcfg.candidate_cap} is ignored: "
+                 "the swap planner is exact and samples no candidates")
 
     before = stage("signal", build_goal_signal, m, gcfg)
     dec = stage("decompose", decompose, before.values, get_filter(gcfg.wavelet_family), gcfg.level)
@@ -121,9 +152,8 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
     if gcfg.target is not None:
         # operator-declared target: skip the signal-editing stages entirely
         target = GoalSignal("quantity", gcfg.target, gcfg.group.parameter_order)
-        return _remap_stage(m, gcfg, before, dec, None, dec.approx.copy(), [],
-                            before.values.copy(), 0.0, gcfg.target.copy(), target,
-                            timings, warnings, stage)
+        return GroupEdit(before, dec, None, dec.approx.copy(), (), before.values.copy(), 0.0,
+                         gcfg.target.copy(), target)
 
     lp = stage("constraints", rd.build_constraints, dec, gcfg.constraints)
 
@@ -132,12 +162,8 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
         checks = stage("check", rd.check_solution, lp, coeffs)
         for i in np.flatnonzero(~checks.satisfied).tolist():
             check = checks[i]
-            msg = (
-                f"declared solution violates {check.position_text} "
-                f"by {check.violation:.6g}"
-            )
-            warnings.append(msg)
-            logger.warning("group %s: %s", gcfg.name, msg)
+            log.warn(f"declared solution violates {check.position_text} "
+                     f"by {check.violation:.6g}")
     else:
         coeffs = stage("solve", rd.solve_constraints, lp, warm_start=dec.approx)
         checks = stage("check", rd.check_solution, lp, coeffs, tol=1e-6)
@@ -153,57 +179,39 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
             raise StageError("reassemble", gcfg.name,
                              f"detail coefficients at level {j} drifted")
 
-    def repair():
-        return _repair_and_target(m, gcfg, before, reassembled, warnings)
-
-    final, shift, target = stage("repair", repair)
-    return _remap_stage(m, gcfg, before, dec, lp, coeffs, checks, reassembled,
-                        shift, final, target, timings, warnings, stage)
+    final, shift, target = stage("repair", _repair_and_target, m, gcfg, before, reassembled, log)
+    return GroupEdit(before, dec, lp, np.asarray(coeffs, dtype=float), checks, reassembled,
+                     shift, final, target)
 
 
-def _remap_stage(m, gcfg, before, dec, lp, coeffs, checks, reassembled, shift,
-                 final, target, timings, warnings, stage):
-    plan = stage("plan", plan_swaps, m, gcfg.group, target,
+def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
+                  log: GroupLog) -> tuple[Microfile, GroupRunResult]:
+    """Swap plan, application, recount and published-bound audit of an edited group."""
+    stage = log.stage
+    plan = stage("plan", plan_swaps, m, gcfg.group, edit.target,
                  InfluentialWeights.from_microfile(m, gcfg.chi_same, gcfg.chi_diff))
     modified = stage("apply", apply_swaps, m, plan)
 
     after = stage("recount", quantity_signal, modified, gcfg.group)
-    if not np.array_equal(after.values, target.values):
+    if not np.array_equal(after.values, edit.target.values):
         raise StageError("recount", gcfg.name, "swap plan failed to realize the target signal")
 
     published = None
-    if lp is not None:
-        published = stage("audit", _audit_published, modified, gcfg, before, dec, lp, after)
+    if edit.lp is not None:
+        published = stage("audit", _audit_published, modified, gcfg, edit, after)
         bad = np.flatnonzero(~published.satisfied)
         if bad.size:
             worst = published[int(np.argmax(published.violation))]
             msg = (f"published signal violates {bad.size} of {len(published)} declared rows; "
                    f"worst is the row at position {gcfg.constraints.rows[worst.index].position} "
                    f"({worst.position_text}), off by {worst.violation:.6g}")
-            warnings.append(msg)
-            logger.warning("group %s: %s", gcfg.name, msg)
+            log.warn(msg)
 
-    return modified, GroupRunResult(
-        name=gcfg.name,
-        before=before,
-        decomposition=dec,
-        coefficients=np.asarray(coeffs, dtype=float),
-        solution_checks=checks,
-        reassembled=reassembled,
-        shift=shift,
-        final_signal=final,
-        target=target,
-        plan=plan,
-        after=after,
-        lp=lp,
-        published_checks=published,
-        timings=timings,
-        warnings=warnings,
-    )
+    return modified, GroupRunResult(gcfg.name, edit, plan, after, published,
+                                    log.timings, log.warnings)
 
 
-def _audit_published(modified: Microfile, gcfg: GroupConfig, before: GoalSignal,
-                     dec: WaveletDecomposition, lp: rd.LinearProgram,
+def _audit_published(modified: Microfile, gcfg: GroupConfig, edit: GroupEdit,
                      after: GoalSignal) -> rd.RowChecks:
     """The declared rows evaluated at the published signal's approximation coefficients.
 
@@ -214,36 +222,41 @@ def _audit_published(modified: Microfile, gcfg: GroupConfig, before: GoalSignal,
     """
     published = after.values
     if gcfg.signal != "quantity":
-        published = published / before.denominators
+        published = published / edit.before.denominators
     if gcfg.signal == "difference":
         published = published - concentration_signal(modified, gcfg.subordinate).values
+    dec = edit.decomposition
     redec = decompose(published, dec.filter, dec.level)
-    return rd.check_solution(lp, redec.approx, tol=1e-9)
+    return rd.check_solution(edit.lp, redec.approx, tol=1e-9)
 
 
 def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
-                       reassembled: np.ndarray, warnings: list[str]):
-    """Repair chain per signal kind; returns (final signal, shift, quantity target)."""
-    total = int(quantity_signal(m, gcfg.group).total)
+                       reassembled: np.ndarray, log: GroupLog):
+    """Repair chain per signal kind; returns (final signal, shift, quantity target).
 
+    Swaps move members between parameter values but never add or remove
+    one, so the target keeps the member total.
+    """
     if gcfg.signal == "quantity":
+        total = int(before.total)
         shifted, shift = rd.make_nonnegative(reassembled, gcfg.shift, gcfg.margin)
         if gcfg.repair == "mean_fix":
             shifted = rd.mean_fix(shifted, before.values)
         elif gcfg.repair == "mean_std":
             shifted = rd.normalize_mean_std(shifted, before.values)
             if np.any(shifted < 0):
-                warnings.append("mean/std repair produced negatives; clamping to zero")
+                log.warn("mean/std repair produced negatives; clamping to zero")
                 shifted = np.where(shifted < 0, 0.0, shifted)
         final = rd.round_to_integers(shifted * (total / shifted.sum()), total).astype(float)
         target = GoalSignal("quantity", final, before.parameter_order)
         return final, shift, target
 
+    total = int(members(m, gcfg.group).size)
     if gcfg.signal == "concentration":
         shifted, shift = rd.make_nonnegative(reassembled, gcfg.shift, gcfg.margin)
         c_fin = GoalSignal("concentration", shifted, before.parameter_order,
                            denominators=before.denominators)
-        return shifted, shift, _to_quantity(c_fin, total, warnings)
+        return shifted, shift, _to_quantity(c_fin, total, log)
 
     # difference: the modified difference is added back onto the subordinate
     # concentrations and the main group absorbs the change
@@ -253,13 +266,16 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
     sub = concentration_signal(m, gcfg.subordinate)
     c_new = GoalSignal("concentration", final + sub.values, before.parameter_order,
                        denominators=before.denominators)
-    return final, shift, _to_quantity(c_new, total, warnings)
+    return final, shift, _to_quantity(c_new, total, log)
 
 
-def _to_quantity(c_target: GoalSignal, total: int, warnings: list[str]) -> GoalSignal:
-    """``concentration_to_quantity``, with its clamping warning kept for the report."""
+def _to_quantity(c_target: GoalSignal, total: int, log: GroupLog) -> GoalSignal:
+    """``concentration_to_quantity``, with its clamping warning kept for the report.
+
+    The conversion logs that warning itself.
+    """
     if warning := clamping_warning(c_target):
-        warnings.append(warning)
+        log.warnings.append(warning)
     return concentration_to_quantity(c_target, total)
 
 
@@ -314,10 +330,10 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
     write_microfile(result.microfile, output)
     groups = []
     for g in result.groups:
-        order = g.before.parameter_order
-        write_signal_csv(artifact(f"{g.name}_signal_before.csv"), order, g.before.values)
+        order = g.edit.before.parameter_order
+        write_signal_csv(artifact(f"{g.name}_signal_before.csv"), order, g.edit.before.values)
         write_signal_csv(artifact(f"{g.name}_signal_after.csv"), order, g.after.values)
-        svg_line_chart(order, g.before.values, artifact(f"{g.name}_before.svg"),
+        svg_line_chart(order, g.edit.before.values, artifact(f"{g.name}_before.svg"),
                        title=f"{g.name}: goal signal (before)")
         svg_line_chart(order, g.after.values, artifact(f"{g.name}_after.svg"),
                        title=f"{g.name}: goal signal (after)")
@@ -325,13 +341,13 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
         groups.append(
             {
                 "name": g.name,
-                "signal_before": [float(v) for v in g.before.values],
+                "signal_before": [float(v) for v in g.edit.before.values],
                 "signal_after": [float(v) for v in g.after.values],
-                "coefficients": [float(v) for v in g.coefficients],
-                "shift": g.shift,
+                "coefficients": [float(v) for v in g.edit.coefficients],
+                "shift": g.edit.shift,
                 "swaps": len(g.plan),
                 "total_swap_cost": g.plan.total_cost,
-                "lp": _lp_summary(g.lp, g.solution_checks, g.published_checks),
+                "lp": _lp_summary(g.edit.lp, g.edit.checks, g.published_checks),
                 "timings": {k: round(v, 6) for k, v in g.timings.items()},
                 "warnings": g.warnings,
             }

@@ -36,13 +36,11 @@ __all__ = [
     "LinearProgram",
     "RowCheck",
     "RowChecks",
-    "RedistributionResult",
     "build_constraints",
     "solve_constraints",
     "check_solution",
     "satisfies",
     "reassemble",
-    "redistribute_signal",
     "make_nonnegative",
     "mean_fix",
     "normalize_mean_std",
@@ -414,63 +412,5 @@ def round_to_integers(values: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RedistributionResult:
-    """Everything produced by one redistribution run.
-
-    ``reassembled`` is the raw re-solved signal, ``final`` the signal after
-    the repair chain; the detail coefficients of ``reassembled`` match the
-    input decomposition by construction.
-    """
-
-    coefficients: np.ndarray
-    reassembled: np.ndarray
-    final: np.ndarray
-    shift: float
-    applied_repair: str
-
-
+#: Repairs a quantity group's signal may take after its non-negativity shift.
 REPAIRS = ("none", "mean_fix", "mean_std")
-
-
-def redistribute_signal(
-    dec: WaveletDecomposition,
-    spec: ConstraintSpec,
-    *,
-    solution: np.ndarray | None = None,
-    shift: float | None = None,
-    margin: float = 0.0,
-    repair: str = "none",
-    reference: np.ndarray | None = None,
-) -> RedistributionResult:
-    """One-call redistribution: solve, reassemble, shift, repair.
-
-    A declared ``solution`` skips the solver.  ``repair`` restores the
-    ``reference`` signal's sum ("mean_fix") or mean and standard deviation
-    ("mean_std") after the non-negativity shift; integer rounding for count
-    signals is left to the caller.
-    """
-    if repair not in REPAIRS:
-        raise ConstraintError(f"repair must be one of {REPAIRS}, got {repair!r}")
-    if repair != "none" and reference is None:
-        raise ConstraintError(f"repair {repair!r} needs a reference signal")
-    lp = build_constraints(dec, spec)
-    if solution is None:
-        coeffs = solve_constraints(lp, warm_start=dec.approx)
-    else:
-        coeffs = np.asarray(solution, dtype=float)
-    out = reassemble(dec, coeffs)
-    shifted, used = make_nonnegative(out, shift, margin)
-    if repair == "mean_fix":
-        final = mean_fix(shifted, reference)
-    elif repair == "mean_std":
-        final = normalize_mean_std(shifted, reference)
-    else:
-        final = shifted
-    return RedistributionResult(
-        coefficients=coeffs,
-        reassembled=out,
-        final=final,
-        shift=used,
-        applied_repair=repair,
-    )

@@ -80,13 +80,10 @@ class TestRunCommand:
         assert group["shift"] == 2150.0
         assert set(group["timings"]) >= {"signal", "decompose", "check", "plan", "apply"}
         lp = group["lp"]
-        assert set(lp) == {"rows", "vars", "nonzeros", "violated_rows", "max_violation",
-                           "published_violated_rows", "published_max_violation"}
         assert (lp["rows"], lp["vars"]) == (len(ref.QUANTITY_SYSTEM), 4)
         assert 0 < lp["nonzeros"] <= lp["rows"] * lp["vars"]
         assert (lp["violated_rows"], lp["max_violation"]) == (0, 0.0)
         io = report["io"]
-        assert set(io) == {"load_s", "write_s", "records", "bytes_read", "bytes_written"}
         assert io["load_s"] > 0 and io["write_s"] > 0
         assert io["records"] == out.n_records == 12894
         assert io["bytes_read"] == (tmp_path / "military.csv").stat().st_size
@@ -94,6 +91,21 @@ class TestRunCommand:
             tmp_path / f"out/report/active-duty{suffix}" for suffix in
             ("_signal_before.csv", "_signal_after.csv", "_before.svg", "_after.svg", "_swaps.csv")]
         assert io["bytes_written"] == sum(p.stat().st_size for p in written)
+
+    def test_report_key_set(self, config_factory, tmp_path):
+        path = config_factory()
+        assert run_cli("run", "--config", str(path)) == 0
+        report = json.loads((tmp_path / "out/report/report.json").read_text())
+        assert set(report) == {"seed", "output", "io", "groups"}
+        assert set(report["io"]) == {"load_s", "write_s", "records", "bytes_read",
+                                     "bytes_written"}
+        assert len(report["groups"]) == 1
+        group = report["groups"][0]
+        assert set(group) == {"name", "signal_before", "signal_after", "coefficients", "shift",
+                              "swaps", "total_swap_cost", "lp", "timings", "warnings"}
+        assert set(group["lp"]) == {"rows", "vars", "nonzeros", "violated_rows",
+                                    "max_violation", "published_violated_rows",
+                                    "published_max_violation"}
 
     def test_published_bounds_are_audited(self, config_factory, tmp_path):
         path = config_factory()
@@ -328,6 +340,22 @@ class TestRedistributeCommand:
         redistributed = read_signal_csv(
             tmp_path / "out/report/active-duty_signal_redistributed.csv")[1]
         assert np.array_equal(redistributed, ref.QUANTITY_FINAL)
+        # the command stops after repair: no swap plan and no published-signal audit
+        assert payload["warnings"] == []
+        assert not (tmp_path / "out/report/active-duty_swaps.csv").exists()
+
+    def test_mean_std_repair_needs_no_swap_partners(self, config_factory, tmp_path, caplog):
+        # `run` cannot plan this config (test_mean_std_repair_beyond_fixture_capacity_is_surfaced);
+        # `redistribute` plans no swaps, so it succeeds
+        path = config_factory(repair="mean_std")
+        assert run_cli("redistribute", "--config", str(path), "--group", "active-duty") == 0
+        payload = json.loads((tmp_path / "out/report/active-duty_redistribution.json").read_text())
+        warning = "mean/std repair produced negatives; clamping to zero"
+        assert payload["warnings"] == [warning]
+        assert [r.getMessage() for r in caplog.records] == [f"group active-duty: {warning}"]
+        redistributed = read_signal_csv(
+            tmp_path / "out/report/active-duty_signal_redistributed.csv")[1]
+        assert redistributed.sum() == 6272 and redistributed.min() == 0
 
 
 class TestVerifyCommand:

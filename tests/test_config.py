@@ -124,3 +124,24 @@ class TestLoadConfig:
         config["groups"][0]["candidate_cap"] = 0
         with pytest.raises(ConfigError, match="candidate_cap must be positive"):
             load_pipeline_config(write(tmp_path, config))
+
+    def test_unknown_repair_rejected(self, tmp_path):
+        config = base_config()
+        config["groups"][0]["repair"] = "median"
+        with pytest.raises(ConfigError, match=r"groups\[0\]: repair must be one of"):
+            load_pipeline_config(write(tmp_path, config))
+
+    @pytest.mark.parametrize("where, path", [
+        (lambda c: c, r"\$"),
+        (lambda c: c["schema"][1], r"\$\.schema\[1\]"),
+        (lambda c: c["groups"][0], r"\$\.groups\[0\]"),
+        (lambda c: c["groups"][0]["wavelet"], r"\$\.groups\[0\]\.wavelet"),
+        (lambda c: c["groups"][0]["constraints"], r"\$\.groups\[0\]\.constraints"),
+        (lambda c: c["groups"][0]["constraints"]["rows"][2],
+         r"\$\.groups\[0\]\.constraints\.rows\[2\]"),
+    ], ids=["root", "attribute", "group", "wavelet", "constraints", "row"])
+    def test_unknown_field_rejected(self, tmp_path, where, path):
+        config = base_config()
+        where(config)["repiar"] = "mean_std"
+        with pytest.raises(ConfigError, match=path + r": unknown field 'repiar'$"):
+            load_pipeline_config(write(tmp_path, config))

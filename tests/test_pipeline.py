@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from groupanon.pipeline import _stage
+from conftest import base_config
+from groupanon import reference as ref
+from groupanon.config import load_pipeline_config
+from groupanon.pipeline import GroupLog, _stage, edit_group
+from groupanon.wavelet import decompose, get_filter
 
 
 class TestStageTimer:
@@ -20,3 +25,41 @@ class TestStageTimer:
             with _stage(stages, "solve"):
                 raise KeyError("boom")
         assert stages["solve"] > 0.0
+
+
+def edit(config_factory, fixture_microfile, config=None, **group_overrides):
+    gcfg = load_pipeline_config(config_factory(config, **group_overrides)).groups[0]
+    log = GroupLog(gcfg.name)
+    return edit_group(fixture_microfile, gcfg, log), log
+
+
+class TestEditGroup:
+    def test_declared_solution_quantity_chain(self, config_factory, fixture_microfile):
+        result, log = edit(config_factory, fixture_microfile)
+        assert result.shift == 2150.0
+        assert np.max(np.abs(result.reassembled - ref.QUANTITY_REASSEMBLED)) < 1e-2
+        assert np.array_equal(result.final_signal, ref.QUANTITY_FINAL)
+        assert np.array_equal(result.target.values, ref.QUANTITY_FINAL)
+        assert result.target.total == 6272
+        # reassembled equals matrix image plus details, and the details survive
+        redone = decompose(result.reassembled, get_filter("db2"), 2)
+        for j in (1, 2):
+            assert np.max(np.abs(redone.details[j] - result.decomposition.details[j])) < 1e-6
+        assert log.warnings == []
+        assert set(log.timings) == {"signal", "decompose", "constraints", "check",
+                                    "reassemble", "repair"}
+
+    def test_solver_route_with_auto_shift(self, config_factory, fixture_microfile):
+        config = base_config()
+        group = config["groups"][0]
+        group["constraints"] = {
+            "rows": [{"position": i, "relation": "<=", "bound": "original"} for i in range(1, 17)],
+            "objective": "feasibility",
+        }
+        del group["solution"]
+        group["shift"] = "auto"
+        group["repair"] = "none"
+        result, _ = edit(config_factory, fixture_microfile, config)
+        assert result.shift == 0.0
+        assert np.max(np.abs(result.reassembled - ref.QUANTITY)) < 1e-9
+        assert np.array_equal(result.final_signal, ref.QUANTITY)

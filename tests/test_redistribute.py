@@ -19,7 +19,6 @@ from groupanon.redistribute import (
     mean_fix,
     normalize_mean_std,
     reassemble,
-    redistribute_signal,
     round_to_integers,
     satisfies,
     solve_constraints,
@@ -451,43 +450,6 @@ class TestRepairs:
     def test_mean_fix_zero_sum_rejected(self):
         with pytest.raises(ConstraintError, match="zero-sum"):
             mean_fix(np.array([1.0, -1.0]), np.ones(2))
-
-
-class TestRedistributeSignal:
-    def test_one_call_quantity_chain(self, quantity_dec):
-        result = redistribute_signal(
-            quantity_dec,
-            spec_from(ref.QUANTITY_SYSTEM),
-            solution=ref.QUANTITY_SOLUTION,
-            shift=2150.0,
-            repair="mean_fix",
-            reference=ref.QUANTITY,
-        )
-        assert result.shift == 2150.0
-        assert result.applied_repair == "mean_fix"
-        assert np.max(np.abs(result.reassembled - ref.QUANTITY_REASSEMBLED)) < 1e-2
-        assert result.final.sum() == pytest.approx(6272, abs=1e-9)
-        assert np.array_equal(round_to_integers(result.final, 6272), ref.QUANTITY_FINAL)
-        # reassembled equals matrix image plus details, and the details survive
-        redone = decompose(result.reassembled, DB2, 2)
-        for j in (1, 2):
-            assert np.max(np.abs(redone.details[j] - quantity_dec.details[j])) < 1e-6
-
-    def test_solver_route_with_auto_shift(self, quantity_dec):
-        rows = tuple(ConstraintRow(i, "<=", "original") for i in range(1, 17))
-        result = redistribute_signal(quantity_dec, ConstraintSpec(rows=rows))
-        assert result.applied_repair == "none"
-        assert result.shift == 0.0
-        assert np.max(np.abs(result.final - ref.QUANTITY)) < 1e-9
-
-    def test_repair_needs_reference(self, quantity_dec):
-        with pytest.raises(ConstraintError, match="reference"):
-            redistribute_signal(quantity_dec, spec_from(ref.QUANTITY_SYSTEM),
-                                solution=ref.QUANTITY_SOLUTION, repair="mean_fix")
-
-    def test_unknown_repair_rejected(self, quantity_dec):
-        with pytest.raises(ConstraintError, match="repair"):
-            redistribute_signal(quantity_dec, spec_from(ref.QUANTITY_SYSTEM), repair="median")
 
 
 class TestNormalize:
