@@ -35,7 +35,6 @@ config = {
     "input": "military.csv",
     "output": "modified.csv",
     "report_dir": "report",
-    "seed": 20100923,
     "schema": [
         {"name": "area", "kind": "nominal", "role": "parameter"},
         {"name": "military_service", "kind": "nominal", "role": "vital", "weight": 1.0},

@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="override the configured input CSV")
         p.add_argument("--output", help="override the configured output CSV")
         p.add_argument("--report", help="override the configured report directory")
-        p.add_argument("--seed", type=int,
-                       help="override the configured seed (reported only; no output depends on it)")
         if needs_group:
             p.add_argument("--group", required=True, help="group name from the config")
         return p
@@ -85,8 +83,6 @@ def _load_config(args) -> PipelineConfig:
         replacements["output"] = Path(args.output)
     if args.report:
         replacements["report_dir"] = Path(args.report)
-    if args.seed is not None:
-        replacements["seed"] = args.seed
     if replacements:
         from dataclasses import replace
 

@@ -8,7 +8,6 @@ Layout (see README for the full reference):
       "input": "data.csv",
       "output": "out/modified.csv",
       "report_dir": "out/report",
-      "seed": 20100923,
       "schema": [{"name": "area", "kind": "nominal", "role": "parameter"}, ...],
       "groups": [{
         "name": "active-duty",
@@ -26,12 +25,15 @@ Layout (see README for the full reference):
     }
 
 Errors carry the file name and the JSON path of the offending field.  A
-field an object does not define is an error too.
+field an object does not define is an error too, except a removed one
+(``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is ignored with a
+warning naming its path.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,20 +41,24 @@ import numpy as np
 
 from .errors import ConfigError
 from .microfile import Attribute, GroupSpec
-from .redistribute import REPAIRS, ConstraintRow, ConstraintSpec, Objective
+from .redistribute import RELATIONS, REPAIRS, ConstraintRow, ConstraintSpec, Objective
+from .signals import KINDS as SIGNAL_KINDS
 
 __all__ = ["GroupConfig", "PipelineConfig", "load_pipeline_config"]
 
-SIGNAL_KINDS = ("quantity", "concentration", "difference")
+logger = logging.getLogger(__name__)
 
-ROOT_FIELDS = ("input", "output", "report_dir", "seed", "schema", "groups")
+ROOT_FIELDS = ("input", "output", "report_dir", "schema", "groups")
 ATTRIBUTE_FIELDS = ("name", "kind", "role", "weight")
 GROUP_FIELDS = ("name", "vital", "parameter", "parameter_order", "superset", "signal",
                 "subordinate_vital", "wavelet", "constraints", "solution", "target", "shift",
-                "margin", "repair", "candidate_cap", "chi_same", "chi_diff")
+                "margin", "repair", "chi_same", "chi_diff")
 WAVELET_FIELDS = ("family", "level")
 CONSTRAINTS_FIELDS = ("rows", "objective", "nonnegative_coefficients")
 ROW_FIELDS = ("position", "relation", "bound")
+# No output ever depended on these; a config that sets one still loads.
+REMOVED_ROOT_FIELDS = ("seed",)
+REMOVED_GROUP_FIELDS = ("candidate_cap",)
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,7 @@ class GroupConfig:
     ``solution`` injects explicit replacement coefficients (the solver is
     skipped, declared bounds are still checked and violations logged);
     ``target`` bypasses the signal-editing stages entirely and remaps the
-    group straight onto the given quantity signal.  ``candidate_cap`` is
-    deprecated: it is still validated, but the exact swap planner ignores
-    it and the run reports a warning when a group sets it.
+    group straight onto the given quantity signal.
     """
 
     name: str
@@ -79,19 +83,17 @@ class GroupConfig:
     shift: float | None = None
     margin: float = 0.0
     repair: str = "mean_fix"
-    candidate_cap: int | None = None
     chi_same: float = 0.0
     chi_diff: float = 1.0
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A whole run.  ``seed`` is recorded in the report; no stage depends on it."""
+    """A whole run: input and output paths, schema and groups."""
 
     input: Path
     output: Path
     report_dir: Path
-    seed: int
     schema: tuple[Attribute, ...]
     identifiers: tuple[str, ...]
     groups: tuple[GroupConfig, ...]
@@ -133,11 +135,17 @@ class _Cursor:
             return _Cursor(self.data[key], f"{self.path}[{key}]", self.source)
         return _Cursor(self.data[key], f"{self.path}.{key}", self.source)
 
-    def known(self, fields):
-        """Reject a field of this object that is not in ``fields``, naming it."""
+    def known(self, fields, removed=()):
+        """Reject a field of this object that is not in ``fields``, naming it.
+
+        A field in ``removed`` is ignored, with a warning naming its path.
+        """
         if isinstance(self.data, dict):
             for key in self.data:
-                if key not in fields:
+                if key in removed:
+                    logger.warning("%s: %s.%s: field %r was removed and is ignored",
+                                   self.source, self.path, key, key)
+                elif key not in fields:
                     self.fail(f"unknown field {key!r}")
 
     def require(self, key, kind, what=""):
@@ -221,8 +229,8 @@ def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
         if not 1 <= position <= m:
             row_cur.fail(f"position {position} outside 1..{m}")
         relation = row_cur.require("relation", str)
-        if relation not in ("<=", ">="):
-            row_cur.fail(f'relation must be "<=" or ">=", got {relation!r}')
+        if relation not in RELATIONS:
+            row_cur.fail(f"relation must be one of {RELATIONS}, got {relation!r}")
         bound = row_cur.data.get("bound", "original")
         if not (bound == "original" or isinstance(bound, (int, float)) and not isinstance(bound, bool)):
             row_cur.fail('bound must be a number or "original"')
@@ -239,7 +247,7 @@ def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
 
 
 def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
-    cur.known(GROUP_FIELDS)
+    cur.known(GROUP_FIELDS, REMOVED_GROUP_FIELDS)
     by_name = {a.name: a for a in schema}
     name = cur.require("name", str)
     parameter = cur.require("parameter", str)
@@ -311,9 +319,6 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     if repair not in REPAIRS:
         cur.fail(f"repair must be one of {REPAIRS}, got {repair!r}")
 
-    candidate_cap = cur.optional("candidate_cap", int)
-    if candidate_cap is not None and candidate_cap < 1:
-        cur.fail("candidate_cap must be positive")
     chi_same = cur.optional("chi_same", float, 0.0)
     chi_diff = cur.optional("chi_diff", float, 1.0)
 
@@ -334,7 +339,6 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
         shift=shift,
         margin=cur.optional("margin", float, 0.0),
         repair=repair,
-        candidate_cap=candidate_cap,
         chi_same=chi_same,
         chi_diff=chi_diff,
     )
@@ -353,13 +357,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
     root = _Cursor(data, "$", str(path))
-    root.known(ROOT_FIELDS)
+    root.known(ROOT_FIELDS, REMOVED_ROOT_FIELDS)
     input_path = Path(root.require("input", str))
     output = Path(root.require("output", str))
     report_dir = Path(root.optional("report_dir", str, "report"))
-    seed = root.optional("seed", int, 0)
-    if seed < 0:
-        root.fail('field "seed" must be non-negative')
 
     schema_cur = root.child("schema") if "schema" in data else None
     if schema_cur is None:
@@ -388,7 +389,6 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         input=input_path,
         output=output,
         report_dir=report_dir,
-        seed=seed,
         schema=tuple(schema),
         identifiers=tuple(identifiers),
         groups=tuple(groups),

@@ -43,6 +43,8 @@ __all__ = [
     "write_microfile",
     "members",
     "record_view",
+    "axis_positions",
+    "values_outside_order",
 ]
 
 logger = logging.getLogger(__name__)
@@ -424,17 +426,54 @@ def _format_cell(attr: Attribute, value) -> str:
     return repr(v)
 
 
-def _format_column(attr: Attribute, col: np.ndarray) -> list[str]:
-    """``_format_cell`` of every value in ``col``, run once per distinct value.
+def _distinct_cells(attr: Attribute, col: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The texts of ``col``'s distinct values, and each cell's index into them.
 
-    ``np.unique`` merges -0.0 with 0.0 and every NaN with every other NaN;
-    each merged group formats to one text ("0" and ""), so the result equals
-    formatting cell by cell.  The distinct values go in as Python scalars,
-    which format several times faster than numpy ones.
+    ``_format_cell`` runs once per distinct value.  ``np.unique`` merges
+    -0.0 with 0.0 and every NaN with every other NaN; each merged group
+    formats to one text ("0" and ""), so the result equals formatting cell
+    by cell.  The distinct values go in as Python scalars, which format
+    several times faster than numpy ones.
     """
     distinct, inverse = np.unique(col, return_inverse=True)
-    text = np.array([_format_cell(attr, v) for v in distinct.tolist()], dtype=object)
-    return text[inverse].tolist()
+    return [_format_cell(attr, v) for v in distinct.tolist()], inverse
+
+
+def _format_column(attr: Attribute, col: np.ndarray) -> list[str]:
+    """``_format_cell`` of every value in ``col``."""
+    text, inverse = _distinct_cells(attr, col)
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def axis_positions(m: Microfile, g: GroupSpec, records: np.ndarray | None = None) -> np.ndarray:
+    """Each record's index in ``g.parameter_order``, -1 where its value is not in it.
+
+    A parameter cell belongs to the order entry equal to the text
+    ``write_microfile`` gives it, so an ordinal 2000.0 sits at "2000".
+    ``records`` are record indices; None means every record, in table
+    order.  A nominal cell is its own text, so nominal cells are looked up
+    in the sorted order directly; an ordinal column is formatted once per
+    distinct value.
+    """
+    attr = m.attribute(g.parameter)
+    col = m.column(g.parameter)
+    if records is not None:
+        col = col[records]
+    if attr.kind == "ordinal":
+        text, inverse = _distinct_cells(attr, col)
+        index = {value: i for i, value in enumerate(g.parameter_order)}
+        return np.array([index.get(t, -1) for t in text], dtype=np.int64)[inverse]
+    order = np.array(g.parameter_order, dtype=str)
+    sorter = np.argsort(order)
+    cells = col.astype(str, copy=False)
+    pos = sorter[np.minimum(np.searchsorted(order, cells, sorter=sorter), order.size - 1)]
+    return np.where(order[pos] == cells, pos, -1)
+
+
+def values_outside_order(m: Microfile, g: GroupSpec, records: np.ndarray) -> list[str]:
+    """The sorted distinct texts of the ``records``' parameter cells missing from the order."""
+    text, _ = _distinct_cells(m.attribute(g.parameter), m.column(g.parameter)[records])
+    return sorted(set(text).difference(g.parameter_order))
 
 
 def write_microfile(m: Microfile, path: str | Path) -> None:

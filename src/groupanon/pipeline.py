@@ -83,7 +83,6 @@ class GroupRunResult:
 class PipelineResult:
     microfile: Microfile
     groups: list[GroupRunResult]
-    seed: int
     load_s: float
     bytes_read: int
 
@@ -142,10 +141,6 @@ def run_group(m: Microfile, gcfg: GroupConfig) -> tuple[Microfile, GroupRunResul
 def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
     """Signal, decomposition, constrained edit and repair: the group's quantity target."""
     stage = log.stage
-    if gcfg.candidate_cap is not None:
-        log.warn(f"candidate_cap {gcfg.candidate_cap} is ignored: "
-                 "the swap planner is exact and samples no candidates")
-
     before = stage("signal", build_goal_signal, m, gcfg)
     dec = stage("decompose", decompose, before.values, get_filter(gcfg.wavelet_family), gcfg.level)
 
@@ -298,8 +293,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     for gcfg in config.groups:
         m, result = run_group(m, gcfg)
         results.append(result)
-    return PipelineResult(microfile=m, groups=results, seed=config.seed, load_s=load_s,
-                          bytes_read=bytes_read)
+    return PipelineResult(microfile=m, groups=results, load_s=load_s, bytes_read=bytes_read)
 
 
 def write_signal_csv(path, order, values) -> None:
@@ -355,7 +349,6 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
     write_s = time.perf_counter() - t0
 
     report = {
-        "seed": result.seed,
         "output": str(output),
         "io": {
             "load_s": round(result.load_s, 6),

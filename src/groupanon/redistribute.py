@@ -12,7 +12,6 @@ for count signals.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from collections.abc import Sequence
@@ -46,8 +45,6 @@ __all__ = [
     "normalize_mean_std",
     "round_to_integers",
 ]
-
-logger = logging.getLogger(__name__)
 
 RELATIONS = ("<=", ">=")
 

@@ -36,7 +36,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import RemapError
-from .microfile import GroupSpec, Microfile, check_group_in_superset, members, superset_members
+from .microfile import (GroupSpec, Microfile, axis_positions, check_group_in_superset, members,
+                        superset_members, values_outside_order)
 from .signals import GoalSignal
 
 __all__ = [
@@ -211,12 +212,11 @@ def plan_swaps(
     pool_mask[member_idx] = False
 
     n_pos = len(g.parameter_order)
-    param = m.column(g.parameter)
-    positions = _positions(param, g.parameter_order)
+    positions = axis_positions(m, g)
     member_pos = positions[member_idx]
     if np.any(member_pos < 0):
-        bad = np.unique(param[member_idx[member_pos < 0]])
-        raise RemapError(f"members at parameter values outside the order: {list(bad)}")
+        bad = values_outside_order(m, g, member_idx[member_pos < 0])
+        raise RemapError(f"members at parameter values outside the order: {bad}")
     member_recs, member_start = _by_position(member_idx, member_pos, n_pos)
     pool_idx = np.flatnonzero(pool_mask & (positions >= 0))
     partner_recs, partner_start = _by_position(pool_idx, positions[pool_idx], n_pos)
@@ -255,14 +255,6 @@ def plan_swaps(
             used[rec_m] = used[rec_p] = True
 
     return SwapPlan(parameter=g.parameter, swaps=tuple(swaps), costs=tuple(costs))
-
-
-def _positions(param: np.ndarray, order) -> np.ndarray:
-    """Each record's index in the parameter order, -1 for values outside it."""
-    index = {value: i for i, value in enumerate(order)}
-    values, inverse = np.unique(param, return_inverse=True)
-    lookup = np.array([index.get(v, -1) for v in values.tolist()], dtype=np.int64)
-    return lookup[inverse.reshape(-1)]
 
 
 def _by_position(records: np.ndarray, pos: np.ndarray,

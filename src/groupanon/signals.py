@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignalError
-from .microfile import GroupSpec, Microfile, check_group_in_superset, members, superset_members
+from .microfile import (GroupSpec, Microfile, axis_positions, check_group_in_superset, members,
+                        superset_members, values_outside_order)
 from .redistribute import round_to_integers
 
 __all__ = [
@@ -79,34 +80,6 @@ class GoalSignal:
         return float(self.values.sum())
 
 
-def _ordinal_key(value: float) -> str:
-    return str(int(value)) if value == int(value) else repr(float(value))
-
-
-def _position_counts(m: Microfile, g: GroupSpec, indices: np.ndarray, strict: bool) -> np.ndarray:
-    order = {value: i for i, value in enumerate(g.parameter_order)}
-    col = m.column(g.parameter)
-    attr = m.attribute(g.parameter)
-    if attr.kind == "nominal":
-        keys = col[indices]
-    else:
-        keys = np.array([_ordinal_key(v) for v in col[indices]], dtype=str)
-    counts = np.zeros(len(order))
-    unknown = []
-    if keys.size:
-        for value, n in zip(*np.unique(keys, return_counts=True)):
-            pos = order.get(str(value))
-            if pos is None:
-                unknown.append(str(value))
-            else:
-                counts[pos] = n
-    if unknown and strict:
-        raise SignalError(
-            f"parameter values outside the declared order: {sorted(unknown)}"
-        )
-    return counts
-
-
 def quantity_signal(m: Microfile, g: GroupSpec) -> GoalSignal:
     """Count group members at each declared parameter value.
 
@@ -114,8 +87,12 @@ def quantity_signal(m: Microfile, g: GroupSpec) -> GoalSignal:
     the total always equals the number of members.
     """
     idx = members(m, g)
-    counts = _position_counts(m, g, idx, strict=True)
-    return GoalSignal("quantity", counts, g.parameter_order)
+    pos = axis_positions(m, g, idx)
+    if np.any(pos < 0):
+        raise SignalError("parameter values outside the declared order: "
+                          f"{values_outside_order(m, g, idx[pos < 0])}")
+    return GoalSignal("quantity", np.bincount(pos, minlength=len(g.parameter_order)),
+                      g.parameter_order)
 
 
 def concentration_signal(m: Microfile, g: GroupSpec) -> GoalSignal:
@@ -124,7 +101,8 @@ def concentration_signal(m: Microfile, g: GroupSpec) -> GoalSignal:
         raise SignalError("concentration signal requires a superset population")
     check_group_in_superset(m, g)
     q = quantity_signal(m, g)
-    rho = _position_counts(m, g, superset_members(m, g), strict=False)
+    pos = axis_positions(m, g, superset_members(m, g))
+    rho = np.bincount(pos[pos >= 0], minlength=len(g.parameter_order))
     zero = np.flatnonzero(rho == 0)
     if zero.size:
         value = g.parameter_order[int(zero[0])]

@@ -27,7 +27,6 @@ def base_config() -> dict:
         "input": "military.csv",
         "output": "out/modified.csv",
         "report_dir": "out/report",
-        "seed": 20100923,
         "schema": [
             {"name": "area", "kind": "nominal", "role": "parameter"},
             {"name": "military_service", "kind": "nominal", "role": "vital", "weight": 1.0},

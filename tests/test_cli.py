@@ -75,7 +75,6 @@ class TestRunCommand:
         q = quantity_signal(out, ref.fixture_group())
         assert np.array_equal(q.values, ref.QUANTITY_FINAL)
         report = json.loads((tmp_path / "out/report/report.json").read_text())
-        assert report["seed"] == 20100923
         group = report["groups"][0]
         assert group["shift"] == 2150.0
         assert set(group["timings"]) >= {"signal", "decompose", "check", "plan", "apply"}
@@ -96,7 +95,7 @@ class TestRunCommand:
         path = config_factory()
         assert run_cli("run", "--config", str(path)) == 0
         report = json.loads((tmp_path / "out/report/report.json").read_text())
-        assert set(report) == {"seed", "output", "io", "groups"}
+        assert set(report) == {"output", "io", "groups"}
         assert set(report["io"]) == {"load_s", "write_s", "records", "bytes_read",
                                      "bytes_written"}
         assert len(report["groups"]) == 1
@@ -167,6 +166,58 @@ class TestRunCommand:
         assert group["lp"]["published_violated_rows"] == np.count_nonzero(gaps > 1e-9) > 0
         assert group["lp"]["published_max_violation"] == pytest.approx(gaps.max(), rel=1e-9)
 
+    def test_ordinal_parameter_runs_end_to_end(self, tmp_path):
+        # integer years as the parameter attribute, with a spike of members at 2012
+        rng = np.random.default_rng(7)
+        years = np.repeat(np.arange(2000, 2016), 25)
+        service = np.where((rng.random(400) < 0.2) | ((years == 2012) & (rng.random(400) < 0.5)),
+                           "1", "0")
+        sex = np.where(rng.random(400) < 0.8, "1", "2")
+        service[sex == "2"] = "0"
+        ages = rng.integers(18, 65, 400)
+        with open(tmp_path / "years.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["year", "service", "sex", "age"])
+            writer.writerows(zip(years.tolist(), service, sex, ages.tolist()))
+        order = [str(y) for y in range(2000, 2016)]
+        counts = np.array([np.count_nonzero((years == y) & (service == "1"))
+                           for y in range(2000, 2016)], dtype=float)
+        original = approximation_component(decompose(counts, get_filter("db2"), 2))
+        rows = [(13, "<=", 0.7 * original[12])] + [
+            (p, ">=", 0.7 * original[p - 1]) for p in range(1, 17) if p != 13]
+        config = {
+            "input": "years.csv",
+            "output": "out/modified.csv",
+            "report_dir": "out/report",
+            "schema": [
+                {"name": "year", "kind": "ordinal", "role": "parameter"},
+                {"name": "service", "kind": "nominal", "role": "vital", "weight": 1.0},
+                {"name": "sex", "kind": "nominal", "role": "plain"},
+                {"name": "age", "kind": "ordinal", "role": "influential", "weight": 1.0},
+            ],
+            "groups": [{
+                "name": "service",
+                "vital": {"service": ["1"]},
+                "parameter": "year",
+                "parameter_order": order,
+                "superset": {"sex": ["1"]},
+                "constraints": {"rows": [{"position": p, "relation": rel, "bound": float(b)}
+                                         for p, rel, b in rows]},
+            }],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(tmp_path / "config.json")) == 0
+
+        group = json.loads((tmp_path / "out/report/report.json").read_text())["groups"][0]
+        assert group["swaps"] > 0
+        assert group["signal_before"] == counts.tolist()
+        with open(tmp_path / "out/modified.csv", newline="") as fh:
+            out = list(csv.DictReader(fh))
+        assert {r["year"] for r in out} == set(order)
+        assert sorted(r["year"] for r in out) == sorted(str(y) for y in years)
+        recount = [sum(r["year"] == y and r["service"] == "1" for r in out) for y in order]
+        assert recount == group["signal_after"]
+
     def test_identity_constraints_leave_microfile_unchanged(self, config_factory, tmp_path):
         config = base_config()
         group = config["groups"][0]
@@ -202,14 +253,6 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(path)) == 0
         report = json.loads((tmp_path / "out/report/report.json").read_text())
         assert report["groups"][0]["lp"] is None
-
-    def test_candidate_cap_is_reported_as_ignored(self, config_factory, tmp_path):
-        path = config_factory(candidate_cap=500)
-        assert run_cli("run", "--config", str(path)) == 0
-        report = json.loads((tmp_path / "out/report/report.json").read_text())
-        warnings = report["groups"][0]["warnings"]
-        assert [w for w in warnings if "candidate_cap" in w] == [
-            "candidate_cap 500 is ignored: the swap planner is exact and samples no candidates"]
 
     def test_run_is_deterministic(self, config_factory, tmp_path):
         path = config_factory()
@@ -380,8 +423,15 @@ class TestExitCodes:
     def test_overrides_take_effect(self, config_factory, tmp_path):
         path = config_factory()
         out_alt = tmp_path / "alt.csv"
-        assert run_cli("run", "--config", str(path), "--output", str(out_alt), "--seed", "99") == 0
+        assert run_cli("run", "--config", str(path), "--output", str(out_alt)) == 0
         assert out_alt.exists()
+
+    def test_seed_flag_is_gone(self, config_factory, capsys):
+        path = config_factory()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(path), "--seed", "99")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
 
     def test_relative_overrides_resolve_against_config_dir(self, config_factory, tmp_path,
                                                            monkeypatch):

@@ -17,7 +17,6 @@ def write(tmp_path, config):
 class TestLoadConfig:
     def test_full_config_parses(self, tmp_path):
         config = load_pipeline_config(write(tmp_path, base_config()))
-        assert config.seed == 20100923
         assert len(config.schema) == 5
         group = config.groups[0]
         assert group.name == "active-duty"
@@ -119,11 +118,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="shift"):
             load_pipeline_config(write(tmp_path, config))
 
-    def test_candidate_cap_must_be_positive(self, tmp_path):
+    def test_removed_fields_load_with_a_named_warning(self, tmp_path, caplog):
         config = base_config()
+        config["seed"] = 20100923
         config["groups"][0]["candidate_cap"] = 0
-        with pytest.raises(ConfigError, match="candidate_cap must be positive"):
-            load_pipeline_config(write(tmp_path, config))
+        path = write(tmp_path, config)
+        with caplog.at_level("WARNING", logger="groupanon.config"):
+            loaded = load_pipeline_config(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: $.seed: field 'seed' was removed and is ignored",
+            f"{path}: $.groups[0].candidate_cap: field 'candidate_cap' was removed and is ignored",
+        ]
+        assert not hasattr(loaded, "seed")
+        assert not hasattr(loaded.groups[0], "candidate_cap")
 
     def test_unknown_repair_rejected(self, tmp_path):
         config = base_config()

@@ -15,6 +15,7 @@ from groupanon.microfile import (
     Attribute,
     GroupSpec,
     Microfile,
+    axis_positions,
     check_group_in_superset,
     load_microfile,
     members,
@@ -564,6 +565,48 @@ class TestGroupSpec:
     def test_parameter_order_must_be_distinct(self):
         with pytest.raises(SchemaError, match="duplicate"):
             GroupSpec.create({"v": {"1"}}, "area", ["a1", "a1", "a2", "a3"])
+
+
+def positions_cell_by_cell(m, g, records):
+    """Each record's order index found from its written text, one record at a time."""
+    attr, col, order = m.attribute(g.parameter), m.column(g.parameter), g.parameter_order
+    texts = [microfile._format_cell(attr, col[r]) for r in records]
+    return [order.index(t) if t in order else -1 for t in texts]
+
+
+# the order holds written texts, and texts that no cell is written as
+# ("2000.0", "1000000000000000"), so a match on anything but the text fails
+AXIS_NOMINAL_CELLS = ["06010", "06020", "a1", " a1", "", "zz", "6010", "é"]
+AXIS_NOMINAL_ORDER = ("06010", "a1", "", "é", "06030")
+AXIS_ORDINAL_CELLS = [2000.0, 2001.0, 2002.5, -0.0, 0.0, 1e15, 1e16, 7.0, -3.0, float("nan")]
+AXIS_ORDINAL_ORDER = ("2000", "2000.0", "2002.5", "0", "1e+15", "1000000000000000", "-3", "",
+                 "2003")
+
+
+class TestAxisPositions:
+    @pytest.mark.parametrize("kind, cells, order", [
+        ("nominal", AXIS_NOMINAL_CELLS, AXIS_NOMINAL_ORDER),
+        ("ordinal", AXIS_ORDINAL_CELLS, AXIS_ORDINAL_ORDER),
+    ], ids=["nominal", "ordinal"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_written_text_cell_by_cell(self, kind, cells, order, seed):
+        rng = np.random.default_rng(seed)
+        column = np.array(rng.choice(np.array(cells, dtype=object), 60).tolist(),
+                          dtype=str if kind == "nominal" else float)
+        m = Microfile((Attribute("p", kind, "plain"),), {"p": column})
+        g = GroupSpec.create({}, "p", order)
+        for records in (rng.choice(60, 25), np.flatnonzero(rng.random(60) < 0.5),
+                        np.array([], dtype=np.int64)):
+            got = axis_positions(m, g, records)
+            assert got.dtype == np.int64
+            assert got.tolist() == positions_cell_by_cell(m, g, records)
+        assert axis_positions(m, g).tolist() == positions_cell_by_cell(m, g, range(60))
+
+    def test_integer_years_sit_at_their_written_text(self):
+        m = Microfile((Attribute("year", "ordinal", "parameter"),),
+                      {"year": np.array([2001.0, 2000.0, 2003.0, 1999.0])})
+        g = GroupSpec.create({}, "year", ["2000", "2001", "2002", "2003"])
+        assert axis_positions(m, g).tolist() == [1, 0, 3, -1]
 
 
 class TestMicrofileInvariants:

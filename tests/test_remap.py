@@ -175,6 +175,49 @@ class TestPlanSwaps:
         with pytest.raises(RemapError, match="outside the order.*b7"):
             plan_swaps(m, toy_group(), target([1, 1, 0, 0]), WEIGHTS)
 
+    def test_ordinal_parameter_plans_like_its_written_text(self):
+        # integer years as the parameter: the plan must equal the one for the
+        # same table with the years written out as nominal text
+        rng = np.random.default_rng(4)
+        years = rng.choice([1999.0, 2000.0, 2001.0, 2002.0, 2003.0], 120)
+        service = np.where(rng.random(120) < 0.3, "1", "0")
+        service[years == 1999.0] = "0"
+        ages = rng.integers(20, 60, 120).astype(float)
+        order = ("2000", "2001", "2002", "2003")
+
+        def table(kind, column):
+            return Microfile(
+                attributes=(Attribute("year", kind, "parameter"),
+                            Attribute("service", "nominal", "vital", weight=1.0),
+                            Attribute("age", "ordinal", "influential", weight=1.0)),
+                columns={"year": column, "service": service, "age": ages},
+            )
+
+        ordinal = table("ordinal", years)
+        nominal = table("nominal", np.array([str(int(y)) for y in years]))
+        g = GroupSpec.create({"service": {"1"}}, "year", order)
+        before = quantity_signal(ordinal, g).values
+        tgt = GoalSignal("quantity", before[::-1].copy(), order)
+        w = InfluentialWeights.from_microfile(ordinal)
+        plan = plan_swaps(ordinal, g, tgt, w)
+        assert len(plan) > 0
+        assert plan == plan_swaps(nominal, g, tgt, w)
+        modified = apply_swaps(ordinal, plan)
+        assert np.array_equal(quantity_signal(modified, g).values, tgt.values)
+        assert sorted(modified.column("year")) == sorted(years)
+
+    def test_ordinal_member_outside_the_order_is_listed_as_written(self):
+        m = Microfile(
+            attributes=(Attribute("year", "ordinal", "parameter"),
+                        Attribute("service", "nominal", "vital", weight=1.0)),
+            columns={"year": np.array([2000.0, 1999.0, 2001.0]),
+                     "service": np.array(["1", "1", "0"])},
+        )
+        g = GroupSpec.create({"service": {"1"}}, "year", ("2000", "2001", "2002", "2003"))
+        tgt = GoalSignal("quantity", np.array([1.0, 1.0, 0.0, 0.0]), g.parameter_order)
+        with pytest.raises(RemapError, match=r"outside the order: \['1999'\]"):
+            plan_swaps(m, g, tgt, InfluentialWeights(ordinal={}, nominal={"service": 1.0}))
+
     def test_vectorized_costs_match_scalar_metric(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
         w = InfluentialWeights.from_microfile(fixture_microfile)
