@@ -451,23 +451,14 @@ def axis_positions(m: Microfile, g: GroupSpec, records: np.ndarray | None = None
     A parameter cell belongs to the order entry equal to the text
     ``write_microfile`` gives it, so an ordinal 2000.0 sits at "2000".
     ``records`` are record indices; None means every record, in table
-    order.  A nominal cell is its own text, so nominal cells are looked up
-    in the sorted order directly; an ordinal column is formatted once per
-    distinct value.
+    order.  The column is formatted once per distinct value.
     """
-    attr = m.attribute(g.parameter)
     col = m.column(g.parameter)
     if records is not None:
         col = col[records]
-    if attr.kind == "ordinal":
-        text, inverse = _distinct_cells(attr, col)
-        index = {value: i for i, value in enumerate(g.parameter_order)}
-        return np.array([index.get(t, -1) for t in text], dtype=np.int64)[inverse]
-    order = np.array(g.parameter_order, dtype=str)
-    sorter = np.argsort(order)
-    cells = col.astype(str, copy=False)
-    pos = sorter[np.minimum(np.searchsorted(order, cells, sorter=sorter), order.size - 1)]
-    return np.where(order[pos] == cells, pos, -1)
+    text, inverse = _distinct_cells(m.attribute(g.parameter), col)
+    index = {value: i for i, value in enumerate(g.parameter_order)}
+    return np.array([index.get(t, -1) for t in text], dtype=np.int64)[inverse]
 
 
 def values_outside_order(m: Microfile, g: GroupSpec, records: np.ndarray) -> list[str]:
