@@ -1,8 +1,8 @@
 """Tabular respondent data with attribute-role metadata.
 
 A microfile is a rectangular table of records over named attributes.  Each
-attribute is either ordinal (stored as float64) or nominal (stored as
-strings) and carries a role:
+attribute is either ordinal (stored as float64) or nominal (stored as int32
+codes into a vocabulary of its distinct texts) and carries a role:
 
 * ``vital``       - defines protected respondent groups; always carries an
                     influential-metric weight,
@@ -24,10 +24,11 @@ import logging
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import islice, repeat
 from operator import itemgetter, not_
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,30 +82,61 @@ class Attribute:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Microfile:
-    """Immutable table: attribute metadata plus one column array per attribute."""
+    """Immutable table: attribute metadata plus one stored array per attribute.
+
+    An ordinal column is stored as its float64 values.  A nominal column is
+    stored as int32 codes into its vocabulary: the sorted, distinct texts of
+    its cells.  ``column`` and ``columns`` give a nominal column's texts,
+    ``vocabulary[codes]``, built when asked for; the table's own functions
+    read the codes and never sort or compare a text column.
+    """
 
     attributes: tuple[Attribute, ...]
-    columns: dict[str, np.ndarray]
+    _cells: Mapping[str, np.ndarray] = field(repr=False)
+    _vocabularies: Mapping[str, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise SchemaError("attribute names must be unique")
-        if set(names) != set(self.columns):
-            raise SchemaError("columns must match declared attributes exactly")
-        lengths = {col.shape[0] for col in self.columns.values()}
+    def __init__(self, attributes: Sequence[Attribute], columns: Mapping[str, np.ndarray]):
+        """Table of ``columns``: float values for ordinal, texts for nominal attributes.
+
+        Each nominal column is encoded once, here.
+        """
+        _check_names(attributes, columns)
+        cells, vocabularies = {}, {}
+        for attr in attributes:
+            cells[attr.name], vocab = _encode(attr, columns[attr.name])
+            if vocab is not None:
+                vocabularies[attr.name] = vocab
+        self._store(attributes, cells, vocabularies)
+
+    @classmethod
+    def from_cells(cls, attributes: Sequence[Attribute], cells: Mapping[str, np.ndarray],
+                   vocabularies: Mapping[str, np.ndarray]) -> "Microfile":
+        """Table of stored arrays, as ``cells`` and ``vocabulary`` return them.
+
+        Every vocabulary must be sorted and distinct, and every code index it.
+        """
+        _check_names(attributes, cells)
+        m = cls.__new__(cls)
+        m._store(attributes, cells, vocabularies)
+        return m
+
+    def _store(self, attributes, cells, vocabularies) -> None:
+        lengths = {col.shape[0] for col in cells.values()}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
-        for col in self.columns.values():
-            col.setflags(write=False)
+        for array in (*cells.values(), *vocabularies.values()):
+            array.setflags(write=False)
+        object.__setattr__(self, "attributes", tuple(attributes))
+        object.__setattr__(self, "_cells", dict(cells))
+        object.__setattr__(self, "_vocabularies", dict(vocabularies))
 
     @property
     def n_records(self) -> int:
-        if not self.columns:
+        if not self._cells:
             return 0
-        return next(iter(self.columns.values())).shape[0]
+        return next(iter(self._cells.values())).shape[0]
 
     def attribute(self, name: str) -> Attribute:
         for a in self.attributes:
@@ -112,25 +144,72 @@ class Microfile:
                 return a
         raise SchemaError(f"no attribute named {name!r}")
 
-    def column(self, name: str) -> np.ndarray:
+    def cells(self, name: str) -> np.ndarray:
+        """The column's stored array: float64 values, or codes into its ``vocabulary``."""
         try:
-            return self.columns[name]
+            return self._cells[name]
         except KeyError:
             raise SchemaError(f"no attribute named {name!r}") from None
 
+    def vocabulary(self, name: str) -> np.ndarray | None:
+        """A nominal column's sorted distinct texts; None for an ordinal column."""
+        self.cells(name)
+        return self._vocabularies.get(name)
+
+    def column(self, name: str) -> np.ndarray:
+        """The column's values: float64 for ordinal, a read-only text array for nominal."""
+        cells, vocab = self.cells(name), self.vocabulary(name)
+        if vocab is None:
+            return cells
+        texts = vocab[cells]
+        texts.setflags(write=False)
+        return texts
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every column's values by attribute name, as ``column`` gives them."""
+        return {a.name: self.column(a.name) for a in self.attributes}
+
     def with_column(self, name: str, values: np.ndarray) -> "Microfile":
-        """New microfile with one column replaced."""
-        self.attribute(name)
-        if values.shape[0] != self.n_records:
+        """New microfile with one column replaced by ``values`` (texts if nominal)."""
+        return self._replaced(name, *_encode(self.attribute(name), values))
+
+    def with_cells(self, name: str, cells: np.ndarray) -> "Microfile":
+        """New microfile with one stored array replaced; a nominal column keeps its vocabulary."""
+        return self._replaced(name, cells, self.vocabulary(name))
+
+    def _replaced(self, name: str, cells: np.ndarray, vocab: np.ndarray | None) -> "Microfile":
+        if cells.shape[0] != self.n_records:
             raise SchemaError("replacement column has wrong length")
-        cols = dict(self.columns)
-        cols[name] = values
-        return replace(self, columns=cols)
+        vocabularies = dict(self._vocabularies)
+        if vocab is not None:
+            vocabularies[name] = vocab
+        return Microfile.from_cells(self.attributes, {**self._cells, name: cells}, vocabularies)
+
+
+def _check_names(attributes: Sequence[Attribute], columns: Mapping[str, object]) -> None:
+    names = [a.name for a in attributes]
+    if len(set(names)) != len(names):
+        raise SchemaError("attribute names must be unique")
+    if set(names) != set(columns):
+        raise SchemaError("columns must match declared attributes exactly")
+
+
+def _encode(attr: Attribute, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A column's stored array and vocabulary (None if ordinal) from its values."""
+    if attr.kind == "ordinal":
+        return values, None
+    vocab, codes = np.unique(np.asarray(values, dtype=str), return_inverse=True)
+    return codes.reshape(-1).astype(np.int32), vocab
 
 
 def record_view(m: Microfile, index: int) -> dict[str, object]:
     """One record as an attribute-name to value mapping."""
-    return {name: col[index] for name, col in m.columns.items()}
+    view = {}
+    for a in m.attributes:
+        cell, vocab = m.cells(a.name)[index], m.vocabulary(a.name)
+        view[a.name] = cell if vocab is None else vocab[cell]
+    return view
 
 
 @dataclass(frozen=True)
@@ -184,10 +263,11 @@ class GroupSpec:
 def _match_mask(m: Microfile, pairs: tuple[tuple[str, frozenset], ...]) -> np.ndarray:
     mask = np.ones(m.n_records, dtype=bool)
     for name, values in pairs:
-        attr = m.attribute(name)
-        col = m.column(name)
-        wanted = [float(v) for v in values] if attr.kind == "ordinal" else [str(v) for v in values]
-        mask &= np.isin(col, wanted)
+        cells, vocab = m.cells(name), m.vocabulary(name)
+        if vocab is None:
+            mask &= np.isin(cells, [float(v) for v in values])
+        else:
+            mask &= np.isin(vocab, [str(v) for v in values])[cells]
     return mask
 
 
@@ -240,9 +320,10 @@ def _gc_paused():
             gc.enable()
 
 
-#: Body rows parsed at a time.  The load's transient (one chunk's row lists
-#: and cell strings) scales with this rather than with the file; 16,384 rows
-#: loaded as fast as 4,096 and faster than 65,536.
+#: Body rows parsed, and rows written, at a time.  The load's transient (one
+#: chunk's row lists and cell strings) and the write's row texts scale with
+#: this rather than with the file; 16,384 rows loaded as fast as 4,096 and
+#: faster than 65,536.
 _CHUNK_ROWS = 16_384
 
 
@@ -282,11 +363,11 @@ def load_microfile(
                 except SchemaError:
                     deque(reader, maxlen=0)  # a read error further on still comes first
                     raise
-                columns = _read_columns(path, reader, len(header), schema, positions)
+                table = _read_columns(path, reader, len(header), schema, positions)
         except OSError as exc:
             raise ParseError(f"{path}: cannot read: {exc}") from exc
 
-    return Microfile(attributes=tuple(schema), columns=columns)
+    return table
 
 
 def _check_header(path: Path, header: list[str], schema: Sequence[Attribute],
@@ -306,8 +387,8 @@ def _check_header(path: Path, header: list[str], schema: Sequence[Attribute],
 
 
 def _read_columns(path: Path, reader, width: int, schema: Sequence[Attribute],
-                  positions: list[int]) -> dict[str, np.ndarray]:
-    """The body's schema columns, parsed chunk by chunk and joined per column.
+                  positions: list[int]) -> Microfile:
+    """The table of the body's schema columns, parsed chunk by chunk and joined per column.
 
     An error is held, and the parts dropped, while the rest of the file is
     read: a read error further on outranks everything, a later ragged row
@@ -316,6 +397,7 @@ def _read_columns(path: Path, reader, width: int, schema: Sequence[Attribute],
     checking row widths and the columns before the failing one.
     """
     parts: list[list[np.ndarray]] | None = [[] for _ in schema]
+    vocabs: list[dict[str, int]] = [{} for _ in schema]
     error: ParseError | None = None
     checked = len(schema)  # schema columns still checked; a bad cell lowers it
     first_row = 2  # file row number of the chunk's first row
@@ -329,7 +411,7 @@ def _read_columns(path: Path, reader, width: int, schema: Sequence[Attribute],
         for j in range(checked):
             raw = list(map(itemgetter(positions[j]), chunk))
             try:
-                part = _parse_cells(path, schema[j], raw, first_row)
+                part = _parse_cells(path, schema[j], raw, first_row, vocabs[j])
             except ParseError as exc:
                 error, parts, checked = exc, None, j
                 break
@@ -339,25 +421,37 @@ def _read_columns(path: Path, reader, width: int, schema: Sequence[Attribute],
     if error is not None:
         raise error
 
-    columns: dict[str, np.ndarray] = {}
-    for attr, column_parts in zip(schema, parts):
-        if not column_parts:
-            columns[attr.name] = np.empty(0, dtype="<U1" if attr.kind == "nominal" else float)
-        elif len(column_parts) == 1:
-            columns[attr.name] = column_parts[0]
+    cells, vocabularies = {}, {}
+    for attr, column_parts, vocab in zip(schema, parts, vocabs):
+        nominal = attr.kind == "nominal"
+        if len(column_parts) == 1:
+            joined = column_parts[0]
         else:
-            columns[attr.name] = np.concatenate(column_parts)
+            joined = np.concatenate(column_parts or [np.empty(0, np.int32 if nominal else float)])
         column_parts.clear()
-    return columns
+        if nominal:
+            # renumber the codes in sorted text order, merging texts that
+            # NumPy's fixed-width strings make equal
+            vocabularies[attr.name], sorted_code = np.unique(np.array(list(vocab), dtype=str),
+                                                             return_inverse=True)
+            joined = sorted_code.astype(np.int32)[joined]
+        cells[attr.name] = joined
+    return Microfile.from_cells(schema, cells, vocabularies)
 
 
-def _parse_cells(path: Path, attr: Attribute, raw: list[str], first_row: int) -> np.ndarray:
-    """One chunk of one column's cells; ``first_row`` is the file row of ``raw[0]``."""
+def _parse_cells(path: Path, attr: Attribute, raw: list[str], first_row: int,
+                 vocab: dict[str, int]) -> np.ndarray:
+    """One chunk of one column's cells; ``first_row`` is the file row of ``raw[0]``.
+
+    A nominal cell becomes its text's code in ``vocab``, the column's texts
+    in order of first appearance, which gains each text it lacks.
+    """
     if attr.kind == "ordinal":
         return _parse_ordinal(path, attr, raw, first_row)
     if attr.role != "plain" and "" in raw:
         raise _empty_cell_error(path, first_row + raw.index(""), attr)
-    return np.array(raw, dtype=str)
+    # len(vocab) is taken before setdefault adds the text, so a new text gets the next code
+    return np.fromiter(map(vocab.setdefault, raw, map(len, repeat(vocab))), np.int32, len(raw))
 
 
 #: Stands in for an empty cell of a plain ordinal column while parsing.
@@ -421,28 +515,32 @@ def _format_cell(attr: Attribute, value) -> str:
     v = float(value)
     if math.isnan(v):
         return ""
+    if math.isinf(v):
+        raise SchemaError(f"non-finite value {v!r} in ordinal column {attr.name!r} has no text")
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
 
 
-def _distinct_cells(attr: Attribute, col: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The texts of ``col``'s distinct values, and each cell's index into them.
+def _distinct_cells(m: Microfile, name: str,
+                    records: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
+    """The texts of a column's distinct values, and each cell's index into them.
 
-    ``_format_cell`` runs once per distinct value.  ``np.unique`` merges
-    -0.0 with 0.0 and every NaN with every other NaN; each merged group
-    formats to one text ("0" and ""), so the result equals formatting cell
-    by cell.  The distinct values go in as Python scalars, which format
-    several times faster than numpy ones.
+    ``records`` are record indices; None means every record, in table
+    order.  ``_format_cell`` runs once per distinct value.  A nominal
+    column's distinct values are its vocabulary, which its codes already
+    index.  An ordinal column's come from ``np.unique``, which merges -0.0
+    with 0.0 and every NaN with every other NaN; each merged group formats
+    to one text ("0" and ""), so the result equals formatting cell by cell.
+    The distinct values go in as Python scalars, which format several times
+    faster than numpy ones.
     """
-    distinct, inverse = np.unique(col, return_inverse=True)
-    return [_format_cell(attr, v) for v in distinct.tolist()], inverse
-
-
-def _format_column(attr: Attribute, col: np.ndarray) -> list[str]:
-    """``_format_cell`` of every value in ``col``."""
-    text, inverse = _distinct_cells(attr, col)
-    return np.array(text, dtype=object)[inverse].tolist()
+    attr, cells, distinct = m.attribute(name), m.cells(name), m.vocabulary(name)
+    if records is not None:
+        cells = cells[records]
+    if distinct is None:
+        distinct, cells = np.unique(cells, return_inverse=True)
+    return [_format_cell(attr, v) for v in distinct.tolist()], cells
 
 
 def axis_positions(m: Microfile, g: GroupSpec, records: np.ndarray | None = None) -> np.ndarray:
@@ -451,30 +549,55 @@ def axis_positions(m: Microfile, g: GroupSpec, records: np.ndarray | None = None
     A parameter cell belongs to the order entry equal to the text
     ``write_microfile`` gives it, so an ordinal 2000.0 sits at "2000".
     ``records`` are record indices; None means every record, in table
-    order.  The column is formatted once per distinct value.
+    order.  Each distinct value is looked up once.
     """
-    col = m.column(g.parameter)
-    if records is not None:
-        col = col[records]
-    text, inverse = _distinct_cells(m.attribute(g.parameter), col)
+    text, inverse = _distinct_cells(m, g.parameter, records)
     index = {value: i for i, value in enumerate(g.parameter_order)}
     return np.array([index.get(t, -1) for t in text], dtype=np.int64)[inverse]
 
 
 def values_outside_order(m: Microfile, g: GroupSpec, records: np.ndarray) -> list[str]:
     """The sorted distinct texts of the ``records``' parameter cells missing from the order."""
-    text, _ = _distinct_cells(m.attribute(g.parameter), m.column(g.parameter)[records])
-    return sorted(set(text).difference(g.parameter_order))
+    text, inverse = _distinct_cells(m, g.parameter, records)
+    return sorted({text[i] for i in np.unique(inverse).tolist()}.difference(g.parameter_order))
+
+
+def _written(texts: list[str], last: bool, alone: bool) -> np.ndarray:
+    """``texts`` as csv writes them in a row, as an object array.
+
+    Each text goes once through a csv writer whose file hands back the
+    line instead of writing it, so the quoting is csv's own.  The texts of
+    the last column end with the line terminator, so a row is its fields
+    joined by the delimiter.  A table's only column keeps csv's rule for a
+    row of one field, which quotes an empty field.
+    """
+    line = csv.writer(SimpleNamespace(write=str)).writerow
+    if alone:
+        written = list(map(line, zip(texts)))
+    else:
+        # the line of ("", text) is a delimiter, the field and the terminator
+        cut = 0 if last else len(line(()))
+        written = [row[1:len(row) - cut] for row in map(line, zip(repeat(""), texts))]
+    return np.array(written, dtype=object)
 
 
 def write_microfile(m: Microfile, path: str | Path) -> None:
     """Emit CSV with the header first; order of records and columns preserved.
 
     Integer-valued ordinals are written without a decimal point, so a file
-    of integer codes round-trips textually.  The file is replaced atomically:
-    if writing fails, ``path`` keeps its previous content.
+    of integer codes round-trips textually.  Each column's distinct values
+    are formatted and quoted once; rows are then joined ``_CHUNK_ROWS`` at
+    a time.  Besides one chunk, the write holds one index per ordinal
+    column; a nominal column's codes are its index.  The file is replaced
+    atomically: if writing fails, ``path`` keeps its previous content.
     """
+    width = len(m.attributes)
+    columns = []
+    for j, attr in enumerate(m.attributes):
+        text, inverse = _distinct_cells(m, attr.name)
+        columns.append((_written(text, j == width - 1, width == 1), inverse))
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([a.name for a in m.attributes])
-        writer.writerows(zip(*[_format_column(a, m.columns[a.name]) for a in m.attributes]))
+        csv.writer(fh).writerow([a.name for a in m.attributes])
+        for start in range(0, m.n_records, _CHUNK_ROWS):
+            parts = [text[inverse[start:start + _CHUNK_ROWS]].tolist() for text, inverse in columns]
+            fh.write("".join(map(",".join, zip(*parts))))

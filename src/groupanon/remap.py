@@ -36,8 +36,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import RemapError
-from .microfile import (GroupSpec, Microfile, axis_positions, check_group_in_superset, members,
-                        superset_members, values_outside_order)
+from .microfile import (Attribute, GroupSpec, Microfile, axis_positions, check_group_in_superset,
+                        members, superset_members, values_outside_order)
 from .signals import GoalSignal
 
 __all__ = [
@@ -89,29 +89,19 @@ def influential_metric(rec_a, rec_b, w: InfluentialWeights) -> float:
 
     The ordinal term for a pair of zeros is 0 (equal values, no distance);
     negative ordinal values are rejected because the relative difference is
-    no longer a distance there.
+    no longer a distance there.  Nominal values compare as texts.  The
+    records are scored as a two-record table by the planner's own metric.
     """
-    total = 0.0
-    for name, weight in w.ordinal.items():
-        try:
-            a, b = float(rec_a[name]), float(rec_b[name])
-        except KeyError:
-            raise RemapError(f"record lacks influential attribute {name!r}") from None
-        if a < 0 or b < 0:
-            raise RemapError(
-                f"negative value in ordinal influential attribute {name!r}; metric undefined"
-            )
-        denom = a + b
-        if denom > 0:
-            total += weight * ((a - b) / denom) ** 2
-    for name, weight in w.nominal.items():
-        try:
-            same = rec_a[name] == rec_b[name]
-        except KeyError:
-            raise RemapError(f"record lacks influential attribute {name!r}") from None
-        factor = w.chi_same if same else w.chi_diff
-        total += weight * factor * factor
-    return total
+    attributes, columns = [], {}
+    for kind, weights, value in (("ordinal", w.ordinal, float), ("nominal", w.nominal, str)):
+        for name in weights:
+            try:
+                columns[name] = np.array([value(rec_a[name]), value(rec_b[name])])
+            except KeyError:
+                raise RemapError(f"record lacks influential attribute {name!r}") from None
+            attributes.append(Attribute(name, kind, "plain"))
+    pair_cost = _PairCost(Microfile(attributes, columns), w)
+    return float(pair_cost(np.array([0]), np.array([1]))[0])
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,11 @@ class SwapPlan:
 
 
 class _PairCost:
-    """Vectorized influential metric over record-index arrays."""
+    """Vectorized influential metric over record-index arrays.
+
+    Nominal terms compare stored cells: a nominal column's codes are equal
+    exactly where its texts are.
+    """
 
     def __init__(self, m: Microfile, w: InfluentialWeights):
         self.ordinal = []
@@ -152,8 +146,9 @@ class _PairCost:
             self.ordinal.append((weight, col))
         self.nominal = []
         for name, weight in w.nominal.items():
-            _, codes = np.unique(m.column(name), return_inverse=True)
-            self.nominal.append((weight, codes))
+            if m.vocabulary(name) is None:
+                raise RemapError(f"nominal influential weight on ordinal attribute {name!r}")
+            self.nominal.append((weight, m.cells(name)))
         self.same_sq = w.chi_same**2
         self.diff_sq = w.chi_diff**2
 
@@ -321,11 +316,10 @@ def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray,
     return out
 
 
-def _row_ids(columns: list[np.ndarray]) -> np.ndarray:
-    """Dense ids numbering the distinct rows across equal-length ``columns``."""
-    ids = np.zeros(columns[0].size, dtype=np.int64)
-    for col in columns:
-        code = np.unique(col, return_inverse=True)[1].reshape(-1)
+def _row_ids(codes: list[np.ndarray]) -> np.ndarray:
+    """Dense ids numbering the distinct rows across equal-length non-negative integer ``codes``."""
+    ids = np.zeros(codes[0].size, dtype=np.int64)
+    for code in codes:
         ids = np.unique(ids * (int(code.max()) + 1) + code, return_inverse=True)[1].reshape(-1)
     return ids
 
@@ -342,7 +336,8 @@ class _ClassSpace:
 
     def __init__(self, pair_cost: _PairCost):
         self.pair_cost = pair_cost
-        self.of = _row_ids([col for _, col in pair_cost.ordinal]
+        self.of = _row_ids([np.unique(col, return_inverse=True)[1].reshape(-1)
+                            for _, col in pair_cost.ordinal]
                            + [codes for _, codes in pair_cost.nominal])
         self.rep = np.unique(self.of, return_index=True)[1]
         n = self.rep.size
@@ -660,11 +655,12 @@ class _Block:
 def apply_swaps(m: Microfile, plan: SwapPlan) -> Microfile:
     """New microfile with each swap's parameter values exchanged.
 
-    Only the plan's parameter column changes; the record count and every
-    other column are byte-identical.
+    Only the plan's parameter column changes, by exchanging stored cells
+    (codes of a nominal column); the record count and every other column
+    are byte-identical.
     """
     name = plan.parameter
-    column = m.column(name).copy()
+    cells = m.cells(name).copy()
     n = m.n_records
     pairs = np.array(plan.swaps, dtype=np.int64).reshape(-1, 2)
     bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
@@ -674,5 +670,5 @@ def apply_swaps(m: Microfile, plan: SwapPlan) -> Microfile:
     # a plan uses each record at most once, so one gather-then-scatter
     # exchanges every pair
     left, right = pairs[:, 0], pairs[:, 1]
-    column[left], column[right] = column[right], column[left]
-    return m.with_column(name, column)
+    cells[left], cells[right] = cells[right], cells[left]
+    return m.with_cells(name, cells)

@@ -363,6 +363,28 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(path)) in (1, 2)
 
 
+class TestNominalColumnsStayCoded:
+    def test_run_sorts_and_matches_no_text_column(self, config_factory, monkeypatch):
+        # every stage reads a nominal column's codes, so no text array longer
+        # than the largest vocabulary reaches a sort or a set operation
+        table = ref.load_quantity_microfile()
+        longest = max(np.unique(table.column(a.name)).size
+                      for a in table.attributes if a.kind == "nominal")
+
+        def guarded(fn):
+            def call(*args, **kwargs):
+                for arg in (*args, *kwargs.values()):
+                    if isinstance(arg, np.ndarray) and arg.dtype.kind == "U" and arg.size > longest:
+                        raise AssertionError(f"np.{fn.__name__} over {arg.size} texts")
+                return fn(*args, **kwargs)
+            return call
+
+        path = config_factory()
+        for name in ("unique", "isin", "argsort"):
+            monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+        assert run_cli("run", "--config", str(path)) == 0
+
+
 class TestRemapCommand:
     def test_swap_audit_csv(self, config_factory, tmp_path):
         path = config_factory()

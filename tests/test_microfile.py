@@ -20,8 +20,10 @@ from groupanon.microfile import (
     load_microfile,
     members,
     superset_members,
+    values_outside_order,
     write_microfile,
 )
+from groupanon.remap import InfluentialWeights, SwapPlan, _PairCost, apply_swaps
 
 TOY_SCHEMA = (
     Attribute("area", "nominal", "parameter"),
@@ -241,6 +243,99 @@ class TestChunkedIOAgainstRowReference(TestColumnwiseIOAgainstRowReference):
     @pytest.fixture(autouse=True, params=[1, 2, 3])
     def tiny_chunks(self, request, monkeypatch):
         monkeypatch.setattr(microfile, "_CHUNK_ROWS", request.param)
+
+
+@st.composite
+def coded_cases(draw):
+    """Texts of three nominal columns, each drawn from a few cells so that cells repeat.
+
+    Returns the columns and each column's pool of cells.
+    """
+    n = draw(st.integers(0, 30))
+    texts, pools = {}, {}
+    for name in CODED_SCHEMA_NAMES:
+        pools[name] = draw(st.lists(NOMINAL_CELLS, min_size=1, max_size=5))
+        texts[name] = draw(st.lists(st.sampled_from(pools[name]), min_size=n, max_size=n))
+    return texts, pools
+
+
+CODED_SCHEMA_NAMES = ("p", "v", "s")
+CODED_SCHEMA = tuple(Attribute(name, "nominal", "plain") for name in CODED_SCHEMA_NAMES)
+
+
+class TestCodedColumnsAgainstTexts:
+    """Functions reading codes against the obvious computation on each cell's text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=coded_cases(), data=st.data())
+    def test_coded_table_matches_per_cell_texts(self, case, data):
+        texts, pools = case
+        n = len(texts["p"])
+        m = Microfile(CODED_SCHEMA, {name: np.array(col, dtype=str) for name, col in texts.items()})
+        for name, col in texts.items():
+            assert m.column(name).tolist() == col
+
+        def values_of(name):
+            return data.draw(st.frozensets(st.one_of(st.sampled_from(pools[name]), NOMINAL_CELLS),
+                                           max_size=3))
+
+        vital, superset = values_of("v"), values_of("s")
+        order = data.draw(st.lists(st.one_of(st.sampled_from(pools["p"]), NOMINAL_CELLS),
+                                   min_size=4, max_size=7, unique=True))
+        g = GroupSpec.create({"v": vital}, "p", order, superset_vital={"s": superset})
+        assert members(m, g).tolist() == [i for i in range(n) if texts["v"][i] in vital]
+        assert superset_members(m, g).tolist() == [i for i in range(n) if texts["s"][i] in superset]
+
+        records = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else [],
+                           dtype=np.int64)
+        cells = [texts["p"][r] for r in records.tolist()]
+        assert axis_positions(m, g, records).tolist() == [
+            order.index(t) if t in order else -1 for t in cells]
+        assert axis_positions(m, g).tolist() == [
+            order.index(t) if t in order else -1 for t in texts["p"]]
+        assert values_outside_order(m, g, records) == sorted(set(cells) - set(order))
+
+        weight = st.sampled_from([0.5, 1.0, 2.0])
+        w = InfluentialWeights(ordinal={}, nominal={"v": data.draw(weight), "s": data.draw(weight)},
+                               chi_same=data.draw(st.sampled_from([0.0, 0.5])), chi_diff=1.0)
+        left, right = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(records),
+                                                    max_size=len(records))) if n else [],
+                                dtype=np.int64) for _ in range(2))
+        expected = []
+        for a, b in zip(left.tolist(), right.tolist()):
+            cost = 0.0
+            for name, wt in w.nominal.items():
+                cost += wt * (w.chi_same**2 if texts[name][a] == texts[name][b] else w.chi_diff**2)
+            expected.append(cost)
+        assert _PairCost(m, w)(left, right).tolist() == expected
+
+        perm = data.draw(st.permutations(range(n)))
+        k = data.draw(st.integers(0, n // 2))
+        swaps = tuple((perm[2 * i], perm[2 * i + 1]) for i in range(k))
+        swapped = list(texts["p"])
+        for a, b in swaps:
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+        out = apply_swaps(m, SwapPlan("p", swaps, (0.0,) * k))
+        assert out.column("p").tolist() == swapped
+        for name in CODED_SCHEMA_NAMES:
+            assert np.array_equal(out.vocabulary(name), m.vocabulary(name))
+            if name != "p":
+                assert out.column(name).tolist() == texts[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=coded_cases())
+    def test_loaded_table_equals_the_table_built_from_texts(self, tmp_path_factory, case):
+        texts, _ = case
+        built = Microfile(CODED_SCHEMA, {name: np.array(col, dtype=str)
+                                         for name, col in texts.items()})
+        path = write_csv(tmp_path_factory.mktemp("coded") / "in.csv", CODED_SCHEMA_NAMES,
+                         zip(*texts.values()))
+        loaded = load_microfile(path, CODED_SCHEMA)
+        for name in CODED_SCHEMA_NAMES:
+            for got, want in ((loaded.cells(name), built.cells(name)),
+                              (loaded.vocabulary(name), built.vocabulary(name)),
+                              (loaded.column(name), built.column(name))):
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 class TestChunkBoundaries:
@@ -510,6 +605,29 @@ class TestWrite:
         m2 = load_microfile(out, ref.FIXTURE_SCHEMA)
         assert m2.n_records == fixture_microfile.n_records
 
+    def test_write_transient_is_bounded_by_the_chunk(self, tmp_path):
+        n = 200_000
+        i = np.arange(n)
+        schema = (Attribute("area", "nominal", "parameter"),
+                  Attribute("service", "nominal", "vital", weight=1.0),
+                  Attribute("sex", "nominal", "plain"),
+                  Attribute("age", "ordinal", "influential", weight=1.0))
+        m = Microfile(schema, {"area": np.char.zfill((6000 + i % 97).astype(str), 5),
+                               "service": (i % 5).astype(str), "sex": (1 + i % 2).astype(str),
+                               "age": (18 + i % 71).astype(float)})
+        tracemalloc.start()
+        try:
+            write_microfile(m, tmp_path / "big.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # np.unique's work arrays for the ordinal column (about five times
+        # its size, the last of them kept as its index while writing) and one
+        # 16,384-row chunk of cell texts and row strings (~2 MB here); the
+        # nominal columns' codes index their texts directly
+        assert peak < 5.5 * m.column("age").nbytes + 3 * 2**20
+        assert load_microfile(tmp_path / "big.csv", schema).n_records == n
+
     def test_packaged_fixture_matches_its_generator(self, tmp_path):
         # the committed CSV must be reproducible byte for byte
         out = tmp_path / "regen.csv"
@@ -607,6 +725,19 @@ class TestAxisPositions:
                       {"year": np.array([2001.0, 2000.0, 2003.0, 1999.0])})
         g = GroupSpec.create({}, "year", ["2000", "2001", "2002", "2003"])
         assert axis_positions(m, g).tolist() == [1, 0, 3, -1]
+
+
+class TestNonFiniteOrdinal:
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinite_cell_is_a_schema_error_naming_the_column(self, tmp_path, inf):
+        m = Microfile((Attribute("year", "ordinal", "parameter"),),
+                      {"year": np.array([1.0, inf])})
+        message = f"non-finite value {inf!r} in ordinal column 'year' has no text"
+        with pytest.raises(SchemaError, match=message):
+            write_microfile(m, tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SchemaError, match=message):
+            axis_positions(m, GroupSpec.create({}, "year", ["1", "2", "3", "4"]))
 
 
 class TestMicrofileInvariants:

@@ -87,6 +87,12 @@ class TestInfluentialMetric:
                 influential_metric(b, a, WEIGHTS))
             assert influential_metric(a, a, WEIGHTS) == 0.0
 
+    def test_nominal_weight_on_ordinal_attribute_rejected(self):
+        w = InfluentialWeights(ordinal={}, nominal={"age": 1.0})
+        m = toy_microfile([("a1", "1", 30, 10)] * 4)
+        with pytest.raises(RemapError, match="nominal influential weight on ordinal attribute 'age'"):
+            plan_swaps(m, toy_group(), target([4, 0, 0, 0]), w)
+
     def test_chi_ordering_enforced(self):
         with pytest.raises(RemapError, match="match"):
             InfluentialWeights(ordinal={"age": 1.0}, nominal={}, chi_same=2.0, chi_diff=1.0)
