@@ -39,7 +39,7 @@ from .pipeline import (
     write_signal_csv,
 )
 from .verify import format_table, has_failures, verify_reference_values
-from .wavelet import decompose, get_filter
+from .wavelet import decompose
 
 EXIT_OK = 0
 EXIT_STAGE = 1
@@ -107,10 +107,7 @@ def _report_dir(config: PipelineConfig) -> Path:
 def _cmd_signal(config: PipelineConfig, name: str) -> int:
     gcfg = _select_group(config, name)
     m = load_input(config)
-    try:
-        signal = build_goal_signal(m, gcfg)
-    except GroupAnonError as exc:
-        raise StageError("signal", name, str(exc)) from exc
+    signal = GroupLog(name).stage("signal", build_goal_signal, m, gcfg)
     out = _report_dir(config)
     write_signal_csv(out / f"{name}_signal.csv", signal.parameter_order, signal.values)
     svg_line_chart(signal.parameter_order, signal.values, out / f"{name}_signal.svg",
@@ -122,11 +119,9 @@ def _cmd_signal(config: PipelineConfig, name: str) -> int:
 def _cmd_decompose(config: PipelineConfig, name: str) -> int:
     gcfg = _select_group(config, name)
     m = load_input(config)
-    try:
-        signal = build_goal_signal(m, gcfg)
-        dec = decompose(signal.values, get_filter(gcfg.wavelet_family), gcfg.level)
-    except GroupAnonError as exc:
-        raise StageError("decompose", name, str(exc)) from exc
+    stage = GroupLog(name).stage
+    signal = stage("signal", build_goal_signal, m, gcfg)
+    dec = stage("decompose", decompose, signal.values, gcfg.filter, gcfg.level)
     out = _report_dir(config)
     path = out / f"{name}_coefficients.csv"
     with atomic_write(path, newline="") as fh:

@@ -27,7 +27,9 @@ Layout (see README for the full reference):
 Errors carry the file name and the JSON path of the offending field.  A
 field an object does not define is an error too, except a removed one
 (``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is ignored with a
-warning naming its path.
+warning naming its path.  The library objects a run needs (attributes,
+groups, constraints, the wavelet filter and a declared target) are built
+here, so their own checks fail at load, tagged with the same path.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GroupAnonError
 from .microfile import Attribute, GroupSpec
-from .redistribute import RELATIONS, REPAIRS, ConstraintRow, ConstraintSpec, Objective
-from .signals import KINDS as SIGNAL_KINDS
+from .redistribute import REPAIRS, ConstraintRow, ConstraintSpec, Objective
+from .signals import KINDS as SIGNAL_KINDS, GoalSignal
+from .wavelet import FilterPair, check_level, get_filter
 
 __all__ = ["GroupConfig", "PipelineConfig", "load_pipeline_config"]
 
@@ -65,6 +68,7 @@ REMOVED_GROUP_FIELDS = ("candidate_cap",)
 class GroupConfig:
     """Per-group processing directives.
 
+    ``filter`` and ``level`` are checked to decompose the parameter axis.
     ``solution`` injects explicit replacement coefficients (the solver is
     skipped, declared bounds are still checked and violations logged);
     ``target`` bypasses the signal-editing stages entirely and remaps the
@@ -74,12 +78,12 @@ class GroupConfig:
     name: str
     group: GroupSpec
     signal: str
-    wavelet_family: str
+    filter: FilterPair
     level: int
     constraints: ConstraintSpec
     subordinate: GroupSpec | None = None
     solution: np.ndarray | None = None
-    target: np.ndarray | None = None
+    target: GoalSignal | None = None
     shift: float | None = None
     margin: float = 0.0
     repair: str = "mean_fix"
@@ -119,8 +123,15 @@ class PipelineConfig:
         return self.base_dir / self.report_dir
 
 
+_REQUIRED = object()
+
+
 class _Cursor:
-    """Typed access into parsed JSON with path-tagged errors."""
+    """One value of the parsed JSON and its path; each read checks a shape and names the path.
+
+    A field that is absent or null takes its default; when it is required
+    that is an error.  A bool is never taken for a number.
+    """
 
     def __init__(self, data, path: str, source: str):
         self.data = data
@@ -130,43 +141,81 @@ class _Cursor:
     def fail(self, message: str):
         raise ConfigError(f"{self.source}: {self.path}: {message}")
 
-    def child(self, key):
-        if isinstance(key, int):
-            return _Cursor(self.data[key], f"{self.path}[{key}]", self.source)
-        return _Cursor(self.data[key], f"{self.path}.{key}", self.source)
+    def build(self, make, *args):
+        """``make(*args)``, a library object whose own checks fail at this path."""
+        try:
+            return make(*args)
+        except GroupAnonError as exc:
+            self.fail(str(exc))
 
-    def known(self, fields, removed=()):
-        """Reject a field of this object that is not in ``fields``, naming it.
+    def fields(self, known=None, removed=(), what="field") -> list:
+        """This object's keys, rejecting one not in ``known`` (None: any) as an unknown ``what``.
 
-        A field in ``removed`` is ignored, with a warning naming its path.
+        A key in ``removed`` is ignored, with a warning naming its path.
         """
-        if isinstance(self.data, dict):
-            for key in self.data:
-                if key in removed:
-                    logger.warning("%s: %s.%s: field %r was removed and is ignored",
-                                   self.source, self.path, key, key)
-                elif key not in fields:
-                    self.fail(f"unknown field {key!r}")
-
-    def require(self, key, kind, what=""):
         if not isinstance(self.data, dict):
             self.fail("expected an object")
-        if key not in self.data:
+        keys = []
+        for key in self.data:
+            if key in removed:
+                logger.warning("%s: %s.%s: field %r was removed and is ignored",
+                               self.source, self.path, key, key)
+            elif known is not None and key not in known:
+                self.fail(f"unknown {what} {key!r}")
+            else:
+                keys.append(key)
+        return keys
+
+    def _get(self, key, default):
+        if not isinstance(self.data, dict):
+            self.fail("expected an object")
+        value = self.data.get(key)
+        if value is None and default is _REQUIRED:
             self.fail(f"missing required field {key!r}")
-        return self._typed(key, kind, what)
-
-    def optional(self, key, kind, default=None, what=""):
-        if not isinstance(self.data, dict) or key not in self.data or self.data[key] is None:
-            return default
-        return self._typed(key, kind, what)
-
-    def _typed(self, key, kind, what):
-        value = self.data[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if kind is not None and (not isinstance(value, kind) or isinstance(value, bool) and kind is not bool):
-            self.fail(f"field {key!r} must be {what or getattr(kind, '__name__', kind)}")
         return value
+
+    def field(self, key, kind, default=_REQUIRED, what=""):
+        """Field ``key``, which must be a ``kind`` (an integer counts as a float).
+
+        When it is absent, ``default``; with no default it is required.
+        """
+        value = self._get(key, default)
+        if value is None:
+            return default
+        if kind is float and type(value) is int:
+            return float(value)
+        if not isinstance(value, kind) or type(value) is bool and kind is not bool:
+            self.fail(f"field {key!r} must be {what or kind.__name__}")
+        return value
+
+    def child(self, key, default=_REQUIRED):
+        """Field ``key`` as a cursor; when absent, one over ``default``, or None for a None default."""
+        value = self._get(key, default)
+        if value is None:
+            if default is None:
+                return None
+            value = default
+        return _Cursor(value, f"{self.path}.{key}", self.source)
+
+    def number_or(self, key, keyword):
+        """Field ``key`` as a float, or ``keyword`` when it is that word or absent."""
+        value = self._get(key, keyword)
+        if value is None or value == keyword:
+            return keyword
+        if type(value) not in (int, float):
+            self.fail(f'field {key!r} must be a number or "{keyword}"')
+        return float(value)
+
+    def array(self, kind, what):
+        """This array as a list of ``kind`` values (an integer counts as a float).
+
+        ``what`` names the elements in the error.
+        """
+        if isinstance(self.data, list):
+            values = [float(v) if kind is float and type(v) is int else v for v in self.data]
+            if all(isinstance(v, kind) and type(v) is not bool for v in values):
+                return values
+        self.fail(f"expected an array of {what}")
 
     def items(self):
         if not isinstance(self.data, list):
@@ -175,95 +224,79 @@ class _Cursor:
             yield _Cursor(item, f"{self.path}[{i}]", self.source)
 
 
+#: JSON values a vital value or a parameter-order entry may be; each is taken as its text.
+_TEXTS = ((str, int, float), "strings or numbers")
+
+
 def _parse_attribute(cur: _Cursor) -> tuple[Attribute | None, str | None]:
-    cur.known(ATTRIBUTE_FIELDS)
-    name = cur.require("name", str)
-    kind = cur.require("kind", str)
-    role = cur.require("role", str)
+    cur.fields(ATTRIBUTE_FIELDS)
+    name = cur.field("name", str)
+    kind = cur.field("kind", str)
+    role = cur.field("role", str)
     if role == "identifier":
         return None, name
-    weight = cur.optional("weight", float)
-    try:
-        return Attribute(name=name, kind=kind, role=role, weight=weight), None
-    except Exception as exc:
-        cur.fail(str(exc))
+    return cur.build(Attribute, name, kind, role, cur.field("weight", float, None)), None
 
 
-def _parse_value_map(cur: _Cursor, key: str, required: bool) -> dict | None:
-    raw = cur.data.get(key) if isinstance(cur.data, dict) else None
-    if raw is None:
-        if required:
-            cur.fail(f"missing required field {key!r}")
+def _parse_value_map(cur: _Cursor | None, attributes) -> dict | None:
+    """``{attribute: [values]}`` as the value texts of each attribute; None for no cursor."""
+    if cur is None:
         return None
-    if not isinstance(raw, dict) or not raw:
-        cur.fail(f"field {key!r} must be a non-empty object of attribute: [values]")
-    out = {}
-    for attr, values in raw.items():
-        if not isinstance(values, list) or not values:
-            cur.fail(f"field {key!r}: values for {attr!r} must be a non-empty array")
-        out[attr] = {str(v) for v in values}
+    out = {attr: {str(v) for v in cur.child(attr).array(*_TEXTS)}
+           for attr in cur.fields(attributes, what="attribute")}
+    if not out or not all(out.values()):
+        cur.fail("expected at least one attribute, each with a non-empty array of values")
     return out
 
 
-def _parse_objective(cur: _Cursor) -> Objective:
-    raw = cur.data.get("objective", "feasibility") if isinstance(cur.data, dict) else "feasibility"
-    if raw == "feasibility":
-        return Objective()
-    if isinstance(raw, dict) and len(raw) == 1:
-        kind, positions = next(iter(raw.items()))
-        if kind in ("maximize", "minimize") and isinstance(positions, list):
-            return Objective(kind=kind, positions=tuple(int(p) for p in positions))
-    cur.fail('field "objective" must be "feasibility", {"maximize": [positions]} '
-             'or {"minimize": [positions]}')
+def _parse_objective(cur: _Cursor, m: int) -> Objective:
+    """``"feasibility"``, or one ``{kind: [positions]}`` entry, as an ``Objective``."""
+    value = cur.field("objective", (str, dict), "feasibility", '"feasibility" or an object')
+    obj = cur.child("objective", value)
+    if isinstance(value, str):
+        return obj.build(Objective, value)
+    kinds = obj.fields()
+    if len(kinds) != 1:
+        obj.fail('expected one entry, {"maximize": [positions]} or {"minimize": [positions]}')
+    objective = obj.build(Objective, kinds[0],
+                          tuple(obj.child(kinds[0]).array(int, "integer positions")))
+    for pos in objective.positions:
+        if not 1 <= pos <= m:
+            obj.fail(f"objective position {pos} outside 1..{m}")
+    return objective
 
 
 def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
-    cur.known(CONSTRAINTS_FIELDS)
+    cur.fields(CONSTRAINTS_FIELDS)
     rows = []
-    rows_cur = cur.child("rows") if isinstance(cur.data, dict) and "rows" in cur.data else None
-    if rows_cur is None:
-        cur.fail('missing required field "rows"')
-    for row_cur in rows_cur.items():
-        row_cur.known(ROW_FIELDS)
-        position = row_cur.require("position", int)
+    for row in cur.child("rows").items():
+        row.fields(ROW_FIELDS)
+        position = row.field("position", int)
         if not 1 <= position <= m:
-            row_cur.fail(f"position {position} outside 1..{m}")
-        relation = row_cur.require("relation", str)
-        if relation not in RELATIONS:
-            row_cur.fail(f"relation must be one of {RELATIONS}, got {relation!r}")
-        bound = row_cur.data.get("bound", "original")
-        if not (bound == "original" or isinstance(bound, (int, float)) and not isinstance(bound, bool)):
-            row_cur.fail('bound must be a number or "original"')
-        rows.append(ConstraintRow(position=position, relation=relation,
-                                  bound=bound if bound == "original" else float(bound)))
-    objective = _parse_objective(cur)
-    for pos in objective.positions:
-        if not 1 <= pos <= m:
-            cur.fail(f"objective position {pos} outside 1..{m}")
-    nonneg = cur.optional("nonnegative_coefficients", bool, True)
-    if not rows:
-        cur.fail('field "rows" must contain at least one row')
-    return ConstraintSpec(rows=tuple(rows), objective=objective, nonnegative=nonneg)
+            row.fail(f"position {position} outside 1..{m}")
+        rows.append(row.build(ConstraintRow, position, row.field("relation", str),
+                              row.number_or("bound", "original")))
+    objective = _parse_objective(cur, m)
+    return cur.build(ConstraintSpec, tuple(rows), objective,
+                     cur.field("nonnegative_coefficients", bool, True))
 
 
 def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
-    cur.known(GROUP_FIELDS, REMOVED_GROUP_FIELDS)
+    cur.fields(GROUP_FIELDS, REMOVED_GROUP_FIELDS)
     by_name = {a.name: a for a in schema}
-    name = cur.require("name", str)
-    parameter = cur.require("parameter", str)
-    order = cur.require("parameter_order", list)
+    name = cur.field("name", str)
+    parameter = cur.field("parameter", str)
+    order = [str(v) for v in cur.child("parameter_order").array(*_TEXTS)]
     if parameter not in by_name:
         cur.fail(f"parameter {parameter!r} is not a schema attribute")
     if by_name[parameter].role != "parameter":
         cur.fail(f"attribute {parameter!r} must have role 'parameter'")
 
-    vital = _parse_value_map(cur, "vital", required=True)
-    superset = _parse_value_map(cur, "superset", required=False)
-    for attr in list(vital) + list(superset or {}):
-        if attr not in by_name:
-            cur.fail(f"attribute {attr!r} is not declared in the schema")
+    superset = _parse_value_map(cur.child("superset", None), by_name)
+    group = cur.build(GroupSpec.create, _parse_value_map(cur.child("vital"), by_name),
+                      parameter, order, superset)
 
-    signal = cur.optional("signal", str, "quantity")
+    signal = cur.field("signal", str, "quantity")
     if signal not in SIGNAL_KINDS:
         cur.fail(f"signal must be one of {SIGNAL_KINDS}, got {signal!r}")
     if signal in ("concentration", "difference") and superset is None:
@@ -271,76 +304,51 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
 
     subordinate = None
     if signal == "difference":
-        sub_vital = _parse_value_map(cur, "subordinate_vital", required=True)
-        for attr in sub_vital:
-            if attr not in by_name:
-                cur.fail(f"attribute {attr!r} is not declared in the schema")
-        subordinate = GroupSpec.create(sub_vital, parameter, [str(v) for v in order], superset)
+        sub = cur.child("subordinate_vital")
+        subordinate = sub.build(GroupSpec.create, _parse_value_map(sub, by_name),
+                                parameter, order, superset)
 
-    wavelet_cur = cur.child("wavelet") if "wavelet" in cur.data else None
-    family, level = "db2", 2
-    if wavelet_cur is not None:
-        wavelet_cur.known(WAVELET_FIELDS)
-        family = wavelet_cur.optional("family", str, "db2")
-        level = wavelet_cur.optional("level", int, 2)
+    wavelet = cur.child("wavelet", {})
+    wavelet.fields(WAVELET_FIELDS)
+    filter_pair = wavelet.build(get_filter, wavelet.field("family", str, "db2"))
+    level = wavelet.field("level", int, 2)
     m = len(order)
-    if level < 1 or m % (1 << level):
-        cur.fail(f"level {level} does not divide the {m}-value parameter order")
+    wavelet.build(check_level, m, filter_pair, level)
 
-    constraints_cur = cur.child("constraints") if "constraints" in cur.data else None
-    if constraints_cur is None:
-        cur.fail('missing required field "constraints"')
-    constraints = _parse_constraints(constraints_cur, m)
+    constraints = _parse_constraints(cur.child("constraints"), m)
 
-    solution = cur.optional("solution", list)
+    solution = cur.child("solution", None)
     if solution is not None:
-        expected = m >> level
-        if len(solution) != expected:
-            cur.fail(f"solution must list {expected} coefficients, got {len(solution)}")
-        solution = np.array([float(v) for v in solution])
+        coefficients = solution.array(float, "numbers")
+        if len(coefficients) != m >> level:
+            solution.fail(f"expected {m >> level} coefficients, got {len(coefficients)}")
+        solution = np.array(coefficients)
 
-    target = cur.optional("target", list)
+    target = cur.child("target", None)
     if target is not None:
-        if len(target) != m:
-            cur.fail(f"target must list {m} values, got {len(target)}")
-        target = np.array([float(v) for v in target])
-        if np.any(target < 0) or np.any(target != np.floor(target)):
-            cur.fail("target must hold non-negative integers")
+        target = target.build(GoalSignal, "quantity", target.array(float, "numbers"),
+                              group.parameter_order)
 
-    shift = cur.data.get("shift", "auto")
-    if shift == "auto":
-        shift = None
-    elif not (isinstance(shift, (int, float)) and not isinstance(shift, bool)):
-        cur.fail('field "shift" must be a number or "auto"')
-    else:
-        shift = float(shift)
-
-    repair = cur.optional("repair", str, "mean_fix")
+    shift = cur.number_or("shift", "auto")
+    repair = cur.field("repair", str, "mean_fix")
     if repair not in REPAIRS:
         cur.fail(f"repair must be one of {REPAIRS}, got {repair!r}")
 
-    chi_same = cur.optional("chi_same", float, 0.0)
-    chi_diff = cur.optional("chi_diff", float, 1.0)
-
-    try:
-        group = GroupSpec.create(vital, parameter, [str(v) for v in order], superset)
-    except Exception as exc:
-        cur.fail(str(exc))
     return GroupConfig(
         name=name,
         group=group,
         signal=signal,
-        wavelet_family=family,
+        filter=filter_pair,
         level=level,
         constraints=constraints,
         subordinate=subordinate,
         solution=solution,
         target=target,
-        shift=shift,
-        margin=cur.optional("margin", float, 0.0),
+        shift=None if shift == "auto" else shift,
+        margin=cur.field("margin", float, 0.0),
         repair=repair,
-        chi_same=chi_same,
-        chi_diff=chi_diff,
+        chi_same=cur.field("chi_same", float, 0.0),
+        chi_diff=cur.field("chi_diff", float, 1.0),
     )
 
 
@@ -357,16 +365,13 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
     root = _Cursor(data, "$", str(path))
-    root.known(ROOT_FIELDS, REMOVED_ROOT_FIELDS)
-    input_path = Path(root.require("input", str))
-    output = Path(root.require("output", str))
-    report_dir = Path(root.optional("report_dir", str, "report"))
+    root.fields(ROOT_FIELDS, REMOVED_ROOT_FIELDS)
+    input_path = Path(root.field("input", str))
+    output = Path(root.field("output", str))
+    report_dir = Path(root.field("report_dir", str, "report"))
 
-    schema_cur = root.child("schema") if "schema" in data else None
-    if schema_cur is None:
-        root.fail('missing required field "schema"')
     schema, identifiers = [], []
-    for attr_cur in schema_cur.items():
+    for attr_cur in root.child("schema").items():
         attr, ident = _parse_attribute(attr_cur)
         if ident is not None:
             identifiers.append(ident)
@@ -375,10 +380,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     if not schema:
         root.fail('field "schema" must declare at least one non-identifier attribute')
 
-    groups_cur = root.child("groups") if "groups" in data else None
-    if groups_cur is None:
-        root.fail('missing required field "groups"')
-    groups = [_parse_group(cur, tuple(schema)) for cur in groups_cur.items()]
+    groups = [_parse_group(cur, tuple(schema)) for cur in root.child("groups").items()]
     if not groups:
         root.fail('field "groups" must declare at least one group')
     names = [g.name for g in groups]

@@ -35,7 +35,7 @@ from .signals import (
     difference_signal,
     quantity_signal,
 )
-from .wavelet import WaveletDecomposition, decompose, get_filter
+from .wavelet import WaveletDecomposition, decompose
 
 __all__ = ["GroupEdit", "GroupLog", "GroupRunResult", "PipelineResult", "load_input",
            "run_pipeline", "write_outputs", "build_goal_signal", "run_group", "edit_group",
@@ -142,13 +142,12 @@ def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
     """Signal, decomposition, constrained edit and repair: the group's quantity target."""
     stage = log.stage
     before = stage("signal", build_goal_signal, m, gcfg)
-    dec = stage("decompose", decompose, before.values, get_filter(gcfg.wavelet_family), gcfg.level)
+    dec = stage("decompose", decompose, before.values, gcfg.filter, gcfg.level)
 
     if gcfg.target is not None:
         # operator-declared target: skip the signal-editing stages entirely
-        target = GoalSignal("quantity", gcfg.target, gcfg.group.parameter_order)
         return GroupEdit(before, dec, None, dec.approx.copy(), (), before.values.copy(), 0.0,
-                         gcfg.target.copy(), target)
+                         gcfg.target.values.copy(), gcfg.target)
 
     lp = stage("constraints", rd.build_constraints, dec, gcfg.constraints)
 
@@ -242,7 +241,7 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
             if np.any(shifted < 0):
                 log.warn("mean/std repair produced negatives; clamping to zero")
                 shifted = np.where(shifted < 0, 0.0, shifted)
-        final = rd.round_to_integers(shifted * (total / shifted.sum()), total).astype(float)
+        final = rd.round_to_integers(rd.mean_fix(shifted, before.values), total).astype(float)
         target = GoalSignal("quantity", final, before.parameter_order)
         return final, shift, target
 

@@ -80,6 +80,8 @@ class Objective:
             raise ConstraintError(f"unknown objective kind {self.kind!r}")
         if self.kind != "feasibility" and not self.positions:
             raise ConstraintError(f"objective {self.kind!r} needs at least one position")
+        if self.kind == "feasibility" and self.positions:
+            raise ConstraintError("objective 'feasibility' takes no positions")
 
 
 @dataclass(frozen=True)

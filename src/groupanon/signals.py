@@ -57,7 +57,8 @@ class GoalSignal:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size != len(self.parameter_order):
-            raise SignalError("signal length must match the parameter order")
+            raise SignalError(f"signal length {values.size} does not match the "
+                              f"{len(self.parameter_order)} values of the parameter order")
         if self.kind == "quantity":
             if np.any(values < 0) or np.any(values != np.floor(values)):
                 raise SignalError("quantity signals must hold non-negative integers")

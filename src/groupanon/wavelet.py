@@ -40,6 +40,7 @@ __all__ = [
     "WaveletDecomposition",
     "FILTERS",
     "get_filter",
+    "check_level",
     "downsample_offset",
     "conv_down",
     "up_conv",
@@ -267,29 +268,29 @@ class WaveletDecomposition:
 
 
 def decompose(values, filter_pair: FilterPair, level: int) -> WaveletDecomposition:
-    """Run the analysis cascade for ``level`` steps.
-
-    The signal length must be divisible by 2**level and every intermediate
-    length must still cover the filter.
-    """
+    """Run the analysis cascade for ``level`` steps (see :func:`check_level`)."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise WaveletError("signal must be one-dimensional")
-    if level < 1:
-        raise WaveletError("decomposition level must be at least 1")
     m = x.size
-    feasible = _max_level(m, len(filter_pair))
-    if m % (1 << level) or level > feasible:
-        raise WaveletError(
-            f"cannot decompose length {m} by {level} levels; "
-            f"maximal feasible level is {feasible}"
-        )
+    check_level(m, filter_pair, level)
     details: dict[int, np.ndarray] = {}
     approx = x
     for j in range(1, level + 1):
         details[j] = conv_down(approx, filter_pair.highpass)
         approx = conv_down(approx, filter_pair.lowpass)
     return WaveletDecomposition(level, approx, details, m, filter_pair)
+
+
+def check_level(length: int, filter_pair: FilterPair, level: int) -> None:
+    """Raise unless a length-``length`` signal decomposes ``level`` times with this filter.
+
+    Every step halves an even length that still covers the filter.
+    """
+    feasible = _max_level(length, len(filter_pair))
+    if not 1 <= level <= feasible:
+        raise WaveletError(f"cannot decompose length {length} to level {level}; "
+                           f"maximal feasible level is {feasible}")
 
 
 def _max_level(m: int, filter_length: int) -> int:

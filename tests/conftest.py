@@ -72,3 +72,26 @@ def config_factory(tmp_path):
         return path
 
     return make
+
+
+#: Edits that make the bundled group malformed, each with the JSON path its error names.
+MALFORMED_GROUPS = [
+    pytest.param(lambda g: g.update(solution=["x", 1, 2, 3]),
+                 "$.groups[0].solution", id="solution-text"),
+    pytest.param(lambda g: g.update(target=["x"] + [1] * 15),
+                 "$.groups[0].target", id="target-text"),
+    pytest.param(lambda g: g["constraints"].update(objective={"maximize": ["a"]}),
+                 "$.groups[0].constraints.objective", id="objective-text-position"),
+    pytest.param(lambda g: g.update(solution=[True, "379.097", 1000.0, 5464.854]),
+                 "$.groups[0].solution", id="solution-bool-and-numeric-text"),
+    pytest.param(lambda g: g["constraints"].update(objective={"maximize": [1.5]}),
+                 "$.groups[0].constraints.objective", id="objective-fractional-position"),
+    pytest.param(lambda g: g.update(wavelet="haar"),
+                 "$.groups[0].wavelet", id="wavelet-not-an-object"),
+    pytest.param(lambda g: g.update(wavelet={"family": "db9"}),
+                 "$.groups[0].wavelet", id="unknown-family"),
+    pytest.param(lambda g: g.update(wavelet={"family": "db4", "level": 3}, solution=None),
+                 "$.groups[0].wavelet", id="level-infeasible-for-filter"),
+    pytest.param(lambda g: g.update(signal="difference", subordinate_vital={"area": ["06010"]}),
+                 "$.groups[0].subordinate_vital", id="subordinate-vital-names-parameter"),
+]

@@ -1,11 +1,12 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import base_config
+from conftest import MALFORMED_GROUPS, base_config
 from groupanon import reference as ref
 from groupanon.cli import main
 from groupanon.microfile import load_microfile
@@ -362,6 +363,28 @@ class TestRunCommand:
         (tmp_path / "military.csv").unlink()
         assert run_cli("run", "--config", str(path)) in (1, 2)
 
+    def test_unscaled_empty_group_is_repair_error(self, config_factory, capsys):
+        config = base_config()
+        group = config["groups"][0]
+        del group["solution"]
+        group.update(vital={"military_service": ["9"]}, repair="none", shift="auto",
+                     constraints={"rows": [{"position": 1, "relation": "<=",
+                                            "bound": "original"}]})
+        path = config_factory(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("run", "--config", str(path)) == 1
+        assert capsys.readouterr().err.startswith("stage error [repair:active-duty] ")
+
+    @pytest.mark.parametrize("command", ["signal", "decompose", "redistribute", "remap", "run"])
+    def test_signal_failure_is_tagged_signal_by_every_command(self, command, config_factory,
+                                                              capsys):
+        # every member falls outside the superset, so no concentration exists
+        path = config_factory(signal="concentration", superset={"military_service": ["2"]})
+        group = [] if command == "run" else ["--group", "active-duty"]
+        assert run_cli(command, "--config", str(path), *group) == 1
+        assert capsys.readouterr().err.startswith("stage error [signal:active-duty] ")
+
 
 class TestNominalColumnsStayCoded:
     def test_run_sorts_and_matches_no_text_column(self, config_factory, monkeypatch):
@@ -441,6 +464,15 @@ class TestExitCodes:
         path.write_text("{}")
         assert run_cli("run", "--config", str(path)) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, path", MALFORMED_GROUPS)
+    def test_malformed_field_exits_2_naming_its_path(self, edit, path, config_factory, capsys):
+        config = base_config()
+        edit(config["groups"][0])
+        assert run_cli("run", "--config", str(config_factory(config))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert path in err and "Traceback" not in err
 
     def test_overrides_take_effect(self, config_factory, tmp_path):
         path = config_factory()

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import base_config
+from conftest import MALFORMED_GROUPS, base_config
 from groupanon.config import load_pipeline_config
 from groupanon.errors import ConfigError
 
@@ -151,4 +152,11 @@ class TestLoadConfig:
         config = base_config()
         where(config)["repiar"] = "mean_std"
         with pytest.raises(ConfigError, match=path + r": unknown field 'repiar'$"):
+            load_pipeline_config(write(tmp_path, config))
+
+    @pytest.mark.parametrize("edit, path", MALFORMED_GROUPS)
+    def test_malformed_field_is_config_error_at_its_path(self, tmp_path, edit, path):
+        config = base_config()
+        edit(config["groups"][0])
+        with pytest.raises(ConfigError, match=re.escape(path)):
             load_pipeline_config(write(tmp_path, config))

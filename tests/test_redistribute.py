@@ -75,6 +75,10 @@ class TestBuildConstraints:
         with pytest.raises(ConstraintError, match="at least one"):
             ConstraintSpec(rows=())
 
+    def test_feasibility_objective_takes_no_positions(self):
+        with pytest.raises(ConstraintError, match="takes no positions"):
+            Objective("feasibility", (3,))
+
 
 class TestSolve:
     def test_consistent_solution_satisfies_quantity_system(self, quantity_dec):
