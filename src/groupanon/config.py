@@ -27,9 +27,13 @@ Layout (see README for the full reference):
 Errors carry the file name and the JSON path of the offending field.  A
 field an object does not define is an error too, except a removed one
 (``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is ignored with a
-warning naming its path.  The library objects a run needs (attributes,
-groups, constraints, the wavelet filter and a declared target) are built
-here, so their own checks fail at load, tagged with the same path.
+warning naming its path.  So is a group field that could not act: a
+``subordinate_vital`` outside a difference group, a ``margin`` beside a
+declared shift or on a difference group, a negative ``margin``, and
+``"repair": "mean_std"`` on a concentration or difference group.  The
+library objects a run needs (attributes, groups, constraints, the wavelet
+filter and a declared target) are built here, so their own checks fail at
+load, tagged with the same path.
 """
 
 from __future__ import annotations
@@ -197,6 +201,11 @@ class _Cursor:
             value = default
         return _Cursor(value, f"{self.path}.{key}", self.source)
 
+    def forbid(self, key, reason):
+        """Fail at field ``key`` when it is set; ``reason`` says why it cannot act here."""
+        if self._get(key, None) is not None:
+            self.child(key).fail(reason)
+
     def number_or(self, key, keyword):
         """Field ``key`` as a float, or ``keyword`` when it is that word or absent."""
         value = self._get(key, keyword)
@@ -307,6 +316,8 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
         sub = cur.child("subordinate_vital")
         subordinate = sub.build(GroupSpec.create, _parse_value_map(sub, by_name),
                                 parameter, order, superset)
+    else:
+        cur.forbid("subordinate_vital", 'only a "difference" group has a subordinate group')
 
     wavelet = cur.child("wavelet", {})
     wavelet.fields(WAVELET_FIELDS)
@@ -330,9 +341,16 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
                               group.parameter_order)
 
     shift = cur.number_or("shift", "auto")
+    if signal == "difference" or shift != "auto":
+        cur.forbid("margin", 'margin acts only with "shift": "auto" on a non-difference group')
+    margin = cur.field("margin", float, 0.0)
+    if margin < 0:
+        cur.child("margin").fail("margin must be non-negative")
     repair = cur.field("repair", str, "mean_fix")
     if repair not in REPAIRS:
         cur.fail(f"repair must be one of {REPAIRS}, got {repair!r}")
+    if repair == "mean_std" and signal != "quantity":
+        cur.child("repair").fail('"mean_std" repairs only a quantity group')
 
     return GroupConfig(
         name=name,
@@ -345,7 +363,7 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
         solution=solution,
         target=target,
         shift=None if shift == "auto" else shift,
-        margin=cur.field("margin", float, 0.0),
+        margin=margin,
         repair=repair,
         chi_same=cur.field("chi_same", float, 0.0),
         chi_diff=cur.field("chi_diff", float, 1.0),

@@ -209,14 +209,12 @@ def _audit_published(modified: Microfile, gcfg: GroupConfig, edit: GroupEdit,
                      after: GoalSignal) -> rd.RowChecks:
     """The declared rows evaluated at the published signal's approximation coefficients.
 
-    The published signal is the recounted quantity, or for a concentration
-    or difference group the concentration it implies.  Swap partners come
-    from the superset population, so the superset counts, the
-    denominators, are the same after the swaps as before.
+    The published signal is the recounted quantity over the group's
+    denominators, and for a difference group that concentration less the
+    subordinate's.  Swap partners come from the superset population, so the
+    superset counts, the denominators, are the same after the swaps as before.
     """
-    published = after.values
-    if gcfg.signal != "quantity":
-        published = published / edit.before.denominators
+    published = after.values / _denominators(edit.before)
     if gcfg.signal == "difference":
         published = published - concentration_signal(modified, gcfg.subordinate).values
     dec = edit.decomposition
@@ -224,53 +222,38 @@ def _audit_published(modified: Microfile, gcfg: GroupConfig, edit: GroupEdit,
     return rd.check_solution(edit.lp, redec.approx, tol=1e-9)
 
 
+def _denominators(before: GoalSignal) -> np.ndarray:
+    """The superset counts, or ones for a quantity signal: its own concentration."""
+    return np.ones(len(before)) if before.denominators is None else before.denominators
+
+
 def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
                        reassembled: np.ndarray, log: GroupLog):
-    """Repair chain per signal kind; returns (final signal, shift, quantity target).
+    """One repair chain for every signal kind; returns (final signal, shift, quantity target).
 
-    Swaps move members between parameter values but never add or remove
-    one, so the target keeps the member total.
+    The edited signal is shifted and optionally renormalized.  A difference
+    group is shifted only by a declared number, and its difference goes back
+    onto the subordinate concentrations, so the main group absorbs the edit.
+    The result is a concentration over the group's denominators, which the
+    conversion clamps to non-negative values, rescales to the member total
+    and rounds: swaps move members between parameter values but never add
+    or remove one.  A quantity signal's final form is its rounded target.
     """
-    if gcfg.signal == "quantity":
-        total = int(before.total)
-        shifted, shift = rd.make_nonnegative(reassembled, gcfg.shift, gcfg.margin)
-        if gcfg.repair == "mean_fix":
-            shifted = rd.mean_fix(shifted, before.values)
-        elif gcfg.repair == "mean_std":
-            shifted = rd.normalize_mean_std(shifted, before.values)
-            if np.any(shifted < 0):
-                log.warn("mean/std repair produced negatives; clamping to zero")
-                shifted = np.where(shifted < 0, 0.0, shifted)
-        final = rd.round_to_integers(rd.mean_fix(shifted, before.values), total).astype(float)
-        target = GoalSignal("quantity", final, before.parameter_order)
-        return final, shift, target
-
-    total = int(members(m, gcfg.group).size)
-    if gcfg.signal == "concentration":
-        shifted, shift = rd.make_nonnegative(reassembled, gcfg.shift, gcfg.margin)
-        c_fin = GoalSignal("concentration", shifted, before.parameter_order,
-                           denominators=before.denominators)
-        return shifted, shift, _to_quantity(c_fin, total, log)
-
-    # difference: the modified difference is added back onto the subordinate
-    # concentrations and the main group absorbs the change
-    final, shift = reassembled, 0.0
-    if gcfg.shift is not None:
-        final, shift = rd.make_nonnegative(reassembled, gcfg.shift)
-    sub = concentration_signal(m, gcfg.subordinate)
-    c_new = GoalSignal("concentration", final + sub.values, before.parameter_order,
-                       denominators=before.denominators)
-    return final, shift, _to_quantity(c_new, total, log)
-
-
-def _to_quantity(c_target: GoalSignal, total: int, log: GroupLog) -> GoalSignal:
-    """``concentration_to_quantity``, with its clamping warning kept for the report.
-
-    The conversion logs that warning itself.
-    """
+    shift, base = gcfg.shift, 0.0
+    if gcfg.signal == "difference":
+        shift = shift or 0.0  # "auto" does not shift a difference
+        base = concentration_signal(m, gcfg.subordinate).values
+    final, shift = rd.make_nonnegative(reassembled, shift, gcfg.margin)
+    if gcfg.repair == "mean_std":
+        final = rd.normalize_mean_std(final, before.values)
+    c_target = GoalSignal("concentration", final + base, before.parameter_order,
+                          denominators=_denominators(before))
     if warning := clamping_warning(c_target):
         log.warnings.append(warning)
-    return concentration_to_quantity(c_target, total)
+    target = concentration_to_quantity(c_target, int(members(m, gcfg.group).size))
+    if before.denominators is None:
+        final = target.values
+    return final, shift, target
 
 
 def load_input(config: PipelineConfig) -> Microfile:

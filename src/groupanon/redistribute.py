@@ -5,9 +5,12 @@ low-frequency signal component become linear constraints over candidate
 approximation coefficients (rows of the reconstruction matrix), a solution
 is found by linear programming, and the signal is reassembled with its
 detail coefficients untouched, which is what preserves the high-frequency
-behaviour.  Repairs then restore realizability: a non-negativity shift, a
-sum-preserving rescale or a mean/std renormalization, and integer rounding
-for count signals.
+behaviour.  The repairs that restore realizability are here too: a
+non-negativity shift, a mean/std renormalization, a sum-preserving rescale
+and largest-remainder integer rounding.  A run shifts every group's signal
+(a difference group's only by a declared number), renormalizes it when
+``"repair": "mean_std"`` asks, and then ``signals.concentration_to_quantity``
+clamps, rescales and rounds it for every signal kind.
 """
 
 from __future__ import annotations
@@ -411,5 +414,6 @@ def round_to_integers(values: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-#: Repairs a quantity group's signal may take after its non-negativity shift.
+#: Repairs a group may name.  ``mean_std`` (quantity groups only) renormalizes the shifted
+#: signal; ``none`` and ``mean_fix`` add no step to the rescale every signal gets.
 REPAIRS = ("none", "mean_fix", "mean_std")

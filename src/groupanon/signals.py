@@ -137,14 +137,15 @@ def clamping_warning(c_target: GoalSignal) -> str | None:
     negative = int((c_target.values < 0).sum())
     if not negative:
         return None
-    return f"clamping {negative} negative concentration value(s) to zero before conversion"
+    return f"clamping {negative} negative value(s) to zero before conversion"
 
 
 def concentration_to_quantity(c_target: GoalSignal, total: int) -> GoalSignal:
     """Integer quantity signal proportional to concentration times denominator.
 
-    Negative concentrations are clamped to zero with a warning; the result
-    sums exactly to ``total`` via largest-remainder rounding.
+    Negative values are clamped to zero with a warning; the result sums
+    exactly to ``total`` via largest-remainder rounding.  A quantity signal
+    converts as its own concentration over unit denominators.
     """
     if c_target.denominators is None:
         raise SignalError("conversion requires a signal with denominators")
@@ -156,7 +157,7 @@ def concentration_to_quantity(c_target: GoalSignal, total: int) -> GoalSignal:
         c = np.where(c < 0, 0.0, c)
     mass = c * c_target.denominators
     if not mass.any():
-        raise SignalError("no mass to distribute: all concentration values are zero")
+        raise SignalError("no mass to distribute: every value is zero")
     scaled = mass * (total / mass.sum())
     counts = round_to_integers(scaled, total)
     return GoalSignal("quantity", counts, c_target.parameter_order)

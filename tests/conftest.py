@@ -94,4 +94,15 @@ MALFORMED_GROUPS = [
                  "$.groups[0].wavelet", id="level-infeasible-for-filter"),
     pytest.param(lambda g: g.update(signal="difference", subordinate_vital={"area": ["06010"]}),
                  "$.groups[0].subordinate_vital", id="subordinate-vital-names-parameter"),
+    pytest.param(lambda g: g.update(subordinate_vital={"nope": [True]}),
+                 "$.groups[0].subordinate_vital", id="subordinate-vital-on-quantity-group"),
+    pytest.param(lambda g: g.update(margin=1.0),
+                 "$.groups[0].margin", id="margin-with-declared-shift"),
+    pytest.param(lambda g: g.update(signal="difference", shift="auto", margin=1.0,
+                                    subordinate_vital={"military_service": ["3"]}),
+                 "$.groups[0].margin", id="margin-on-difference-group"),
+    pytest.param(lambda g: g.update(shift="auto", margin=-1.0),
+                 "$.groups[0].margin", id="negative-margin"),
+    pytest.param(lambda g: g.update(signal="concentration", repair="mean_std"),
+                 "$.groups[0].repair", id="mean-std-on-concentration-group"),
 ]

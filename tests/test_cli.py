@@ -299,10 +299,20 @@ class TestRunCommand:
         path = config_factory(config)
         assert run_cli("run", "--config", str(path)) == 0
         report = json.loads((tmp_path / "out/report/report.json").read_text())
-        warning = "clamping 1 negative concentration value(s) to zero before conversion"
+        warning = "clamping 1 negative value(s) to zero before conversion"
         assert report["groups"][0]["warnings"] == [warning]
         assert report["groups"][0]["signal_after"][6] == 0
         assert [r.getMessage() for r in caplog.records].count(warning) == 1
+
+    def test_quantity_clamping_is_reported(self, config_factory, tmp_path):
+        # a declared shift of 2000 leaves position 1 (-2100.9 reassembled) negative;
+        # the conversion clamps it to zero as it does a concentration
+        path = config_factory(shift=2000)
+        assert run_cli("run", "--config", str(path)) == 0
+        group = json.loads((tmp_path / "out/report/report.json").read_text())["groups"][0]
+        warning = "clamping 1 negative value(s) to zero before conversion"
+        assert group["warnings"][0] == warning and group["warnings"].count(warning) == 1
+        assert group["signal_after"][0] == 0 and sum(group["signal_after"]) == 6272
 
     def test_difference_identity_run(self, config_factory, tmp_path):
         config = base_config()
@@ -438,9 +448,9 @@ class TestRedistributeCommand:
         path = config_factory(repair="mean_std")
         assert run_cli("redistribute", "--config", str(path), "--group", "active-duty") == 0
         payload = json.loads((tmp_path / "out/report/active-duty_redistribution.json").read_text())
-        warning = "mean/std repair produced negatives; clamping to zero"
+        warning = "clamping 5 negative value(s) to zero before conversion"
         assert payload["warnings"] == [warning]
-        assert [r.getMessage() for r in caplog.records] == [f"group active-duty: {warning}"]
+        assert [r.getMessage() for r in caplog.records] == [warning]
         redistributed = read_signal_csv(
             tmp_path / "out/report/active-duty_signal_redistributed.csv")[1]
         assert redistributed.sum() == 6272 and redistributed.min() == 0

@@ -1,10 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from conftest import base_config
 from groupanon import reference as ref
 from groupanon.config import load_pipeline_config
-from groupanon.pipeline import GroupLog, _stage, edit_group
+from groupanon.pipeline import GroupLog, _repair_and_target, _stage, edit_group
+from groupanon.redistribute import make_nonnegative, mean_fix, round_to_integers
+from groupanon.signals import quantity_signal
 from groupanon.wavelet import decompose, get_filter
 
 
@@ -63,3 +68,27 @@ class TestEditGroup:
         assert result.shift == 0.0
         assert np.max(np.abs(result.reassembled - ref.QUANTITY)) < 1e-9
         assert np.array_equal(result.final_signal, ref.QUANTITY)
+
+
+class TestRepairChain:
+    def test_quantity_target_is_rescale_then_round(self, config_factory, fixture_microfile):
+        # the shared conversion over unit denominators against the direct quantity repair
+        base = load_pipeline_config(config_factory()).groups[0]
+        before = quantity_signal(fixture_microfile, base.group)
+        total = int(before.total)
+        rng = np.random.default_rng(13)
+        for trial in range(200):
+            scale = 10.0 ** rng.uniform(0, 4)
+            x = before.values + rng.normal(0.0, scale, before.values.size)
+            auto = trial % 2 == 0
+            shift = None if auto else math.ceil(max(0.0, -x.min())) + rng.uniform(0, scale)
+            margin = rng.uniform(0, 5) if auto else 0.0
+            gcfg = dataclasses.replace(base, shift=shift, margin=margin,
+                                       repair=("none", "mean_fix")[trial // 2 % 2])
+            final, used, target = _repair_and_target(fixture_microfile, gcfg, before, x,
+                                                     GroupLog(gcfg.name))
+            shifted, expected_shift = make_nonnegative(x, shift, margin)
+            expected = round_to_integers(mean_fix(shifted, before.values), total)
+            assert used == expected_shift
+            assert np.array_equal(target.values, expected)
+            assert np.array_equal(final, expected)
