@@ -17,18 +17,18 @@ from groupanon.redistribute import (
     build_constraints,
     check_solution,
     make_nonnegative,
-    mean_fix,
     reassemble,
-    round_to_integers,
     solve_constraints,
 )
 from groupanon.reference import (
+    AREA_CODES,
     QUANTITY,
     QUANTITY_FINAL,
     QUANTITY_SHIFT,
     QUANTITY_SOLUTION,
     QUANTITY_SYSTEM,
 )
+from groupanon.signals import GoalSignal, concentration_to_quantity
 from groupanon.wavelet import FILTERS, decompose
 
 dec = decompose(QUANTITY, FILTERS["db2"], level=2)
@@ -53,10 +53,12 @@ print(f"reference solution satisfies all rows: {all(c.satisfied for c in checks)
 qhat = reassemble(dec, QUANTITY_SOLUTION)
 print("\nreassembled signal:", np.round(qhat, 3))
 
+# a run converts every signal kind the same way: a quantity signal is its own
+# concentration over unit denominators, rescaled to the member total and rounded
 shifted, shift = make_nonnegative(qhat, QUANTITY_SHIFT)
-fixed = mean_fix(shifted, QUANTITY)
-final = round_to_integers(fixed, int(QUANTITY.sum()))
-print(f"shift {shift:g}, restored sum {fixed.sum():.3f}")
+unit = GoalSignal("concentration", shifted, AREA_CODES, denominators=np.ones(QUANTITY.size))
+final = concentration_to_quantity(unit, int(QUANTITY.sum())).values.astype(np.int64)
+print(f"shift {shift:g}, restored sum {final.sum()}")
 print("final counts:", final)
 print("matches bundled reference:", np.array_equal(final, QUANTITY_FINAL))
 print("old spike position:", int(np.argmax(QUANTITY)) + 1,

@@ -30,7 +30,8 @@ field an object does not define is an error too, except a removed one
 warning naming its path.  So is a group field that could not act: a
 ``subordinate_vital`` outside a difference group, a ``margin`` beside a
 declared shift or on a difference group, a negative ``margin``, and
-``"repair": "mean_std"`` on a concentration or difference group.  The
+``"repair": "mean_std"`` on a concentration or difference group, and any
+edit field (``EDIT_FIELDS``) on a group with a declared ``target``.  The
 library objects a run needs (attributes, groups, constraints, the wavelet
 filter and a declared target) are built here, so their own checks fail at
 load, tagged with the same path.
@@ -63,6 +64,8 @@ GROUP_FIELDS = ("name", "vital", "parameter", "parameter_order", "superset", "si
 WAVELET_FIELDS = ("family", "level")
 CONSTRAINTS_FIELDS = ("rows", "objective", "nonnegative_coefficients")
 ROW_FIELDS = ("position", "relation", "bound")
+# What the signal edit reads; a group with a declared target skips the edit.
+EDIT_FIELDS = ("constraints", "solution", "shift", "margin", "repair")
 # No output ever depended on these; a config that sets one still loads.
 REMOVED_ROOT_FIELDS = ("seed",)
 REMOVED_GROUP_FIELDS = ("candidate_cap",)
@@ -76,7 +79,8 @@ class GroupConfig:
     ``solution`` injects explicit replacement coefficients (the solver is
     skipped, declared bounds are still checked and violations logged);
     ``target`` bypasses the signal-editing stages entirely and remaps the
-    group straight onto the given quantity signal.
+    group straight onto the given quantity signal; such a group has no
+    ``constraints``, and the other edit fields keep their defaults.
     """
 
     name: str
@@ -84,7 +88,7 @@ class GroupConfig:
     signal: str
     filter: FilterPair
     level: int
-    constraints: ConstraintSpec
+    constraints: ConstraintSpec | None
     subordinate: GroupSpec | None = None
     solution: np.ndarray | None = None
     target: GoalSignal | None = None
@@ -326,7 +330,15 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     m = len(order)
     wavelet.build(check_level, m, filter_pair, level)
 
-    constraints = _parse_constraints(cur.child("constraints"), m)
+    target = cur.child("target", None)
+    if target is not None:
+        target = target.build(GoalSignal, "quantity", target.array(float, "numbers"),
+                              group.parameter_order)
+        for key in EDIT_FIELDS:
+            cur.forbid(key, 'a group with a declared "target" is not edited')
+        constraints = None
+    else:
+        constraints = _parse_constraints(cur.child("constraints"), m)
 
     solution = cur.child("solution", None)
     if solution is not None:
@@ -334,11 +346,6 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
         if len(coefficients) != m >> level:
             solution.fail(f"expected {m >> level} coefficients, got {len(coefficients)}")
         solution = np.array(coefficients)
-
-    target = cur.child("target", None)
-    if target is not None:
-        target = target.build(GoalSignal, "quantity", target.array(float, "numbers"),
-                              group.parameter_order)
 
     shift = cur.number_or("shift", "auto")
     if signal == "difference" or shift != "auto":

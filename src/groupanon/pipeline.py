@@ -16,7 +16,7 @@ import os
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,10 +234,11 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
     The edited signal is shifted and optionally renormalized.  A difference
     group is shifted only by a declared number, and its difference goes back
     onto the subordinate concentrations, so the main group absorbs the edit.
-    The result is a concentration over the group's denominators, which the
-    conversion clamps to non-negative values, rescales to the member total
-    and rounds: swaps move members between parameter values but never add
-    or remove one.  A quantity signal's final form is its rounded target.
+    The result is a concentration over the group's denominators.  Its
+    negative values are clamped to zero here, with a warning under the
+    group's name, and the conversion rescales it to the member total and
+    rounds: swaps move members between parameter values but never add or
+    remove one.  A quantity signal's final form is its rounded target.
     """
     shift, base = gcfg.shift, 0.0
     if gcfg.signal == "difference":
@@ -249,7 +250,8 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
     c_target = GoalSignal("concentration", final + base, before.parameter_order,
                           denominators=_denominators(before))
     if warning := clamping_warning(c_target):
-        log.warnings.append(warning)
+        log.warn(warning)
+        c_target = replace(c_target, values=np.where(c_target.values < 0, 0.0, c_target.values))
     target = concentration_to_quantity(c_target, int(members(m, gcfg.group).size))
     if before.denominators is None:
         final = target.values

@@ -1,12 +1,19 @@
-"""Check every bundled reference value against a fresh computation.
+"""Check every bundled reference value through the functions a run calls.
 
-Each row of the verification table recomputes one checkpoint of the bundled
-worked example from the primitive filter-bank operations and compares it to
-the frozen vector at its stated tolerance.  One check is special: the
-bundled concentration-case solution genuinely violates one row of its own
-constraint system (see :mod:`groupanon.reference`), so the verifier asserts
-the violation is exactly the known one and reports it with status KNOWN
-rather than PASS or FAIL.
+Both cases of the bundled worked example, quantity and concentration, go
+through one function that runs a run's own stages on the frozen input
+signal: ``decompose`` and the two components, ``build_constraints`` over
+the printed constraint system (its coefficients compared against the
+printed three-decimal ones), ``check_solution`` for the bundled solution
+and ``reassemble`` for the new signal.  Each case then checks its own
+tail: the quantity case shifts its signal and converts it over unit
+denominators, the conversion a run applies to a quantity group; the
+concentration case checks its shifted signal.  Every row compares one
+checkpoint to its frozen vector at its stated tolerance.  One check is
+special: the bundled concentration-case solution genuinely violates one row
+of its own constraint system (see :mod:`groupanon.reference`), so the
+verifier asserts the violation is exactly the known one and reports it with
+status KNOWN rather than PASS or FAIL.
 """
 
 from __future__ import annotations
@@ -17,9 +24,10 @@ import numpy as np
 
 from . import reference as ref
 from .microfile import members
-from .redistribute import make_nonnegative, mean_fix, round_to_integers
-from .signals import quantity_signal
-from .wavelet import FILTERS, conv_down, up_conv
+from .redistribute import (ConstraintRow, ConstraintSpec, build_constraints, check_solution,
+                           make_nonnegative, reassemble)
+from .signals import GoalSignal, concentration_to_quantity, quantity_signal
+from .wavelet import FILTERS, FilterPair, approximation_component, decompose, detail_component
 
 __all__ = ["CheckRow", "verify_reference_values", "format_table", "has_failures"]
 
@@ -33,140 +41,91 @@ class CheckRow:
     detail: str = ""
 
 
-def _qmf(low: np.ndarray) -> np.ndarray:
-    k = np.arange(low.size)
-    return (-1.0) ** (k + 1) * low[::-1]
-
-
-def _matrix(low: np.ndarray, length: int, level: int) -> np.ndarray:
-    ncoef = length >> level
-    out = np.empty((length, ncoef))
-    for j in range(ncoef):
-        unit = np.zeros(ncoef)
-        unit[j] = 1.0
-        col = unit
-        for _ in range(level):
-            col = up_conv(col, low)
-        out[:, j] = col
-    return out
-
-
 def _compare(name: str, got, expected, tol: float) -> CheckRow:
     delta = float(np.max(np.abs(np.asarray(got) - np.asarray(expected))))
     return CheckRow(name, "PASS" if delta <= tol else "FAIL", delta, tol)
 
 
-def _system_rows(system, matrix):
-    for position, relation, bound, printed in system:
-        yield matrix[position - 1], relation, float(bound), np.array(printed)
+def _case(kind: str, fp: FilterPair, solution_row, tol: float) -> tuple[list[CheckRow], np.ndarray]:
+    """The shared rows of one bundled case and its reassembled signal.
+
+    ``kind`` names the case and its frozen vectors in :mod:`groupanon.reference`
+    (``QUANTITY_APPROX_2`` and so on).  ``solution_row(violation, position)``
+    judges the bundled solution's worst row; ``tol`` bounds the new signal.
+    """
+    def frozen(suffix):
+        return getattr(ref, f"{kind.upper()}_{suffix}")
+
+    dec = decompose(getattr(ref, kind.upper()), fp, 2)
+    detail = detail_component(dec)
+    rows = [
+        _compare(f"{kind} level-2 approx coefficients", dec.approx, frozen("APPROX_2"), 1e-3),
+        _compare(f"{kind} level-2 detail coefficients", dec.details[2], frozen("DETAIL_2"), 1e-3),
+        _compare(f"{kind} approximation component", approximation_component(dec),
+                 frozen("APPROX_COMPONENT"), 1e-3),
+        _compare(f"{kind} detail component", detail, frozen("DETAIL_COMPONENT"), 1e-3),
+    ]
+
+    system = frozen("SYSTEM")
+    lp = build_constraints(dec, ConstraintSpec(
+        tuple(ConstraintRow(position, relation, bound) for position, relation, bound, _ in system)))
+    rows.append(_compare(f"{kind} constraint-system coefficients",
+                         [coeffs for coeffs, _, _ in lp.rows],
+                         [printed for *_, printed in system], 1e-3))
+
+    solution = frozen("SOLUTION")
+    violation = check_solution(lp, solution).violation
+    worst = int(np.argmax(violation))
+    rows.append(solution_row(float(violation[worst]), system[worst][0]))
+
+    reassembled = reassemble(dec, solution)
+    rows.append(_compare(f"{kind} new approximation component", reassembled - detail,
+                         frozen("NEW_APPROX_COMPONENT"), tol))
+    rows.append(_compare(f"{kind} reassembled signal", reassembled, frozen("REASSEMBLED"), tol))
+    return rows, reassembled
 
 
-def _max_violation(system, matrix, solution):
-    worst = 0.0
-    where = None
-    for position, relation, bound, _ in system:
-        lhs = float(matrix[position - 1] @ solution)
-        gap = lhs - bound if relation == "<=" else bound - lhs
-        if gap > worst:
-            worst, where = gap, position
-    return worst, where
+def _quantity_solution_row(violation: float, position: int) -> CheckRow:
+    ok = violation <= 1e-9
+    return CheckRow("quantity solution satisfies its system", "PASS" if ok else "FAIL",
+                    violation, 1e-9, detail="" if ok else f"violated at position {position}")
+
+
+def _concentration_solution_row(violation: float, position: int) -> CheckRow:
+    name = "concentration solution vs its system"
+    expected = ref.CONCENTRATION_KNOWN_VIOLATION
+    if position == expected["position"] and abs(violation - expected["violation"]) < 2e-4:
+        return CheckRow(
+            name, "KNOWN", violation, 0.0,
+            detail=(f"bundled solution violates the position-{position} row by "
+                    f"{violation:.2e}; retained verbatim, documented inconsistency"),
+        )
+    return CheckRow(name, "FAIL", violation, 0.0,
+                    detail=f"violation pattern changed: position {position}, gap {violation:.2e}")
 
 
 def verify_reference_values(lowpass=None, fixture_csv=None) -> list[CheckRow]:
     """Recompute all reference checkpoints; optionally override the low-pass taps
     (sensitivity checks) or the fixture CSV path."""
-    low = np.asarray(FILTERS["db2"].lowpass if lowpass is None else lowpass, float)
-    high = _qmf(low)
-    rows: list[CheckRow] = []
+    fp = FILTERS["db2"] if lowpass is None else FilterPair.from_lowpass("lowpass", lowpass)
 
-    # quantity case
-    q = ref.QUANTITY
-    a1 = conv_down(q, low)
-    a2 = conv_down(a1, low)
-    d1, d2 = conv_down(q, high), conv_down(a1, high)
-    rows.append(_compare("quantity level-2 approx coefficients", a2, ref.QUANTITY_APPROX_2, 1e-3))
-    rows.append(_compare("quantity level-2 detail coefficients", d2, ref.QUANTITY_DETAIL_2, 1e-3))
-    approx_comp = up_conv(up_conv(a2, low), low)
-    detail_comp = up_conv(d1, high) + up_conv(up_conv(d2, high), low)
-    rows.append(_compare("quantity approximation component", approx_comp,
-                         ref.QUANTITY_APPROX_COMPONENT, 1e-3))
-    rows.append(_compare("quantity detail component", detail_comp,
-                         ref.QUANTITY_DETAIL_COMPONENT, 1e-3))
-
-    matrix = _matrix(low, q.size, 2)
-    coef_delta = max(
-        float(np.max(np.abs(coeffs - printed)))
-        for coeffs, _, _, printed in _system_rows(ref.QUANTITY_SYSTEM, matrix)
-    )
-    rows.append(CheckRow("quantity constraint-system coefficients",
-                         "PASS" if coef_delta <= 1e-3 else "FAIL", coef_delta, 1e-3))
-
-    violation, position = _max_violation(ref.QUANTITY_SYSTEM, matrix, ref.QUANTITY_SOLUTION)
-    rows.append(CheckRow("quantity solution satisfies its system",
-                         "PASS" if violation <= 1e-9 else "FAIL", violation, 1e-9,
-                         detail="" if violation <= 1e-9 else f"violated at position {position}"))
-
-    new_approx = matrix @ ref.QUANTITY_SOLUTION
-    rows.append(_compare("quantity new approximation component", new_approx,
-                         ref.QUANTITY_NEW_APPROX_COMPONENT, 1e-2))
-    qhat = new_approx + detail_comp
-    rows.append(_compare("quantity reassembled signal", qhat, ref.QUANTITY_REASSEMBLED, 1e-2))
-
-    shifted, _ = make_nonnegative(qhat, ref.QUANTITY_SHIFT)
-    final = round_to_integers(mean_fix(shifted, q), int(q.sum()))
+    rows, reassembled = _case("quantity", fp, _quantity_solution_row, 1e-2)
+    shifted, _ = make_nonnegative(reassembled, ref.QUANTITY_SHIFT)
+    total = int(ref.QUANTITY.sum())
+    final = concentration_to_quantity(
+        GoalSignal("concentration", shifted, ref.AREA_CODES,
+                   denominators=np.ones(len(ref.AREA_CODES))), total).values
     worst = int(np.max(np.abs(final - ref.QUANTITY_FINAL)))
-    sum_ok = int(final.sum()) == int(q.sum())
+    sum_ok = int(final.sum()) == total
     rows.append(CheckRow("quantity final rounded signal",
                          "PASS" if worst <= 1 and sum_ok else "FAIL", float(worst), 1.0,
                          detail=f"sum {int(final.sum())}"))
 
-    # concentration case
-    c = ref.CONCENTRATION
-    ca1 = conv_down(c, low)
-    ca2, cd2 = conv_down(ca1, low), conv_down(ca1, high)
-    cd1 = conv_down(c, high)
-    rows.append(_compare("concentration level-2 approx coefficients", ca2,
-                         ref.CONCENTRATION_APPROX_2, 1e-3))
-    rows.append(_compare("concentration level-2 detail coefficients", cd2,
-                         ref.CONCENTRATION_DETAIL_2, 1e-3))
-    c_approx = up_conv(up_conv(ca2, low), low)
-    c_detail = up_conv(cd1, high) + up_conv(up_conv(cd2, high), low)
-    rows.append(_compare("concentration approximation component", c_approx,
-                         ref.CONCENTRATION_APPROX_COMPONENT, 1e-3))
-    rows.append(_compare("concentration detail component", c_detail,
-                         ref.CONCENTRATION_DETAIL_COMPONENT, 1e-3))
-
-    coef_delta = max(
-        float(np.max(np.abs(coeffs - printed)))
-        for coeffs, _, _, printed in _system_rows(ref.CONCENTRATION_SYSTEM, matrix)
-    )
-    rows.append(CheckRow("concentration constraint-system coefficients",
-                         "PASS" if coef_delta <= 1e-3 else "FAIL", coef_delta, 1e-3))
-
-    violation, position = _max_violation(ref.CONCENTRATION_SYSTEM, matrix,
-                                         ref.CONCENTRATION_SOLUTION)
-    expected = ref.CONCENTRATION_KNOWN_VIOLATION
-    if position == expected["position"] and abs(violation - expected["violation"]) < 2e-4:
-        rows.append(CheckRow(
-            "concentration solution vs its system", "KNOWN", violation, 0.0,
-            detail=(f"bundled solution violates the position-{position} row by "
-                    f"{violation:.2e}; retained verbatim, documented inconsistency"),
-        ))
-    else:
-        rows.append(CheckRow(
-            "concentration solution vs its system", "FAIL", violation, 0.0,
-            detail=f"violation pattern changed: position {position}, gap {violation:.2e}",
-        ))
-
-    c_new_approx = matrix @ ref.CONCENTRATION_SOLUTION
-    rows.append(_compare("concentration new approximation component", c_new_approx,
-                         ref.CONCENTRATION_NEW_APPROX_COMPONENT, 1e-3))
-    chat = c_new_approx + c_detail
-    rows.append(_compare("concentration reassembled signal", chat,
-                         ref.CONCENTRATION_REASSEMBLED, 1e-3))
-    shifted_c, _ = make_nonnegative(chat, ref.CONCENTRATION_SHIFT)
-    rows.append(_compare("concentration shifted signal", shifted_c,
-                         ref.CONCENTRATION_SHIFTED, 1e-3))
+    concentration_rows, reassembled = _case("concentration", fp, _concentration_solution_row,
+                                            1e-3)
+    rows += concentration_rows
+    shifted, _ = make_nonnegative(reassembled, ref.CONCENTRATION_SHIFT)
+    rows.append(_compare("concentration shifted signal", shifted, ref.CONCENTRATION_SHIFTED, 1e-3))
 
     rows.append(_fixture_check(fixture_csv))
     return rows

@@ -105,4 +105,7 @@ MALFORMED_GROUPS = [
                  "$.groups[0].margin", id="negative-margin"),
     pytest.param(lambda g: g.update(signal="concentration", repair="mean_std"),
                  "$.groups[0].repair", id="mean-std-on-concentration-group"),
+    pytest.param(lambda g: g.update(target=[int(v) for v in ref.QUANTITY_FINAL], constraints=None,
+                                    solution=None, shift=12345),
+                 "$.groups[0].shift", id="edit-field-on-target-group"),
 ]

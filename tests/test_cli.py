@@ -24,6 +24,10 @@ def read_signal_csv(path):
     return [r["parameter_value"] for r in rows], np.array([float(r["value"]) for r in rows])
 
 
+#: The edit fields of ``base_config()`` cleared, as a group with a declared target needs.
+NO_EDIT = dict(constraints=None, solution=None, shift=None, repair=None)
+
+
 class TestSignalCommand:
     def test_writes_csv_and_chart_with_spike_at_last_position(self, config_factory, tmp_path):
         path = config_factory()
@@ -238,19 +242,19 @@ class TestRunCommand:
     def test_mismatched_manual_target_is_stage_error(self, config_factory, capsys):
         bad = [int(v) for v in ref.QUANTITY]
         bad[0] += 1  # breaks the total
-        path = config_factory(target=bad)
+        path = config_factory(target=bad, **NO_EDIT)
         assert run_cli("run", "--config", str(path)) == 1
         assert "total" in capsys.readouterr().err
 
     def test_manual_target_bypasses_redistribution(self, config_factory, tmp_path):
-        path = config_factory(target=[int(v) for v in ref.QUANTITY_FINAL])
+        path = config_factory(target=[int(v) for v in ref.QUANTITY_FINAL], **NO_EDIT)
         assert run_cli("run", "--config", str(path)) == 0
         out = load_microfile(tmp_path / "out/modified.csv", ref.FIXTURE_SCHEMA)
         assert np.array_equal(quantity_signal(out, ref.fixture_group()).values,
                               ref.QUANTITY_FINAL)
 
     def test_declared_target_reports_no_lp(self, config_factory, tmp_path):
-        path = config_factory(target=[int(v) for v in ref.QUANTITY_FINAL])
+        path = config_factory(target=[int(v) for v in ref.QUANTITY_FINAL], **NO_EDIT)
         assert run_cli("run", "--config", str(path)) == 0
         report = json.loads((tmp_path / "out/report/report.json").read_text())
         assert report["groups"][0]["lp"] is None
@@ -302,7 +306,7 @@ class TestRunCommand:
         warning = "clamping 1 negative value(s) to zero before conversion"
         assert report["groups"][0]["warnings"] == [warning]
         assert report["groups"][0]["signal_after"][6] == 0
-        assert [r.getMessage() for r in caplog.records].count(warning) == 1
+        assert [r.getMessage() for r in caplog.records].count(f"group active-duty: {warning}") == 1
 
     def test_quantity_clamping_is_reported(self, config_factory, tmp_path):
         # a declared shift of 2000 leaves position 1 (-2100.9 reassembled) negative;
@@ -363,7 +367,7 @@ class TestRunCommand:
     def test_stage_error_writes_no_partial_output(self, config_factory, tmp_path):
         bad = [int(v) for v in ref.QUANTITY]
         bad[0] += 1
-        path = config_factory(target=bad)
+        path = config_factory(target=bad, **NO_EDIT)
         assert run_cli("run", "--config", str(path)) == 1
         assert not (tmp_path / "out/modified.csv").exists()
         assert not (tmp_path / "out/report/report.json").exists()
@@ -450,7 +454,7 @@ class TestRedistributeCommand:
         payload = json.loads((tmp_path / "out/report/active-duty_redistribution.json").read_text())
         warning = "clamping 5 negative value(s) to zero before conversion"
         assert payload["warnings"] == [warning]
-        assert [r.getMessage() for r in caplog.records] == [warning]
+        assert [r.getMessage() for r in caplog.records] == [f"group active-duty: {warning}"]
         redistributed = read_signal_csv(
             tmp_path / "out/report/active-duty_signal_redistributed.csv")[1]
         assert redistributed.sum() == 6272 and redistributed.min() == 0

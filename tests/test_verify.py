@@ -1,5 +1,41 @@
+import numpy as np
+
+import groupanon.signals
 from groupanon.verify import format_table, has_failures, verify_reference_values
-from groupanon.wavelet import FILTERS
+from groupanon.wavelet import FILTERS, WaveletDecomposition
+
+#: Every row of the table, in order, with its tolerance.
+ROWS = [
+    ("quantity level-2 approx coefficients", 1e-3),
+    ("quantity level-2 detail coefficients", 1e-3),
+    ("quantity approximation component", 1e-3),
+    ("quantity detail component", 1e-3),
+    ("quantity constraint-system coefficients", 1e-3),
+    ("quantity solution satisfies its system", 1e-9),
+    ("quantity new approximation component", 1e-2),
+    ("quantity reassembled signal", 1e-2),
+    ("quantity final rounded signal", 1.0),
+    ("concentration level-2 approx coefficients", 1e-3),
+    ("concentration level-2 detail coefficients", 1e-3),
+    ("concentration approximation component", 1e-3),
+    ("concentration detail component", 1e-3),
+    ("concentration constraint-system coefficients", 1e-3),
+    ("concentration solution vs its system", 0.0),
+    ("concentration new approximation component", 1e-3),
+    ("concentration reassembled signal", 1e-3),
+    ("concentration shifted signal", 1e-3),
+    ("fixture microfile group counts", 0.0),
+]
+
+
+def orthonormal_lowpass(theta: float) -> np.ndarray:
+    """Four orthonormal low-pass taps; theta = pi/3 gives db2."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([1 - c + s, 1 + c + s, 1 + c - s, 1 - c - s])[::-1] / (2 * np.sqrt(2))
+
+
+def failed(rows) -> list[str]:
+    return [row.name for row in rows if row.status == "FAIL"]
 
 
 class TestVerify:
@@ -13,8 +49,8 @@ class TestVerify:
         assert "position-5" in known[0].detail
 
     def test_perturbed_filter_fails_with_reported_delta(self):
-        taps = FILTERS["db2"].lowpass.copy()
-        taps[0] += 1e-3
+        # within 4.8e-4 of db2 and still an orthonormal pair, so a run could use it
+        taps = orthonormal_lowpass(np.pi / 3 + 1e-3)
         rows = verify_reference_values(lowpass=taps)
         assert has_failures(rows)
         approx = next(r for r in rows if r.name == "quantity level-2 approx coefficients")
@@ -38,3 +74,28 @@ class TestVerify:
         for row in rows:
             assert row.name in table
         assert "known discrepancy" in table
+
+    def test_rows_names_order_and_tolerances(self):
+        rows = verify_reference_values()
+        assert [(row.name, row.tolerance) for row in rows] == ROWS
+
+    def test_run_rounding_is_what_the_final_row_checks(self, monkeypatch):
+        real = groupanon.signals.round_to_integers
+
+        def moved(values, total):
+            counts = real(values, total)
+            counts[:3] += [1, -1, 1]
+            return counts
+
+        monkeypatch.setattr(groupanon.signals, "round_to_integers", moved)
+        assert failed(verify_reference_values()) == ["quantity final rounded signal"]
+
+    def test_run_reconstruction_matrix_is_what_the_rows_read(self, monkeypatch):
+        csr = WaveletDecomposition.__dict__["reconstruction_csr"].func
+        monkeypatch.setattr(WaveletDecomposition, "reconstruction_csr",
+                            property(lambda dec: csr(dec) * 1.01))
+        fails = failed(verify_reference_values())
+        for name in ("quantity constraint-system coefficients",
+                     "concentration constraint-system coefficients",
+                     "quantity reassembled signal"):
+            assert name in fails
