@@ -2,7 +2,9 @@
 
 Writes a working directory with the bundled fixture and a JSON config,
 then drives `groupanon run` and `groupanon verify` exactly as an operator
-would, and checks the published table realizes the modified signal.
+would, and checks the published table realizes the modified signal.  It
+also runs the one group alone with `run --group` into a second output,
+which must write the same table.
 """
 
 import json
@@ -87,7 +89,10 @@ def run(*args):
 
 assert run("signal", "--config", "config.json", "--group", "active-duty") == 0
 assert run("run", "--config", "config.json") == 0
+assert run("run", "--config", "config.json", "--group", "active-duty",
+           "--output", "alone/modified.csv", "--report", "alone/report") == 0
 assert run("verify") == 0
+assert (workdir / "alone" / "modified.csv").read_bytes() == (workdir / "modified.csv").read_bytes()
 
 modified = load_microfile(workdir / "modified.csv", FIXTURE_SCHEMA)
 counts = quantity_signal(modified, fixture_group())

@@ -5,8 +5,8 @@ Subcommands::
     groupanon signal       --config cfg.json --group NAME   goal signal CSV + SVG chart
     groupanon decompose    --config cfg.json --group NAME   wavelet coefficients CSV
     groupanon redistribute --config cfg.json --group NAME   redistribution report for one group
-    groupanon remap        --config cfg.json --group NAME   modified table realizing one group
-    groupanon run          --config cfg.json                full pipeline over all groups
+    groupanon run          --config cfg.json [--group NAME] full pipeline over all groups,
+                                                            or that group alone
     groupanon verify                                        reference-value check table
 
 Exit codes: 0 success, 1 stage error, 2 configuration error, 3 verification
@@ -20,20 +20,18 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .config import GroupConfig, PipelineConfig, load_pipeline_config
 from .errors import ConfigError, GroupAnonError, StageError
 from .charts import svg_line_chart
 from .atomic import atomic_write
-from .microfile import write_microfile
 from .pipeline import (
     GroupLog,
-    _write_plan_csv,
     build_goal_signal,
     edit_group,
     load_input,
-    run_group,
     run_pipeline,
     write_outputs,
     write_signal_csv,
@@ -54,48 +52,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_group):
+    def add(name, help_text, group_help=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="pipeline configuration file (JSON)")
         p.add_argument("--input", help="override the configured input CSV")
         p.add_argument("--output", help="override the configured output CSV")
         p.add_argument("--report", help="override the configured report directory")
-        if needs_group:
-            p.add_argument("--group", required=True, help="group name from the config")
+        p.add_argument("--group", required=group_help is None,
+                       help=group_help or "group name from the config")
         return p
 
-    add("signal", "write a group's goal signal as CSV plus an SVG chart", True)
-    add("decompose", "write a group's wavelet coefficients as CSV", True)
-    add("redistribute", "run a group through constraint solving and repair (no swaps)", True)
-    add("remap", "realize one group's modified signal in the table", True)
-    add("run", "run the full pipeline over every configured group", False)
+    add("signal", "write a group's goal signal as CSV plus an SVG chart")
+    add("decompose", "write a group's wavelet coefficients as CSV")
+    add("redistribute", "run a group through constraint solving and repair (no swaps)")
+    add("run", "run the full pipeline over every configured group",
+        "run only this group from the config, on the input table")
     p = sub.add_parser("verify", help="recompute the bundled reference values")
     p.add_argument("--fixture", help="override the packaged fixture CSV path")
     return parser
 
 
 def _load_config(args) -> PipelineConfig:
+    """The config with the command-line overrides, narrowed to the ``--group`` one if given.
+
+    An unknown group name is a ``ConfigError``, raised before any input is read.
+    """
     config = load_pipeline_config(args.config)
     replacements = {}
+    if args.group is not None:
+        chosen = tuple(g for g in config.groups if g.name == args.group)
+        if not chosen:
+            known = ", ".join(g.name for g in config.groups)
+            raise ConfigError(f"no group named {args.group!r} in the config (have: {known})")
+        replacements["groups"] = chosen
     if args.input:
         replacements["input"] = Path(args.input)
     if args.output:
         replacements["output"] = Path(args.output)
     if args.report:
         replacements["report_dir"] = Path(args.report)
-    if replacements:
-        from dataclasses import replace
-
-        config = replace(config, **replacements)
-    return config
-
-
-def _select_group(config: PipelineConfig, name: str) -> GroupConfig:
-    for gcfg in config.groups:
-        if gcfg.name == name:
-            return gcfg
-    known = ", ".join(g.name for g in config.groups)
-    raise ConfigError(f"no group named {name!r} in the config (have: {known})")
+    return replace(config, **replacements)
 
 
 def _report_dir(config: PipelineConfig) -> Path:
@@ -104,8 +100,8 @@ def _report_dir(config: PipelineConfig) -> Path:
     return path
 
 
-def _cmd_signal(config: PipelineConfig, name: str) -> int:
-    gcfg = _select_group(config, name)
+def _cmd_signal(config: PipelineConfig, gcfg: GroupConfig) -> int:
+    name = gcfg.name
     m = load_input(config)
     signal = GroupLog(name).stage("signal", build_goal_signal, m, gcfg)
     out = _report_dir(config)
@@ -116,8 +112,8 @@ def _cmd_signal(config: PipelineConfig, name: str) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(config: PipelineConfig, name: str) -> int:
-    gcfg = _select_group(config, name)
+def _cmd_decompose(config: PipelineConfig, gcfg: GroupConfig) -> int:
+    name = gcfg.name
     m = load_input(config)
     stage = GroupLog(name).stage
     signal = stage("signal", build_goal_signal, m, gcfg)
@@ -136,8 +132,8 @@ def _cmd_decompose(config: PipelineConfig, name: str) -> int:
     return EXIT_OK
 
 
-def _cmd_redistribute(config: PipelineConfig, name: str) -> int:
-    gcfg = _select_group(config, name)
+def _cmd_redistribute(config: PipelineConfig, gcfg: GroupConfig) -> int:
+    name = gcfg.name
     m = load_input(config)
     log = GroupLog(name)
     edit = edit_group(m, gcfg, log)
@@ -159,19 +155,6 @@ def _cmd_redistribute(config: PipelineConfig, name: str) -> int:
     with atomic_write(out / f"{name}_redistribution.json") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     print(f"wrote redistribution artifacts for {name!r} under {out}")
-    return EXIT_OK
-
-
-def _cmd_remap(config: PipelineConfig, name: str) -> int:
-    gcfg = _select_group(config, name)
-    m = load_input(config)
-    modified, result = run_group(m, gcfg)
-    out = _report_dir(config)
-    output = config.output_path
-    output.parent.mkdir(parents=True, exist_ok=True)
-    write_microfile(modified, output)
-    _write_plan_csv(out / f"{name}_swaps.csv", result.plan)
-    print(f"wrote {output} ({len(result.plan)} swaps, total cost {result.plan.total_cost:.3f})")
     return EXIT_OK
 
 
@@ -199,15 +182,11 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args.fixture)
         config = _load_config(args)
-        if args.command == "signal":
-            return _cmd_signal(config, args.group)
-        if args.command == "decompose":
-            return _cmd_decompose(config, args.group)
-        if args.command == "redistribute":
-            return _cmd_redistribute(config, args.group)
-        if args.command == "remap":
-            return _cmd_remap(config, args.group)
-        return _cmd_run(config)
+        if args.command == "run":
+            return _cmd_run(config)
+        command = {"signal": _cmd_signal, "decompose": _cmd_decompose,
+                   "redistribute": _cmd_redistribute}[args.command]
+        return command(config, *config.groups)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

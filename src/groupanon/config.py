@@ -27,7 +27,10 @@ Layout (see README for the full reference):
 Errors carry the file name and the JSON path of the offending field.  A
 field an object does not define is an error too, except a removed one
 (``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is ignored with a
-warning naming its path.  So is a group field that could not act: a
+warning naming its path; ``"repair": "none"``, the old name of the default,
+loads as ``"mean_fix"`` with the same kind of warning.  A group name
+must be a plain file name, since the report files are named after it.  A
+group field that could not act is an error too: a
 ``subordinate_vital`` outside a difference group, a ``margin`` beside a
 declared shift or on a difference group, a negative ``margin``, and
 ``"repair": "mean_std"`` on a concentration or difference group, and any
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -298,6 +302,9 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     cur.fields(GROUP_FIELDS, REMOVED_GROUP_FIELDS)
     by_name = {a.name: a for a in schema}
     name = cur.field("name", str)
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        cur.child("name").fail(f"group name {name!r} is not a plain file name, "
+                               "and the group's report files are named after it")
     parameter = cur.field("parameter", str)
     order = [str(v) for v in cur.child("parameter_order").array(*_TEXTS)]
     if parameter not in by_name:
@@ -354,6 +361,10 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     if margin < 0:
         cur.child("margin").fail("margin must be non-negative")
     repair = cur.field("repair", str, "mean_fix")
+    if repair == "none":  # the old name of the default
+        logger.warning("%s: %s.repair: repair 'none' is the same as 'mean_fix' and loads as it",
+                       cur.source, cur.path)
+        repair = "mean_fix"
     if repair not in REPAIRS:
         cur.fail(f"repair must be one of {REPAIRS}, got {repair!r}")
     if repair == "mean_std" and signal != "quantity":

@@ -2,9 +2,11 @@
 
 Groups are processed in declared order and each one sees the table already
 modified by its predecessors, so declaration order is part of the run's
-semantics.  All outputs (modified CSV, report directory) are written only
-after every group has succeeded; a stage failure therefore leaves nothing
-half-written.
+semantics.  After the last group every earlier group is recounted on the
+final table, and a later group's swaps that moved the counts an earlier
+group publishes stop the run.  All outputs (modified CSV, report
+directory) are written only after every group has succeeded; a stage
+failure therefore leaves nothing half-written.
 """
 
 from __future__ import annotations
@@ -68,13 +70,18 @@ class GroupEdit:
 
 @dataclass
 class GroupRunResult:
-    """Everything one group's run produced, for the report."""
+    """Everything one group's run produced, for the report.
+
+    ``subordinate`` is the subordinate concentration the published audit of
+    a difference group read; None when there was no such audit.
+    """
 
     name: str
     edit: GroupEdit
     plan: SwapPlan
     after: GoalSignal
     published_checks: rd.RowChecks | None
+    subordinate: np.ndarray | None
     timings: dict[str, float]
     warnings: list[str]
 
@@ -190,9 +197,9 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
     if not np.array_equal(after.values, edit.target.values):
         raise StageError("recount", gcfg.name, "swap plan failed to realize the target signal")
 
-    published = None
+    published = subordinate = None
     if edit.lp is not None:
-        published = stage("audit", _audit_published, modified, gcfg, edit, after)
+        published, subordinate = stage("audit", _audit_published, modified, gcfg, edit, after)
         bad = np.flatnonzero(~published.satisfied)
         if bad.size:
             worst = published[int(np.argmax(published.violation))]
@@ -201,25 +208,56 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
                    f"({worst.position_text}), off by {worst.violation:.6g}")
             log.warn(msg)
 
-    return modified, GroupRunResult(gcfg.name, edit, plan, after, published,
+    return modified, GroupRunResult(gcfg.name, edit, plan, after, published, subordinate,
                                     log.timings, log.warnings)
 
 
 def _audit_published(modified: Microfile, gcfg: GroupConfig, edit: GroupEdit,
-                     after: GoalSignal) -> rd.RowChecks:
+                     after: GoalSignal) -> tuple[rd.RowChecks, np.ndarray | None]:
     """The declared rows evaluated at the published signal's approximation coefficients.
 
     The published signal is the recounted quantity over the group's
     denominators, and for a difference group that concentration less the
-    subordinate's.  Swap partners come from the superset population, so the
-    superset counts, the denominators, are the same after the swaps as before.
+    subordinate's, which is returned beside the checks (None for other kinds).
+    Swap partners come from the superset population, so the superset counts,
+    the denominators, are the same after the swaps as before.
     """
     published = after.values / _denominators(edit.before)
+    subordinate = None
     if gcfg.signal == "difference":
-        published = published - concentration_signal(modified, gcfg.subordinate).values
+        subordinate = concentration_signal(modified, gcfg.subordinate).values
+        published = published - subordinate
     dec = edit.decomposition
     redec = decompose(published, dec.filter, dec.level)
-    return rd.check_solution(edit.lp, redec.approx, tol=1e-9)
+    return rd.check_solution(edit.lp, redec.approx, tol=1e-9), subordinate
+
+
+def _recount_final(m: Microfile, gcfg: GroupConfig, result: GroupRunResult) -> None:
+    """Raise unless the final table ``m`` holds the counts group ``gcfg`` published.
+
+    Those are what its published signal is built from: its members, which
+    must equal ``signal_after``; for a concentration or difference group its
+    superset, which must equal the denominators it used; and for a
+    difference group the subordinate concentration its audit read.  A later
+    group's swaps can move any of them, since a swap keeps another
+    membership's counts only when the two records agree on it.
+    """
+    counts = {"members": (quantity_signal(m, gcfg.group).values, result.after.values)}
+    if result.edit.before.denominators is not None:
+        counts["superset"] = (concentration_signal(m, gcfg.group).denominators,
+                              result.edit.before.denominators)
+    if result.subordinate is not None:
+        counts["subordinate concentration"] = (
+            concentration_signal(m, gcfg.subordinate).values, result.subordinate)
+    for what, (final, reported) in counts.items():
+        moved = np.flatnonzero(final != reported)
+        if moved.size:
+            p = int(moved[0])
+            raise StageError(
+                "recount", gcfg.name,
+                f"a later group's swaps moved its {what} at position {p + 1} "
+                f"({gcfg.group.parameter_order[p]!r}) from {reported[p]:g} to {final[p]:g} "
+                f"in the final table ({moved.size} position(s) moved)")
 
 
 def _denominators(before: GoalSignal) -> np.ndarray:
@@ -277,6 +315,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     for gcfg in config.groups:
         m, result = run_group(m, gcfg)
         results.append(result)
+    # the last group's own recount was made on the final table
+    for gcfg, result in zip(config.groups[:-1], results):
+        log = GroupLog(gcfg.name)
+        log.stage("recount", _recount_final, m, gcfg, result)
+        result.timings["final_recount"] = log.timings["recount"]
     return PipelineResult(microfile=m, groups=results, load_s=load_s, bytes_read=bytes_read)
 
 

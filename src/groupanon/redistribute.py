@@ -415,5 +415,5 @@ def round_to_integers(values: np.ndarray, total: int) -> np.ndarray:
 
 
 #: Repairs a group may name.  ``mean_std`` (quantity groups only) renormalizes the shifted
-#: signal; ``none`` and ``mean_fix`` add no step to the rescale every signal gets.
-REPAIRS = ("none", "mean_fix", "mean_std")
+#: signal; ``mean_fix`` adds no step to the rescale every signal gets.
+REPAIRS = ("mean_fix", "mean_std")

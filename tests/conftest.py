@@ -108,4 +108,8 @@ MALFORMED_GROUPS = [
     pytest.param(lambda g: g.update(target=[int(v) for v in ref.QUANTITY_FINAL], constraints=None,
                                     solution=None, shift=12345),
                  "$.groups[0].shift", id="edit-field-on-target-group"),
+    pytest.param(lambda g: g.update(name="units/active"),
+                 "$.groups[0].name", id="name-with-a-separator"),
+    pytest.param(lambda g: g.update(name="../escaped"),
+                 "$.groups[0].name", id="name-outside-the-report-directory"),
 ]

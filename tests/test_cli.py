@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from conftest import MALFORMED_GROUPS, base_config
 from groupanon import reference as ref
 from groupanon.cli import main
-from groupanon.microfile import load_microfile
+from groupanon.config import load_pipeline_config
+from groupanon.microfile import GroupSpec, load_microfile
 from groupanon.signals import concentration_signal, quantity_signal
 from groupanon.wavelet import approximation_component, decompose, get_filter
 
@@ -377,6 +380,16 @@ class TestRunCommand:
         (tmp_path / "military.csv").unlink()
         assert run_cli("run", "--config", str(path)) in (1, 2)
 
+    def test_repair_none_writes_what_mean_fix_writes(self, config_factory, tmp_path, caplog):
+        path = config_factory(repair="none")
+        with caplog.at_level("WARNING", logger="groupanon.config"):
+            assert run_cli("run", "--config", str(path)) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "groupanon.config"] == [
+            f"{path}: $.groups[0].repair: repair 'none' is the same as 'mean_fix' and loads as it"]
+        written = outputs(tmp_path / "out")
+        assert run_cli("run", "--config", str(config_factory(repair="mean_fix"))) == 0
+        assert outputs(tmp_path / "out") == written
+
     def test_unscaled_empty_group_is_repair_error(self, config_factory, capsys):
         config = base_config()
         group = config["groups"][0]
@@ -390,7 +403,7 @@ class TestRunCommand:
             assert run_cli("run", "--config", str(path)) == 1
         assert capsys.readouterr().err.startswith("stage error [repair:active-duty] ")
 
-    @pytest.mark.parametrize("command", ["signal", "decompose", "redistribute", "remap", "run"])
+    @pytest.mark.parametrize("command", ["signal", "decompose", "redistribute", "run"])
     def test_signal_failure_is_tagged_signal_by_every_command(self, command, config_factory,
                                                               capsys):
         # every member falls outside the superset, so no concentration exists
@@ -422,14 +435,126 @@ class TestNominalColumnsStayCoded:
         assert run_cli("run", "--config", str(path)) == 0
 
 
-class TestRemapCommand:
+def outputs(out_dir):
+    """Every file a run wrote under ``out_dir``; ``report.json`` without its timings and io."""
+    files = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    report = json.loads(files.pop(Path("report/report.json")))
+    for group in report["groups"]:
+        del group["timings"]
+    del report["io"], report["output"]
+    return files, report
+
+
+def write_config(directory, config):
+    """``config`` and a fixture copy in ``directory``; the config's path."""
+    directory.mkdir(exist_ok=True)
+    shutil.copy(ref.fixture_path(), directory / "military.csv")
+    (directory / "config.json").write_text(json.dumps(config))
+    return directory / "config.json"
+
+
+def reserve_group(vital=None, superset=None):
+    """A declared-target group moving 40 of its members from position 12 to 11.
+
+    Its members default to ``military_service`` = 2; without a superset its
+    swap partners are any other records, ``active-duty`` members among them.
+    """
+    vital = vital or {"military_service": ["2"]}
+    spec = GroupSpec.create({k: set(v) for k, v in vital.items()}, "area", ref.AREA_CODES)
+    target = quantity_signal(ref.load_quantity_microfile(), spec).values.astype(int)
+    target[11] -= 40
+    target[10] += 40
+    group = {"name": "reserve", "vital": vital, "parameter": "area",
+             "parameter_order": list(ref.AREA_CODES), "target": target.tolist()}
+    if superset is not None:
+        group["superset"] = superset
+    return group
+
+
+def identity_group(kind):
+    """The bundled group as a ``kind`` signal whose rows keep the original coefficients."""
+    config = base_config()
+    group = config["groups"][0]
+    group["signal"] = kind
+    if kind == "difference":
+        group["subordinate_vital"] = {"military_service": ["3"]}
+    group["constraints"] = {
+        "rows": [{"position": i, "relation": "<=", "bound": "original"} for i in range(1, 17)]}
+    del group["solution"]
+    group["shift"] = "auto"
+    return group
+
+
+class TestRunGroupOption:
     def test_swap_audit_csv(self, config_factory, tmp_path):
         path = config_factory()
-        assert run_cli("remap", "--config", str(path), "--group", "active-duty") == 0
+        assert run_cli("run", "--config", str(path), "--group", "active-duty") == 0
         with open(tmp_path / "out/report/active-duty_swaps.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3822
         assert {"member_index", "partner_index", "cost"} <= set(rows[0])
+        report = json.loads((tmp_path / "out/report/report.json").read_text())
+        assert [g["name"] for g in report["groups"]] == ["active-duty"]
+
+    def test_unknown_group_is_config_error(self, config_factory, tmp_path, capsys):
+        path = config_factory()
+        assert run_cli("run", "--config", str(path), "--group", "nope") == 2
+        assert "no group named 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_group_runs_alone_on_the_input_table(self, tmp_path):
+        # reserve alone from a two-group config writes what a reserve-only config writes
+        both = base_config()
+        both["groups"].append(reserve_group())
+        assert run_cli("run", "--config", str(write_config(tmp_path / "both", both)),
+                       "--group", "reserve") == 0
+        alone = base_config()
+        alone["groups"] = [reserve_group()]
+        assert run_cli("run", "--config", str(write_config(tmp_path / "alone", alone))) == 0
+        files, report = outputs(tmp_path / "both/out")
+        assert sorted(map(str, files)) == ["modified.csv"] + [
+            f"report/reserve{suffix}" for suffix in
+            ("_after.svg", "_before.svg", "_signal_after.csv", "_signal_before.csv", "_swaps.csv")]
+        assert (files, report) == outputs(tmp_path / "alone/out")
+
+
+class TestFinalRecount:
+    def test_later_group_moving_earlier_members_stops_the_run(self, tmp_path, capsys):
+        config = base_config()
+        config["groups"].append(reserve_group())
+        assert run_cli("run", "--config", str(write_config(tmp_path, config))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage error [recount:active-duty] ")
+        assert "moved its members at position 1 ('06010')" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_partners_outside_earlier_groups_publish_every_group(self, tmp_path):
+        config = base_config()
+        config["groups"].append(reserve_group(superset={"military_service": ["0", "2", "3", "4"]}))
+        assert run_cli("run", "--config", str(write_config(tmp_path, config))) == 0
+        out = load_microfile(tmp_path / "out/modified.csv", ref.FIXTURE_SCHEMA)
+        report = json.loads((tmp_path / "out/report/report.json").read_text())
+        for gcfg, group in zip(load_pipeline_config(tmp_path / "config.json").groups,
+                               report["groups"]):
+            assert quantity_signal(out, gcfg.group).values.tolist() == group["signal_after"]
+        assert "final_recount" in report["groups"][0]["timings"]
+        assert "final_recount" not in report["groups"][1]["timings"]
+
+    @pytest.mark.parametrize("kind, vital, superset, moved", [
+        ("concentration", None, {"military_service": ["0", "2", "3", "4"]}, "superset"),
+        ("difference", {"military_service": ["2"], "sex": ["1"]},
+         {"military_service": ["0", "2", "3", "4"], "sex": ["1"]}, "subordinate concentration"),
+    ])
+    def test_later_group_moving_earlier_denominators_or_subordinate_stops_the_run(
+            self, kind, vital, superset, moved, tmp_path, capsys):
+        # the later group's partners leave the earlier group's members alone
+        config = base_config()
+        config["groups"] = [identity_group(kind), reserve_group(vital, superset)]
+        assert run_cli("run", "--config", str(write_config(tmp_path, config))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage error [recount:active-duty] a later group's swaps "
+                              f"moved its {moved} at position ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestRedistributeCommand:

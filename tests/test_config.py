@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -132,6 +133,23 @@ class TestLoadConfig:
         ]
         assert not hasattr(loaded, "seed")
         assert not hasattr(loaded.groups[0], "candidate_cap")
+
+    def test_repair_none_loads_as_mean_fix_with_a_named_warning(self, tmp_path, caplog):
+        config = base_config()
+        config["groups"][0]["repair"] = "none"
+        path = write(tmp_path, config)
+        with caplog.at_level("WARNING", logger="groupanon.config"):
+            loaded = load_pipeline_config(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: $.groups[0].repair: repair 'none' is the same as 'mean_fix' and loads as it"]
+        assert loaded.groups[0].repair == "mean_fix"
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", f"a{os.sep}b", "/abs"])
+    def test_group_name_must_be_a_plain_file_name(self, tmp_path, name):
+        config = base_config()
+        config["groups"][0]["name"] = name
+        with pytest.raises(ConfigError, match=r"\$\.groups\[0\]\.name: .*plain file name"):
+            load_pipeline_config(write(tmp_path, config))
 
     def test_unknown_repair_rejected(self, tmp_path):
         config = base_config()

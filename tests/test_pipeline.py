@@ -83,8 +83,7 @@ class TestRepairChain:
             auto = trial % 2 == 0
             shift = None if auto else math.ceil(max(0.0, -x.min())) + rng.uniform(0, scale)
             margin = rng.uniform(0, 5) if auto else 0.0
-            gcfg = dataclasses.replace(base, shift=shift, margin=margin,
-                                       repair=("none", "mean_fix")[trial // 2 % 2])
+            gcfg = dataclasses.replace(base, shift=shift, margin=margin)
             final, used, target = _repair_and_target(fixture_microfile, gcfg, before, x,
                                                      GroupLog(gcfg.name))
             shifted, expected_shift = make_nonnegative(x, shift, margin)
