@@ -4,9 +4,12 @@ Writes a working directory with the bundled fixture and a JSON config,
 then drives `groupanon run` and `groupanon verify` exactly as an operator
 would, and checks the published table realizes the modified signal.  It
 also runs the one group alone with `run --group` into a second output,
-which must write the same table.
+which must write the same table, and runs the table rewritten with every
+cell quoted, which the loader's csv path reads instead of its byte path:
+that run, too, must write the same table.
 """
 
+import csv
 import json
 import os
 import shutil
@@ -32,6 +35,9 @@ from groupanon.signals import quantity_signal
 workdir = Path(__file__).parent / "output" / "pipeline"
 workdir.mkdir(parents=True, exist_ok=True)
 shutil.copy(fixture_path(), workdir / "military.csv")
+with open(fixture_path(), newline="") as src, \
+        open(workdir / "military_quoted.csv", "w", newline="") as dst:
+    csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
 
 config = {
     "input": "military.csv",
@@ -91,8 +97,15 @@ assert run("signal", "--config", "config.json", "--group", "active-duty") == 0
 assert run("run", "--config", "config.json") == 0
 assert run("run", "--config", "config.json", "--group", "active-duty",
            "--output", "alone/modified.csv", "--report", "alone/report") == 0
+assert run("run", "--config", "config.json", "--input", "military_quoted.csv",
+           "--output", "quoted/modified.csv", "--report", "quoted/report") == 0
 assert run("verify") == 0
 assert (workdir / "alone" / "modified.csv").read_bytes() == (workdir / "modified.csv").read_bytes()
+assert (workdir / "quoted" / "modified.csv").read_bytes() == (workdir / "modified.csv").read_bytes()
+readers = [json.loads((workdir / d / "report.json").read_text())["io"]["reader"]
+           for d in ("report", "quoted/report")]
+assert readers == ["bytes", "csv"], readers
+print("bundled table read by the byte path, its quoted copy by the csv path:", readers)
 
 modified = load_microfile(workdir / "modified.csv", FIXTURE_SCHEMA)
 counts = quantity_signal(modified, fixture_group())

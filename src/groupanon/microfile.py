@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import gc
+import locale
 import logging
 import math
+import stat
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -306,8 +308,8 @@ def check_group_in_superset(m: Microfile, g: GroupSpec) -> None:
 def _gc_paused():
     """Keep the cyclic garbage collector off inside the block, then restore its state.
 
-    Loading allocates one list per row and one string per cell of each
-    chunk; none can form a cycle, but their sheer number triggers
+    The csv reader allocates one list per row and one string per cell of
+    each chunk; none can form a cycle, but their sheer number triggers
     collections, which cost about a fifth of a large load even though only
     one chunk's rows are alive at a time.
     """
@@ -321,9 +323,9 @@ def _gc_paused():
 
 
 #: Body rows parsed, and rows written, at a time.  The load's transient (one
-#: chunk's row lists and cell strings) and the write's row texts scale with
-#: this rather than with the file; 16,384 rows loaded as fast as 4,096 and
-#: faster than 65,536.
+#: chunk's bytes and offsets, or its row lists and cell strings) and the
+#: write's row texts scale with this rather than with the file; 16,384 rows
+#: loaded as fast as 4,096 and faster than 65,536.
 _CHUNK_ROWS = 16_384
 
 
@@ -331,6 +333,8 @@ def load_microfile(
     path: str | Path,
     schema: Sequence[Attribute],
     identifiers: Sequence[str] = (),
+    *,
+    info: dict | None = None,
 ) -> Microfile:
     """Read a header-bearing CSV file against a declared schema.
 
@@ -340,43 +344,61 @@ def load_microfile(
     cells are allowed (as missing values, NaN in ordinal columns) only in
     plain columns.  Any other cell is a ``ParseError`` naming its row.
 
-    The body is parsed ``_CHUNK_ROWS`` rows at a time into per-column
-    arrays that are joined at the end, so only one chunk's rows are held
-    as Python lists.  Errors come in the order of a reader that takes in
-    the whole file before checking it: read errors, then header and schema
-    errors, then the first ragged row, then the first bad cell of the first
-    schema column that has one.
+    A plain file (see ``_read_plain``) is parsed by a byte path that builds
+    no row and no cell string.  Any other file is read again from the start
+    by ``csv.reader``, which builds the same table and raises every parse
+    error.  It parses the body ``_CHUNK_ROWS`` rows at a time into
+    per-column arrays that are joined at the end, so only one chunk's rows
+    are held as Python lists.  Errors come in the order of a reader that
+    takes in the whole file before checking it: read errors, then header
+    and schema errors, then the first ragged row, then the first bad cell
+    of the first schema column that has one.
+
+    If ``info`` is given, ``info["reader"]`` is set to the path that built
+    the table: ``"bytes"`` or ``"csv"``.
     """
     path = Path(path)
     if not schema:
         raise SchemaError("schema must declare at least one attribute")
     with _gc_paused():
         try:
-            with path.open(newline="") as fh:
-                reader = csv.reader(fh)
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise ParseError(f"{path}: file is empty") from None
-                try:
-                    positions = _check_header(path, header, schema, identifiers)
-                except SchemaError:
-                    deque(reader, maxlen=0)  # a read error further on still comes first
-                    raise
-                table = _read_columns(path, reader, len(header), schema, positions)
-        except OSError as exc:
+            table, reader = _read_plain(path, schema, identifiers), "bytes"
+            if table is None:
+                table, reader = _read_csv(path, schema, identifiers), "csv"
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: cannot read: {exc}") from exc
-
+    if info is not None:
+        info["reader"] = reader
     return table
+
+
+def _read_csv(path: Path, schema: Sequence[Attribute], identifiers: Sequence[str]) -> Microfile:
+    """The table as ``csv.reader`` reads the file; the source of every parse error."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: file is empty") from None
+        _warn_identifiers(path, header, identifiers)
+        try:
+            positions = _check_header(path, header, schema, identifiers)
+        except SchemaError:
+            deque(reader, maxlen=0)  # a read error further on still comes first
+            raise
+        return _read_columns(path, reader, len(header), schema, positions)
+
+
+def _warn_identifiers(path: Path, header: list[str], identifiers: Sequence[str]) -> None:
+    for ident in identifiers:
+        if ident in header:
+            logger.warning("%s: dropping identifier column %r", path, ident)
 
 
 def _check_header(path: Path, header: list[str], schema: Sequence[Attribute],
                   identifiers: Sequence[str]) -> list[int]:
-    """Each schema column's position in ``header``; drops identifiers with a warning."""
+    """Each schema column's position in ``header``."""
     positions = {name: i for i, name in enumerate(header)}
-    for ident in identifiers:
-        if ident in positions:
-            logger.warning("%s: dropping identifier column %r", path, ident)
     schema_names = {a.name for a in schema}
     if overlap := schema_names & set(identifiers):
         raise SchemaError(f"attributes {sorted(overlap)} declared both in schema and as identifiers")
@@ -507,6 +529,226 @@ def _empty_cell_error(path: Path, rownum: int, attr: Attribute) -> ParseError:
     return ParseError(
         f"{path}: row {rownum}: empty value in {attr.role} column {attr.name!r}"
     )
+
+
+#: Every ASCII byte, once.
+_ASCII = bytes(range(128))
+
+
+def _ascii_compatible(encoding: str) -> bool:
+    """Whether ``encoding`` decodes ASCII bytes to the same text as ASCII does.
+
+    A platform encoding is stateless, so one probe of every ASCII byte
+    answers for every ASCII string; it rules out UTF-16 and EBCDIC.
+    """
+    try:
+        return _ASCII.decode(encoding) == _ASCII.decode("ascii")
+    except (LookupError, UnicodeDecodeError):
+        return False
+
+
+def _read_plain(path: Path, schema: Sequence[Attribute],
+                identifiers: Sequence[str]) -> Microfile | None:
+    """The table of a plain file; None as soon as a chunk shows the file is not plain.
+
+    A file is plain when ``csv.reader``'s rows of it are its lines split on
+    commas, and it holds nothing that ``_read_csv`` would reject:
+
+    * the platform encoding is ASCII-compatible and the file is ASCII;
+    * it holds no quote and no NUL, and every carriage return ends a line
+      before its line feed;
+    * no line is empty, and each has as many fields as the header;
+    * no field is longer than ``csv.field_size_limit()``;
+    * no cell of a schema column that is not plain is empty, and every
+      ordinal cell is a finite number.
+
+    The file must also be a regular one, so that the csv path can read it
+    again.  The body is read ``_CHUNK_ROWS`` lines at a time; a chunk's
+    fields are found by one scan for delimiters and gathered by offset.
+    """
+    if not _ascii_compatible(locale.getpreferredencoding(False)):
+        return None
+    try:
+        if not stat.S_ISREG(path.stat().st_mode):
+            return None
+    except OSError:
+        return None  # the csv path reports it
+    limit = csv.field_size_limit()
+    with path.open("rb") as fh:
+        header = _plain_header(fh.readline(), limit)
+        if header is None:
+            return None
+        try:
+            positions = _check_header(path, header, schema, identifiers)
+        except SchemaError:
+            return None
+        parts: list[list] = [[] for _ in schema]
+        while lines := list(islice(fh, _CHUNK_ROWS)):
+            fields = _plain_fields(b"".join(lines), len(lines), len(header), limit)
+            if fields is None:
+                return None
+            data, starts, lengths = fields
+            for attr, pos, column_parts in zip(schema, positions, parts):
+                if attr.role != "plain" and not lengths[:, pos].all():
+                    return None
+                parse = _plain_nominal if attr.kind == "nominal" else _plain_ordinal
+                part = parse(data, starts[:, pos], lengths[:, pos])
+                if part is None:
+                    return None
+                column_parts.append(part)
+    _warn_identifiers(path, header, identifiers)
+    return Microfile.from_cells(schema, *_join_plain(schema, parts))
+
+
+def _plain_header(line: bytes, limit: int) -> list[str] | None:
+    """The fields of the header line, or None if the line is not plain."""
+    if line.endswith(b"\n"):
+        line = line[:-2] if line.endswith(b"\r\n") else line[:-1]
+    if not line or not line.isascii() or b'"' in line or b"\0" in line or b"\r" in line:
+        return None
+    fields = line.decode("ascii").split(",")
+    return fields if max(map(len, fields)) <= limit else None
+
+
+def _plain_fields(chunk: bytes, lines: int, width: int,
+                  limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The chunk's bytes, and each field's offset and length as (lines, width) arrays.
+
+    ``chunk`` holds ``lines`` whole lines; without a final line feed, its
+    last line is the file's.  None unless every line is plain.  The bytes
+    go on with zeros, so that a window as wide as the widest field, or
+    eight bytes, starting at any field lies inside them.
+    """
+    if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
+        return None
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    data = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    if ends.size != lines * width:
+        return None
+    # each of the ``lines`` line feeds ends a row of ``width`` delimiters, so the others are commas
+    ends = ends.reshape(lines, width)
+    if not (data[ends[:, -1]] == ord("\n")).all():
+        return None
+    crlf = data[ends[:, -1] - 1] == ord("\r")
+    if np.count_nonzero(data == ord("\r")) != np.count_nonzero(crlf):
+        return None
+    starts = np.concatenate(([0], ends.reshape(-1)[:-1] + 1)).reshape(lines, width)
+    ends[:, -1] -= crlf
+    lengths = ends - starts
+    widest = int(lengths.max())
+    if widest > limit or (width == 1 and not lengths.all()):
+        return None
+    return np.concatenate((data, np.zeros(widest + 8, np.uint8))), starts, lengths
+
+
+def _words(data: np.ndarray) -> np.ndarray:
+    """The big-endian 8-byte word at every offset of ``data``, as a strided view."""
+    return np.ndarray((data.size - 7,), ">u8", data, strides=(1,))
+
+
+#: For n = 0..8: a mask of a word's last n bytes, the shift that moves its
+#: first n bytes there, and a mask of its first n bytes.
+_LAST = np.array([2**(8 * n) - 1 for n in range(9)], np.uint64)
+_SHIFT = np.array([0] + [64 - 8 * n for n in range(1, 9)], np.uint64)
+_FIRST = _LAST << _SHIFT
+
+
+def _plain_nominal(data: np.ndarray, starts: np.ndarray,
+                   lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The chunk's distinct texts as sorted bytes, each cell's index into them, the widest cell.
+
+    A cell of at most 8 bytes becomes the big-endian integer of its bytes,
+    zero-padded, whose order is its text's; wider cells are compared as
+    fixed-width bytes.  No plain cell holds NUL, so the zero padding never
+    merges two texts.
+    """
+    width = int(lengths.max())
+    if width <= 8:
+        keys = _words(data)[starts].astype(np.uint64) & _FIRST[lengths]
+        distinct, codes = np.unique(keys, return_inverse=True)
+        distinct = distinct.astype(">u8").view("S8")
+    else:
+        cells = np.lib.stride_tricks.sliding_window_view(data, width)[starts]
+        cells[np.arange(width) >= lengths[:, None]] = 0
+        distinct, codes = np.unique(cells.view(f"S{width}"), return_inverse=True)
+    return distinct.reshape(-1), codes.reshape(-1).astype(np.int32), width
+
+
+#: Cells of up to this many ASCII digits are read by arithmetic: below
+#: 10**15 < 2**53 every integer is exact in float64, as ``float()`` gives it.
+_EXACT_DIGITS = 15
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
+_SIXES = np.uint64(0x0606060606060606)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_PAIRS = np.uint64(0x00FF00FF00FF00FF)
+_QUADS = np.uint64(0x0000FFFF0000FFFF)
+_HALF = np.uint64(0x00000000FFFFFFFF)
+
+
+def _eight_digits(words: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each cell's first ``lengths`` (at most 8) bytes are ASCII digits, and their number.
+
+    The bytes are moved to the end of a word whose other bytes are "0",
+    checked eight at a time, and combined in pairs, quads and halves.  No
+    bytes at all read as 0.
+    """
+    last = _LAST[lengths]
+    text = (words[starts].astype(np.uint64) >> _SHIFT[lengths]) & last | (_ZEROS & ~last)
+    ok = ((text & _HIGH_NIBBLES) == _ZEROS) & (((text + _SIXES) & _HIGH_NIBBLES) == _ZEROS)
+    n = text - _ZEROS
+    n = (n >> np.uint64(8) & _PAIRS) * np.uint64(10) + (n & _PAIRS)
+    n = (n >> np.uint64(16) & _QUADS) * np.uint64(100) + (n & _QUADS)
+    n = (n >> np.uint64(32)) * np.uint64(10_000) + (n & _HALF)
+    return ok, n
+
+
+def _plain_ordinal(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The chunk's ordinal cells as float64, NaN where a cell is empty.
+
+    A cell of 1 to ``_EXACT_DIGITS`` ASCII digits is worked out from its
+    digits, as a head of up to 7 and a tail of up to 8; any other goes
+    through ``float()``, as in the csv path.  None if such a cell is not a
+    finite number.
+    """
+    words = _words(data)
+    tail = np.minimum(lengths, 8)
+    head = np.minimum(lengths - tail, 8)
+    head_ok, high = _eight_digits(words, starts, head)
+    tail_ok, low = _eight_digits(words, starts + lengths - tail, tail)
+    exact = head_ok & tail_ok & (lengths > 0) & (lengths <= _EXACT_DIGITS)
+    values = np.where(exact, high * np.uint64(10**8) + low, np.nan)
+    other = np.flatnonzero(~exact & (lengths > 0))
+    for i, start, length in zip(other.tolist(), starts[other].tolist(), lengths[other].tolist()):
+        try:
+            value = float(data[start:start + length].tobytes().decode("ascii"))
+        except ValueError:
+            return None
+        if not math.isfinite(value):
+            return None
+        values[i] = value
+    return values
+
+
+def _join_plain(schema: Sequence[Attribute],
+                parts: list[list]) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Each column's cells, and each nominal column's vocabulary, from its chunks' parts."""
+    cells, vocabularies = {}, {}
+    for attr, column_parts in zip(schema, parts):
+        if attr.kind == "ordinal":
+            cells[attr.name] = np.concatenate(column_parts) if column_parts else np.empty(0)
+        elif not column_parts:
+            cells[attr.name], vocabularies[attr.name] = np.empty(0, np.int32), np.array([], str)
+        else:
+            distinct = np.unique(np.concatenate([texts for texts, _, _ in column_parts]))
+            cells[attr.name] = np.concatenate([np.searchsorted(distinct, texts).astype(np.int32)[codes]
+                                               for texts, codes, _ in column_parts])
+            width = max(1, max(width for _, _, width in column_parts))
+            vocabularies[attr.name] = distinct.astype(f"<U{width}")
+        column_parts.clear()
+    return cells, vocabularies
 
 
 def _format_cell(attr: Attribute, value) -> str:

@@ -92,6 +92,7 @@ class PipelineResult:
     groups: list[GroupRunResult]
     load_s: float
     bytes_read: int
+    reader: str
 
 
 @contextmanager
@@ -296,10 +297,13 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
     return final, shift, target
 
 
-def load_input(config: PipelineConfig) -> Microfile:
-    """The configured input table; a failure to load is a ``load`` stage error."""
+def load_input(config: PipelineConfig, info: dict | None = None) -> Microfile:
+    """The configured input table; a failure to load is a ``load`` stage error.
+
+    ``info`` is passed on to ``load_microfile``.
+    """
     try:
-        return load_microfile(config.input_path, config.schema, config.identifiers)
+        return load_microfile(config.input_path, config.schema, config.identifiers, info=info)
     except GroupAnonError as exc:
         raise StageError("load", "-", str(exc)) from exc
 
@@ -307,7 +311,8 @@ def load_input(config: PipelineConfig) -> Microfile:
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Load the input table and process every group in declared order."""
     t0 = time.perf_counter()
-    m = load_input(config)
+    info: dict[str, str] = {}
+    m = load_input(config, info)
     load_s = time.perf_counter() - t0
     bytes_read = os.path.getsize(config.input_path)
 
@@ -320,7 +325,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         log = GroupLog(gcfg.name)
         log.stage("recount", _recount_final, m, gcfg, result)
         result.timings["final_recount"] = log.timings["recount"]
-    return PipelineResult(microfile=m, groups=results, load_s=load_s, bytes_read=bytes_read)
+    return PipelineResult(microfile=m, groups=results, load_s=load_s, bytes_read=bytes_read,
+                          reader=info["reader"])
 
 
 def write_signal_csv(path, order, values) -> None:
@@ -383,6 +389,7 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
             "records": result.microfile.n_records,
             "bytes_read": result.bytes_read,
             "bytes_written": sum(os.path.getsize(p) for p in written),
+            "reader": result.reader,
         },
         "groups": groups,
     }

@@ -317,11 +317,23 @@ def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray,
 
 
 def _row_ids(codes: list[np.ndarray]) -> np.ndarray:
-    """Dense ids numbering the distinct rows across equal-length non-negative integer ``codes``."""
-    ids = np.zeros(codes[0].size, dtype=np.int64)
+    """Dense ids numbering the distinct rows across equal-length non-negative integer ``codes``.
+
+    The ids rank the rows lexicographically.  The columns are folded into a
+    mixed-radix int64 key, with radix ``max + 1`` each, for as long as every
+    key fits; only then are the keys replaced by their dense ranks, so
+    columns whose radices multiply to at most 2**63 cost one ``np.unique``.
+    """
+    key = np.zeros(codes[0].size, dtype=np.int64)
+    span = 1  # every key is below it
     for code in codes:
-        ids = np.unique(ids * (int(code.max()) + 1) + code, return_inverse=True)[1].reshape(-1)
-    return ids
+        radix = int(code.max()) + 1
+        if span * radix > 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            key, span = key.reshape(-1), distinct.size
+        key = key * radix + code
+        span *= radix
+    return np.unique(key, return_inverse=True)[1].reshape(-1)
 
 
 class _ClassSpace:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import locale
 import shutil
 import warnings
 from pathlib import Path
@@ -105,7 +106,8 @@ class TestRunCommand:
         report = json.loads((tmp_path / "out/report/report.json").read_text())
         assert set(report) == {"output", "io", "groups"}
         assert set(report["io"]) == {"load_s", "write_s", "records", "bytes_read",
-                                     "bytes_written"}
+                                     "bytes_written", "reader"}
+        assert report["io"]["reader"] == "bytes"
         assert len(report["groups"]) == 1
         group = report["groups"][0]
         assert set(group) == {"name", "signal_before", "signal_after", "coefficients", "shift",
@@ -641,6 +643,19 @@ class TestExitCodes:
         assert report["output"] == str(tmp_path / "alt/table.csv")
         assert report["io"]["bytes_read"] == (tmp_path / "in/data.csv").stat().st_size
         assert list(elsewhere.iterdir()) == []
+
+    @pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                        reason="the platform encoding decodes every byte")
+    def test_undecodable_input_is_a_load_error(self, config_factory, tmp_path, capsys):
+        path = config_factory()
+        table = tmp_path / "military.csv"
+        content = table.read_bytes()
+        table.write_bytes(content[:1000] + b"\xff" + content[1000:])
+        assert run_cli("run", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage error [load:-] {table}: cannot read: 'utf-8' codec can't "
+                              "decode byte 0xff")
+        assert "Traceback" not in err
 
     def test_unwritable_output_is_io_error(self, config_factory, capsys):
         path = config_factory()

@@ -1,6 +1,10 @@
 import csv
 import gc
+import locale
 import logging
+import math
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -50,11 +54,7 @@ def toy_file(tmp_path, rows=None):
 
 
 def reference_load(path, schema, identifiers=()):
-    """Row-by-row, cell-by-cell loader: the reference for ``load_microfile``.
-
-    It accepts non-finite ordinal cells, which ``load_microfile`` rejects, so
-    differential tests keep such cells out of their inputs.
-    """
+    """Row-by-row, cell-by-cell loader: the reference for ``load_microfile``."""
     path = Path(path)
     if not schema:
         raise SchemaError("schema must declare at least one attribute")
@@ -66,7 +66,7 @@ def reference_load(path, schema, identifiers=()):
             except StopIteration:
                 raise ParseError(f"{path}: file is empty") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
 
     positions = {name: i for i, name in enumerate(header)}
@@ -115,6 +115,11 @@ def reference_load(path, schema, identifiers=()):
                         f"{path}: row {i + 2}: non-numeric value {value!r} in "
                         f"ordinal column {attr.name!r}"
                     ) from None
+                if not math.isfinite(values[i]):
+                    raise ParseError(
+                        f"{path}: row {i + 2}: non-finite value {value!r} in "
+                        f"ordinal column {attr.name!r}"
+                    )
             columns[attr.name] = values
 
     return Microfile(attributes=tuple(schema), columns=columns)
@@ -139,6 +144,11 @@ def load_outcome(loader, path, schema):
     except (ParseError, SchemaError) as exc:
         return type(exc), str(exc)
     return {name: (col.dtype, col.tobytes()) for name, col in m.columns.items()}
+
+
+def read_with(info):
+    """``load_microfile`` that records in ``info`` which path built the table."""
+    return lambda path, schema: load_microfile(path, schema, info=info)
 
 
 # Cells the differential tests draw from: text that needs quoting, unicode,
@@ -186,6 +196,40 @@ ORDINAL_TEXT = st.one_of(
 )
 
 
+# Cells of plain files: ASCII without NUL, quote, comma or line end.  The
+# ordinal texts besides digit strings are read by float() inside the byte path.
+PLAIN_TEXT = st.text("".join(chr(c) for c in range(1, 128) if chr(c) not in '\r\n",'),
+                     max_size=12)
+PLAIN_ORDINAL_TEXT = st.one_of(
+    st.integers(0, 10**16).map(str),
+    st.sampled_from(["40.5", "-3", " 7", "+5", "1_000", "-0", "007", "1e3", ".5", "5.",
+                     "1234567890123456", "999999999999999", "12345678"]),
+    ORDINAL_VALUES.map(repr),
+)
+
+
+@st.composite
+def plain_texts(draw):
+    """(file bytes, schema) of a plain file: every line splits on commas and loads."""
+    width = draw(st.integers(1, 5))
+    kinds = [draw(st.sampled_from(["nominal", "ordinal"])) for _ in range(width)]
+    roles = [draw(st.sampled_from(sorted(ROLES))) for _ in range(width)]
+    schema = tuple(Attribute(f"c{j}", k, r, ROLES[r]) for j, (k, r) in enumerate(zip(kinds, roles)))
+    lines = [",".join(a.name for a in schema)]
+    for _ in range(draw(st.integers(0, 12))):
+        row = []
+        for a in schema:
+            cell = PLAIN_ORDINAL_TEXT if a.kind == "ordinal" else PLAIN_TEXT.filter(bool)
+            # an empty cell is plain in a plain column, but a line of one empty cell is blank
+            if a.role == "plain" and width > 1 and draw(st.integers(0, 4)) == 0:
+                cell = st.just("")
+            row.append(draw(cell))
+        lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text.encode("ascii"), schema
+
+
 @st.composite
 def csv_texts(draw):
     """(header, rows, schema) of a CSV file whose cells may be malformed or ragged."""
@@ -213,6 +257,18 @@ class TestColumnwiseIOAgainstRowReference:
         got = load_outcome(load_microfile, d / "new.csv", m.attributes)
         assert got == load_outcome(reference_load, d / "new.csv", m.attributes)
         assert isinstance(got, dict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=plain_texts())
+    def test_plain_files_take_the_byte_path(self, tmp_path_factory, table):
+        content, schema = table
+        path = tmp_path_factory.mktemp("plain") / "in.csv"
+        path.write_bytes(content)
+        info = {}
+        got = load_outcome(read_with(info), path, schema)
+        assert got == load_outcome(reference_load, path, schema)
+        assert isinstance(got, dict)
+        assert info == {"reader": "bytes"}
 
     @settings(max_examples=200, deadline=None)
     @given(table=csv_texts())
@@ -376,7 +432,6 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("cell, what", [("lots", "non-numeric"), ("inf", "non-finite")])
     def test_bad_ordinal_names_the_file_row(self, tmp_path, cell, what):
-        # the reference accepts non-finite cells, so the message is checked alone
         path = toy_file(tmp_path, [["a1", "1", "5"]] * 3 + [["a2", "0", cell]])
         assert load_outcome(load_microfile, path, TOY_SCHEMA) == (
             ParseError, f"{path}: row 5: {what} value {cell!r} in ordinal column 'pay'")
@@ -395,6 +450,127 @@ class TestChunkBoundaries:
         for loader in (load_microfile, reference_load):
             with pytest.raises(csv.Error, match="field larger than field limit"):
                 loader(path, TOY_SCHEMA)
+
+
+def outcome_or_csv_error(loader, path, schema):
+    """``load_outcome``, or the (type, message) of a ``csv.Error`` that both loaders raise."""
+    try:
+        return load_outcome(loader, path, schema)
+    except csv.Error as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderChoice:
+    """Which path reads a file; either way the outcome is the row reference's."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_chunks(self, monkeypatch):
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", 2)
+
+    HEADER = b"area,service,pay\n"
+    GOOD = b"a1,1,10\na2,0,5\na1,1,6\na2,0,7\n"
+
+    @pytest.fixture
+    def csv_reads(self, monkeypatch):
+        """The paths that the csv path reads, also when it raises."""
+        calls, read = [], microfile._read_csv
+
+        def spy(path, *args):
+            calls.append(path)
+            return read(path, *args)
+
+        monkeypatch.setattr(microfile, "_read_csv", spy)
+        return calls
+
+    @pytest.mark.parametrize("body, reader", [
+        (b'a1,"1",10\n', "csv"),                                  # a quoted cell
+        (b"a1,1,10\ra2,0,5\n", "csv"),                            # a lone carriage return
+        (b"a\x001,1,10\n", "csv"),                                # a NUL
+        ("ä1,1,10\n".encode(), "csv"),                            # a non-ASCII cell
+        (b"a1,1,10\na2,0\n", "csv"),                              # a ragged row
+        (b"x" * (csv.field_size_limit() + 1) + b",1,10\n", "csv"),  # a field over the limit
+        (b"x" * csv.field_size_limit() + b",1,10\n", "bytes"),      # a field at the limit
+        (b"a1,,10\n", "csv"),                                     # an empty vital cell
+        (b"a1,1,inf\n", "csv"),                                   # a non-finite ordinal
+        (b"a1,1,lots\n", "csv"),                                  # a bad cell in the last chunk only
+        (b"a1,1,1234567890123456\n", "bytes"),                    # 16 digits: read by float()
+        (b"a1,1,123456789012345\n", "bytes"),                     # 15 digits: by arithmetic
+    ], ids=["quoted", "lone-cr", "nul", "non-ascii", "ragged", "over-field-limit", "at-field-limit",
+            "empty-vital", "inf", "bad-cell-in-last-chunk", "16-digits", "15-digits"])
+    def test_each_file_takes_its_path_with_the_reference_outcome(self, tmp_path, csv_reads,
+                                                                 body, reader):
+        path = tmp_path / "f.csv"
+        path.write_bytes(self.HEADER + self.GOOD + body)
+        got = outcome_or_csv_error(load_microfile, path, TOY_SCHEMA)
+        assert csv_reads == ([path] if reader == "csv" else [])
+        assert got == outcome_or_csv_error(reference_load, path, TOY_SCHEMA)
+
+    @pytest.mark.parametrize("content", [b'"area",service\n', b"name\n", b"",
+                                         "área\na\n".encode(), b"area\na\n\nb\n"],
+                             ids=["quoted-header", "schema-error", "empty", "non-ascii-header",
+                                  "blank-line"])
+    def test_header_and_width_one_files_fall_back(self, tmp_path, csv_reads, content):
+        schema = (Attribute("area", "nominal", "plain"),)
+        path = tmp_path / "f.csv"
+        path.write_bytes(content)
+        got = outcome_or_csv_error(load_microfile, path, schema)
+        assert csv_reads == [path]
+        assert got == outcome_or_csv_error(reference_load, path, schema)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv"])
+    def test_identifier_warning_is_logged_once(self, tmp_path, caplog, quoted):
+        rows = [["123", "a1", "1", "10"], ["456", "a2", "0", "5"]] * 3
+        path = tmp_path / "f.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL)
+            writer.writerows([["ssn", "area", "service", "pay"], *rows])
+        info = {}
+        with caplog.at_level(logging.WARNING):
+            load_microfile(path, TOY_SCHEMA, identifiers=["ssn"], info=info)
+        assert info["reader"] == ("csv" if quoted else "bytes")
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{path}: dropping identifier column 'ssn'"]
+
+    def test_a_pipe_is_read_once_by_the_csv_path(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(self.HEADER + self.GOOD,),
+                                  daemon=True)
+        writer.start()
+        info = {}
+        try:
+            m = load_microfile(path, TOY_SCHEMA, info=info)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (m.n_records, info["reader"]) == (4, "csv")
+
+    @pytest.mark.parametrize("encoding, compatible", [
+        ("utf-8", True), ("latin-1", True), ("cp1252", True), ("cp932", True),
+        ("utf-16", False), ("cp037", False), ("no-such-codec", False)])
+    def test_ascii_compatible_encodings(self, encoding, compatible):
+        assert microfile._ascii_compatible(encoding) is compatible
+
+    def test_an_encoding_that_is_not_ascii_compatible_takes_the_csv_path(self, tmp_path,
+                                                                         monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_bytes(self.HEADER + self.GOOD)
+        monkeypatch.setattr(microfile.locale, "getpreferredencoding", lambda *_: "utf-16")
+        info = {}
+        assert load_microfile(path, TOY_SCHEMA, info=info).n_records == 4
+        assert info["reader"] == "csv"
+
+    @pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                        reason="the platform encoding decodes every byte")
+    def test_undecodable_byte_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(self.HEADER + self.GOOD + b"a\xff,1,10\n")
+        got = load_outcome(load_microfile, path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert got[0] is ParseError
+        assert got[1].startswith(f"{path}: cannot read: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestAttribute:
@@ -501,13 +677,18 @@ class TestLoad:
     def test_gc_paused_while_loading_and_restored(self, tmp_path, monkeypatch, enabled, bad):
         path = toy_file(tmp_path, [["a1", "1", "100"], ["a2", "0", "lots" if bad else "5"]])
         seen = []
-        parse = microfile._parse_ordinal
 
-        def spy(*args):
-            seen.append(gc.isenabled())
-            return parse(*args)
+        def spy(name):
+            parse = getattr(microfile, name)
 
-        monkeypatch.setattr(microfile, "_parse_ordinal", spy)
+            def parse_and_record(*args):
+                seen.append((name, gc.isenabled()))
+                return parse(*args)
+
+            monkeypatch.setattr(microfile, name, parse_and_record)
+
+        spy("_plain_ordinal")  # the byte path's ordinal step
+        spy("_parse_ordinal")  # the csv path's, after the byte path met the bad cell
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -516,7 +697,7 @@ class TestLoad:
                     load_microfile(path, TOY_SCHEMA)
             else:
                 assert load_microfile(path, TOY_SCHEMA).n_records == 2
-            assert seen == [False]
+            assert seen == [("_plain_ordinal", False)] + [("_parse_ordinal", False)] * bad
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()

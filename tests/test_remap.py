@@ -49,6 +49,57 @@ WEIGHTS = InfluentialWeights(ordinal={"age": 1.0, "income": 1.0},
                              nominal={"service": 1.0}, chi_same=0.0, chi_diff=1.0)
 
 
+def row_ids_by_column(codes):
+    """One ``np.unique`` per column over every record: the reference for ``remap._row_ids``."""
+    ids = np.zeros(codes[0].size, dtype=np.int64)
+    for code in codes:
+        ids = np.unique(ids * (int(code.max()) + 1) + code, return_inverse=True)[1].reshape(-1)
+    return ids
+
+
+class TestRowIds:
+    # radices from 1 up to 2**56 + 1, so that two or more large ones overflow one int64
+    # key, while the reference's dense ids (below 40) times any radix still fit
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40),
+           tops=st.lists(st.sampled_from([0, 1, 2, 6, 1000, 2**20, 2**40, 2**56]),
+                         min_size=1, max_size=6))
+    def test_matches_the_per_column_fold(self, data, n, tops):
+        codes = []
+        for top in tops:
+            # each column holds its top code, so its radix is top + 1
+            values = data.draw(st.lists(st.integers(0, top), min_size=n - 1, max_size=n - 1))
+            code = np.array(data.draw(st.permutations(values + [top])), dtype=np.int64)
+            codes.append(code)
+        got = remap._row_ids(codes)
+        assert got.dtype == np.int64
+        assert got.tolist() == row_ids_by_column(codes).tolist()
+        rows = sorted(set(zip(*(c.tolist() for c in codes))))
+        assert got.tolist() == [rows.index(r) for r in zip(*(c.tolist() for c in codes))]
+
+    # radix products just past 2**63 (147 * 2**56), far past it, and within it
+    @pytest.mark.parametrize("tops", [[2**56, 6, 6, 2], [2**31, 2**31, 2**31], [2**40, 1, 6]])
+    def test_ranks_rows_whatever_the_radix_product(self, tops):
+        rng = np.random.default_rng(len(tops))
+        codes = [np.append(rng.integers(0, top + 1, 30), top) for top in tops]
+        assert remap._row_ids(codes).tolist() == row_ids_by_column(codes).tolist()
+
+    def test_radices_that_fit_cost_one_unique(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        codes = [rng.integers(0, 100, 500), rng.integers(0, 2, 500).astype(bool),
+                 rng.integers(0, 7, 500).astype(np.int32)]
+        expected = row_ids_by_column(codes).tolist()
+        calls, unique = [], np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(remap.np, "unique", counting)
+        assert remap._row_ids(codes).tolist() == expected
+        assert calls == [500]
+
+
 class TestInfluentialMetric:
     def test_identical_records_zero_with_zero_chi(self):
         rec = {"age": 30.0, "income": 100.0, "service": "1"}
