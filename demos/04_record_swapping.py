@@ -33,7 +33,7 @@ start = time.perf_counter()
 plan = plan_swaps(microfile, group, target, weights)
 print(f"\nplanned {len(plan)} swaps in {time.perf_counter() - start:.2f}s, "
       f"total cost {plan.total_cost:.3f}")
-print("first three swaps:", plan.swaps[:3])
+print("first three swaps:", tuple(map(tuple, plan.swaps[:3].tolist())))
 
 modified = apply_swaps(microfile, plan)
 after = quantity_signal(modified, group)

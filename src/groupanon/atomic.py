@@ -11,8 +11,10 @@ __all__ = ["atomic_write"]
 
 
 @contextmanager
-def atomic_write(path: str | Path, newline: str | None = None):
-    """Open a text file whose content replaces ``path`` when the block completes.
+def atomic_write(path: str | Path, newline: str | None = None, binary: bool = False):
+    """Open a file whose content replaces ``path`` when the block completes.
+
+    The file is opened as text, or as binary if ``binary``.
 
     The data goes to a new temporary file in the same directory, which
     ``os.replace`` renames over ``path`` once the block exits normally.  If
@@ -20,12 +22,12 @@ def atomic_write(path: str | Path, newline: str | None = None):
     previous content, so a reader sees the old file or the whole new one,
     never a partial write.  No fsync is issued: this guards against a failed
     or killed run, not against losing power.  ``newline`` is passed to
-    ``open`` (``""`` for the ``csv`` module).
+    ``open`` (``""`` for the ``csv`` module; None in binary mode).
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", newline=newline) as fh:
+        with open(tmp, "xb" if binary else "x", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

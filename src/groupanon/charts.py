@@ -9,6 +9,8 @@ from __future__ import annotations
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .atomic import atomic_write
 
 __all__ = ["svg_line_chart"]
@@ -33,15 +35,18 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def x_at(i: int) -> float:
-        if len(values) == 1:
-            return _MARGIN_L + plot_w / 2
-        return _MARGIN_L + plot_w * i / (len(values) - 1)
-
-    def y_at(v: float) -> float:
+    def y_at(v):
         return _MARGIN_T + plot_h * (1.0 - (v - lo) / (hi - lo))
 
-    points = " ".join(f"{x_at(i):.1f},{y_at(v):.1f}" for i, v in enumerate(values))
+    n = len(values)
+    if n == 1:
+        x = np.array([_MARGIN_L + plot_w / 2])
+    else:
+        x = _MARGIN_L + plot_w * np.arange(n) / (n - 1)
+    # each point is formatted once, for the polyline and its circle
+    xs = list(map("{:.1f}".format, x.tolist()))
+    ys = list(map("{:.1f}".format, y_at(np.array(values)).tolist()))
+    points = " ".join(map(",".join, zip(xs, ys)))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -74,20 +79,18 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
         )
     step = max(1, len(labels) // 16)
     for i in range(0, len(labels), step):
-        x = x_at(i)
         parts.append(
-            f'<line x1="{x:.1f}" y1="{axis_y}" x2="{x:.1f}" y2="{axis_y + 4}" stroke="black"/>'
+            f'<line x1="{xs[i]}" y1="{axis_y}" x2="{xs[i]}" y2="{axis_y + 4}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{x:.1f}" y="{axis_y + 16}" text-anchor="middle" '
+            f'<text x="{xs[i]}" y="{axis_y + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10" '
-            f'transform="rotate(45 {x:.1f} {axis_y + 16})">{escape(labels[i])}</text>'
+            f'transform="rotate(45 {xs[i]} {axis_y + 16})">{escape(labels[i])}</text>'
         )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="2"/>'
     )
-    for i, v in enumerate(values):
-        parts.append(f'<circle cx="{x_at(i):.1f}" cy="{y_at(v):.1f}" r="2.5" fill="#1f6fb2"/>')
+    parts.extend(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="#1f6fb2"/>' for cx, cy in zip(xs, ys))
     parts.append("</svg>")
 
     with atomic_write(path) as fh:

@@ -18,6 +18,7 @@ immutable; modification happens by constructing a new table.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import locale
@@ -27,11 +28,12 @@ import stat
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice, repeat
 from operator import itemgetter, not_
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +46,10 @@ __all__ = [
     "GroupSpec",
     "load_microfile",
     "write_microfile",
+    "write_columns",
+    "text_cells",
+    "integer_cells",
+    "formatted_cells",
     "members",
     "record_view",
     "axis_positions",
@@ -324,8 +330,9 @@ def _gc_paused():
 
 #: Body rows parsed, and rows written, at a time.  The load's transient (one
 #: chunk's bytes and offsets, or its row lists and cell strings) and the
-#: write's row texts scale with this rather than with the file; 16,384 rows
-#: loaded as fast as 4,096 and faster than 65,536.
+#: write's (one chunk's cell positions and padded byte matrix) scale with
+#: this rather than with the file; 16,384 rows loaded as fast as 4,096 and
+#: faster than 65,536.
 _CHUNK_ROWS = 16_384
 
 
@@ -804,42 +811,226 @@ def values_outside_order(m: Microfile, g: GroupSpec, records: np.ndarray) -> lis
     return sorted({text[i] for i in np.unique(inverse).tolist()}.difference(g.parameter_order))
 
 
-def _written(texts: list[str], last: bool, alone: bool) -> np.ndarray:
-    """``texts`` as csv writes them in a row, as an object array.
+#: A chunk of a written column: a uint8 buffer, and for each row of the chunk
+#: where its cell's bytes start in the buffer and how many there are.  The
+#: counts, not any terminator, say where a cell ends, so a cell may hold or
+#: end with a NUL byte.
+Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: A written column: its cells in a slice of the rows.
+Column = Callable[[slice], Cells]
 
-    Each text goes once through a csv writer whose file hands back the
-    line instead of writing it, so the quoting is csv's own.  The texts of
-    the last column end with the line terminator, so a row is its fields
-    joined by the delimiter.  A table's only column keeps csv's rule for a
-    row of one field, which quotes an empty field.
+_DELIMITER = ord(",")
+_QUOTE = ord('"')
+_ROW_END = np.frombuffer(csv.excel.lineterminator.encode("ascii"), np.uint8)
+#: The most bytes the padded rows of one ``_joined`` call may take.
+_JOIN_BYTES = 2**20
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _cell_encoding() -> str:
+    """The encoding cell texts are encoded in: the platform's if it writes ASCII as ASCII.
+
+    The digits, delimiters and line ends are ASCII bytes.  Under any other
+    platform encoding cells are encoded in UTF-8, and ``write_columns``
+    turns each chunk into the platform encoding.
+    """
+    encoding = locale.getpreferredencoding(False)
+    return encoding if _ascii_compatible(encoding) else "utf-8"
+
+
+def _csv_line(fields: Iterable[str]) -> str:
+    """The line, terminator included, that a csv writer writes for the row ``fields``."""
+    return csv.writer(SimpleNamespace(write=str)).writerow(fields)
+
+
+def _quoted(texts: Iterable[str]) -> list[str]:
+    """Each text as csv writes it as a field of a row of several, quoted by csv's own rule.
+
+    The line of ("", text) is a delimiter, the field and the terminator.
     """
     line = csv.writer(SimpleNamespace(write=str)).writerow
-    if alone:
-        written = list(map(line, zip(texts)))
-    else:
-        # the line of ("", text) is a delimiter, the field and the terminator
-        cut = 0 if last else len(line(()))
-        written = [row[1:len(row) - cut] for row in map(line, zip(repeat(""), texts))]
-    return np.array(written, dtype=object)
+    end = len(csv.excel.lineterminator)
+    return [row[1:-end] for row in map(line, zip(repeat(""), texts))]
+
+
+def _encoded(texts: list[str], encoding: str) -> Cells:
+    """The texts' bytes laid end to end, and where each text starts and how long it is.
+
+    The buffer ends with as many zero bytes as the longest text has, and
+    at least 8, so a window of that width, or an 8-byte word, from any
+    start stays inside it.
+    """
+    data = [text.encode(encoding) for text in texts]
+    lengths = np.fromiter(map(len, data), np.int64, len(data))
+    buffer = b"".join(data) + bytes(max(8, int(lengths.max(initial=0))))
+    return np.frombuffer(buffer, np.uint8), np.cumsum(lengths) - lengths, lengths
+
+
+def text_cells(texts: Sequence[str], codes: np.ndarray) -> Column:
+    """The column whose cell i is ``texts[codes[i]]``.
+
+    Each text is quoted and encoded once, into one buffer; a chunk picks its
+    cells' starts and lengths by code.
+    """
+    data, starts, lengths = _encoded(_quoted(texts), _cell_encoding())
+
+    def cells(rows: slice) -> Cells:
+        chunk = codes[rows]
+        return data, starts[chunk], lengths[chunk]
+
+    return cells
+
+
+def integer_cells(values: np.ndarray) -> Column:
+    """The column of int64 ``values``, written as ``str`` writes a Python int."""
+    return lambda rows: _digits(values[rows])
+
+
+def formatted_cells(values: np.ndarray, fmt: Callable[[float], str]) -> Column:
+    """The column of float ``values``, each written as the ASCII text ``fmt`` gives it."""
+    values = np.asarray(values, dtype=np.float64)
+    return lambda rows: _formatted(values[rows], fmt)
+
+
+def _digits(values: np.ndarray) -> Cells:
+    """Integers as ``str`` writes them: a minus sign, then the magnitude's digits.
+
+    The digits are worked out by integer arithmetic on the whole chunk, at
+    the right end of one row per value of a (values + 8, width) matrix; the
+    last 8 rows are padding.
+    """
+    magnitude, negative = np.abs(values), values < 0
+    lengths = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1 + negative
+    width = int(lengths.max(initial=1))
+    text = np.zeros((values.size + 8, width), np.uint8)
+    for j in range(width - 1, -1, -1):
+        magnitude, digit = np.divmod(magnitude, 10)
+        text[:values.size, j] = digit + ord("0")
+    ends = width * np.arange(1, values.size + 1)
+    text.reshape(-1)[ends[negative] - lengths[negative]] = ord("-")
+    return text.reshape(-1), ends - lengths, lengths
+
+
+def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> Cells:
+    """The float ``values`` as the ASCII texts ``fmt`` gives them.
+
+    ``fmt`` runs once per distinct value of the chunk, as a Python float.
+    Values are told apart by their bits, so -0.0 and 0.0 are formatted
+    apart.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    data, starts, lengths = _encoded([fmt(v) for v in bits.view(np.float64).tolist()], "ascii")
+    codes = inverse.reshape(-1)
+    return data, starts[codes], lengths[codes]
+
+
+def _joined(columns: list[Cells], n: int) -> bytes:
+    """``n`` rows of ``columns``' cells, as csv writes them.
+
+    Cells are joined by the delimiter and every row ends with the
+    terminator.  Each column's cells are copied, padded to its longest one,
+    side by side into the rows of one (n, bytes) matrix, one window of the
+    column's buffer per cell; the matrix's kept bytes, read row by row, are
+    the rows.  If the matrix would exceed ``_JOIN_BYTES``, the rows are
+    joined in two halves instead, so a long cell pads only the few rows
+    around it.  As csv does, a row of one field writes an empty field
+    quoted.
+    """
+    widths = [int(lengths.max(initial=0)) for _, _, lengths in columns]
+    one_field = len(columns) == 1
+    width = sum(widths) + len(columns) - 1 + 2 * one_field + _ROW_END.size
+    if n > 1 and n * width > _JOIN_BYTES:
+        half = n // 2
+        return b"".join(_joined([(data, starts[rows], lengths[rows])
+                                 for data, starts, lengths in columns], size)
+                        for rows, size in ((slice(half), half), (slice(half, None), n - half)))
+    matrix, keep = np.empty((n, width), np.uint8), np.empty((n, width), bool)
+    at = 0
+    for j, ((data, starts, lengths), w) in enumerate(zip(columns, widths)):
+        if j:
+            matrix[:, at], keep[:, at] = _DELIMITER, True
+            at += 1
+        if data.size < int(starts.max()) + max(w, 8):
+            data = np.concatenate([data, np.zeros(max(w, 8), np.uint8)])
+        if w <= 8:
+            # one 8-byte word per cell: numpy gathers those faster than short windows
+            cells = _words(data)[starts].view(np.uint8).reshape(n, 8)[:, :w]
+        else:
+            cells = np.lib.stride_tricks.sliding_window_view(data, w)[starts]
+        matrix[:, at:at + w] = cells
+        # built as (bytes, rows): numpy compares long rows faster than many short ones
+        keep[:, at:at + w] = (np.arange(w)[:, None] < lengths).T
+        at += w
+    if one_field:
+        matrix[:, at:at + 2], keep[:, at:at + 2] = _QUOTE, (columns[0][2] == 0)[:, None]
+        at += 2
+    matrix[:, at:], keep[:, at:] = _ROW_END, True
+    return matrix[keep].tobytes()
+
+
+def write_columns(path: str | Path, header: Sequence[str], columns: Sequence[Column],
+                  n_rows: int) -> None:
+    """Write a CSV file of ``header`` and ``n_rows`` rows of ``columns``' cells, atomically.
+
+    The bytes are those a csv writer writes, in the encoding ``open``
+    writes text in, for the rows of the cells' texts.  Rows are assembled
+    ``_CHUNK_ROWS`` at a time, and at most ``_JOIN_BYTES`` of padded row
+    bytes at a time, so besides what the columns hold the write holds one
+    chunk's cell positions and about that many bytes.  If writing fails,
+    ``path`` keeps its previous content.
+    """
+    encoding, cell_encoding = locale.getpreferredencoding(False), _cell_encoding()
+    # one incremental encoder, as a text file has one, so a byte order mark is written once
+    recode = None if encoding == cell_encoding else codecs.getincrementalencoder(encoding)().encode
+    with atomic_write(path, binary=True) as fh:
+        def write(data: bytes) -> None:
+            fh.write(data if recode is None else recode(data.decode(cell_encoding)))
+
+        write(_csv_line(header).encode(cell_encoding))
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
+            write(_joined([column(rows) for column in columns], rows.stop - start))
+
+
+def _ordinal_cells(attr: Attribute, values: np.ndarray) -> Column:
+    """The column of an ordinal attribute's float64 ``values``, as ``_format_cell`` writes them.
+
+    An integral cell below 1e15 in magnitude is written as its digits, and
+    a NaN cell as nothing; any other goes through ``_format_cell``, which
+    raises for an infinite one.
+    """
+    fmt = partial(_format_cell, attr)
+
+    def cells(rows: slice) -> Cells:
+        v = values[rows]
+        integral = (np.abs(v) < 1e15) & (np.trunc(v) == v)
+        data, starts, lengths = _digits(np.where(integral, v, 0).astype(np.int64))
+        nan = np.isnan(v)
+        lengths[nan] = 0
+        other = ~integral & ~nan
+        if other.any():
+            text, text_starts, lengths[other] = _formatted(v[other], fmt)
+            starts[other] = data.size + text_starts
+            data = np.concatenate([data, text])
+        return data, starts, lengths
+
+    return cells
 
 
 def write_microfile(m: Microfile, path: str | Path) -> None:
     """Emit CSV with the header first; order of records and columns preserved.
 
-    Integer-valued ordinals are written without a decimal point, so a file
-    of integer codes round-trips textually.  Each column's distinct values
-    are formatted and quoted once; rows are then joined ``_CHUNK_ROWS`` at
-    a time.  Besides one chunk, the write holds one index per ordinal
-    column; a nominal column's codes are its index.  The file is replaced
-    atomically: if writing fails, ``path`` keeps its previous content.
+    Every cell is written as ``_format_cell`` gives its text, so
+    integer-valued ordinals are written without a decimal point and a file
+    of integer codes round-trips textually.  A nominal column's vocabulary
+    is quoted and encoded once, and its codes gather the bytes; an ordinal
+    column is worked out chunk by chunk, so no index over the whole column
+    is built.  The file is replaced atomically: if writing fails, ``path``
+    keeps its previous content.
     """
-    width = len(m.attributes)
     columns = []
-    for j, attr in enumerate(m.attributes):
-        text, inverse = _distinct_cells(m, attr.name)
-        columns.append((_written(text, j == width - 1, width == 1), inverse))
-    with atomic_write(path, newline="") as fh:
-        csv.writer(fh).writerow([a.name for a in m.attributes])
-        for start in range(0, m.n_records, _CHUNK_ROWS):
-            parts = [text[inverse[start:start + _CHUNK_ROWS]].tolist() for text, inverse in columns]
-            fh.write("".join(map(",".join, zip(*parts))))
+    for attr in m.attributes:
+        cells, vocab = m.cells(attr.name), m.vocabulary(attr.name)
+        columns.append(_ordinal_cells(attr, cells) if vocab is None
+                       else text_cells(vocab.tolist(), cells))
+    write_columns(path, [a.name for a in m.attributes], columns, m.n_records)

@@ -11,7 +11,6 @@ failure therefore leaves nothing half-written.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -27,7 +26,8 @@ from .atomic import atomic_write
 from .charts import svg_line_chart
 from .config import GroupConfig, PipelineConfig
 from .errors import GroupAnonError, StageError
-from .microfile import Microfile, load_microfile, members, write_microfile
+from .microfile import (Microfile, formatted_cells, integer_cells, load_microfile, members,
+                        text_cells, write_columns, write_microfile)
 from .remap import InfluentialWeights, SwapPlan, apply_swaps, plan_swaps
 from .signals import (
     GoalSignal,
@@ -330,10 +330,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 
 def write_signal_csv(path, order, values) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter_value", "value"])
-        writer.writerows([value, f"{float(v):.12g}"] for value, v in zip(order, values))
+    """Write a signal as (parameter value, value) rows, each value to 12 significant digits."""
+    write_columns(path, ["parameter_value", "value"],
+                  [text_cells([str(p) for p in order], np.arange(len(order))),
+                   formatted_cells(values, "{:.12g}".format)], len(order))
 
 
 def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
@@ -417,7 +417,7 @@ def _lp_summary(lp: rd.LinearProgram | None, checks: rd.RowChecks,
 
 
 def _write_plan_csv(path, plan: SwapPlan) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member_index", "partner_index", "cost"])
-        writer.writerows([a, b, f"{cost:.12g}"] for (a, b), cost in zip(plan.swaps, plan.costs))
+    """Write the plan's swaps as (member, partner, cost) rows, each cost to 12 significant digits."""
+    write_columns(path, ["member_index", "partner_index", "cost"],
+                  [integer_cells(plan.swaps[:, 0]), integer_cells(plan.swaps[:, 1]),
+                   formatted_cells(plan.costs, "{:.12g}".format)], len(plan))

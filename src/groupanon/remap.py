@@ -104,28 +104,47 @@ def influential_metric(rec_a, rec_b, w: InfluentialWeights) -> float:
     return float(pair_cost(np.array([0]), np.array([1]))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapPlan:
-    """Ordered parameter-value swaps: (member record, partner record) pairs."""
+    """Ordered parameter-value swaps: (member record, partner record) pairs and their costs.
+
+    ``swaps`` is a read-only int64 (k, 2) array of record indices and
+    ``costs`` a read-only float64 array of the k costs; the constructor
+    takes any sequences of pairs and of costs.  Plans compare equal by
+    value, as their fields' tuples would; a plan is not hashable.
+    """
 
     parameter: str
-    swaps: tuple[tuple[int, int], ...]
-    costs: tuple[float, ...]
+    swaps: np.ndarray
+    costs: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for a, b in self.swaps:
-            if a in seen or b in seen or a == b:
-                raise RemapError("a record may appear in at most one swap")
-            seen.add(a)
-            seen.add(b)
+        swaps = np.array(self.swaps, dtype=np.int64).reshape(-1, 2)
+        costs = np.array(self.costs, dtype=np.float64).reshape(-1)
+        if costs.size != len(swaps):
+            raise RemapError(f"{len(swaps)} swaps but {costs.size} costs")
+        if np.unique(swaps).size != swaps.size:
+            raise RemapError("a record may appear in at most one swap")
+        swaps.setflags(write=False)
+        costs.setflags(write=False)
+        object.__setattr__(self, "swaps", swaps)
+        object.__setattr__(self, "costs", costs)
 
     @property
     def total_cost(self) -> float:
-        return float(sum(self.costs))
+        """The costs summed left to right, as Python floats."""
+        return float(sum(self.costs.tolist()))
 
     def __len__(self) -> int:
         return len(self.swaps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SwapPlan):
+            return NotImplemented
+        return (self.parameter == other.parameter and np.array_equal(self.swaps, other.swaps)
+                and np.array_equal(self.costs, other.costs))
+
+    __hash__ = None
 
 
 class _PairCost:
@@ -232,8 +251,8 @@ def plan_swaps(
     pair_cost = _PairCost(m, w)
     space: _ClassSpace | None = None
     used = np.zeros(m.n_records, dtype=bool)
-    swaps: list[tuple[int, int]] = []
-    costs: list[float] = []
+    swaps: list[np.ndarray] = [np.empty((0, 2), np.int64)]
+    costs: list[np.ndarray] = [np.empty(0)]
     for donor, recipient, k in _flow_blocks(-deficit):
         mem = member_recs[member_start[donor]:member_start[donor + 1]]
         par = partner_recs[partner_start[recipient]:partner_start[recipient + 1]]
@@ -244,12 +263,14 @@ def plan_swaps(
             if space is None:
                 space = _ClassSpace(pair_cost)
             matched = _Block(space, mem, par).match(k)
-        for rec_m, rec_p, cost in matched:
-            swaps.append((rec_m, rec_p))
-            costs.append(cost)
-            used[rec_m] = used[rec_p] = True
+        if matched:
+            rec_m, rec_p, cost = zip(*matched)
+            swaps.append(np.array([rec_m, rec_p], dtype=np.int64).T)
+            costs.append(np.array(cost))
+            used[swaps[-1]] = True
 
-    return SwapPlan(parameter=g.parameter, swaps=tuple(swaps), costs=tuple(costs))
+    return SwapPlan(parameter=g.parameter, swaps=np.concatenate(swaps),
+                    costs=np.concatenate(costs))
 
 
 def _by_position(records: np.ndarray, pos: np.ndarray,
@@ -674,10 +695,10 @@ def apply_swaps(m: Microfile, plan: SwapPlan) -> Microfile:
     name = plan.parameter
     cells = m.cells(name).copy()
     n = m.n_records
-    pairs = np.array(plan.swaps, dtype=np.int64).reshape(-1, 2)
+    pairs = plan.swaps
     bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if bad.size:
-        a, b = plan.swaps[int(bad[0])]
+        a, b = pairs[int(bad[0])].tolist()
         raise RemapError(f"swap ({a}, {b}) is out of range for {n} records")
     # a plan uses each record at most once, so one gather-then-scatter
     # exchanges every pair

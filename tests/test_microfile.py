@@ -7,6 +7,7 @@ import os
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,16 +152,28 @@ def read_with(info):
     return lambda path, schema: load_microfile(path, schema, info=info)
 
 
+def csv_reads_nul() -> bool:
+    """Whether this Python's csv reader reads a NUL in a field (3.11 on) rather than rejecting it."""
+    try:
+        return next(csv.reader(["a\0b"])) == ["a\0b"]
+    except csv.Error:
+        return False
+
+
 # Cells the differential tests draw from: text that needs quoting, unicode,
-# codes with leading zeros and surrounding spaces; ordinals at the edges of
-# integer formatting (1e15) and of float repr.  Generated text leaves out NUL,
-# which NumPy's fixed-width strings drop from the end of a value, and lone
-# surrogates, which no text encoding writes.
+# codes with leading zeros and surrounding spaces, and interior NULs where the
+# csv reader can read them back; ordinals at the edges of integer formatting
+# (1e15) and of float repr.  Generated text leaves out NUL, which NumPy's
+# fixed-width strings drop from the end of a value, and lone surrogates, which
+# no text encoding writes.
 NOMINAL_CELLS = st.one_of(
     st.sampled_from(["06010", " a ", "a,b", 'say "hi"', "line\nbreak", "cr\rlf\r\n",
-                     "ünïcødé", "中文", "😀", "0", "-0.0", "nan", " "]),
+                     "ünïcødé", "中文", "😀", "0", "-0.0", "nan", " "]
+                    + (["a\x00b", "\x00x", 'q"\x00,'] if csv_reads_nul() else [])),
     st.text(st.characters(min_codepoint=1, max_codepoint=0xD7FF), max_size=6),
 )
+# Padded bytes per row assembly: a small budget joins the rows of a chunk in halves.
+JOIN_BYTES = st.sampled_from([1, 64, microfile._JOIN_BYTES])
 ORDINAL_VALUES = st.one_of(
     st.sampled_from([-0.0, 0.0, 0.1, 1 / 3, 1e15 - 1, 1e15, 1e16, -1e15, -7.0, -2.5, 42.0,
                      5e-324, 1.7976931348623157e308]),
@@ -248,10 +261,12 @@ def csv_texts(draw):
 
 class TestColumnwiseIOAgainstRowReference:
     @settings(max_examples=200, deadline=None)
-    @given(m=tables())
-    def test_write_is_byte_equal_and_loads_equal(self, tmp_path_factory, m):
+    @given(m=tables(), chunk=st.integers(1, 8), join=JOIN_BYTES)
+    def test_write_is_byte_equal_and_loads_equal(self, tmp_path_factory, m, chunk, join):
         d = tmp_path_factory.mktemp("diff")
-        write_microfile(m, d / "new.csv")
+        # a few rows per chunk, so that cells change width from one chunk to the next
+        with mock.patch.multiple(microfile, _CHUNK_ROWS=chunk, _JOIN_BYTES=join):
+            write_microfile(m, d / "new.csv")
         reference_write(m, d / "ref.csv")
         assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
         got = load_outcome(load_microfile, d / "new.csv", m.attributes)
@@ -765,20 +780,35 @@ class TestWrite:
         write_microfile(m, out)
         previous = out.read_bytes()
 
-        format_cell, calls = microfile._format_cell, []
+        # one row per chunk, so the first chunk is written before the second fails
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", 1)
+        joined, calls = microfile._joined, []
 
-        def failing(attr, value):
-            calls.append(value)
-            if len(calls) > 3:
-                raise RuntimeError("formatter failed")
-            return format_cell(attr, value)
+        def failing(columns, n):
+            calls.append(n)
+            if len(calls) > 1:
+                raise RuntimeError("row assembly failed")
+            return joined(columns, n)
 
-        monkeypatch.setattr(microfile, "_format_cell", failing)
-        with pytest.raises(RuntimeError, match="formatter failed"):
+        monkeypatch.setattr(microfile, "_joined", failing)
+        with pytest.raises(RuntimeError, match="row assembly failed"):
             write_microfile(m.with_column("pay", np.array([1.0, 2.0, 3.0])), out)
-        assert len(calls) == 4
+        assert calls == [1, 1]
         assert out.read_bytes() == previous
         assert list(out_dir.iterdir()) == [out]
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "cp037"])
+    def test_platform_encoding_that_is_not_ascii_compatible(self, tmp_path, monkeypatch,
+                                                            encoding):
+        m = Microfile((Attribute("name", "nominal", "plain"), Attribute("n", "ordinal", "plain")),
+                      {"name": np.array(["é", "a,b", ""]), "n": np.array([1.0, -2.5, np.nan])})
+        with open(tmp_path / "ref.csv", "w", newline="", encoding=encoding) as fh:
+            csv.writer(fh).writerows([["name", "n"], ["é", "1"], ["a,b", "-2.5"], ["", ""]])
+        monkeypatch.setattr(microfile.locale, "getpreferredencoding", lambda *_: encoding)
+        # one row per chunk: a byte order mark is still written once
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", 1)
+        write_microfile(m, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_record_count_invariant(self, tmp_path, fixture_microfile):
         out = tmp_path / "again.csv"
@@ -786,7 +816,9 @@ class TestWrite:
         m2 = load_microfile(out, ref.FIXTURE_SCHEMA)
         assert m2.n_records == fixture_microfile.n_records
 
-    def test_write_transient_is_bounded_by_the_chunk(self, tmp_path):
+    def test_write_transient_is_bounded_by_the_chunk(self, tmp_path, monkeypatch):
+        # a chunk much shorter than the table, so an array over a whole column shows
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", 4096)
         n = 200_000
         i = np.arange(n)
         schema = (Attribute("area", "nominal", "parameter"),
@@ -802,12 +834,38 @@ class TestWrite:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # np.unique's work arrays for the ordinal column (about five times
-        # its size, the last of them kept as its index while writing) and one
-        # 16,384-row chunk of cell texts and row strings (~2 MB here); the
-        # nominal columns' codes index their texts directly
-        assert peak < 5.5 * m.column("age").nbytes + 3 * 2**20
+        # one chunk's cell positions, digit arithmetic, padded byte matrix,
+        # kept-byte mask and row bytes, about 130 bytes per row of the chunk
+        # here, however long the table: a single int64 array over a whole
+        # column (1.6 MB) would exceed it
+        assert peak < 160 * microfile._CHUNK_ROWS
         assert load_microfile(tmp_path / "big.csv", schema).n_records == n
+
+    def test_long_cell_pads_only_the_rows_around_it(self, tmp_path):
+        n = 40_000
+        wide = "x" * 131_000  # about the csv module's field size limit
+        schema = (Attribute("text", "nominal", "plain"), Attribute("age", "ordinal", "plain"))
+        codes = np.where(np.arange(n) == 23_456, 2, np.arange(n) % 2).astype(np.int32)
+        m = Microfile.from_cells(schema, {"text": codes, "age": 18.0 + np.arange(n) % 71},
+                                 {"text": np.array(["a", "b", wide])})
+        tracemalloc.start()
+        try:
+            write_microfile(m, tmp_path / "new.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rows joined with the long cell hold at most _JOIN_BYTES padded
+        # bytes, in a few copies (matrix, mask, windows, kept bytes), beside
+        # a few copies of the text itself; padding every row of its chunk to
+        # its width would take 2 GB
+        assert peak < 8 * microfile._JOIN_BYTES + 10 * len(wide)
+        # the table's text column would be 40,000 cells as wide as the long one
+        texts = m.vocabulary("text").tolist()
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["text", "age"]] + [
+                [texts[c], microfile._format_cell(schema[1], v)]
+                for c, v in zip(codes.tolist(), m.cells("age").tolist())])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_packaged_fixture_matches_its_generator(self, tmp_path):
         # the committed CSV must be reproducible byte for byte

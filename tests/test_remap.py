@@ -172,7 +172,7 @@ class TestPlanSwaps:
                                chi_same=0.0, chi_diff=1.0)
         m = toy_microfile([("a1", "1", 30, 100), ("a2", "0", 30, 100)])
         plan = plan_swaps(m, toy_group(), target([0, 1, 0, 0]), w)
-        assert plan.swaps == ((0, 1),)
+        assert plan.swaps.tolist() == [[0, 1]]
         assert plan.total_cost == 0.0
 
     def test_fixture_realizes_reference_target(self, fixture_microfile, fixture_group):
@@ -195,8 +195,7 @@ class TestPlanSwaps:
         w = InfluentialWeights.from_microfile(fixture_microfile)
         first = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         second = plan_swaps(fixture_microfile, fixture_group, tgt, w)
-        assert first.swaps == second.swaps
-        assert first.costs == second.costs
+        assert first == second
 
     def test_total_mismatch_rejected(self):
         m = toy_microfile([("a1", "1", 30, 100), ("a2", "0", 30, 100)])
@@ -283,6 +282,11 @@ class TestPlanSwaps:
             scalar = influential_metric(record_view(fixture_microfile, a),
                                         record_view(fixture_microfile, b), w)
             assert cost == pytest.approx(scalar, rel=1e-12)
+
+
+def as_tuples(plan):
+    """The plan's swaps and costs as tuples of Python numbers, as ``exhaustive_plan`` gives them."""
+    return tuple(map(tuple, plan.swaps.tolist())), tuple(plan.costs.tolist())
 
 
 def exhaustive_plan(m, g, tgt, w):
@@ -384,12 +388,12 @@ class TestExhaustiveReference:
         m, g, tgt, w = random_case(seed, spread, nominal_only, chi_same, superset)
         expected = exhaustive_plan(m, g, tgt, w)
         plan = plan_swaps(m, g, tgt, w)
-        assert (plan.swaps, plan.costs) == expected
+        assert as_tuples(plan) == expected
         # tree searches with shallow candidate lists put the completeness
         # proof and the refills to work on tables this small
         with mock.patch.multiple(remap, _FIRST_K=2, _SCORE_ALL=0):
             plan = plan_swaps(m, g, tgt, w)
-        assert (plan.swaps, plan.costs) == expected
+        assert as_tuples(plan) == expected
 
 
 class TestSmallBlockSweep:
@@ -445,7 +449,7 @@ class TestSmallBlockSweep:
                 forced = plan_swaps(m, g, tgt, WEIGHTS)
             assert space.call_count == 1
         assert len(plan) == 32
-        assert (plan.swaps, plan.costs) == (forced.swaps, forced.costs) == expected
+        assert as_tuples(plan) == as_tuples(forced) == expected
 
 
 class TestApplySwaps:
@@ -489,6 +493,20 @@ class TestApplySwaps:
     def test_record_reuse_rejected(self):
         with pytest.raises(RemapError, match="at most one"):
             SwapPlan(parameter="area", swaps=((0, 1), (1, 2)), costs=(0.0, 0.0))
+
+    def test_plans_compare_by_value(self):
+        plan = SwapPlan(parameter="area", swaps=((0, 1), (2, 3)), costs=(0.5, 1.0))
+        assert plan == SwapPlan("area", np.array([[0, 1], [2, 3]]), np.array([0.5, 1.0]))
+        assert plan != SwapPlan("area", ((0, 1), (3, 2)), (0.5, 1.0))
+        assert plan != SwapPlan("area", ((0, 1), (2, 3)), (0.5, 2.0))
+        assert plan != SwapPlan("year", ((0, 1), (2, 3)), (0.5, 1.0))
+        assert plan != ("area", ((0, 1), (2, 3)), (0.5, 1.0))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(plan)
+
+    def test_one_cost_per_swap_required(self):
+        with pytest.raises(RemapError, match="^2 swaps but 1 costs$"):
+            SwapPlan(parameter="area", swaps=((0, 1), (2, 3)), costs=(0.0,))
 
     def test_out_of_range_swap_rejected(self):
         m = toy_microfile([("a1", "1", 30, 100)])
