@@ -16,7 +16,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -33,6 +32,7 @@ from .pipeline import (
     edit_group,
     load_input,
     run_pipeline,
+    write_coefficients_csv,
     write_outputs,
     write_signal_csv,
 )
@@ -120,14 +120,7 @@ def _cmd_decompose(config: PipelineConfig, gcfg: GroupConfig) -> int:
     dec = stage("decompose", decompose, signal.values, gcfg.filter, gcfg.level)
     out = _report_dir(config)
     path = out / f"{name}_coefficients.csv"
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "index", "value"])
-        for i, v in enumerate(dec.approx, start=1):
-            writer.writerow([f"approx{dec.level}", i, f"{v:.12g}"])
-        for j in dec.detail_levels():
-            for i, v in enumerate(dec.details[j], start=1):
-                writer.writerow([f"detail{j}", i, f"{v:.12g}"])
+    write_coefficients_csv(path, dec)
     print(f"wrote {path}")
     return EXIT_OK
 

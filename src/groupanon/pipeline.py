@@ -72,6 +72,7 @@ class GroupEdit:
 class GroupRunResult:
     """Everything one group's run produced, for the report.
 
+    ``planner`` holds the swap planner's counts (see ``plan_swaps``).
     ``subordinate`` is the subordinate concentration the published audit of
     a difference group read; None when there was no such audit.
     """
@@ -79,6 +80,7 @@ class GroupRunResult:
     name: str
     edit: GroupEdit
     plan: SwapPlan
+    planner: dict[str, int]
     after: GoalSignal
     published_checks: rd.RowChecks | None
     subordinate: np.ndarray | None
@@ -190,8 +192,10 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
                   log: GroupLog) -> tuple[Microfile, GroupRunResult]:
     """Swap plan, application, recount and published-bound audit of an edited group."""
     stage = log.stage
+    planner: dict[str, int] = {}
     plan = stage("plan", plan_swaps, m, gcfg.group, edit.target,
-                 InfluentialWeights.from_microfile(m, gcfg.chi_same, gcfg.chi_diff))
+                 InfluentialWeights.from_microfile(m, gcfg.chi_same, gcfg.chi_diff),
+                 info=planner)
     modified = stage("apply", apply_swaps, m, plan)
 
     after = stage("recount", quantity_signal, modified, gcfg.group)
@@ -209,8 +213,8 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
                    f"({worst.position_text}), off by {worst.violation:.6g}")
             log.warn(msg)
 
-    return modified, GroupRunResult(gcfg.name, edit, plan, after, published, subordinate,
-                                    log.timings, log.warnings)
+    return modified, GroupRunResult(gcfg.name, edit, plan, planner, after, published,
+                                    subordinate, log.timings, log.warnings)
 
 
 def _audit_published(modified: Microfile, gcfg: GroupConfig, edit: GroupEdit,
@@ -336,6 +340,24 @@ def write_signal_csv(path, order, values) -> None:
                    formatted_cells(values, "{:.12g}".format)], len(order))
 
 
+def write_coefficients_csv(path, dec: WaveletDecomposition) -> None:
+    """Write a decomposition as (component, index, value) rows, each value to 12 significant digits.
+
+    The approximation comes first, then each detail level, coarsest first;
+    the index counts from 1 within a component.
+    """
+    parts = [(f"approx{dec.level}", dec.approx)] + [(f"detail{j}", dec.details[j])
+                                                     for j in dec.detail_levels()]
+    sizes = [len(values) for _, values in parts]
+    write_columns(path, ["component", "index", "value"],
+                  [text_cells([label for label, _ in parts],
+                              np.repeat(np.arange(len(parts)), sizes)),
+                   integer_cells(np.concatenate([np.arange(1, n + 1, dtype=np.int64)
+                                                 for n in sizes])),
+                   formatted_cells(np.concatenate([values for _, values in parts]),
+                                   "{:.12g}".format)], sum(sizes))
+
+
 def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
     """Write the modified table, per-group artifacts and the JSON report.
 
@@ -374,6 +396,7 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
                 "shift": g.edit.shift,
                 "swaps": len(g.plan),
                 "total_swap_cost": g.plan.total_cost,
+                "plan": g.planner,
                 "lp": _lp_summary(g.edit.lp, g.edit.checks, g.published_checks),
                 "timings": {k: round(v, 6) for k, v in g.timings.items()},
                 "warnings": g.warnings,

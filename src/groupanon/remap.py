@@ -25,11 +25,21 @@ where every ordinal term grows with the distance along its axis.  A
 candidate list is trusted only up to the cost below which it provably
 holds every class.  The class space is built once, on the first block
 that needs it.
+
+A position's members (as a donor) and partners (as a recipient) are
+grouped into a queue on the first searched block that needs them, and the
+queue keeps its partitions, candidate groups and k-d trees for that
+position's later blocks; it is dropped after the position's last block,
+which the up-front flow names.  One array of used-record flags, set by the
+sweep and the search alike, is the only record of which records are gone:
+at each block start a kept view drops its used-up groups and rebuilds its
+tree only if one went.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +202,8 @@ _GROWTH = 4
 #: k-d tree build and query costs about as much as scoring this many pairs.
 #: A whole block with at most this many pairs is matched by ``_sweep``.
 _SCORE_ALL = 4096
+#: The planner's counts, as ``plan_swaps`` reports them in ``info``.
+_COUNTS = ("blocks", "swept_blocks", "queues_built", "trees_built", "pairs_scored", "refills")
 
 
 def plan_swaps(
@@ -199,6 +211,8 @@ def plan_swaps(
     g: GroupSpec,
     q_target: GoalSignal,
     w: InfluentialWeights,
+    *,
+    info: dict | None = None,
 ) -> SwapPlan:
     """Greedy plan transforming the group's quantity signal into ``q_target``.
 
@@ -209,6 +223,12 @@ def plan_swaps(
     Each swap is the cheapest remaining (member, partner) pair of its
     donor→recipient block, ties going to the lower member and then the lower
     partner record index, so identical inputs always produce identical plans.
+
+    If ``info`` is given, it receives the planner's counts: ``blocks`` in
+    the flow, ``swept_blocks`` matched by scoring every pair,
+    ``queues_built`` (at most one per position and side), ``trees_built``,
+    ``pairs_scored`` (record pairs in sweeps, class pairs in searches) and
+    ``refills`` (deeper candidate queries).
     """
     if q_target.kind != "quantity":
         raise RemapError("target must be a quantity signal")
@@ -231,10 +251,16 @@ def plan_swaps(
     if np.any(member_pos < 0):
         bad = values_outside_order(m, g, member_idx[member_pos < 0])
         raise RemapError(f"members at parameter values outside the order: {bad}")
-    member_recs, member_start = _by_position(member_idx, member_pos, n_pos)
     pool_idx = np.flatnonzero(pool_mask & (positions >= 0))
-    partner_recs, partner_start = _by_position(pool_idx, positions[pool_idx], n_pos)
-    current, partners = np.diff(member_start), np.diff(partner_start)
+    # side 0 holds each position's members, side 1 its partners
+    sides = (_by_position(member_idx, member_pos, n_pos),
+             _by_position(pool_idx, positions[pool_idx], n_pos))
+    left = np.stack([np.diff(start) for _, start in sides])  # unused records per side and position
+    current, partners = left
+
+    def records(side: int, p: int) -> np.ndarray:
+        recs, start = sides[side]
+        return recs[start[p]:start[p + 1]]
 
     if int(current.sum()) != int(target.sum()):
         raise RemapError(
@@ -248,27 +274,46 @@ def plan_swaps(
                 f"need {int(deficit[pos])}, have {int(partners[pos])}"
             )
 
+    blocks = _flow_blocks(-deficit)
+    last = {}
+    for i, (donor, recipient, _) in enumerate(blocks):
+        last[0, donor] = last[1, recipient] = i
     pair_cost = _PairCost(m, w)
+    tally = Counter(blocks=len(blocks))
+    used = _used_flags(m.n_records)
     space: _ClassSpace | None = None
-    used = np.zeros(m.n_records, dtype=bool)
+    queues: dict[tuple[int, int], _Queue] = {}
     swaps: list[np.ndarray] = [np.empty((0, 2), np.int64)]
     costs: list[np.ndarray] = [np.empty(0)]
-    for donor, recipient, k in _flow_blocks(-deficit):
-        mem = member_recs[member_start[donor]:member_start[donor + 1]]
-        par = partner_recs[partner_start[recipient]:partner_start[recipient + 1]]
-        mem, par = mem[~used[mem]], par[~used[par]]
-        if mem.size * par.size <= _SCORE_ALL:
-            matched = _sweep(pair_cost, mem, par, k)
+    for i, (donor, recipient, k) in enumerate(blocks):
+        keys = ((0, donor), (1, recipient))
+        if int(left[0, donor]) * int(left[1, recipient]) <= _SCORE_ALL:
+            flags = np.frombuffer(used, dtype=bool)
+            mem, par = records(0, donor), records(1, recipient)
+            mem, par = mem[~flags[mem]], par[~flags[par]]
+            tally["swept_blocks"] += 1
+            tally["pairs_scored"] += mem.size * par.size
+            matched = _sweep(pair_cost, mem, par, k, used)
         else:
             if space is None:
                 space = _ClassSpace(pair_cost)
-            matched = _Block(space, mem, par).match(k)
+            for key in keys:
+                if key not in queues:
+                    queues[key] = _Queue(space, records(*key), used)
+                    tally["queues_built"] += 1
+            matched = _Block(space, queues[keys[0]], queues[keys[1]], tally).match(k)
         if matched:
             rec_m, rec_p, cost = zip(*matched)
             swaps.append(np.array([rec_m, rec_p], dtype=np.int64).T)
             costs.append(np.array(cost))
-            used[swaps[-1]] = True
+        left[0, donor] -= len(matched)
+        left[1, recipient] -= len(matched)
+        for key in keys:
+            if last[key] == i:
+                queues.pop(key, None)
 
+    if info is not None:
+        info.update({name: tally[name] for name in _COUNTS})
     return SwapPlan(parameter=g.parameter, swaps=np.concatenate(swaps),
                     costs=np.concatenate(costs))
 
@@ -312,27 +357,34 @@ def _level_order(units: np.ndarray) -> np.ndarray:
     return pos[np.lexsort((pos, -level))]
 
 
-def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray,
-           k: int) -> list[tuple[int, int, float]]:
+def _used_flags(n: int) -> memoryview:
+    """``n`` cleared record flags, one byte each, to read and set one at a time.
+
+    ``np.frombuffer(flags, dtype=bool)`` views them all at once.  The bytes
+    are those of ``np.zeros``, so pages never set are never touched.
+    """
+    return memoryview(np.zeros(n, dtype=bool)).cast("B")
+
+
+def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray, k: int,
+           used: memoryview) -> list[tuple[int, int, float]]:
     """The block's ``k`` swaps in greedy order, as (member, partner, cost), by scoring every pair.
 
-    Sorts all pairs by (cost, member, partner) and takes each pair whose two
-    records are still free: the order ``_Block`` reproduces without scoring
-    every pair.  Members and partners are disjoint, so one used set serves
-    both sides.
+    Sorts all pairs of the unused records ``mem`` and ``par`` by (cost,
+    member, partner) and takes each pair whose two records are still
+    unused, flagging them in ``used``: the order ``_Block`` reproduces
+    without scoring every pair.
     """
     left, right = np.repeat(mem, par.size), np.tile(par, mem.size)
     cost = pair_cost(left, right)
     order = np.lexsort((right, left, cost))
-    used: set[int] = set()
     out = []
     for a, b, c in zip(left[order].tolist(), right[order].tolist(), cost[order].tolist()):
         if len(out) == k:
             break
-        if a in used or b in used:
+        if used[a] or used[b]:
             continue
-        used.add(a)
-        used.add(b)
+        used[a] = used[b] = 1
         out.append((a, b, c))
     return out
 
@@ -419,52 +471,94 @@ class _ClassSpace:
         return np.sqrt(r2)
 
 
-class _Queue:
-    """Classes present among ascending records, each with its records as an ascending queue.
+def _unused(recs: memoryview, p: int, stop: int, used: memoryview, n: int) -> list[int]:
+    """The first ``n`` records of ``recs[p:stop]`` that are not flagged in ``used``, or fewer."""
+    out = []
+    while p < stop and len(out) < n:
+        if not used[recs[p]]:
+            out.append(recs[p])
+        p += 1
+    return out
 
-    Within a class the lowest remaining record always goes first, so the
-    records of class ``i`` before position ``next[i]`` are exactly its used
-    ones.
+
+class _Queue:
+    """One position's members or partners, by class, kept for every block of that position.
+
+    A record is used once its flag in the plan's ``used`` array is set, by
+    ``_sweep`` or by ``_Block``; flags are never cleared.  Within a class
+    the lowest unused record always goes first, and ``next[i]`` is where
+    the search for class ``i``'s lowest unused record resumes.  The
+    partitions and the views of the queue as a candidate side are built on
+    the first block that searches it and kept for the later ones.
     """
 
-    def __init__(self, of: np.ndarray, records: np.ndarray):
-        cls = of[records]
+    def __init__(self, space: _ClassSpace, records: np.ndarray, used: memoryview):
+        self.space, self.used = space, used
+        cls = space.of[records]
         order = np.argsort(cls, kind="stable")
-        self.cls, start, count = np.unique(cls[order], return_index=True, return_counts=True)
+        self.cls, self.start, self.count = np.unique(cls[order], return_index=True,
+                                                     return_counts=True)
         self.recs = records[order]
-        self.rec_list = self.recs.tolist()
-        self.owner = np.repeat(np.arange(self.cls.size), count).tolist()
-        self.next = start.tolist()
-        self.end = (start + count).tolist()
+        # the same records read one at a time, with no Python int kept per record
+        self.rec_at = memoryview(self.recs)
+        self.next = self.start.tolist()
+        self.end = (self.start + self.count).tolist()
+        self.parts: list[np.ndarray] = []
+        self.part_of: np.ndarray | None = None
+        self.views: dict[object, _View] = {}
+        # candidate tokens number the groups of every view; token t is group
+        # t - view.base of view view_of[t]
+        self.view_of: list[_View] = []
 
     def head(self, i: int) -> int:
-        """Lowest remaining record of class ``i``, -1 once the class is used up."""
-        j = self.next[i]
-        return self.rec_list[j] if j < self.end[i] else -1
+        """Lowest unused record of class ``i``, -1 once the class is used up."""
+        used, recs, j, end = self.used, self.rec_at, self.next[i], self.end[i]
+        while j < end and used[recs[j]]:
+            j += 1
+        self.next[i] = j
+        return recs[j] if j < end else -1
+
+    def live(self) -> np.ndarray:
+        """The classes that still hold an unused record."""
+        flags = np.frombuffer(self.used, dtype=bool)[self.recs]
+        return np.flatnonzero(~np.logical_and.reduceat(flags, self.start))
+
+    def partition(self) -> None:
+        """Split the classes by partition, once."""
+        if self.part_of is None:
+            part = np.unique(self.space.partition[self.cls], return_inverse=True)[1].reshape(-1)
+            order = np.argsort(part, kind="stable")
+            self.parts = np.split(order, np.cumsum(np.bincount(part))[:-1])
+            self.part_of = part
 
 
 class _View:
     """Live candidates of one partition for rows with one set of active ordinal columns.
 
     Classes that agree on those columns cost the same against every such
-    row, so they merge into one group, whose next record is the lowest
-    remaining record of any of its classes; with no active column the whole
-    partition is one group.  Without ``dims`` every class is its own group,
-    for candidate sides small enough to be scored in full.  Groups are
-    searched with a k-d tree, rebuilt without used-up groups once half of
-    the groups it holds are found used up.
+    row, so they merge into one group, whose head is the lowest unused
+    record of any of its classes; with no active column the whole partition
+    is one group.  Without ``dims`` every class is its own group, for
+    candidate sides small enough to be scored in full.  Groups are searched
+    with a k-d tree.  A view is kept with its queue: ``refresh`` drops the
+    groups used up by earlier blocks, and within a block the tree is rebuilt
+    without used-up groups once half of the groups it holds are found used
+    up.
     """
 
-    def __init__(self, space: _ClassSpace, cands: _Queue, classes: np.ndarray,
-                 dims: np.ndarray | None, base: int):
-        self.space, self.cands, self.dims, self.base = space, cands, dims, base
-        start = np.array(cands.next)[classes]
-        stop = np.array(cands.end)[classes]
-        classes, start, stop = classes[start < stop], start[start < stop], stop[start < stop]
+    def __init__(self, cands: _Queue, classes: np.ndarray, dims: np.ndarray | None, base: int):
+        self.space, self.used, self.dims, self.base = cands.space, cands.used, dims, base
+        # the unused records of ``classes``, each with its class
+        start, sizes = cands.start[classes], cands.count[classes]
+        pos = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        recs, of = cands.recs[pos], np.repeat(classes, sizes)
+        free = ~np.frombuffer(self.used, dtype=bool)[recs]
+        recs, of = recs[free], of[free]
+        classes = np.unique(of)
         if dims is None:
             first = group = np.arange(classes.size)
         elif dims.size:
-            values = space.values[cands.cls[classes]][:, dims]
+            values = self.space.values[cands.cls[classes]][:, dims]
             _, first, group = np.unique(values, axis=0, return_index=True, return_inverse=True)
             group = group.reshape(-1)
         else:
@@ -473,33 +567,39 @@ class _View:
         self.tree: cKDTree | None = None
         self.live = np.arange(first.size)
         self.dead = 0
-        # each group's remaining records as positions in cands.recs, ascending by record
-        sizes = stop - start
-        pos = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-        member_of = np.repeat(group, sizes)
-        self.pos = pos[np.lexsort((cands.recs[pos], member_of))].tolist()
+        # each group's records, ascending
+        member_of = group[np.searchsorted(classes, of)]
+        self.group_recs = recs[np.lexsort((recs, member_of))]
+        self.rec_at = memoryview(self.group_recs)
         count = np.bincount(member_of, minlength=first.size)
-        self.ptr = (np.cumsum(count) - count).tolist()
+        self.group_start = np.cumsum(count) - count
+        self.ptr = self.group_start.tolist()
         self.stop = np.cumsum(count).tolist()
 
+    def refresh(self) -> None:
+        """Drop the used-up groups from the live ones; the tree goes only if a group went."""
+        if self.live.size:
+            flags = np.frombuffer(self.used, dtype=bool)[self.group_recs]
+            alive = ~np.logical_and.reduceat(flags, self.group_start)
+            live = self.live[alive[self.live]]
+            if live.size < self.live.size:
+                self.live, self.tree = live, None
+        self.dead = 0
+
     def head(self, g: int) -> int:
-        """Lowest remaining record of group ``g``, -1 once the group is used up."""
-        cands, pos = self.cands, self.pos
+        """Lowest unused record of group ``g``, -1 once the group is used up."""
+        used, recs = self.used, self.rec_at
         p, stop = self.ptr[g], self.stop[g]
-        while p < stop and pos[p] < cands.next[cands.owner[pos[p]]]:
+        while p < stop and used[recs[p]]:
             p += 1
         if p == stop:
             self.dead += self.ptr[g] < stop
             self.ptr[g] = p
             return -1
         self.ptr[g] = p
-        return cands.rec_list[pos[p]]
+        return recs[p]
 
-    def take(self, g: int) -> None:
-        """Use up group ``g``'s lowest remaining record (its class's head)."""
-        self.cands.next[self.cands.owner[self.pos[self.ptr[g]]]] += 1
-
-    def search(self, a: np.ndarray, k: int, full: int, score):
+    def search(self, a: np.ndarray, k: int, full: int, score, tally: Counter):
         """Candidate groups of row classes ``a``: group indices, costs, proven limits.
 
         Every live group is listed when there are at most ``full``;
@@ -519,6 +619,7 @@ class _View:
             return idx, score(a, self.rep[idx]), np.full(n, np.inf)
         if self.tree is None:
             self.tree = cKDTree(sp.coords[self.rep[self.live]][:, self.dims])
+            tally["trees_built"] += 1
         dist, near = self.tree.query(sp.coords[a][:, self.dims], k=k)
         idx, kth = self.live[near], dist[:, -1]
         cost = score(a, self.rep[idx])
@@ -536,46 +637,53 @@ class _Block:
 
     Repeatedly takes the cheapest remaining (member, partner) record pair,
     ties to the lower member and then the lower partner index: the order of
-    sorting all pairs by (cost, member, partner) and sweeping with a used
-    mask, which ``_sweep`` does literally for blocks of at most
-    ``_SCORE_ALL`` pairs.  A heap holds one entry per class of the side with
-    fewer classes (the rows): its cheapest candidate group on the other
-    side, with the row's and the group's lowest remaining records.  Keys
-    only grow as records are used, so an entry whose candidate record was
-    taken is re-scored when it reaches the top.
+    sorting all pairs by (cost, member, partner) and sweeping with the used
+    flags, which ``_sweep`` does literally for blocks of at most
+    ``_SCORE_ALL`` pairs.  The two sides are the donor's member queue and
+    the recipient's partner queue, as ``plan_swaps`` keeps them across
+    blocks.  A heap holds one entry per live class of the side with fewer
+    live classes (the rows): its cheapest candidate group on the other
+    side, with the row's and the group's lowest unused records; until a
+    row reaches the top for the first time, its cheapest listed cost stands
+    in for its entry.  Keys only grow as records are used, so an entry whose
+    candidate record was taken is re-scored when it reaches the top, and a
+    fresh entry that sorts before the top is taken at once.  When the row's
+    next listed cost and the top's cost both exceed a taken pair's cost,
+    the rest of that row class and candidate group pair off in one loop.
     """
 
-    def __init__(self, space: _ClassSpace, mem: np.ndarray, par: np.ndarray):
-        self.space = space
-        mem_q, par_q = _Queue(space.of, mem), _Queue(space.of, par)
-        self.member_rows = mem_q.cls.size <= par_q.cls.size
-        self.rows, self.cands = (mem_q, par_q) if self.member_rows else (par_q, mem_q)
-        part = np.unique(space.partition[self.cands.cls], return_inverse=True)[1].reshape(-1)
-        order = np.argsort(part, kind="stable")
-        self.parts = np.split(order, np.cumsum(np.bincount(part))[:-1])
-        self.views: dict[tuple[int, int], _View] = {}
-        # candidate tokens number the groups of every view; token t is group
-        # t - view.base of view view_of[t]
-        self.view_of: list[_View] = []
+    def __init__(self, space: _ClassSpace, mem: _Queue, par: _Queue, tally: Counter):
+        self.space, self.tally = space, tally
+        mem_live, par_live = mem.live(), par.live()
+        self.member_rows = mem_live.size <= par_live.size
+        sides = [(mem, mem_live), (par, par_live)]
+        (self.rows, self.live_rows), (self.cands, live) = (sides if self.member_rows
+                                                           else sides[::-1])
+        self.n_cands = live.size
+        self.cands.partition()
+        self.live_parts = np.unique(self.cands.part_of[live]).tolist()
+        for view in self.cands.views.values():
+            view.refresh()
 
     def _score(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Costs of row classes ``a`` (per row) against candidate classes ``b``."""
         sp = self.space
         rows = sp.rep[np.broadcast_to(a[:, None], b.shape)].reshape(-1)
         cands = sp.rep[b].reshape(-1)
+        self.tally["pairs_scored"] += cands.size
         cost = sp.pair_cost(rows, cands) if self.member_rows else sp.pair_cost(cands, rows)
         return cost.reshape(b.shape)
 
     def _head(self, t: int) -> int:
-        view = self.view_of[t]
+        view = self.cands.view_of[t]
         return view.head(t - view.base)
 
     def _view(self, key, classes: np.ndarray, dims: np.ndarray | None) -> _View:
-        view = self.views.get(key)
+        cands = self.cands
+        view = cands.views.get(key)
         if view is None:
-            view = self.views[key] = _View(self.space, self.cands, classes, dims,
-                                           len(self.view_of))
-            self.view_of.extend([view] * view.rep.size)
+            view = cands.views[key] = _View(cands, classes, dims, len(cands.view_of))
+            cands.view_of.extend([view] * view.rep.size)
         return view
 
     def candidates(self, rows: np.ndarray, k: int) -> list[list]:
@@ -588,17 +696,17 @@ class _Block:
         list provably holds every live candidate; the limit is infinite
         when it holds all of them.
         """
-        sp = self.space
+        sp, cands = self.space, self.cands
         a = self.rows.cls[rows]
         n = rows.size
         full = max(k, _SCORE_ALL // n)
         queries = []
-        if self.cands.cls.size <= full:
-            queries.append((self._view("all", np.arange(self.cands.cls.size), None),
-                            np.arange(n)))
+        if self.n_cands <= full:
+            queries.append((self._view("all", np.arange(cands.cls.size), None), np.arange(n)))
         else:
-            for pi, part in enumerate(self.parts):
-                b = self.cands.cls[part[0]]
+            for pi in self.live_parts:
+                part = cands.parts[pi]
+                b = cands.cls[part[0]]
                 active = ~sp.zero[a] & ~sp.zero[b] & (sp.weight > 0)
                 code = active @ (1 << np.arange(active.shape[1]))
                 for c in np.unique(code).tolist():
@@ -608,7 +716,7 @@ class _Block:
         limit = np.full(n, np.inf)
         row_of, tokens, costs = [], [], []
         for view, sel in queries:
-            idx, cost, lim = view.search(a[sel], k, full, self._score)
+            idx, cost, lim = view.search(a[sel], k, full, self._score, self.tally)
             limit[sel] = np.minimum(limit[sel], lim)
             row_of.append(np.broadcast_to(sel[:, None], idx.shape).reshape(-1))
             tokens.append(idx.reshape(-1) + view.base)
@@ -622,7 +730,7 @@ class _Block:
         return [[tokens[s:e], costs[s:e], lim, 0]
                 for s, e, lim in zip(bounds[:-1], bounds[1:], limit.tolist())]
 
-    def _entry(self, a: int, lists: list):
+    def _entry(self, a: int, lists: dict):
         """Heap entry (cost, member, partner, row class, candidate token) of row ``a``.
 
         When every listed candidate is used up the entry is a placeholder,
@@ -652,36 +760,60 @@ class _Block:
 
     def match(self, k: int) -> list[tuple[int, int, float]]:
         """The block's ``k`` swaps in greedy order, as (member, partner, cost)."""
-        n = self.rows.cls.size
-        depth = [_FIRST_K] * n
-        lists = self.candidates(np.arange(n), _FIRST_K)
-        heap = [e for e in (self._entry(a, lists) for a in range(n)) if e is not None]
+        rows, used, member_rows = self.rows, self.rows.used, self.member_rows
+        live = self.live_rows.tolist()
+        depth = dict.fromkeys(live, _FIRST_K)
+        lists = dict(zip(live, self.candidates(self.live_rows, _FIRST_K)))
+        # every listed candidate is live yet, so a row's first listed cost
+        # (or its limit) keys it until its entry is worked out, token -2
+        heap = [(costs[0] if costs else limit, -2, -2, a, -2)
+                for a, (_, costs, limit, _) in lists.items()]
         heapq.heapify(heap)
         out = []
         while len(out) < k:
-            cost, member, partner, a, t = heapq.heappop(heap)
-            if t < 0:
+            entry = heapq.heappop(heap)
+            a, t = entry[3], entry[4]
+            if t == -1:
                 # placeholders on top: refill their lists in one deeper query
-                rows = [a]
-                while heap and heap[0][4] < 0:
-                    rows.append(heapq.heappop(heap)[3])
-                deeper = _GROWTH * max(depth[r] for r in rows)
-                for r in rows:
+                refill = [a]
+                while heap and heap[0][4] == -1:
+                    refill.append(heapq.heappop(heap)[3])
+                deeper = _GROWTH * max(depth[r] for r in refill)
+                for r in refill:
                     depth[r] = deeper
-                for a, fresh in zip(rows, self.candidates(np.array(rows), deeper)):
+                self.tally["refills"] += 1
+                for a, fresh in zip(refill, self.candidates(np.array(refill), deeper)):
                     lists[a] = fresh
                     entry = self._entry(a, lists)
                     if entry is not None:
                         heapq.heappush(heap, entry)
                 continue
-            if self._head(t) == (partner if self.member_rows else member):
+            if t == -2 or self._head(t) != entry[2 if member_rows else 1]:
+                entry = self._entry(a, lists)
+            # take the row's entries for as long as each sorts before the heap top
+            while entry is not None:
+                if entry[4] < 0 or (heap and heap[0] < entry):
+                    heapq.heappush(heap, entry)
+                    break
+                cost, member, partner, a, t = entry
                 out.append((member, partner, cost))
-                self.rows.next[a] += 1
-                view = self.view_of[t]
-                view.take(t - view.base)
-            entry = self._entry(a, lists)
-            if entry is not None:
-                heapq.heappush(heap, entry)
+                used[member] = used[partner] = 1
+                tokens, costs, _, p = lists[a]
+                if ((p + 1 == len(tokens) or costs[p + 1] > cost)
+                        and (not heap or heap[0][0] > cost)):
+                    # every other pair costs more: the rest of this row class
+                    # and candidate group pair off in record order
+                    view, n = self.cands.view_of[t], k - len(out)
+                    row_recs = _unused(rows.rec_at, rows.next[a], rows.end[a], used, n)
+                    g = t - view.base
+                    cand_recs = _unused(view.rec_at, view.ptr[g], view.stop[g], used, n)
+                    for pair in (zip(row_recs, cand_recs) if member_rows
+                                 else zip(cand_recs, row_recs)):
+                        out.append((*pair, cost))
+                        used[pair[0]] = used[pair[1]] = 1
+                if len(out) == k:
+                    break
+                entry = self._entry(a, lists)
         return out
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import MALFORMED_GROUPS, base_config
 from groupanon import reference as ref
+from groupanon import remap
 from groupanon.cli import main
 from groupanon.config import load_pipeline_config
 from groupanon.microfile import GroupSpec, load_microfile
@@ -111,10 +112,19 @@ class TestRunCommand:
         assert len(report["groups"]) == 1
         group = report["groups"][0]
         assert set(group) == {"name", "signal_before", "signal_after", "coefficients", "shift",
-                              "swaps", "total_swap_cost", "lp", "timings", "warnings"}
+                              "swaps", "total_swap_cost", "plan", "lp", "timings", "warnings"}
         assert set(group["lp"]) == {"rows", "vars", "nonzeros", "violated_rows",
                                     "max_violation", "published_violated_rows",
                                     "published_max_violation"}
+        plan = group["plan"]
+        assert set(plan) == {"blocks", "swept_blocks", "queues_built", "trees_built",
+                             "pairs_scored", "refills"}
+        # a quantity group's counts before and after give the flow the planner ran
+        surplus = np.array(group["signal_before"]) - np.array(group["signal_after"])
+        assert plan["blocks"] == len(remap._flow_blocks(surplus.astype(np.int64)))
+        assert 0 <= plan["swept_blocks"] <= plan["blocks"]
+        assert 0 < plan["queues_built"] <= 2 * len(group["signal_before"])
+        assert plan["pairs_scored"] > 0
 
     def test_published_bounds_are_audited(self, config_factory, tmp_path):
         path = config_factory()

@@ -10,7 +10,7 @@ from groupanon import remap
 from groupanon.errors import RemapError
 from groupanon.microfile import (Attribute, GroupSpec, Microfile, members, record_view,
                                  superset_members)
-from groupanon.remap import (InfluentialWeights, SwapPlan, _Block, _ClassSpace, _PairCost,
+from groupanon.remap import (InfluentialWeights, SwapPlan, _Block, _ClassSpace, _PairCost, _Queue,
                              _sweep, apply_swaps, influential_metric, plan_swaps)
 from groupanon.signals import GoalSignal, quantity_signal
 
@@ -415,17 +415,22 @@ class TestSmallBlockSweep:
             par = np.sort(records[n_mem:n_mem + n_par])
             k = int(rng.integers(0, min(n_mem, n_par) + 1))
             sides[mem.size * par.size <= remap._SCORE_ALL] += 1
-            assert _Block(space, mem, par).match(k) == _sweep(pair_cost, mem, par, k)
+            used = remap._used_flags(m.n_records)
+            block = _Block(space, _Queue(space, mem, used), _Queue(space, par, used),
+                           collections.Counter())
+            assert block.match(k) == _sweep(pair_cost, mem, par, k, remap._used_flags(m.n_records))
         assert sides[True] >= 10 and sides[False] >= 10
 
     def test_sweep_takes_each_record_once_cheapest_first(self):
         w = InfluentialWeights(ordinal={"age": 1.0}, nominal={})
         m = toy_microfile([("a1", "1", 10, 0), ("a1", "1", 20, 0),
                            ("a2", "0", 20, 0), ("a2", "0", 11, 0), ("a2", "0", 0, 0)])
-        matched = _sweep(_PairCost(m, w), np.array([0, 1]), np.array([2, 3, 4]), 2)
+        used = remap._used_flags(m.n_records)
+        matched = _sweep(_PairCost(m, w), np.array([0, 1]), np.array([2, 3, 4]), 2, used)
         # (1, 2) costs 0 and goes first; record 0 then gets its cheapest partner, 3
         assert [(a, b) for a, b, _ in matched] == [(1, 2), (0, 3)]
         assert matched[0][2] == 0.0
+        assert [i for i, flag in enumerate(used) if flag] == [0, 1, 2, 3]
 
     def test_tiny_blocks_build_no_class_space_or_tree(self):
         # 64 positions of 2 members and 4 partners; every even position hands
@@ -450,6 +455,98 @@ class TestSmallBlockSweep:
             assert space.call_count == 1
         assert len(plan) == 32
         assert as_tuples(plan) == as_tuples(forced) == expected
+
+
+def cross_block_case(seed):
+    """A donor feeding four recipients whose partner pools differ widely in size.
+
+    The flow's blocks are (p0→p1, 10 swaps), (p0→p2, 8), (p0→p3, 2),
+    (p0→p4, 1) and (p5→p4, 1): p0's member queue serves four blocks and
+    p4's partner queue two.  p0 holds 40 members and p1..p4 hold 30, 25, 2
+    and 20 partners, so with ``_SCORE_ALL`` at 64 p0's blocks are searched,
+    searched, swept (22 x 2 pairs) and searched again.  Narrow ordinal
+    spreads and zeros tie costs.
+    """
+    rng = np.random.default_rng(seed)
+    order = tuple(f"p{i}" for i in range(6))
+    members = [40, 3, 1, 2, 0, 6]
+    partners = [15, 30, 25, 2, 20, 9]
+    area, service = [], []
+    for pos, (n_mem, n_par) in enumerate(zip(members, partners)):
+        area += [order[pos]] * (n_mem + n_par)
+        service += ["1"] * n_mem + list(rng.choice(["0", "2"], n_par))
+    n = len(area)
+    shuffle = rng.permutation(n)
+    ordinal = {}
+    for name, spread in (("age", 4), ("income", 30)):
+        values = rng.integers(1, spread + 1, n).astype(float)
+        values[rng.random(n) < 0.2] = 0.0
+        ordinal[name] = values
+    m = Microfile(
+        attributes=(
+            Attribute("area", "nominal", "parameter"),
+            Attribute("service", "nominal", "vital", weight=1.0),
+            Attribute("kind", "nominal", "influential", weight=0.7),
+            Attribute("age", "ordinal", "influential", weight=2.0),
+            Attribute("income", "ordinal", "influential", weight=1.0),
+        ),
+        columns={"area": np.array(area)[shuffle], "service": np.array(service)[shuffle],
+                 "kind": rng.choice(["a", "b"], n), **ordinal},
+    )
+    g = GroupSpec.create({"service": {"1"}}, "area", order)
+    goal = np.array(members) + [-21, 10, 8, 2, 2, -1]
+    w = InfluentialWeights(ordinal={"age": 2.0, "income": 1.0},
+                           nominal={"service": 1.0, "kind": 0.7})
+    return m, g, GoalSignal("quantity", goal.astype(float), order), w
+
+
+class TestAcrossBlocks:
+    @pytest.mark.parametrize("first_k", [2, 8])
+    @pytest.mark.parametrize("score_all", [0, 64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kept_queues_plan_like_the_exhaustive_greedy(self, seed, score_all, first_k):
+        m, g, tgt, w = cross_block_case(seed)
+        expected = exhaustive_plan(m, g, tgt, w)
+        info = {}
+        with mock.patch.multiple(remap, _SCORE_ALL=score_all, _FIRST_K=first_k), \
+                mock.patch.object(remap, "_sweep", wraps=remap._sweep) as sweep, \
+                mock.patch.object(remap, "_Block", wraps=remap._Block) as block:
+            calls = mock.Mock()
+            calls.attach_mock(sweep, "sweep")
+            calls.attach_mock(block, "block")
+            plan = plan_swaps(m, g, tgt, w, info=info)
+        assert as_tuples(plan) == expected
+        # how each block was matched, in plan order, by its donor position
+        ways = collections.defaultdict(list)
+        for name, args, _ in calls.mock_calls:
+            donor = args[1].recs if name == "block" else args[1]
+            ways[m.column("area")[donor[0]]].append(name)
+        searched = ["block"] * 4 if score_all == 0 else ["block", "block", "sweep", "block"]
+        assert ways == {"p0": searched, "p5": ["block"]}
+        assert info["blocks"] == 5
+        assert info["swept_blocks"] == sweep.call_count
+        # one queue each for p0's members, p5's members and the partners of
+        # p1..p4, but none for p3's when its only block is swept
+        assert info["queues_built"] == (6 if score_all == 0 else 5)
+
+    def test_each_queue_is_built_once_per_plan(self, fixture_microfile, fixture_group):
+        tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
+        w = InfluentialWeights.from_microfile(fixture_microfile)
+        member = np.zeros(fixture_microfile.n_records, dtype=bool)
+        member[members(fixture_microfile, fixture_group)] = True
+        area = fixture_microfile.column("area")
+        info = {}
+        with mock.patch.object(remap, "_SCORE_ALL", 0), \
+                mock.patch.object(remap, "_Queue", wraps=remap._Queue) as queue:
+            plan = plan_swaps(fixture_microfile, fixture_group, tgt, w, info=info)
+        built = collections.Counter(
+            ("member" if member[c.args[1][0]] else "partner", area[c.args[1][0]])
+            for c in queue.call_args_list)
+        assert built and max(built.values()) == 1
+        assert queue.call_count == info["queues_built"] <= 2 * len(ref.AREA_CODES)
+        # every block of the plan reuses its two queues rather than building them again
+        assert info["blocks"] > info["queues_built"] / 2
+        assert as_tuples(plan) == exhaustive_plan(fixture_microfile, fixture_group, tgt, w)
 
 
 class TestApplySwaps:

@@ -9,9 +9,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from groupanon import microfile
+from groupanon import reference as ref
 from groupanon.charts import svg_line_chart
-from groupanon.pipeline import _write_plan_csv, write_signal_csv
+from groupanon.cli import main
+from groupanon.pipeline import _write_plan_csv, write_coefficients_csv, write_signal_csv
 from groupanon.remap import SwapPlan
+from groupanon.wavelet import decompose, get_filter
 
 
 def reference_plan_csv(path, plan):
@@ -21,6 +24,18 @@ def reference_plan_csv(path, plan):
         writer.writerow(["member_index", "partner_index", "cost"])
         writer.writerows([a, b, f"{cost:.12g}"]
                          for (a, b), cost in zip(plan.swaps.tolist(), plan.costs.tolist()))
+
+
+def reference_coefficients_csv(path, dec):
+    """Row-by-row coefficient writer: the reference for ``write_coefficients_csv``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["component", "index", "value"])
+        for i, v in enumerate(dec.approx, start=1):
+            writer.writerow([f"approx{dec.level}", i, f"{v:.12g}"])
+        for j in dec.detail_levels():
+            for i, v in enumerate(dec.details[j], start=1):
+                writer.writerow([f"detail{j}", i, f"{v:.12g}"])
 
 
 def reference_signal_csv(path, order, values):
@@ -168,3 +183,19 @@ class TestAgainstRowByRowWriters:
         svg_line_chart(labels, values, tmp_path / "new.svg", title="long")
         reference_svg_line_chart(labels, values, tmp_path / "ref.svg", title="long")
         assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+    def test_coefficients_of_the_bundled_config(self, config_factory, tmp_path):
+        path = config_factory()
+        assert main(["decompose", "--config", str(path), "--group", "active-duty"]) == 0
+        reference_coefficients_csv(tmp_path / "ref.csv",
+                                   decompose(ref.QUANTITY.astype(float), get_filter("db2"), 2))
+        written = tmp_path / "out/report/active-duty_coefficients.csv"
+        assert written.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_coefficients_of_a_long_axis(self, tmp_path):
+        rng = np.random.default_rng(11)
+        dec = decompose(rng.integers(0, 40, 4096).astype(float), get_filter("db4"), 5)
+        with mock.patch.object(microfile, "_CHUNK_ROWS", 1000):
+            write_coefficients_csv(tmp_path / "new.csv", dec)
+        reference_coefficients_csv(tmp_path / "ref.csv", dec)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
