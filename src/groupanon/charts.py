@@ -6,8 +6,8 @@ reporting needs, so no plotting dependency is pulled in.
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>'
         )
     axis_y = _MARGIN_T + plot_h
     parts.append(
@@ -85,7 +85,7 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
         parts.append(
             f'<text x="{xs[i]}" y="{axis_y + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10" '
-            f'transform="rotate(45 {xs[i]} {axis_y + 16})">{escape(labels[i])}</text>'
+            f'transform="rotate(45 {xs[i]} {axis_y + 16})">{escape(labels[i], quote=False)}</text>'
         )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="2"/>'

@@ -352,7 +352,8 @@ def load_microfile(
     plain columns.  Any other cell is a ``ParseError`` naming its row.
 
     A plain file (see ``_read_plain``) is parsed by a byte path that builds
-    no row and no cell string.  Any other file is read again from the start
+    no cell string and fills columns allocated once, at their full length,
+    in place.  Any other file is read again from the start
     by ``csv.reader``, which builds the same table and raises every parse
     error.  It parses the body ``_CHUNK_ROWS`` rows at a time into
     per-column arrays that are joined at the end, so only one chunk's rows
@@ -570,8 +571,16 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
       ordinal cell is a finite number.
 
     The file must also be a regular one, so that the csv path can read it
-    again.  The body is read ``_CHUNK_ROWS`` lines at a time; a chunk's
-    fields are found by one scan for delimiters and gathered by offset.
+    again.  One streaming pass counts the body's lines, so that each column
+    is allocated once, at its full length.  The body is then read
+    ``_CHUNK_ROWS`` lines at a time; a chunk's fields are found by one scan
+    for delimiters and gathered by offset, and each column's cells are
+    written into the chunk's slice of it.  A nominal chunk's cells are
+    codes into that chunk's sorted texts, kept once for a run of chunks
+    with the same texts, until every chunk is read; then each slice is
+    renumbered in place into the column's vocabulary.  So the load holds
+    the table and one chunk.  If the second pass reads another
+    number of lines than the first counted, the file is not taken as plain.
     """
     if not _ascii_compatible(locale.getpreferredencoding(False)):
         return None
@@ -589,22 +598,59 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
             positions = _check_header(path, header, schema, identifiers)
         except SchemaError:
             return None
-        parts: list[list] = [[] for _ in schema]
-        while lines := list(islice(fh, _CHUNK_ROWS)):
-            fields = _plain_fields(b"".join(lines), len(lines), len(header), limit)
+        body = fh.tell()
+        n = _count_lines(fh)
+        fh.seek(body)
+        columns = [np.empty(n, np.int32 if attr.kind == "nominal" else float) for attr in schema]
+        # each nominal column's runs of chunks with the same texts (see ``_renumber``)
+        runs: list[list] = [[] for _ in schema]
+        at = 0
+        # the line list goes as soon as its bytes are joined, before they are parsed
+        while chunk := b"".join(islice(fh, _CHUNK_ROWS)):
+            lines = chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+            rows = slice(at, at + lines)
+            at = rows.stop
+            if at > n:
+                return None
+            fields = _plain_fields(chunk, lines, len(header), limit)
+            del chunk
             if fields is None:
                 return None
             data, starts, lengths = fields
-            for attr, pos, column_parts in zip(schema, positions, parts):
+            for attr, pos, column, column_runs in zip(schema, positions, columns, runs):
                 if attr.role != "plain" and not lengths[:, pos].all():
                     return None
-                parse = _plain_nominal if attr.kind == "nominal" else _plain_ordinal
-                part = parse(data, starts[:, pos], lengths[:, pos])
-                if part is None:
-                    return None
-                column_parts.append(part)
+                if attr.kind == "nominal":
+                    distinct, column[rows], width = _plain_nominal(data, starts[:, pos],
+                                                                   lengths[:, pos])
+                    if column_runs and np.array_equal(column_runs[-1][2], distinct):
+                        column_runs[-1][1] = rows.stop
+                    else:
+                        column_runs.append([rows.start, rows.stop, distinct, width])
+                else:
+                    values = _plain_ordinal(data, starts[:, pos], lengths[:, pos])
+                    if values is None:
+                        return None
+                    column[rows] = values
+        if at != n:
+            return None
     _warn_identifiers(path, header, identifiers)
-    return Microfile.from_cells(schema, *_join_plain(schema, parts))
+    cells, vocabularies = {}, {}
+    for attr, column, column_runs in zip(schema, columns, runs):
+        cells[attr.name] = column
+        if attr.kind == "nominal":
+            vocabularies[attr.name] = _renumber(column, column_runs)
+    return Microfile.from_cells(schema, cells, vocabularies)
+
+
+def _count_lines(fh) -> int:
+    """The lines from ``fh``'s position to its end, read in blocks, as iterating it splits them."""
+    block = bytearray(2**16)
+    lines, last = 0, ord("\n")
+    while size := fh.readinto(block):
+        lines += block.count(b"\n", 0, size)
+        last = block[size - 1]
+    return lines + (last != ord("\n"))
 
 
 def _plain_header(line: bytes, limit: int) -> list[str] | None:
@@ -631,7 +677,10 @@ def _plain_fields(chunk: bytes, lines: int, width: int,
     if not chunk.endswith(b"\n"):
         chunk += b"\n"
     data = np.frombuffer(chunk, np.uint8)
-    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    delimiter = data == ord(",")
+    delimiter |= data == ord("\n")
+    ends = np.flatnonzero(delimiter)
+    del delimiter
     if ends.size != lines * width:
         return None
     # each of the ``lines`` line feeds ends a row of ``width`` delimiters, so the others are commas
@@ -639,11 +688,13 @@ def _plain_fields(chunk: bytes, lines: int, width: int,
     if not (data[ends[:, -1]] == ord("\n")).all():
         return None
     crlf = data[ends[:, -1] - 1] == ord("\r")
-    if np.count_nonzero(data == ord("\r")) != np.count_nonzero(crlf):
+    if chunk.count(b"\r") != np.count_nonzero(crlf):
         return None
-    starts = np.concatenate(([0], ends.reshape(-1)[:-1] + 1)).reshape(lines, width)
+    starts = np.empty_like(ends)
+    starts.flat[0] = 0
+    np.add(ends.reshape(-1)[:-1], 1, out=starts.reshape(-1)[1:])
     ends[:, -1] -= crlf
-    lengths = ends - starts
+    lengths = np.subtract(ends, starts, out=ends)
     widest = int(lengths.max())
     if widest > limit or (width == 1 and not lengths.all()):
         return None
@@ -718,12 +769,15 @@ def _plain_ordinal(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) ->
     A cell of 1 to ``_EXACT_DIGITS`` ASCII digits is worked out from its
     digits, as a head of up to 7 and a tail of up to 8; any other goes
     through ``float()``, as in the csv path.  None if such a cell is not a
-    finite number.
+    finite number.  When no cell is wider than 8 bytes every head is empty
+    and reads as 0, so its pass is skipped.
     """
     words = _words(data)
     tail = np.minimum(lengths, 8)
-    head = np.minimum(lengths - tail, 8)
-    head_ok, high = _eight_digits(words, starts, head)
+    if int(lengths.max(initial=0)) > 8:
+        head_ok, high = _eight_digits(words, starts, np.minimum(lengths - tail, 8))
+    else:
+        head_ok, high = True, np.uint64(0)
     tail_ok, low = _eight_digits(words, starts + lengths - tail, tail)
     exact = head_ok & tail_ok & (lengths > 0) & (lengths <= _EXACT_DIGITS)
     values = np.where(exact, high * np.uint64(10**8) + low, np.nan)
@@ -739,23 +793,24 @@ def _plain_ordinal(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) ->
     return values
 
 
-def _join_plain(schema: Sequence[Attribute],
-                parts: list[list]) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Each column's cells, and each nominal column's vocabulary, from its chunks' parts."""
-    cells, vocabularies = {}, {}
-    for attr, column_parts in zip(schema, parts):
-        if attr.kind == "ordinal":
-            cells[attr.name] = np.concatenate(column_parts) if column_parts else np.empty(0)
-        elif not column_parts:
-            cells[attr.name], vocabularies[attr.name] = np.empty(0, np.int32), np.array([], str)
-        else:
-            distinct = np.unique(np.concatenate([texts for texts, _, _ in column_parts]))
-            cells[attr.name] = np.concatenate([np.searchsorted(distinct, texts).astype(np.int32)[codes]
-                                               for texts, codes, _ in column_parts])
-            width = max(1, max(width for _, _, width in column_parts))
-            vocabularies[attr.name] = distinct.astype(f"<U{width}")
-        column_parts.clear()
-    return cells, vocabularies
+def _renumber(codes: np.ndarray, runs: list[list]) -> np.ndarray:
+    """A nominal column's vocabulary, with ``codes`` renumbered into it in place.
+
+    Each run is [start, stop, texts, width]: rows ``start:stop`` of
+    ``codes`` index ``texts``, sorted distinct bytes whose longest is
+    ``width`` long.  Chunks with the same texts share one run, so a column
+    of few texts keeps one copy of them.  Codes are renumbered
+    ``_CHUNK_ROWS`` rows at a time.
+    """
+    if not runs:
+        return np.array([], str)
+    distinct = np.unique(np.concatenate([texts for _, _, texts, _ in runs]))
+    for start, stop, texts, _ in runs:
+        new = np.searchsorted(distinct, texts).astype(np.int32)
+        for at in range(start, stop, _CHUNK_ROWS):
+            rows = slice(at, min(at + _CHUNK_ROWS, stop))
+            codes[rows] = new[codes[rows]]
+    return distinct.astype(f"<U{max(1, max(width for *_, width in runs))}")
 
 
 def _format_cell(attr: Attribute, value) -> str:

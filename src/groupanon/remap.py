@@ -23,17 +23,18 @@ the nominal terms and the terms of zero ordinal values are constant; and
 each partition is searched with a k-d tree in log-ordinal coordinates,
 where every ordinal term grows with the distance along its axis.  A
 candidate list is trusted only up to the cost below which it provably
-holds every class.  The class space is built once, on the first block
-that needs it.
+holds every class.
 
 A position's members (as a donor) and partners (as a recipient) are
-grouped into a queue on the first searched block that needs them, and the
-queue keeps its partitions, candidate groups and k-d trees for that
+grouped into a queue on the first searched block that needs them.  Only
+then are the queue's own records collapsed into classes, each described by
+its lowest record: no factorisation of the whole table is made.  The queue
+keeps its classes, partitions, candidate groups and k-d trees for that
 position's later blocks; it is dropped after the position's last block,
 which the up-front flow names.  One array of used-record flags, set by the
 sweep and the search alike, is the only record of which records are gone:
 at each block start a kept view drops its used-up groups and rebuilds its
-tree only if one went.
+tree only if one went.  Record indices are int32 wherever the table allows.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class SwapPlan:
         costs = np.array(self.costs, dtype=np.float64).reshape(-1)
         if costs.size != len(swaps):
             raise RemapError(f"{len(swaps)} swaps but {costs.size} costs")
-        if np.unique(swaps).size != swaps.size:
+        records = np.sort(swaps, axis=None)
+        if np.any(records[1:] == records[:-1]):
             raise RemapError("a record may appear in at most one swap")
         swaps.setflags(write=False)
         costs.setflags(write=False)
@@ -239,22 +241,25 @@ def plan_swaps(
     target = q_target.values.astype(np.int64)
     if g.superset_vital is not None:
         check_group_in_superset(m, g)
-        pool_mask = np.zeros(m.n_records, dtype=bool)
-        pool_mask[superset_members(m, g)] = True
+        pool = np.zeros(m.n_records, dtype=bool)
+        pool[superset_members(m, g)] = True
     else:
-        pool_mask = np.ones(m.n_records, dtype=bool)
-    pool_mask[member_idx] = False
+        pool = np.ones(m.n_records, dtype=bool)
+    pool[member_idx] = False
 
     n_pos = len(g.parameter_order)
     positions = axis_positions(m, g)
-    member_pos = positions[member_idx]
-    if np.any(member_pos < 0):
-        bad = values_outside_order(m, g, member_idx[member_pos < 0])
+    outside = member_idx[positions[member_idx] < 0]
+    if outside.size:
+        bad = values_outside_order(m, g, outside)
         raise RemapError(f"members at parameter values outside the order: {bad}")
-    pool_idx = np.flatnonzero(pool_mask & (positions >= 0))
+    pool &= positions >= 0
+    member = np.zeros(m.n_records, dtype=bool)
+    member[member_idx] = True
     # side 0 holds each position's members, side 1 its partners
-    sides = (_by_position(member_idx, member_pos, n_pos),
-             _by_position(pool_idx, positions[pool_idx], n_pos))
+    sides = (_by_position(member, positions, n_pos), _by_position(pool, positions, n_pos))
+    # past here the sides are the only arrays over the table's records that the plan holds
+    del member_idx, pool, positions, member
     left = np.stack([np.diff(start) for _, start in sides])  # unused records per side and position
     current, partners = left
 
@@ -318,15 +323,25 @@ def plan_swaps(
                     costs=np.concatenate(costs))
 
 
-def _by_position(records: np.ndarray, pos: np.ndarray,
+def _by_position(keep: np.ndarray, positions: np.ndarray,
                  n_pos: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ``records`` ordered by position, and each position's offset.
+    """The records flagged in ``keep``, ordered by position, and each position's offset.
 
-    Position p's records, still ascending, are ``sorted[start[p]:start[p + 1]]``.
+    Position p's records, ascending, are ``sorted[start[p]:start[p + 1]]``.
+    One sort of the keys position·n + record orders them; the keys, and so
+    the records, are int32 wherever they fit, and no index array over the
+    whole table is built beyond them.
     """
+    n = keep.size
+    key = positions[keep].astype(np.int32 if n_pos * n < 2**31 else np.int64)
     start = np.zeros(n_pos + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pos, minlength=n_pos), out=start[1:])
-    return records[np.argsort(pos, kind="stable")], start
+    np.cumsum(np.bincount(key, minlength=n_pos), out=start[1:])
+    key *= n
+    key += np.flatnonzero(keep)
+    key.sort()
+    if n:
+        key %= n
+    return key, start
 
 
 def _flow_blocks(surplus: np.ndarray) -> list[tuple[int, int, int]]:
@@ -409,8 +424,24 @@ def _row_ids(codes: list[np.ndarray]) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1].reshape(-1)
 
 
+@dataclass(frozen=True, eq=False)
+class _Classes:
+    """One queue's classes of identical influential attributes, each described by its lowest record.
+
+    Row i of ``values`` (ordinal values), ``nominal`` (nominal codes),
+    ``zero`` (which ordinal values are 0) and ``coords`` (k-d tree
+    coordinates) describes class i, whose lowest record is ``rep[i]``.
+    """
+
+    rep: np.ndarray
+    values: np.ndarray
+    nominal: np.ndarray
+    zero: np.ndarray
+    coords: np.ndarray
+
+
 class _ClassSpace:
-    """Records collapsed into classes of identical influential attributes.
+    """The metric's columns, in which each queue collapses its records into classes.
 
     A pair's cost depends on the two records' attributes alone, so scoring
     one representative record per class gives the cost of every pair of
@@ -421,36 +452,44 @@ class _ClassSpace:
 
     def __init__(self, pair_cost: _PairCost):
         self.pair_cost = pair_cost
-        self.of = _row_ids([np.unique(col, return_inverse=True)[1].reshape(-1)
-                            for _, col in pair_cost.ordinal]
-                           + [codes for _, codes in pair_cost.nominal])
-        self.rep = np.unique(self.of, return_index=True)[1]
-        n = self.rep.size
-        self.values = (np.stack([col[self.rep] for _, col in pair_cost.ordinal], axis=1)
-                       if pair_cost.ordinal else np.empty((n, 0)))
-        self.nominal = (np.stack([c[self.rep] for _, c in pair_cost.nominal], axis=1)
-                        if pair_cost.nominal else np.empty((n, 0), dtype=np.int64))
-        self.zero = self.values == 0
         self.weight = np.array([weight for weight, _ in pair_cost.ordinal], dtype=float)
+
+    def classes_of(self, records: np.ndarray) -> np.ndarray:
+        """Dense class ids of ``records``, ranking the classes among them by their attributes.
+
+        Only ``records`` are factorised; two record sets that share classes
+        rank those classes in the same order.
+        """
+        pc = self.pair_cost
+        return _row_ids([np.unique(col[records], return_inverse=True)[1].reshape(-1)
+                         for _, col in pc.ordinal] + [codes[records] for _, codes in pc.nominal])
+
+    def describe(self, rep: np.ndarray) -> _Classes:
+        """The classes whose lowest records are ``rep``."""
+        pc, n = self.pair_cost, rep.size
+        values = (np.stack([col[rep] for _, col in pc.ordinal], axis=1)
+                  if pc.ordinal else np.empty((n, 0)))
+        nominal = (np.stack([codes[rep] for _, codes in pc.nominal], axis=1)
+                   if pc.nominal else np.empty((n, 0), dtype=np.int64))
+        zero = values == 0
         with np.errstate(divide="ignore"):
-            self.coords = np.where(self.zero, 0.0,
-                                   np.sqrt(self.weight) * np.log(self.values) / 2)
-        # within one partition the nominal and zero-valued ordinal terms are fixed
-        self.partition = _row_ids(list(self.nominal.T) + list(self.zero.T))
+            coords = np.where(zero, 0.0, np.sqrt(self.weight) * np.log(values) / 2)
+        return _Classes(rep, values, nominal, zero, coords)
 
-    def floor(self, a: np.ndarray, b: int) -> np.ndarray:
-        """Cost of classes ``a`` against class ``b`` without their two-nonzero ordinal terms.
+    def floor(self, rows: _Classes, a: np.ndarray, cands: _Classes, b: int) -> np.ndarray:
+        """Cost of classes ``a`` of ``rows`` against class ``b`` of ``cands``, less two-nonzero terms.
 
-        Summed in the metric's own order, so by monotone rounding it never
-        exceeds the computed cost of ``a`` against any class that shares
-        ``b``'s nominal codes and ordinal zeros.
+        Those are the ordinal terms of two nonzero values.  Summed in the
+        metric's own order, so by monotone rounding it never exceeds the
+        computed cost of ``a`` against any class that shares ``b``'s
+        nominal codes and ordinal zeros.
         """
         pc = self.pair_cost
         total = np.zeros(a.size)
         for i, (weight, _) in enumerate(pc.ordinal):
-            total += np.where(self.zero[a, i] != self.zero[b, i], weight, 0.0)
+            total += np.where(rows.zero[a, i] != cands.zero[b, i], weight, 0.0)
         for j, (weight, _) in enumerate(pc.nominal):
-            total += weight * np.where(self.nominal[a, j] == self.nominal[b, j],
+            total += weight * np.where(rows.nominal[a, j] == cands.nominal[b, j],
                                        pc.same_sq, pc.diff_sq)
         return total
 
@@ -484,23 +523,25 @@ def _unused(recs: memoryview, p: int, stop: int, used: memoryview, n: int) -> li
 class _Queue:
     """One position's members or partners, by class, kept for every block of that position.
 
-    A record is used once its flag in the plan's ``used`` array is set, by
-    ``_sweep`` or by ``_Block``; flags are never cleared.  Within a class
-    the lowest unused record always goes first, and ``next[i]`` is where
-    the search for class ``i``'s lowest unused record resumes.  The
-    partitions and the views of the queue as a candidate side are built on
-    the first block that searches it and kept for the later ones.
+    The queue's ascending ``records`` are collapsed into classes (see
+    ``_ClassSpace``) here, and only they.  A record is used once its flag
+    in the plan's ``used`` array is set, by ``_sweep`` or by ``_Block``;
+    flags are never cleared.  Within a class the lowest unused record
+    always goes first, and ``next[i]`` is where the search for class
+    ``i``'s lowest unused record resumes.  The partitions and the views of
+    the queue as a candidate side are built on the first block that
+    searches it and kept for the later ones.
     """
 
     def __init__(self, space: _ClassSpace, records: np.ndarray, used: memoryview):
         self.space, self.used = space, used
-        cls = space.of[records]
-        order = np.argsort(cls, kind="stable")
-        self.cls, self.start, self.count = np.unique(cls[order], return_index=True,
-                                                     return_counts=True)
-        self.recs = records[order]
+        cls = space.classes_of(records)
+        self.recs = records[np.argsort(cls, kind="stable")]
+        self.count = np.bincount(cls)
+        self.start = np.cumsum(self.count) - self.count
         # the same records read one at a time, with no Python int kept per record
         self.rec_at = memoryview(self.recs)
+        self.classes = space.describe(self.recs[self.start])
         self.next = self.start.tolist()
         self.end = (self.start + self.count).tolist()
         self.parts: list[np.ndarray] = []
@@ -524,9 +565,14 @@ class _Queue:
         return np.flatnonzero(~np.logical_and.reduceat(flags, self.start))
 
     def partition(self) -> None:
-        """Split the classes by partition, once."""
+        """Split the classes by partition, once.
+
+        Within one partition the nominal and zero-valued ordinal terms are
+        fixed; partitions are numbered in the order of those attributes.
+        """
         if self.part_of is None:
-            part = np.unique(self.space.partition[self.cls], return_inverse=True)[1].reshape(-1)
+            c = self.classes
+            part = _row_ids(list(c.nominal.T) + list(c.zero.T))
             order = np.argsort(part, kind="stable")
             self.parts = np.split(order, np.cumsum(np.bincount(part))[:-1])
             self.part_of = part
@@ -548,6 +594,7 @@ class _View:
 
     def __init__(self, cands: _Queue, classes: np.ndarray, dims: np.ndarray | None, base: int):
         self.space, self.used, self.dims, self.base = cands.space, cands.used, dims, base
+        self.classes = cands.classes
         # the unused records of ``classes``, each with its class
         start, sizes = cands.start[classes], cands.count[classes]
         pos = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
@@ -558,12 +605,12 @@ class _View:
         if dims is None:
             first = group = np.arange(classes.size)
         elif dims.size:
-            values = self.space.values[cands.cls[classes]][:, dims]
+            values = self.classes.values[classes][:, dims]
             _, first, group = np.unique(values, axis=0, return_index=True, return_inverse=True)
             group = group.reshape(-1)
         else:
             first, group = np.zeros(min(classes.size, 1), dtype=int), np.zeros(classes.size, int)
-        self.rep = cands.cls[classes[first]]
+        self.rep = classes[first]  # each group's first class
         self.tree: cKDTree | None = None
         self.live = np.arange(first.size)
         self.dead = 0
@@ -599,8 +646,8 @@ class _View:
         self.ptr[g] = p
         return recs[p]
 
-    def search(self, a: np.ndarray, k: int, full: int, score, tally: Counter):
-        """Candidate groups of row classes ``a``: group indices, costs, proven limits.
+    def search(self, rows: _Classes, a: np.ndarray, k: int, full: int, score, tally: Counter):
+        """Candidate groups of classes ``a`` of ``rows``: group indices, costs, proven limits.
 
         Every live group is listed when there are at most ``full``;
         otherwise the ``k`` nearest.  A list is cut at the largest cost up
@@ -618,12 +665,12 @@ class _View:
             idx = np.broadcast_to(self.live, (n, self.live.size))
             return idx, score(a, self.rep[idx]), np.full(n, np.inf)
         if self.tree is None:
-            self.tree = cKDTree(sp.coords[self.rep[self.live]][:, self.dims])
+            self.tree = cKDTree(self.classes.coords[self.rep[self.live]][:, self.dims])
             tally["trees_built"] += 1
-        dist, near = self.tree.query(sp.coords[a][:, self.dims], k=k)
+        dist, near = self.tree.query(rows.coords[a][:, self.dims], k=k)
         idx, kth = self.live[near], dist[:, -1]
         cost = score(a, self.rep[idx])
-        floor = sp.floor(a, self.rep[0])
+        floor = sp.floor(rows, a, self.classes, self.rep[0])
         # margins cover the rounding of costs, logarithms and tree distances
         slack = (cost - floor[:, None]) * (1 + 1e-9) + 1e-12 * (1 + cost)
         sure = sp.radius(self.dims, slack) * (1 + 1e-9) + 1e-9 < kth[:, None]
@@ -667,11 +714,11 @@ class _Block:
 
     def _score(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Costs of row classes ``a`` (per row) against candidate classes ``b``."""
-        sp = self.space
-        rows = sp.rep[np.broadcast_to(a[:, None], b.shape)].reshape(-1)
-        cands = sp.rep[b].reshape(-1)
+        pair_cost = self.space.pair_cost
+        rows = self.rows.classes.rep[np.broadcast_to(a[:, None], b.shape)].reshape(-1)
+        cands = self.cands.classes.rep[b].reshape(-1)
         self.tally["pairs_scored"] += cands.size
-        cost = sp.pair_cost(rows, cands) if self.member_rows else sp.pair_cost(cands, rows)
+        cost = pair_cost(rows, cands) if self.member_rows else pair_cost(cands, rows)
         return cost.reshape(b.shape)
 
     def _head(self, t: int) -> int:
@@ -686,8 +733,8 @@ class _Block:
             cands.view_of.extend([view] * view.rep.size)
         return view
 
-    def candidates(self, rows: np.ndarray, k: int) -> list[list]:
-        """Candidate tokens for row classes ``rows``, cheapest first.
+    def candidates(self, a: np.ndarray, k: int) -> list[list]:
+        """Candidate tokens for row classes ``a``, cheapest first.
 
         A candidate side small enough to score in full is listed class by
         class; otherwise each partition contributes through the view of the
@@ -696,18 +743,17 @@ class _Block:
         list provably holds every live candidate; the limit is infinite
         when it holds all of them.
         """
-        sp, cands = self.space, self.cands
-        a = self.rows.cls[rows]
-        n = rows.size
+        cands, row_classes, cand_classes = self.cands, self.rows.classes, self.cands.classes
+        n = a.size
         full = max(k, _SCORE_ALL // n)
         queries = []
         if self.n_cands <= full:
-            queries.append((self._view("all", np.arange(cands.cls.size), None), np.arange(n)))
+            queries.append((self._view("all", np.arange(cands.count.size), None), np.arange(n)))
         else:
             for pi in self.live_parts:
                 part = cands.parts[pi]
-                b = cands.cls[part[0]]
-                active = ~sp.zero[a] & ~sp.zero[b] & (sp.weight > 0)
+                active = (~row_classes.zero[a] & ~cand_classes.zero[part[0]]
+                          & (self.space.weight > 0))
                 code = active @ (1 << np.arange(active.shape[1]))
                 for c in np.unique(code).tolist():
                     sel = np.flatnonzero(code == c)
@@ -716,7 +762,7 @@ class _Block:
         limit = np.full(n, np.inf)
         row_of, tokens, costs = [], [], []
         for view, sel in queries:
-            idx, cost, lim = view.search(a[sel], k, full, self._score, self.tally)
+            idx, cost, lim = view.search(row_classes, a[sel], k, full, self._score, self.tally)
             limit[sel] = np.minimum(limit[sel], lim)
             row_of.append(np.broadcast_to(sel[:, None], idx.shape).reshape(-1))
             tokens.append(idx.reshape(-1) + view.base)

@@ -588,6 +588,66 @@ class TestReaderChoice:
         assert got[1].startswith(f"{path}: cannot read: 'utf-8' codec can't decode byte 0xff")
 
 
+class TestColumnsFilledInPlace:
+    """The byte path counts the body's lines, then fills each column chunk by chunk.
+
+    Each file's outcome is the row reference's; the files that are plain
+    are read by the byte path, at the module's own chunk size.
+    """
+
+    HEADER = b"area,service,pay\n"
+
+    @staticmethod
+    def rows(n, start=0):
+        return b"".join(b"a%d,%d,%d\n" % (i % 7, i % 2, 10 + i % 13) for i in range(start, n))
+
+    @pytest.mark.parametrize("content", [
+        HEADER + b"a1,1,10\na2,0,5",
+        HEADER.replace(b"\n", b"\r\n") + b"a1,1,10\r\na2,0,5\r\n",
+        HEADER + b"a1,1,10\n",
+        HEADER,
+        HEADER[:-1],
+    ], ids=["no-final-newline", "crlf", "one-row", "header-only", "header-without-newline"])
+    def test_small_files(self, tmp_path, content):
+        path = tmp_path / "f.csv"
+        path.write_bytes(content)
+        info = {}
+        got = load_outcome(read_with(info), path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert isinstance(got, dict) and info == {"reader": "bytes"}
+
+    @pytest.mark.parametrize("extra", [0, 1, -1], ids=["exactly-one-chunk", "one-more", "one-less"])
+    def test_a_chunk_of_rows(self, tmp_path, extra):
+        n = microfile._CHUNK_ROWS + extra
+        path = tmp_path / "f.csv"
+        path.write_bytes(self.HEADER + self.rows(n))
+        info = {}
+        got = load_outcome(read_with(info), path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert info == {"reader": "bytes"} and len(got["pay"][1]) == 8 * n
+
+    def test_ragged_row_in_a_later_chunk_raises_the_csv_error(self, tmp_path):
+        n = microfile._CHUNK_ROWS
+        path = tmp_path / "f.csv"
+        path.write_bytes(self.HEADER + self.rows(n + 3) + b"a1,1\n" + self.rows(n + 10, n + 4))
+        got = load_outcome(load_microfile, path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert got == (ParseError, f"{path}: row {n + 5} has 2 fields, expected 3")
+
+    @pytest.mark.parametrize("miscount", [1, -1], ids=["grew", "shrank"])
+    def test_a_line_count_that_changes_falls_back(self, tmp_path, monkeypatch, miscount):
+        # the file changed between the count and the read, as the read sees it
+        path = tmp_path / "f.csv"
+        path.write_bytes(self.HEADER + self.rows(5))
+        count = microfile._count_lines
+        monkeypatch.setattr(microfile, "_count_lines", lambda fh: count(fh) + miscount)
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", 2)
+        info = {}
+        got = load_outcome(read_with(info), path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert info == {"reader": "csv"}
+
+
 class TestAttribute:
     def test_rejects_unknown_kind(self):
         with pytest.raises(SchemaError, match="kind"):
@@ -736,6 +796,34 @@ class TestLoad:
         # the kept columns, their chunk parts while they are joined, and one
         # 16,384-row chunk of row lists and cell strings (~3 MB here)
         assert peak < 3 * kept + 8 * 2**20
+
+    def test_load_holds_the_columns_and_one_chunk(self, tmp_path, monkeypatch):
+        # a chunk much shorter than the table, so a second copy of a column shows
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", 1024)
+        n = 200_000
+        path = tmp_path / "big.csv"
+        with open(path, "w") as fh:
+            fh.write("area,service,age,income\n")
+            fh.writelines(f"{6000 + i % 97:05d},{i % 3},{18 + i % 71},{(i * 7919) % 100_000}\n"
+                          for i in range(n))
+        schema = (Attribute("area", "nominal", "parameter"),
+                  Attribute("service", "nominal", "vital", weight=1.0),
+                  Attribute("age", "ordinal", "influential", weight=1.0),
+                  Attribute("income", "ordinal", "influential", weight=1.0))
+        info = {}
+        tracemalloc.start()
+        try:
+            m = load_microfile(path, schema, info=info)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(m.cells(a.name).nbytes for a in schema)
+        assert info == {"reader": "bytes"} and m.n_records == n
+        assert m.vocabulary("area").size == 97 and m.cells("income")[:3].tolist() == [0, 7919, 15838]
+        # the columns (4.8 MB), and one chunk's lines, bytes, field offsets
+        # and parse temporaries: about 270 bytes per row of the chunk here.
+        # Parts joined at the end would add the largest column again (1.6 MB)
+        assert peak < kept + 400 * microfile._CHUNK_ROWS
 
     def test_undeclared_columns_ignored(self, tmp_path):
         path = write_csv(

@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -547,6 +548,135 @@ class TestAcrossBlocks:
         # every block of the plan reuses its two queues rather than building them again
         assert info["blocks"] > info["queues_built"] / 2
         assert as_tuples(plan) == exhaustive_plan(fixture_microfile, fixture_group, tgt, w)
+
+
+def shared_class_case(seed):
+    """Six positions drawing their records from one small pool of attribute combinations.
+
+    Every combination of (service, kind, age, income) can turn up at every
+    position, so one class sits in several queues; ages and incomes of 0
+    split each queue's classes into several partitions.  p0 and p1 hand
+    members to p4 and p5 in blocks of about 80 members by 70 partners, more
+    pairs than ``_SCORE_ALL``.
+    """
+    rng = np.random.default_rng(seed)
+    order = tuple(f"p{i}" for i in range(6))
+    members = [90, 85, 10, 10, 5, 5]
+    partners = [10, 10, 20, 20, 75, 70]
+    area, service = [], []
+    for pos, (n_mem, n_par) in enumerate(zip(members, partners)):
+        area += [order[pos]] * (n_mem + n_par)
+        service += ["1"] * n_mem + list(rng.choice(["0", "2"], n_par))
+    n = len(area)
+    shuffle = rng.permutation(n)
+    m = Microfile(
+        attributes=(
+            Attribute("area", "nominal", "parameter"),
+            Attribute("service", "nominal", "vital", weight=1.0),
+            Attribute("kind", "nominal", "influential", weight=0.7),
+            Attribute("age", "ordinal", "influential", weight=2.0),
+            Attribute("income", "ordinal", "influential", weight=1.0),
+        ),
+        columns={"area": np.array(area)[shuffle], "service": np.array(service)[shuffle],
+                 "kind": rng.choice(["a", "b"], n), "age": rng.choice([0.0, 3.0, 7.0], n),
+                 "income": rng.choice([0.0, 10.0, 40.0], n)},
+    )
+    g = GroupSpec.create({"service": {"1"}}, "area", order)
+    goal = np.array(members) + [-30, -25, 0, 0, 30, 25]
+    w = InfluentialWeights(ordinal={"age": 2.0, "income": 1.0},
+                           nominal={"service": 1.0, "kind": 0.7})
+    return m, g, GoalSignal("quantity", goal.astype(float), order), w
+
+
+class TestByPosition:
+    @pytest.mark.parametrize("n_pos", [16, 2**16], ids=["int32-keys", "int64-keys"])
+    def test_matches_a_stable_argsort(self, n_pos):
+        rng = np.random.default_rng(n_pos)
+        n = 40_000
+        positions = rng.integers(0, n_pos, n)
+        keep = rng.random(n) < 0.7
+        got, start = remap._by_position(keep, positions, n_pos)
+        records = np.flatnonzero(keep)
+        want = records[np.argsort(positions[records], kind="stable")]
+        # keys position·n + record overflow int32 at 2**16 positions
+        assert got.dtype == (np.int32 if n_pos == 16 else np.int64)
+        assert got.tolist() == want.tolist()
+        counts = np.bincount(positions[records], minlength=n_pos)
+        assert start.tolist() == [0] + np.cumsum(counts).tolist()
+
+    def test_no_records(self):
+        got, start = remap._by_position(np.zeros(0, dtype=bool), np.zeros(0, np.int64), 4)
+        assert got.size == 0 and start.tolist() == [0] * 5
+
+
+class TestClassesPerQueue:
+    @pytest.mark.parametrize("score_all", [0, remap._SCORE_ALL])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_classes_plan_like_the_exhaustive_greedy(self, seed, score_all):
+        m, g, tgt, w = shared_class_case(seed)
+        expected = exhaustive_plan(m, g, tgt, w)
+        queues, build = [], remap._Queue
+
+        def kept(*args):
+            queues.append(build(*args))
+            return queues[-1]
+
+        info = {}
+        with mock.patch.object(remap, "_SCORE_ALL", score_all), \
+                mock.patch.object(remap, "_Queue", side_effect=kept):
+            plan = plan_swaps(m, g, tgt, w, info=info)
+        assert as_tuples(plan) == expected
+        assert info["swept_blocks"] < info["blocks"]
+        # the attributes of each queue's classes, read off their representatives
+        columns = [m.cells(name) for name in ("service", "kind", "age", "income")]
+        held = collections.Counter(
+            combination for queue in queues
+            for combination in set(zip(*(col[queue.classes.rep].tolist() for col in columns))))
+        assert max(held.values()) >= 2
+        assert max(len(queue.parts) for queue in queues) >= 3
+        # a queue numbers its classes in the order of their attributes
+        for queue in queues:
+            rows = list(zip(*(col[queue.classes.rep].tolist() for col in columns[2:] + columns[:2])))
+            assert rows == sorted(rows) and len(set(rows)) == len(rows)
+
+    def test_plan_transient_is_bounded_per_record(self):
+        # a table far larger than any queue: an array over every record for
+        # each class-space step (the whole-table factorisation) would show
+        rng = np.random.default_rng(0)
+        n = 200_000
+        order = tuple(f"p{i:02d}" for i in range(16))
+        schema = (Attribute("area", "nominal", "parameter"),
+                  Attribute("service", "nominal", "vital", weight=1.0),
+                  Attribute("sex", "nominal", "plain"),
+                  Attribute("age", "ordinal", "influential", weight=1.0),
+                  Attribute("income", "ordinal", "influential", weight=1.0))
+        m = Microfile.from_cells(
+            schema,
+            {"area": rng.integers(0, 16, n).astype(np.int32),
+             "service": (rng.random(n) < 0.1).astype(np.int32),
+             "sex": rng.integers(0, 2, n).astype(np.int32),
+             "age": rng.integers(0, 12, n).astype(float),
+             "income": rng.choice([0.0, 1.0, 2.0, 5.0], n)},
+            {"area": np.array(order), "service": np.array(["0", "1"]),
+             "sex": np.array(["1", "2"])})
+        g = GroupSpec.create({"service": {"1"}}, "area", order, superset_vital={"sex": {"1", "2"}})
+        goal = quantity_signal(m, g).values.astype(int)
+        moved = goal[:4] // 20
+        goal[:4] -= moved
+        goal[-4:] += moved
+        tgt = GoalSignal("quantity", goal.astype(float), order)
+        info = {}
+        tracemalloc.start()
+        try:
+            plan = plan_swaps(m, g, tgt, InfluentialWeights.from_microfile(m), info=info)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plan) == moved.sum() and info["queues_built"] == 8
+        # the position of every record (8 bytes each), the member and partner
+        # flags, and the sort keys of each side: about 23 bytes per record;
+        # factorising the whole table took about 92
+        assert peak < 32 * n
 
 
 class TestApplySwaps:
