@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from groupanon.microfile import record_view, superset_members
+from groupanon.microfile import superset_members
 from groupanon.reference import AREA_CODES, QUANTITY_FINAL, fixture_group, load_quantity_microfile
 from groupanon.remap import InfluentialWeights, apply_swaps, influential_metric, plan_swaps
 from groupanon.signals import GoalSignal, quantity_signal
@@ -24,8 +24,8 @@ group = fixture_group()
 weights = InfluentialWeights.from_microfile(microfile)
 print("metric weights:", weights.ordinal, weights.nominal)
 
-a = record_view(microfile, 0)
-b = record_view(microfile, 1)
+a, b = ({attr.name: microfile.column(attr.name)[i] for attr in microfile.attributes}
+        for i in (0, 1))
 print(f"distance between records 0 and 1: {influential_metric(a, b, weights):.4f}")
 
 target = GoalSignal("quantity", QUANTITY_FINAL.astype(float), AREA_CODES)

@@ -46,13 +46,14 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, GroupAnonError
 from .microfile import Attribute, GroupSpec
-from .redistribute import REPAIRS, ConstraintRow, ConstraintSpec, Objective
+from .redistribute import RELATIONS, REPAIRS, ConstraintRow, ConstraintSpec, Objective
 from .signals import KINDS as SIGNAL_KINDS, GoalSignal
 from .wavelet import FilterPair, check_level, get_filter
 
@@ -229,8 +230,10 @@ class _Cursor:
         ``what`` names the elements in the error.
         """
         if isinstance(self.data, list):
-            values = [float(v) if kind is float and type(v) is int else v for v in self.data]
-            if all(isinstance(v, kind) and type(v) is not bool for v in values):
+            values = list(self.data)
+            if kind is float:
+                values = [float(v) if type(v) is int else v for v in values]
+            if all(map(isinstance, values, repeat(kind))) and bool not in set(map(type, values)):
                 return values
         self.fail(f"expected an array of {what}")
 
@@ -283,18 +286,55 @@ def _parse_objective(cur: _Cursor, m: int) -> Objective:
     return objective
 
 
+def _check_row(row: _Cursor, m: int) -> None:
+    """Raise the error of a bad constraint row at its path; a good row passes."""
+    row.fields(ROW_FIELDS)
+    position = row.field("position", int)
+    if not 1 <= position <= m:
+        row.fail(f"position {position} outside 1..{m}")
+    row.build(ConstraintRow, position, row.field("relation", str),
+              row.number_or("bound", "original"))
+
+
+def _row_columns(data, m: int):
+    """Position, relation and bound columns and the "original" mask of well-formed rows.
+
+    None when any row is not an object of ``ROW_FIELDS`` with an integer
+    position in 1..m, a relation of ``RELATIONS`` and a bound that is a
+    number, "original" or absent.  A bound that is absent or null is
+    "original", as ``_Cursor.number_or`` reads it.  Every check runs over
+    a whole column at once.
+    """
+    if not isinstance(data, list) or not set(map(type, data)) <= {dict}:
+        return None
+    if not set().union(*data) <= set(ROW_FIELDS):
+        return None
+    positions, relations, bounds = (list(map(dict.get, data, repeat(key))) for key in ROW_FIELDS)
+    if (not set(map(type, positions)) <= {int} or not 1 <= min(positions, default=1)
+            or max(positions, default=m) > m
+            or not set(map(type, relations)) <= {str} or not set(relations) <= set(RELATIONS)):
+        return None
+    kinds = set(map(type, bounds))
+    if not kinds <= {int, float, str, type(None)}:
+        return None
+    original = np.fromiter(map(isinstance, bounds, repeat((str, type(None)))), bool, len(bounds))
+    if str in kinds and set(b for b in bounds if type(b) is str) != {"original"}:
+        return None
+    values = np.array([0.0 if o else b for o, b in zip(original.tolist(), bounds)], dtype=float)
+    return positions, relations, values, original
+
+
 def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
+    """The group's constraints; rows are read as columns, and a bad row fails at its path."""
     cur.fields(CONSTRAINTS_FIELDS)
-    rows = []
-    for row in cur.child("rows").items():
-        row.fields(ROW_FIELDS)
-        position = row.field("position", int)
-        if not 1 <= position <= m:
-            row.fail(f"position {position} outside 1..{m}")
-        rows.append(row.build(ConstraintRow, position, row.field("relation", str),
-                              row.number_or("bound", "original")))
+    rows = cur.child("rows")
+    columns = _row_columns(rows.data, m)
+    if columns is None:
+        for row in rows.items():
+            _check_row(row, m)
+        raise AssertionError("every row passed one by one, but not as columns")
     objective = _parse_objective(cur, m)
-    return cur.build(ConstraintSpec, tuple(rows), objective,
+    return cur.build(ConstraintSpec.from_columns, *columns, objective,
                      cur.field("nonnegative_coefficients", bool, True))
 
 
@@ -306,7 +346,7 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
         cur.child("name").fail(f"group name {name!r} is not a plain file name, "
                                "and the group's report files are named after it")
     parameter = cur.field("parameter", str)
-    order = [str(v) for v in cur.child("parameter_order").array(*_TEXTS)]
+    order = list(map(str, cur.child("parameter_order").array(*_TEXTS)))
     if parameter not in by_name:
         cur.fail(f"parameter {parameter!r} is not a schema attribute")
     if by_name[parameter].role != "parameter":

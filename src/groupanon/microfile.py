@@ -51,7 +51,6 @@ __all__ = [
     "integer_cells",
     "formatted_cells",
     "members",
-    "record_view",
     "axis_positions",
     "values_outside_order",
 ]
@@ -178,21 +177,12 @@ class Microfile:
         """Every column's values by attribute name, as ``column`` gives them."""
         return {a.name: self.column(a.name) for a in self.attributes}
 
-    def with_column(self, name: str, values: np.ndarray) -> "Microfile":
-        """New microfile with one column replaced by ``values`` (texts if nominal)."""
-        return self._replaced(name, *_encode(self.attribute(name), values))
-
     def with_cells(self, name: str, cells: np.ndarray) -> "Microfile":
         """New microfile with one stored array replaced; a nominal column keeps its vocabulary."""
-        return self._replaced(name, cells, self.vocabulary(name))
-
-    def _replaced(self, name: str, cells: np.ndarray, vocab: np.ndarray | None) -> "Microfile":
         if cells.shape[0] != self.n_records:
             raise SchemaError("replacement column has wrong length")
-        vocabularies = dict(self._vocabularies)
-        if vocab is not None:
-            vocabularies[name] = vocab
-        return Microfile.from_cells(self.attributes, {**self._cells, name: cells}, vocabularies)
+        return Microfile.from_cells(self.attributes, {**self._cells, name: cells},
+                                    self._vocabularies)
 
 
 def _check_names(attributes: Sequence[Attribute], columns: Mapping[str, object]) -> None:
@@ -209,15 +199,6 @@ def _encode(attr: Attribute, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return values, None
     vocab, codes = np.unique(np.asarray(values, dtype=str), return_inverse=True)
     return codes.reshape(-1).astype(np.int32), vocab
-
-
-def record_view(m: Microfile, index: int) -> dict[str, object]:
-    """One record as an attribute-name to value mapping."""
-    view = {}
-    for a in m.attributes:
-        cell, vocab = m.cells(a.name)[index], m.vocabulary(a.name)
-        view[a.name] = cell if vocab is None else vocab[cell]
-    return view
 
 
 @dataclass(frozen=True)
@@ -831,19 +812,20 @@ def _distinct_cells(m: Microfile, name: str,
     """The texts of a column's distinct values, and each cell's index into them.
 
     ``records`` are record indices; None means every record, in table
-    order.  ``_format_cell`` runs once per distinct value.  A nominal
-    column's distinct values are its vocabulary, which its codes already
-    index.  An ordinal column's come from ``np.unique``, which merges -0.0
-    with 0.0 and every NaN with every other NaN; each merged group formats
-    to one text ("0" and ""), so the result equals formatting cell by cell.
-    The distinct values go in as Python scalars, which format several times
-    faster than numpy ones.
+    order.  A nominal column's distinct values are its vocabulary, which
+    its codes already index, and ``_format_cell`` writes each as it is.
+    An ordinal column's are formatted once each; they come from
+    ``np.unique``, which merges -0.0 with 0.0 and every NaN with every
+    other NaN; each merged group formats to one text ("0" and ""), so the
+    result equals formatting cell by cell.  The distinct values go in as
+    Python scalars, which format several times faster than numpy ones.
     """
     attr, cells, distinct = m.attribute(name), m.cells(name), m.vocabulary(name)
     if records is not None:
         cells = cells[records]
-    if distinct is None:
-        distinct, cells = np.unique(cells, return_inverse=True)
+    if distinct is not None:
+        return distinct.tolist(), cells
+    distinct, cells = np.unique(cells, return_inverse=True)
     return [_format_cell(attr, v) for v in distinct.tolist()], cells
 
 
@@ -856,8 +838,8 @@ def axis_positions(m: Microfile, g: GroupSpec, records: np.ndarray | None = None
     order.  Each distinct value is looked up once.
     """
     text, inverse = _distinct_cells(m, g.parameter, records)
-    index = {value: i for i, value in enumerate(g.parameter_order)}
-    return np.array([index.get(t, -1) for t in text], dtype=np.int64)[inverse]
+    index = dict(zip(g.parameter_order, range(len(g.parameter_order))))
+    return np.fromiter(map(index.get, text, repeat(-1)), np.int64, len(text))[inverse]
 
 
 def values_outside_order(m: Microfile, g: GroupSpec, records: np.ndarray) -> list[str]:
@@ -876,6 +858,8 @@ Column = Callable[[slice], Cells]
 
 _DELIMITER = ord(",")
 _QUOTE = ord('"')
+#: The characters that make csv quote a field, and NUL, which some Pythons' csv rejects.
+_SPECIAL = (csv.excel.delimiter, csv.excel.quotechar, "\r", "\n", "\0")
 _ROW_END = np.frombuffer(csv.excel.lineterminator.encode("ascii"), np.uint8)
 #: The most bytes the padded rows of one ``_joined`` call may take.
 _JOIN_BYTES = 2**20
@@ -898,17 +882,23 @@ def _csv_line(fields: Iterable[str]) -> str:
     return csv.writer(SimpleNamespace(write=str)).writerow(fields)
 
 
-def _quoted(texts: Iterable[str]) -> list[str]:
+def _quoted(texts: Sequence[str]) -> Sequence[str]:
     """Each text as csv writes it as a field of a row of several, quoted by csv's own rule.
 
-    The line of ("", text) is a delimiter, the field and the terminator.
+    csv quotes a field only when it holds a delimiter, a quote, CR or LF,
+    so texts holding none of them, nor a NUL, come back as they are.
+    Otherwise csv writes each: the line of ("", text) is a delimiter, the
+    field and the terminator.
     """
+    joined = "".join(texts)
+    if not any(char in joined for char in _SPECIAL):
+        return texts
     line = csv.writer(SimpleNamespace(write=str)).writerow
     end = len(csv.excel.lineterminator)
     return [row[1:-end] for row in map(line, zip(repeat(""), texts))]
 
 
-def _encoded(texts: list[str], encoding: str) -> Cells:
+def _encoded(texts: Sequence[str], encoding: str) -> Cells:
     """The texts' bytes laid end to end, and where each text starts and how long it is.
 
     The buffer ends with as many zero bytes as the longest text has, and

@@ -18,6 +18,7 @@ import time
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -209,7 +210,7 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
         if bad.size:
             worst = published[int(np.argmax(published.violation))]
             msg = (f"published signal violates {bad.size} of {len(published)} declared rows; "
-                   f"worst is the row at position {gcfg.constraints.rows[worst.index].position} "
+                   f"worst is the row at position {gcfg.constraints.positions[worst.index]} "
                    f"({worst.position_text}), off by {worst.violation:.6g}")
             log.warn(msg)
 
@@ -390,9 +391,9 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
         groups.append(
             {
                 "name": g.name,
-                "signal_before": [float(v) for v in g.edit.before.values],
-                "signal_after": [float(v) for v in g.after.values],
-                "coefficients": [float(v) for v in g.edit.coefficients],
+                "signal_before": _floats(g.edit.before.values),
+                "signal_after": _floats(g.after.values),
+                "coefficients": _floats(g.edit.coefficients),
                 "shift": g.edit.shift,
                 "swaps": len(g.plan),
                 "total_swap_cost": g.plan.total_cost,
@@ -417,7 +418,31 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
         "groups": groups,
     }
     with atomic_write(report_dir / "report.json") as fh:
-        fh.write(json.dumps(report, indent=2) + "\n")
+        fh.write(_json_text(report) + "\n")
+
+
+def _floats(values: np.ndarray) -> list[float]:
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``value`` as JSON: objects, and arrays that hold an object or an array, one member a line.
+
+    Members are indented two spaces deeper than their container.  Every
+    other value, an array of numbers or texts included, is one
+    ``json.dumps`` call without ``indent``, which runs the C encoder, so a
+    long signal is written on one line at C speed.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        brackets = "{}"
+        members = [f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+    elif isinstance(value, list) and any(map(isinstance, value, repeat((dict, list)))):
+        brackets = "[]"
+        members = [_json_text(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(members) + f"\n{pad}{brackets[1]}"
 
 
 def _lp_summary(lp: rd.LinearProgram | None, checks: rd.RowChecks,

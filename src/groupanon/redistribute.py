@@ -87,15 +87,67 @@ class Objective:
             raise ConstraintError("objective 'feasibility' takes no positions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ConstraintSpec:
-    rows: tuple[ConstraintRow, ...]
-    objective: Objective = Objective()
-    nonnegative: bool = True
+    """Position bounds kept as columns, the objective and the coefficients' sign constraint.
 
-    def __post_init__(self):
-        if not self.rows:
+    Row i bounds signal position ``positions[i]`` (1-based, int64) by
+    ``relations[i]``; its bound is ``bounds[i]``, or the current
+    approximation value where ``original[i]`` is set (``bounds`` holds NaN
+    there).  ``ConstraintSpec(rows)`` takes ``ConstraintRow``s and
+    ``from_columns`` the columns themselves; ``rows`` gives the rows back.
+    The arrays are read-only.
+    """
+
+    positions: np.ndarray
+    relations: tuple[str, ...]
+    bounds: np.ndarray
+    original: np.ndarray
+    objective: Objective
+    nonnegative: bool
+
+    def __init__(self, rows: Sequence[ConstraintRow], objective: Objective = Objective(),
+                 nonnegative: bool = True):
+        rows = tuple(rows)
+        original = [row.bound == "original" for row in rows]
+        self._fill(np.array([row.position for row in rows], dtype=np.int64),
+                   tuple(row.relation for row in rows),
+                   np.array([math.nan if o else float(r.bound) for r, o in zip(rows, original)]),
+                   np.array(original, dtype=bool), objective, nonnegative)
+
+    @classmethod
+    def from_columns(cls, positions: np.ndarray, relations: Sequence[str], bounds: np.ndarray,
+                     original: np.ndarray, objective: Objective = Objective(),
+                     nonnegative: bool = True) -> "ConstraintSpec":
+        """The spec of the given columns; ``bounds`` is not read where ``original`` is set."""
+        spec = cls.__new__(cls)
+        spec._fill(np.array(positions, dtype=np.int64), tuple(relations),
+                   np.where(original, math.nan, np.asarray(bounds, dtype=float)),
+                   np.array(original, dtype=bool), objective, nonnegative)
+        return spec
+
+    def _fill(self, positions, relations, bounds, original, objective, nonnegative):
+        """Check and set the fields; the arrays are the spec's own and become read-only."""
+        n = len(relations)
+        if not n:
             raise ConstraintError("constraint spec must contain at least one row")
+        if not set(relations) <= set(RELATIONS):
+            raise ConstraintError(f"relation must be one of {RELATIONS}")
+        if not positions.shape == bounds.shape == original.shape == (n,):
+            raise ConstraintError("constraint columns must hold one entry per row")
+        for array in (positions, bounds, original):
+            array.setflags(write=False)
+        for name, value in (("positions", positions), ("relations", relations),
+                            ("bounds", bounds), ("original", original),
+                            ("objective", objective), ("nonnegative", nonnegative)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        """Every row as a ``ConstraintRow``; a bound is a float or "original"."""
+        return tuple(ConstraintRow(p, rel, "original" if o else b) for p, rel, b, o in zip(
+            self.positions.tolist(), self.relations, self.bounds.tolist(),
+            self.original.tolist()))
 
 
 def _scatter_row(matrix: csr_array, i: int, scale: float) -> np.ndarray:
@@ -168,24 +220,21 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     no dense R is built.
     """
     m = dec.signal_length
-    for row in spec.rows:
-        if not 1 <= row.position <= m:
-            raise ConstraintError(
-                f"constraint position {row.position} outside 1..{m}"
-            )
+    outside = np.flatnonzero((spec.positions < 1) | (spec.positions > m))
+    if outside.size:
+        raise ConstraintError(
+            f"constraint position {spec.positions[outside[0]]} outside 1..{m}"
+        )
     for pos in spec.objective.positions:
         if not 1 <= pos <= m:
             raise ConstraintError(f"objective position {pos} outside 1..{m}")
     matrix = dec.reconstruction_csr
-    original = approximation_component(dec)
 
-    positions = np.array([row.position - 1 for row in spec.rows])
-    relations = tuple(row.relation for row in spec.rows)
-    sign = np.array([1.0 if rel == "<=" else -1.0 for rel in relations])
-    bounds = np.array([
-        original[row.position - 1] if row.bound == "original" else float(row.bound)
-        for row in spec.rows
-    ])
+    positions = spec.positions - 1
+    sign = np.where(np.array(spec.relations) == "<=", 1.0, -1.0)
+    bounds = spec.bounds
+    if spec.original.any():
+        bounds = np.where(spec.original, approximation_component(dec)[positions], bounds)
     a_ub = matrix[positions]
     a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
 
@@ -200,7 +249,7 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
         b_ub=bounds * sign,
         cost=cost,
         nonnegative=spec.nonnegative,
-        relations=relations,
+        relations=spec.relations,
     )
 
 
@@ -317,7 +366,7 @@ def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> 
     coeffs = np.asarray(coeffs, dtype=float)
     signed = lp.a_ub @ coeffs
     gap = signed - lp.b_ub
-    upper = np.array([relation == "<=" for relation in lp.relations], dtype=bool)
+    upper = np.array(lp.relations) == "<="
     return RowChecks(
         lp,
         lhs=np.where(upper, signed, -signed),

@@ -130,8 +130,19 @@ class SwapPlan:
     costs: np.ndarray
 
     def __post_init__(self):
-        swaps = np.array(self.swaps, dtype=np.int64).reshape(-1, 2)
-        costs = np.array(self.costs, dtype=np.float64).reshape(-1)
+        self._own(np.array(self.swaps, dtype=np.int64).reshape(-1, 2),
+                  np.array(self.costs, dtype=np.float64).reshape(-1))
+
+    @classmethod
+    def _of(cls, parameter: str, swaps: np.ndarray, costs: np.ndarray) -> "SwapPlan":
+        """The plan of a (k, 2) int64 and a k float64 array made for it, taken without a copy."""
+        plan = cls.__new__(cls)
+        object.__setattr__(plan, "parameter", parameter)
+        plan._own(swaps, costs)
+        return plan
+
+    def _own(self, swaps: np.ndarray, costs: np.ndarray) -> None:
+        """Check the plan's own arrays, make them read-only and set them."""
         if costs.size != len(swaps):
             raise RemapError(f"{len(swaps)} swaps but {costs.size} costs")
         records = np.sort(swaps, axis=None)
@@ -162,8 +173,10 @@ class SwapPlan:
 class _PairCost:
     """Vectorized influential metric over record-index arrays.
 
-    Nominal terms compare stored cells: a nominal column's codes are equal
-    exactly where its texts are.
+    ``ordinal`` holds (weight, column) per ordinal attribute and
+    ``nominal`` (codes, weight * chi_same², weight * chi_diff²) per nominal
+    one.  Nominal terms compare stored cells: a nominal column's codes are
+    equal exactly where its texts are.
     """
 
     def __init__(self, m: Microfile, w: InfluentialWeights):
@@ -179,20 +192,28 @@ class _PairCost:
         for name, weight in w.nominal.items():
             if m.vocabulary(name) is None:
                 raise RemapError(f"nominal influential weight on ordinal attribute {name!r}")
-            self.nominal.append((weight, m.cells(name)))
-        self.same_sq = w.chi_same**2
-        self.diff_sq = w.chi_diff**2
+            self.nominal.append((m.cells(name), weight * w.chi_same**2,
+                                 weight * w.chi_diff**2))
 
     def __call__(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        cost = np.zeros(left.shape, dtype=float)
+        """The cost of each pair of record indices ``left`` and ``right``, broadcast together.
+
+        An ordinal term is ``(weight * ratio) * ratio`` with ratio
+        ``(a - b) / (a + b)``, 0 where a + b is not positive (two zeros, or
+        a missing value).  A nominal term is the weight times the squared
+        category factor, multiplied once per attribute.
+        """
+        cost = np.zeros(np.broadcast_shapes(left.shape, right.shape))
         for weight, col in self.ordinal:
             a, b = col[left], col[right]
+            diff = a - b
             denom = a + b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(denom > 0, (a - b) / np.where(denom > 0, denom, 1.0), 0.0)
-            cost += weight * ratio * ratio
-        for weight, codes in self.nominal:
-            cost += weight * np.where(codes[left] == codes[right], self.same_sq, self.diff_sq)
+            ratio = np.divide(diff, denom, out=np.zeros(cost.shape), where=denom > 0)
+            np.multiply(ratio, weight, out=diff)
+            diff *= ratio
+            cost += diff
+        for codes, same, differ in self.nominal:
+            cost += np.where(codes[left] == codes[right], same, differ)
         return cost
 
 
@@ -319,8 +340,7 @@ def plan_swaps(
 
     if info is not None:
         info.update({name: tally[name] for name in _COUNTS})
-    return SwapPlan(parameter=g.parameter, swaps=np.concatenate(swaps),
-                    costs=np.concatenate(costs))
+    return SwapPlan._of(g.parameter, np.concatenate(swaps), np.concatenate(costs))
 
 
 def _by_position(keep: np.ndarray, positions: np.ndarray,
@@ -388,10 +408,18 @@ def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray, k: int,
     Sorts all pairs of the unused records ``mem`` and ``par`` by (cost,
     member, partner) and takes each pair whose two records are still
     unused, flagging them in ``used``: the order ``_Block`` reproduces
-    without scoring every pair.
+    without scoring every pair.  ``mem`` and ``par`` ascend, so pairs are
+    scored in (member, partner) order and, for a single swap, the first
+    lowest cost is the pair the sort puts first.
     """
+    cost = pair_cost(mem[:, None], par).reshape(-1)
+    if k == 1 and cost.size:
+        first = int(cost.argmin())
+        a, b, c = int(mem[first // par.size]), int(par[first % par.size]), float(cost[first])
+        if c == c:  # a NaN cost sorts last but would be the argmin
+            used[a] = used[b] = 1
+            return [(a, b, c)]
     left, right = np.repeat(mem, par.size), np.tile(par, mem.size)
-    cost = pair_cost(left, right)
     order = np.lexsort((right, left, cost))
     out = []
     for a, b, c in zip(left[order].tolist(), right[order].tolist(), cost[order].tolist()):
@@ -462,14 +490,14 @@ class _ClassSpace:
         """
         pc = self.pair_cost
         return _row_ids([np.unique(col[records], return_inverse=True)[1].reshape(-1)
-                         for _, col in pc.ordinal] + [codes[records] for _, codes in pc.nominal])
+                         for _, col in pc.ordinal] + [codes[records] for codes, _, _ in pc.nominal])
 
     def describe(self, rep: np.ndarray) -> _Classes:
         """The classes whose lowest records are ``rep``."""
         pc, n = self.pair_cost, rep.size
         values = (np.stack([col[rep] for _, col in pc.ordinal], axis=1)
                   if pc.ordinal else np.empty((n, 0)))
-        nominal = (np.stack([codes[rep] for _, codes in pc.nominal], axis=1)
+        nominal = (np.stack([codes[rep] for codes, _, _ in pc.nominal], axis=1)
                    if pc.nominal else np.empty((n, 0), dtype=np.int64))
         zero = values == 0
         with np.errstate(divide="ignore"):
@@ -488,9 +516,8 @@ class _ClassSpace:
         total = np.zeros(a.size)
         for i, (weight, _) in enumerate(pc.ordinal):
             total += np.where(rows.zero[a, i] != cands.zero[b, i], weight, 0.0)
-        for j, (weight, _) in enumerate(pc.nominal):
-            total += weight * np.where(rows.nominal[a, j] == cands.nominal[b, j],
-                                       pc.same_sq, pc.diff_sq)
+        for j, (_, same, differ) in enumerate(pc.nominal):
+            total += np.where(rows.nominal[a, j] == cands.nominal[b, j], same, differ)
         return total
 
     def radius(self, dims: np.ndarray, slack: np.ndarray) -> np.ndarray:

@@ -112,4 +112,22 @@ MALFORMED_GROUPS = [
                  "$.groups[0].name", id="name-with-a-separator"),
     pytest.param(lambda g: g.update(name="../escaped"),
                  "$.groups[0].name", id="name-outside-the-report-directory"),
+    pytest.param(lambda g: g["constraints"]["rows"].__setitem__(3, [4, "<=", 1.0]),
+                 "$.groups[0].constraints.rows[3]", id="row-not-an-object"),
+    pytest.param(lambda g: g["constraints"]["rows"][1].update(nope=1),
+                 "$.groups[0].constraints.rows[1]", id="row-unknown-key"),
+    pytest.param(lambda g: g["constraints"]["rows"][2].update(position=True),
+                 "$.groups[0].constraints.rows[2]", id="row-bool-position"),
+    pytest.param(lambda g: g["constraints"]["rows"][2].update(position=2.0),
+                 "$.groups[0].constraints.rows[2]", id="row-float-position"),
+    pytest.param(lambda g: g["constraints"]["rows"][5].update(position=0),
+                 "$.groups[0].constraints.rows[5]", id="row-position-0"),
+    pytest.param(lambda g: g["constraints"]["rows"][11].update(position=17),
+                 "$.groups[0].constraints.rows[11]", id="row-position-m-plus-1"),
+    pytest.param(lambda g: g["constraints"]["rows"][0].update(relation="<"),
+                 "$.groups[0].constraints.rows[0]", id="row-relation-lt"),
+    pytest.param(lambda g: g["constraints"]["rows"][7].update(bound="x"),
+                 "$.groups[0].constraints.rows[7]", id="row-text-bound"),
+    pytest.param(lambda g: g["constraints"]["rows"][7].update(bound=True),
+                 "$.groups[0].constraints.rows[7]", id="row-bool-bound"),
 ]

@@ -5,13 +5,14 @@ import locale
 import shutil
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import MALFORMED_GROUPS, base_config
 from groupanon import reference as ref
-from groupanon import remap
+from groupanon import pipeline, remap
 from groupanon.cli import main
 from groupanon.config import load_pipeline_config
 from groupanon.microfile import GroupSpec, load_microfile
@@ -125,6 +126,22 @@ class TestRunCommand:
         assert 0 <= plan["swept_blocks"] <= plan["blocks"]
         assert 0 < plan["queues_built"] <= 2 * len(group["signal_before"])
         assert plan["pairs_scored"] > 0
+
+    def test_report_parses_as_the_indented_dump(self, config_factory, tmp_path):
+        path = config_factory()
+        with mock.patch.object(pipeline, "_json_text", wraps=pipeline._json_text) as encode:
+            assert run_cli("run", "--config", str(path)) == 0
+        report = encode.call_args_list[0].args[0]
+        text = (tmp_path / "out/report/report.json").read_text()
+        assert json.loads(text) == json.loads(json.dumps(report, indent=2))
+        # objects indented two spaces a level; an array of numbers on its key's line
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+        assert '  "groups": [' in lines and '    {' in lines
+        group = report["groups"][0]
+        line = next(x for x in lines if x.startswith('      "signal_after": '))
+        assert line == f'      "signal_after": {json.dumps(group["signal_after"])},'
+        assert '  "io": {' in lines and '      "plan": {' in lines
 
     def test_published_bounds_are_audited(self, config_factory, tmp_path):
         path = config_factory()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import MALFORMED_GROUPS, base_config
-from groupanon.config import load_pipeline_config
+from groupanon.config import ROW_FIELDS, _Cursor, _parse_constraints, load_pipeline_config
 from groupanon.errors import ConfigError
+from groupanon.redistribute import ConstraintRow
 
 
 def write(tmp_path, config):
@@ -178,3 +180,105 @@ class TestLoadConfig:
         edit(config["groups"][0])
         with pytest.raises(ConfigError, match=re.escape(path)):
             load_pipeline_config(write(tmp_path, config))
+
+
+def cursor_rows(cur, m):
+    """The per-row reader the columns replaced: one cursor, check and ``ConstraintRow`` a row."""
+    rows = []
+    for row in cur.child("rows").items():
+        row.fields(ROW_FIELDS)
+        position = row.field("position", int)
+        if not 1 <= position <= m:
+            row.fail(f"position {position} outside 1..{m}")
+        rows.append(row.build(ConstraintRow, position, row.field("relation", str),
+                              row.number_or("bound", "original")))
+    return rows
+
+
+def generated_rows(rng, m, n):
+    """``n`` rows as JSON gives them; bounds are ints, floats, "original", absent or null."""
+    rows = []
+    for position, relation, kind in zip(rng.integers(1, m + 1, n).tolist(),
+                                        rng.choice(["<=", ">="], n).tolist(),
+                                        rng.integers(0, 5, n).tolist()):
+        row = {"relation": relation, "position": position}
+        if kind == 0:
+            row["bound"] = int(rng.integers(-10**6, 10**6))
+        elif kind == 1:
+            row["bound"] = float(rng.normal(scale=10.0 ** rng.integers(-3, 9)))
+        elif kind == 2:
+            row["bound"] = "original"
+        elif kind == 3:
+            row["bound"] = None
+        rows.append(dict(sorted(row.items(), key=lambda _: rng.random())))
+    return json.loads(json.dumps(rows))
+
+
+def read_both(rows, m):
+    """(per-row reader's result, columnar reader's spec), or each one's error text."""
+    results = []
+    for read in (cursor_rows, _parse_constraints):
+        cur = _Cursor({"rows": rows}, "$.groups[0].constraints", "cfg.json")
+        try:
+            results.append(read(cur, m))
+        except ConfigError as exc:
+            results.append(str(exc))
+    return results
+
+
+#: Row edits the per-row reader rejects; each is applied to one row of a valid array.
+BAD_ROWS = [
+    lambda row: 7, lambda row: [row["position"], row["relation"]], lambda row: None,
+    lambda row: {**row, "nope": 1}, lambda row: {**row, "position": True},
+    lambda row: {**row, "position": 2.0}, lambda row: {**row, "position": 0},
+    lambda row: {**row, "position": 65}, lambda row: {**row, "position": 10**30},
+    lambda row: {**row, "position": "3"}, lambda row: {**row, "position": None},
+    lambda row: {k: v for k, v in row.items() if k != "position"},
+    lambda row: {k: v for k, v in row.items() if k != "relation"},
+    lambda row: {**row, "relation": "<"}, lambda row: {**row, "relation": 5},
+    lambda row: {**row, "relation": ["<="]}, lambda row: {**row, "relation": None},
+    lambda row: {**row, "bound": "x"}, lambda row: {**row, "bound": True},
+    lambda row: {**row, "bound": "Original"}, lambda row: {**row, "bound": [1.0]},
+    lambda row: {**row, "bound": {}}, lambda row: {**row, "relation": "<", "bound": "x"},
+]
+
+
+class TestRowColumns:
+    """The columnar row reader against the per-row cursor reader it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generated_rows_read_as_the_per_row_reader_reads_them(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 64
+        rows = generated_rows(rng, m, int(rng.integers(1, 300)))
+        expected, spec = read_both(rows, m)
+        assert spec.rows == tuple(expected)
+        assert spec.positions.tolist() == [row.position for row in expected]
+        assert spec.relations == tuple(row.relation for row in expected)
+        assert spec.original.tolist() == [row.bound == "original" for row in expected]
+        numbers = [math.nan if row.bound == "original" else float(row.bound) for row in expected]
+        assert spec.bounds.tobytes() == np.array(numbers).tobytes()
+
+    @pytest.mark.parametrize("edit", range(len(BAD_ROWS)))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bad_row_fails_with_the_per_row_message(self, edit, seed):
+        rng = np.random.default_rng([edit, seed])
+        rows = generated_rows(rng, 64, 40)
+        bad = int(rng.integers(0, 40))
+        rows[bad] = BAD_ROWS[edit](rows[bad])
+        if seed == 2:  # a later bad row too: the first one is reported
+            rows[-1] = BAD_ROWS[edit - 1](rows[-1]) if bad < 39 else rows[-1]
+        expected, got = read_both(rows, 64)
+        assert isinstance(expected, str)
+        assert got == expected
+        assert f"$.groups[0].constraints.rows[{bad}]: " in got
+
+    @pytest.mark.parametrize("rows", [[], {}, "rows", 3])
+    def test_rows_that_are_not_an_array_of_rows(self, rows):
+        expected, got = read_both(rows, 16)
+        assert isinstance(expected, str) or expected == []
+        if expected == []:
+            assert got == "cfg.json: $.groups[0].constraints: constraint spec must contain at " \
+                          "least one row"
+        else:
+            assert got == expected

@@ -880,7 +880,7 @@ class TestWrite:
 
         monkeypatch.setattr(microfile, "_joined", failing)
         with pytest.raises(RuntimeError, match="row assembly failed"):
-            write_microfile(m.with_column("pay", np.array([1.0, 2.0, 3.0])), out)
+            write_microfile(m.with_cells("pay", np.array([1.0, 2.0, 3.0])), out)
         assert calls == [1, 1]
         assert out.read_bytes() == previous
         assert list(out_dir.iterdir()) == [out]
@@ -1085,6 +1085,6 @@ class TestMicrofileInvariants:
         with pytest.raises(ValueError):
             fixture_microfile.column("area")[0] = "zzz"
 
-    def test_with_column_rejects_wrong_length(self, fixture_microfile):
+    def test_with_cells_rejects_wrong_length(self, fixture_microfile):
         with pytest.raises(SchemaError, match="length"):
-            fixture_microfile.with_column("area", np.array(["a"]))
+            fixture_microfile.with_cells("area", np.array([0], dtype=np.int32))

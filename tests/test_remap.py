@@ -9,13 +9,21 @@ from hypothesis import given, settings, strategies as st
 from groupanon import reference as ref
 from groupanon import remap
 from groupanon.errors import RemapError
-from groupanon.microfile import (Attribute, GroupSpec, Microfile, members, record_view,
-                                 superset_members)
+from groupanon.microfile import Attribute, GroupSpec, Microfile, members, superset_members
 from groupanon.remap import (InfluentialWeights, SwapPlan, _Block, _ClassSpace, _PairCost, _Queue,
                              _sweep, apply_swaps, influential_metric, plan_swaps)
 from groupanon.signals import GoalSignal, quantity_signal
 
 ORDER = ("a1", "a2", "a3", "a4")
+
+
+def record_view(m, index):
+    """One record as an attribute-name to value mapping, texts for nominal attributes."""
+    view = {}
+    for a in m.attributes:
+        cell, vocab = m.cells(a.name)[index], m.vocabulary(a.name)
+        view[a.name] = cell if vocab is None else vocab[cell]
+    return view
 
 
 def toy_microfile(rows):
@@ -378,6 +386,130 @@ def random_case(seed, spread, nominal_only, chi_same, superset):
         room = np.flatnonzero(goal < current + partners)
         goal[rng.choice(room, p=odds[room] / odds[room].sum())] += 1
     return m, g, target(goal), w
+
+
+def formula_pair_cost(m, w, left, right):
+    """The pair cost as first written: masked division under ``errstate``, then weight * r * r."""
+    cost = np.zeros(left.shape, dtype=float)
+    for name, weight in w.ordinal.items():
+        col = m.column(name)
+        a, b = col[left], col[right]
+        denom = a + b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(denom > 0, (a - b) / np.where(denom > 0, denom, 1.0), 0.0)
+        cost += weight * ratio * ratio
+    for name, weight in w.nominal.items():
+        codes = m.cells(name)
+        cost += weight * np.where(codes[left] == codes[right], w.chi_same**2, w.chi_diff**2)
+    return cost
+
+
+def cost_table(rng, n, spread, special=()):
+    """A table of two ordinal and two nominal columns: zeros, equal values and ``special`` ones."""
+    ordinal = {}
+    for name in ("age", "income"):
+        values = rng.integers(0, spread + 1, n).astype(float)
+        values[rng.random(n) < 0.2] = 0.0
+        values *= rng.choice([1.0, 0.1, 1e-300, 1e300], n, p=[0.85, 0.05, 0.05, 0.05])
+        if special:
+            values[rng.random(n) < 0.1] = rng.choice(special)
+        ordinal[name] = values
+    return Microfile(
+        attributes=(Attribute("age", "ordinal", "influential", weight=1.0),
+                    Attribute("income", "ordinal", "influential", weight=1.0),
+                    Attribute("service", "nominal", "vital", weight=1.0),
+                    Attribute("kind", "nominal", "influential", weight=1.0)),
+        columns={"service": rng.choice(["0", "1", "2"], n), "kind": rng.choice(["a", "b"], n),
+                 **ordinal})
+
+
+class TestPairCostFormula:
+    """``_PairCost`` against the formula it replaced, bit for bit.
+
+    ``exhaustive_plan`` scores pairs through ``_PairCost`` itself, so only a
+    separate formula can show that a cost changed.
+    """
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_every_pair_costs_what_the_formula_gives(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        m = cost_table(rng, n, spread=[1, 3, 1000][seed % 3],
+                       special=(np.nan,) if seed % 2 else ())
+        w = InfluentialWeights(ordinal={"age": float(rng.random() * 3), "income": 1.0 / 3.0},
+                               nominal={"service": float(rng.random()), "kind": 0.7},
+                               chi_same=[0.0, 0.3][seed % 2], chi_diff=[1.0, 1.7][seed % 4 // 2])
+        left, right = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        got, expected = _PairCost(m, w)(left, right), formula_pair_cost(m, w, left, right)
+        assert got.tobytes() == expected.tobytes()
+        # two zeros, and two equal values, score no ordinal term
+        age = m.column("age")
+        same = (age[left] == age[right]) | (np.isnan(age[left]) | np.isnan(age[right]))
+        w_age = InfluentialWeights(ordinal={"age": 2.5}, nominal={})
+        assert not _PairCost(m, w_age)(left, right)[same].any()
+
+    def test_ordinal_extremes(self):
+        values = np.array([0.0, 0.0, 5e-324, 1e-300, 1.0, 1.0, 1e300, np.inf, np.nan])
+        m = Microfile((Attribute("age", "ordinal", "influential", weight=1.0),),
+                      {"age": values})
+        n = values.size
+        left, right = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        for weight in (1e-320, 0.1, 7.0, 1e308):
+            w = InfluentialWeights(ordinal={"age": weight}, nominal={})
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _PairCost(m, w)(left, right)
+            expected = formula_pair_cost(m, w, left, right)
+            assert got.tobytes() == expected.tobytes()
+
+
+def lexsort_sweep(pair_cost, mem, par, k, used):
+    """The sweep as first written: lexsort every pair by (cost, member, partner), take free ones."""
+    left, right = np.repeat(mem, par.size), np.tile(par, mem.size)
+    cost = pair_cost(left, right)
+    out = []
+    for j in np.lexsort((right, left, cost)):
+        if len(out) == k:
+            break
+        a, b = int(left[j]), int(right[j])
+        if used[a] or used[b]:
+            continue
+        used[a] = used[b] = 1
+        out.append((a, b, float(cost[j])))
+    return out
+
+
+class TestSingleSwapSweep:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_argmin_takes_the_pair_the_lexsort_takes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        # a spread of 1 or 2 ties most pairs; inf values make NaN costs
+        m = cost_table(rng, n, spread=[1, 2, 50][seed % 3],
+                       special=[(), (np.nan,), (np.inf,)][seed % 3])
+        w = InfluentialWeights(ordinal={"age": 1.0, "income": 0.5},
+                               nominal={"service": 1.0, "kind": 0.0 if seed % 2 else 0.7},
+                               chi_same=0.0, chi_diff=1.0)
+        pair_cost = _PairCost(m, w)
+        records = rng.permutation(n)
+        n_mem = int(rng.integers(1, n))
+        mem = np.sort(records[:n_mem])
+        par = np.sort(records[n_mem:n_mem + int(rng.integers(1, n - n_mem + 1))])
+        used, expected_used = remap._used_flags(n), remap._used_flags(n)
+        with np.errstate(invalid="ignore"):
+            got = _sweep(pair_cost, mem, par, 1, used)
+            expected = lexsort_sweep(pair_cost, mem, par, 1, expected_used)
+        assert repr(got) == repr(expected)  # a NaN cost equals itself only as text
+        assert bytes(used) == bytes(expected_used)
+
+    def test_nan_cost_is_not_taken_first(self):
+        # (inf - 1) / (inf + 1) is NaN: the first pair scores NaN, which sorts last
+        w = InfluentialWeights(ordinal={"age": 1.0}, nominal={})
+        m = toy_microfile([("a1", "1", np.inf, 0), ("a1", "1", 2.0, 0), ("a2", "0", 1.0, 0)])
+        mem, par = np.array([0, 1]), np.array([2])
+        with np.errstate(invalid="ignore"):
+            expected = lexsort_sweep(_PairCost(m, w), mem, par, 1, remap._used_flags(3))
+            got = _sweep(_PairCost(m, w), mem, par, 1, remap._used_flags(3))
+        assert got == expected == [(1, 2, pytest.approx(1 / 9))]
 
 
 class TestExhaustiveReference:

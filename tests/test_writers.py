@@ -6,6 +6,7 @@ from unittest import mock
 from xml.sax.saxutils import escape
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupanon import microfile
@@ -199,3 +200,34 @@ class TestAgainstRowByRowWriters:
             write_coefficients_csv(tmp_path / "new.csv", dec)
         reference_coefficients_csv(tmp_path / "ref.csv", dec)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def csv_field(text):
+    """``text`` as csv writes it as the second field of a row."""
+    line = io.StringIO()
+    csv.writer(line).writerow(["", text])
+    return line.getvalue()[1:-len(csv.excel.lineterminator)]
+
+
+class TestQuotedLabels:
+    """``_quoted`` against csv's own writer, which it skips for texts csv leaves alone."""
+
+    @pytest.mark.parametrize("texts", [
+        ["06010", "L00001", "a b", " lead", "trail ", "x'y", "a;b", "tab\t"],
+        [""], ["", "x"], [],
+        ["é", "中文", "naïve façade", "\u2028", "😀"],
+        *[["plain", f"a{char}b", "more"] for char in ',"\r\n'],
+        *[[char] for char in ',"\r\n'],
+        ["ü,", "中\n文", '"'],
+    ])
+    def test_matches_csv_writer(self, texts):
+        assert list(microfile._quoted(texts)) == [csv_field(t) for t in texts]
+
+    def test_texts_csv_leaves_alone_come_back_unchanged(self):
+        texts = [f"L{i:05d}" for i in range(4096)] + ["", "é"]
+        assert microfile._quoted(texts) is texts
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(LABELS, max_size=20))
+    def test_drawn_labels(self, texts):
+        assert list(microfile._quoted(texts)) == [csv_field(t) for t in texts]
