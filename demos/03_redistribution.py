@@ -11,7 +11,6 @@ signal is untouched.
 import numpy as np
 
 from groupanon.redistribute import (
-    ConstraintRow,
     ConstraintSpec,
     Objective,
     build_constraints,
@@ -33,11 +32,10 @@ from groupanon.wavelet import FILTERS, decompose
 
 dec = decompose(QUANTITY, FILTERS["db2"], level=2)
 
-# the bundled constraint system: caps where the signal must not grow,
-# floors where mass is welcome
-spec = ConstraintSpec(
-    rows=tuple(ConstraintRow(p, rel, bound) for p, rel, bound, _ in QUANTITY_SYSTEM)
-)
+# the bundled constraint system, one column per field: caps where the signal
+# must not grow, floors where mass is welcome
+positions, relations, bounds, _ = zip(*QUANTITY_SYSTEM)
+spec = ConstraintSpec(positions, relations, bounds)
 lp = build_constraints(dec, spec)
 print("constraint system:")
 for line in lp.describe():
@@ -48,7 +46,7 @@ print("\nsolver feasible point:", np.round(coeffs, 3))
 
 # the bundled reference solution, checked row by row
 checks = check_solution(lp, QUANTITY_SOLUTION)
-print(f"reference solution satisfies all rows: {all(c.satisfied for c in checks)}")
+print(f"reference solution satisfies all rows: {checks.satisfied.all()}")
 
 qhat = reassemble(dec, QUANTITY_SOLUTION)
 print("\nreassembled signal:", np.round(qhat, 3))
@@ -64,9 +62,10 @@ print("matches bundled reference:", np.array_equal(final, QUANTITY_FINAL))
 print("old spike position:", int(np.argmax(QUANTITY)) + 1,
       "-> new maximum position:", int(np.argmax(final)) + 1)
 
-# operators can also force mass somewhere explicitly
+# operators can also force mass somewhere explicitly; an "original" row keeps
+# the current low-frequency value at its position as the bound
 forced = ConstraintSpec(
-    rows=tuple(ConstraintRow(i, "<=", "original") for i in (1, 2, 15, 16)),
+    (1, 2, 15, 16), ("<=",) * 4, np.zeros(4), original=np.ones(4, dtype=bool),
     objective=Objective("maximize", (8, 9)),
 )
 lp2 = build_constraints(dec, forced)

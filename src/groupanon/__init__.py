@@ -30,7 +30,6 @@ from .microfile import (
     write_microfile,
 )
 from .redistribute import (
-    ConstraintRow,
     ConstraintSpec,
     Objective,
     build_constraints,

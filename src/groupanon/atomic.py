@@ -11,7 +11,7 @@ __all__ = ["atomic_write"]
 
 
 @contextmanager
-def atomic_write(path: str | Path, newline: str | None = None, binary: bool = False):
+def atomic_write(path: str | Path, binary: bool = False):
     """Open a file whose content replaces ``path`` when the block completes.
 
     The file is opened as text, or as binary if ``binary``.
@@ -21,13 +21,12 @@ def atomic_write(path: str | Path, newline: str | None = None, binary: bool = Fa
     the block raises, the temporary file is removed and ``path`` keeps its
     previous content, so a reader sees the old file or the whole new one,
     never a partial write.  No fsync is issued: this guards against a failed
-    or killed run, not against losing power.  ``newline`` is passed to
-    ``open`` (``""`` for the ``csv`` module; None in binary mode).
+    or killed run, not against losing power.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "xb" if binary else "x", newline=newline) as fh:
+        with open(tmp, "xb" if binary else "x") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

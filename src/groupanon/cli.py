@@ -140,9 +140,10 @@ def _cmd_redistribute(config: PipelineConfig, gcfg: GroupConfig) -> int:
         "coefficients": [float(v) for v in edit.coefficients],
         "shift": edit.shift,
         "warnings": log.warnings,
-        "constraints": [
-            {"row": c.position_text, "lhs": c.lhs, "satisfied": c.satisfied}
-            for c in edit.checks
+        "constraints": [] if edit.lp is None else [
+            {"row": edit.lp.describe_row(i), "lhs": lhs, "satisfied": ok}
+            for i, (lhs, ok) in enumerate(zip(edit.checks.lhs.tolist(),
+                                              edit.checks.satisfied.tolist()))
         ],
     }
     with atomic_write(out / f"{name}_redistribution.json") as fh:

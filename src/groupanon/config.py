@@ -24,13 +24,14 @@ Layout (see README for the full reference):
       }]
     }
 
-Errors carry the file name and the JSON path of the offending field.  A
-field an object does not define is an error too, except a removed one
-(``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is ignored with a
-warning naming its path; ``"repair": "none"``, the old name of the default,
-loads as ``"mean_fix"`` with the same kind of warning.  A group name
-must be a plain file name, since the report files are named after it.  A
-group field that could not act is an error too: a
+Errors carry the file name and the JSON path of the offending field.
+JSON's ``NaN``, ``Infinity`` and ``-Infinity`` are errors wherever a value
+is read.  A field an object does not define is an error too, except a
+removed one (``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is
+ignored with a warning naming its path; ``"repair": "none"``, the old
+name of the default, loads as ``"mean_fix"`` with the same kind of
+warning.  A group name must be a plain file name, since the report files
+are named after it.  A group field that could not act is an error too: a
 ``subordinate_vital`` outside a difference group, a ``margin`` beside a
 declared shift or on a difference group, a negative ``margin``, and
 ``"repair": "mean_std"`` on a concentration or difference group, and any
@@ -53,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, GroupAnonError
 from .microfile import Attribute, GroupSpec
-from .redistribute import RELATIONS, REPAIRS, ConstraintRow, ConstraintSpec, Objective
+from .redistribute import RELATIONS, REPAIRS, ConstraintSpec, Objective
 from .signals import KINDS as SIGNAL_KINDS, GoalSignal
 from .wavelet import FilterPair, check_level, get_filter
 
@@ -137,6 +138,9 @@ class PipelineConfig:
 
 
 _REQUIRED = object()
+#: What JSON's ``NaN``, ``Infinity`` and ``-Infinity`` load as: neither a number nor a
+#: text, so every read that meets one fails at its path.
+_NON_FINITE = object()
 
 
 class _Cursor:
@@ -292,8 +296,10 @@ def _check_row(row: _Cursor, m: int) -> None:
     position = row.field("position", int)
     if not 1 <= position <= m:
         row.fail(f"position {position} outside 1..{m}")
-    row.build(ConstraintRow, position, row.field("relation", str),
-              row.number_or("bound", "original"))
+    relation = row.field("relation", str)
+    row.number_or("bound", "original")  # a bad bound is reported before a bad relation
+    if relation not in RELATIONS:
+        row.fail(f"relation must be one of {RELATIONS}")
 
 
 def _row_columns(data, m: int):
@@ -334,7 +340,7 @@ def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
             _check_row(row, m)
         raise AssertionError("every row passed one by one, but not as columns")
     objective = _parse_objective(cur, m)
-    return cur.build(ConstraintSpec.from_columns, *columns, objective,
+    return cur.build(ConstraintSpec, *columns, objective,
                      cur.field("nonnegative_coefficients", bool, True))
 
 
@@ -436,7 +442,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=lambda literal: _NON_FINITE)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 

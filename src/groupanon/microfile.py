@@ -354,7 +354,7 @@ def load_microfile(
             table, reader = _read_plain(path, schema, identifiers), "bytes"
             if table is None:
                 table, reader = _read_csv(path, schema, identifiers), "csv"
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ParseError(f"{path}: cannot read: {exc}") from exc
     if info is not None:
         info["reader"] = reader
@@ -455,12 +455,21 @@ def _parse_cells(path: Path, attr: Attribute, raw: list[str], first_row: int,
     """One chunk of one column's cells; ``first_row`` is the file row of ``raw[0]``.
 
     A nominal cell becomes its text's code in ``vocab``, the column's texts
-    in order of first appearance, which gains each text it lacks.
+    in order of first appearance, which gains each text it lacks.  A text
+    that ends in NUL is an error, ranked with an empty cell by row: the
+    vocabulary's fixed-width strings would drop the NUL and merge the text
+    with another.
     """
     if attr.kind == "ordinal":
         return _parse_ordinal(path, attr, raw, first_row)
-    if attr.role != "plain" and "" in raw:
-        raise _empty_cell_error(path, first_row + raw.index(""), attr)
+    bad = raw.index("") if attr.role != "plain" and "" in raw else len(raw)
+    if "\0" in "".join(raw[:bad]):
+        bad = next((i for i, text in enumerate(raw[:bad]) if text.endswith("\0")), bad)
+    if bad < len(raw):
+        if raw[bad] == "":
+            raise _empty_cell_error(path, first_row + bad, attr)
+        raise ParseError(f"{path}: row {first_row + bad}: text ending in NUL in nominal column "
+                         f"{attr.name!r}")
     # len(vocab) is taken before setdefault adds the text, so a new text gets the next code
     return np.fromiter(map(vocab.setdefault, raw, map(len, repeat(vocab))), np.int32, len(raw))
 

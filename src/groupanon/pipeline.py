@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import time
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -53,16 +52,16 @@ _DETAIL_PRESERVATION_TOL = 1e-6
 class GroupEdit:
     """The edit half of one group's run: the goal signal, its edit and the quantity target.
 
-    ``lp`` is None and ``checks`` empty for a group with a declared
-    ``target``, which builds no system; its coefficients are then the
-    original ones and its final signal is the target.
+    ``lp`` and ``checks`` are None for a group with a declared ``target``,
+    which builds no system; its coefficients are then the original ones and
+    its final signal is the target.
     """
 
     before: GoalSignal
     decomposition: WaveletDecomposition
     lp: rd.LinearProgram | None
     coefficients: np.ndarray
-    checks: Sequence
+    checks: rd.RowChecks | None
     reassembled: np.ndarray
     shift: float
     final_signal: np.ndarray
@@ -157,7 +156,7 @@ def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
 
     if gcfg.target is not None:
         # operator-declared target: skip the signal-editing stages entirely
-        return GroupEdit(before, dec, None, dec.approx.copy(), (), before.values.copy(), 0.0,
+        return GroupEdit(before, dec, None, dec.approx.copy(), None, before.values.copy(), 0.0,
                          gcfg.target.values.copy(), gcfg.target)
 
     lp = stage("constraints", rd.build_constraints, dec, gcfg.constraints)
@@ -166,16 +165,15 @@ def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
         coeffs = gcfg.solution
         checks = stage("check", rd.check_solution, lp, coeffs)
         for i in np.flatnonzero(~checks.satisfied).tolist():
-            check = checks[i]
-            log.warn(f"declared solution violates {check.position_text} "
-                     f"by {check.violation:.6g}")
+            log.warn(f"declared solution violates {lp.describe_row(i)} "
+                     f"by {checks.violation[i]:.6g}")
     else:
         coeffs = stage("solve", rd.solve_constraints, lp, warm_start=dec.approx)
         checks = stage("check", rd.check_solution, lp, coeffs, tol=1e-6)
         bad = np.flatnonzero(~checks.satisfied)
         if bad.size:
             raise StageError("solve", gcfg.name,
-                             f"solver output violates {checks[int(bad[0])].position_text}")
+                             f"solver output violates {lp.describe_row(int(bad[0]))}")
 
     reassembled = stage("reassemble", rd.reassemble, dec, coeffs)
     redec = decompose(reassembled, dec.filter, dec.level)
@@ -208,10 +206,11 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
         published, subordinate = stage("audit", _audit_published, modified, gcfg, edit, after)
         bad = np.flatnonzero(~published.satisfied)
         if bad.size:
-            worst = published[int(np.argmax(published.violation))]
-            msg = (f"published signal violates {bad.size} of {len(published)} declared rows; "
-                   f"worst is the row at position {gcfg.constraints.positions[worst.index]} "
-                   f"({worst.position_text}), off by {worst.violation:.6g}")
+            worst = int(np.argmax(published.violation))
+            msg = (f"published signal violates {bad.size} of {published.satisfied.size} "
+                   f"declared rows; worst is the row at position "
+                   f"{gcfg.constraints.positions[worst]} ({edit.lp.describe_row(worst)}), "
+                   f"off by {published.violation[worst]:.6g}")
             log.warn(msg)
 
     return modified, GroupRunResult(gcfg.name, edit, plan, planner, after, published,

@@ -16,7 +16,6 @@ clamps, rescales and rounds it for every signal kind.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -32,11 +31,9 @@ from .wavelet import (
 )
 
 __all__ = [
-    "ConstraintRow",
     "Objective",
     "ConstraintSpec",
     "LinearProgram",
-    "RowCheck",
     "RowChecks",
     "build_constraints",
     "solve_constraints",
@@ -50,25 +47,6 @@ __all__ = [
 ]
 
 RELATIONS = ("<=", ">=")
-
-
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One bound: signal position (1-based), relation, numeric bound or "original".
-
-    An "original" bound resolves to the current approximation-component
-    value at that position.
-    """
-
-    position: int
-    relation: str
-    bound: float | str = "original"
-
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise ConstraintError(f"relation must be one of {RELATIONS}")
-        if isinstance(self.bound, str) and self.bound != "original":
-            raise ConstraintError(f"bound must be a number or 'original', got {self.bound!r}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +72,8 @@ class ConstraintSpec:
     Row i bounds signal position ``positions[i]`` (1-based, int64) by
     ``relations[i]``; its bound is ``bounds[i]``, or the current
     approximation value where ``original[i]`` is set (``bounds`` holds NaN
-    there).  ``ConstraintSpec(rows)`` takes ``ConstraintRow``s and
-    ``from_columns`` the columns themselves; ``rows`` gives the rows back.
-    The arrays are read-only.
+    there, whatever was passed); ``original=None`` sets it for no row.  The
+    arrays are the spec's own copies and read-only.
     """
 
     positions: np.ndarray
@@ -106,48 +83,27 @@ class ConstraintSpec:
     objective: Objective
     nonnegative: bool
 
-    def __init__(self, rows: Sequence[ConstraintRow], objective: Objective = Objective(),
-                 nonnegative: bool = True):
-        rows = tuple(rows)
-        original = [row.bound == "original" for row in rows]
-        self._fill(np.array([row.position for row in rows], dtype=np.int64),
-                   tuple(row.relation for row in rows),
-                   np.array([math.nan if o else float(r.bound) for r, o in zip(rows, original)]),
-                   np.array(original, dtype=bool), objective, nonnegative)
-
-    @classmethod
-    def from_columns(cls, positions: np.ndarray, relations: Sequence[str], bounds: np.ndarray,
-                     original: np.ndarray, objective: Objective = Objective(),
-                     nonnegative: bool = True) -> "ConstraintSpec":
-        """The spec of the given columns; ``bounds`` is not read where ``original`` is set."""
-        spec = cls.__new__(cls)
-        spec._fill(np.array(positions, dtype=np.int64), tuple(relations),
-                   np.where(original, math.nan, np.asarray(bounds, dtype=float)),
-                   np.array(original, dtype=bool), objective, nonnegative)
-        return spec
-
-    def _fill(self, positions, relations, bounds, original, objective, nonnegative):
-        """Check and set the fields; the arrays are the spec's own and become read-only."""
+    def __init__(self, positions: Sequence[int], relations: Sequence[str],
+                 bounds: Sequence[float], original: Sequence[bool] | None = None,
+                 objective: Objective = Objective(), nonnegative: bool = True):
+        relations = tuple(relations)
         n = len(relations)
         if not n:
             raise ConstraintError("constraint spec must contain at least one row")
         if not set(relations) <= set(RELATIONS):
             raise ConstraintError(f"relation must be one of {RELATIONS}")
+        positions = np.array(positions, dtype=np.int64)
+        bounds = np.asarray(bounds, dtype=float)
+        original = np.zeros(n, dtype=bool) if original is None else np.array(original, dtype=bool)
         if not positions.shape == bounds.shape == original.shape == (n,):
             raise ConstraintError("constraint columns must hold one entry per row")
+        bounds = np.where(original, math.nan, bounds)
         for array in (positions, bounds, original):
             array.setflags(write=False)
         for name, value in (("positions", positions), ("relations", relations),
                             ("bounds", bounds), ("original", original),
                             ("objective", objective), ("nonnegative", nonnegative)):
             object.__setattr__(self, name, value)
-
-    @property
-    def rows(self) -> tuple[ConstraintRow, ...]:
-        """Every row as a ``ConstraintRow``; a bound is a float or "original"."""
-        return tuple(ConstraintRow(p, rel, "original" if o else b) for p, rel, b, o in zip(
-            self.positions.tolist(), self.relations, self.bounds.tolist(),
-            self.original.tolist()))
 
 
 def _scatter_row(matrix: csr_array, i: int, scale: float) -> np.ndarray:
@@ -300,60 +256,23 @@ def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None) -
     return np.asarray(res.x, dtype=float)
 
 
-@dataclass(frozen=True)
-class RowCheck:
-    """Evaluation of one constraint row at a candidate point.
-
-    ``position_text`` is the row's :meth:`LinearProgram.describe_row` line.
-    It is formatted only when read, because formatting every row of a long
-    axis costs far more than checking them.
-    """
-
-    lhs: float
-    relation: str
-    bound: float
-    satisfied: bool
-    violation: float
-    index: int
-    lp: LinearProgram = field(repr=False, compare=False)
-
-    @property
-    def position_text(self) -> str:
-        return self.lp.describe_row(self.index)
-
-
-class RowChecks(Sequence):
-    """Every row of a system evaluated at one point, kept as vectors.
+@dataclass(frozen=True, eq=False)
+class RowChecks:
+    """Every row of a system evaluated at one point, as read-only arrays.
 
     ``lhs``, ``bound``, ``satisfied`` and ``violation`` hold one entry per
-    row, in the operator-facing form.  Indexing or iterating builds the
-    row's :class:`RowCheck` on demand, so a long axis pays for row objects
-    only where they are read.
+    row, in the operator-facing form; row i reads as text through the
+    system's :meth:`LinearProgram.describe_row`.
     """
 
-    def __init__(self, lp: LinearProgram, lhs: np.ndarray, bound: np.ndarray,
-                 satisfied: np.ndarray, violation: np.ndarray):
-        self.lp = lp
-        self.lhs, self.bound = lhs, bound
-        self.satisfied, self.violation = satisfied, violation
+    lhs: np.ndarray
+    bound: np.ndarray
+    satisfied: np.ndarray
+    violation: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.satisfied.size)
-
-    def __getitem__(self, i: int) -> RowCheck:
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError("row check index out of range")
-        i %= len(self)
-        return RowCheck(
-            lhs=float(self.lhs[i]),
-            relation=self.lp.relations[i],
-            bound=float(self.bound[i]),
-            satisfied=bool(self.satisfied[i]),
-            violation=float(self.violation[i]),
-            index=i,
-            lp=self.lp,
-        )
+    def __post_init__(self):
+        for array in (self.lhs, self.bound, self.satisfied, self.violation):
+            array.setflags(write=False)
 
 
 def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> RowChecks:
@@ -368,7 +287,6 @@ def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> 
     gap = signed - lp.b_ub
     upper = np.array(lp.relations) == "<="
     return RowChecks(
-        lp,
         lhs=np.where(upper, signed, -signed),
         bound=np.where(upper, lp.b_ub, -lp.b_ub),
         satisfied=gap <= tol,

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import reference as ref
 from .microfile import members
-from .redistribute import (ConstraintRow, ConstraintSpec, build_constraints, check_solution,
-                           make_nonnegative, reassemble)
+from .redistribute import (ConstraintSpec, build_constraints, check_solution, make_nonnegative,
+                           reassemble)
 from .signals import GoalSignal, concentration_to_quantity, quantity_signal
 from .wavelet import FILTERS, FilterPair, approximation_component, decompose, detail_component
 
@@ -67,8 +67,8 @@ def _case(kind: str, fp: FilterPair, solution_row, tol: float) -> tuple[list[Che
     ]
 
     system = frozen("SYSTEM")
-    lp = build_constraints(dec, ConstraintSpec(
-        tuple(ConstraintRow(position, relation, bound) for position, relation, bound, _ in system)))
+    positions, relations, bounds, _ = zip(*system)
+    lp = build_constraints(dec, ConstraintSpec(positions, relations, bounds))
     rows.append(_compare(f"{kind} constraint-system coefficients",
                          [coeffs for coeffs, _, _ in lp.rows],
                          [printed for *_, printed in system], 1e-3))

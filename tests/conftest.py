@@ -1,9 +1,11 @@
 import json
+import math
 import shutil
 
 import pytest
 
 from groupanon import reference as ref
+from groupanon.redistribute import ConstraintSpec, Objective
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +21,21 @@ def fixture_group():
 @pytest.fixture(scope="session")
 def concentration_microfile():
     return ref.build_concentration_microfile()
+
+
+def spec_of(rows, objective=Objective()) -> ConstraintSpec:
+    """The spec of ``(position, relation, bound)`` rows; a bound is a number or "original"."""
+    positions, relations, bounds = zip(*rows)
+    original = [bound == "original" for bound in bounds]
+    numbers = [math.nan if o else bound for o, bound in zip(original, bounds)]
+    return ConstraintSpec(positions, relations, numbers, original, objective)
+
+
+def rows_of(spec: ConstraintSpec) -> list:
+    """The spec's rows as ``(position, relation, bound)``; a bound is a float or "original"."""
+    return [(position, relation, "original" if o else bound) for position, relation, bound, o
+            in zip(spec.positions.tolist(), spec.relations, spec.bounds.tolist(),
+                   spec.original.tolist())]
 
 
 def base_config() -> dict:
@@ -130,4 +147,48 @@ MALFORMED_GROUPS = [
                  "$.groups[0].constraints.rows[7]", id="row-text-bound"),
     pytest.param(lambda g: g["constraints"]["rows"][7].update(bound=True),
                  "$.groups[0].constraints.rows[7]", id="row-bool-bound"),
+]
+
+
+def _set_non_finite_target(c):
+    c["groups"][0].update(target=[math.inf] + [1] * 15, constraints=None, solution=None,
+                          shift=None, repair=None)
+
+
+#: Config edits that put a JSON ``NaN``, ``Infinity`` or ``-Infinity`` into one field, each
+#: with the error it gives after the file name.  ``json.dumps`` writes those literals.
+NON_FINITE_FIELDS = [
+    pytest.param(lambda c: c["schema"][1].update(weight=math.inf),
+                 "$.schema[1]: field 'weight' must be float", id="weight"),
+    pytest.param(lambda c: c["groups"][0]["constraints"]["rows"][0].update(bound=math.nan),
+                 "$.groups[0].constraints.rows[0]: field 'bound' must be a number or "
+                 '"original"', id="bound"),
+    pytest.param(lambda c: c["groups"][0]["constraints"]["rows"][3].update(position=math.inf),
+                 "$.groups[0].constraints.rows[3]: field 'position' must be int", id="position"),
+    pytest.param(lambda c: c["groups"][0]["solution"].__setitem__(1, math.nan),
+                 "$.groups[0].solution: expected an array of numbers", id="solution"),
+    pytest.param(_set_non_finite_target,
+                 "$.groups[0].target: expected an array of numbers", id="target"),
+    pytest.param(lambda c: c["groups"][0].update(shift=-math.inf),
+                 "$.groups[0]: field 'shift' must be a number or \"auto\"", id="shift"),
+    pytest.param(lambda c: c["groups"][0].update(shift="auto", margin=math.nan),
+                 "$.groups[0]: field 'margin' must be float", id="margin"),
+    pytest.param(lambda c: c["groups"][0].update(chi_same=math.inf),
+                 "$.groups[0]: field 'chi_same' must be float", id="chi_same"),
+    pytest.param(lambda c: c["groups"][0].update(chi_diff=math.nan),
+                 "$.groups[0]: field 'chi_diff' must be float", id="chi_diff"),
+    pytest.param(lambda c: c["groups"][0]["wavelet"].update(level=math.inf),
+                 "$.groups[0].wavelet: field 'level' must be int", id="level"),
+    pytest.param(lambda c: c["groups"][0]["constraints"].update(objective={"minimize": [math.nan]}),
+                 "$.groups[0].constraints.objective.minimize: expected an array of integer "
+                 "positions",
+                 id="objective-position"),
+    pytest.param(lambda c: c["groups"][0]["vital"].update(military_service=[math.nan]),
+                 "$.groups[0].vital.military_service: expected an array of strings or numbers",
+                 id="vital-value"),
+    pytest.param(lambda c: c["groups"][0]["parameter_order"].__setitem__(0, -math.inf),
+                 "$.groups[0].parameter_order: expected an array of strings or numbers",
+                 id="parameter-order-entry"),
+    pytest.param(lambda c: c["groups"][0].update(name=math.nan),
+                 "$.groups[0]: field 'name' must be str", id="name"),
 ]

@@ -18,11 +18,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import spec_of
 from groupanon import reference as ref
 from groupanon.microfile import superset_members
 from groupanon.redistribute import (
-    ConstraintRow,
-    ConstraintSpec,
     build_constraints,
     check_solution,
     make_nonnegative,
@@ -52,7 +51,7 @@ def criterion(label):
 
 
 def system_spec(system):
-    return ConstraintSpec(rows=tuple(ConstraintRow(p, rel, b) for p, rel, b, _ in system))
+    return spec_of([(p, rel, b) for p, rel, b, _ in system])
 
 
 def test_c1_decomposition_fixtures():
@@ -112,11 +111,9 @@ def test_c3_constraint_system_fixtures():
         # the concentration-case solution is known to violate exactly one row;
         # assert the verifier finds precisely the documented violation
         checks = check_solution(lp_c, ref.CONCENTRATION_SOLUTION)
-        bad = [c for c in checks if not c.satisfied]
         known = ref.CONCENTRATION_KNOWN_VIOLATION
-        assert len(bad) == 1
-        assert checks.index(bad[0]) == 4  # position-5 row
-        assert abs(bad[0].violation - known["violation"]) < 2e-4
+        assert np.flatnonzero(~checks.satisfied).tolist() == [4]  # position-5 row
+        assert abs(checks.violation[4] - known["violation"]) < 2e-4
 
 
 def test_c4_end_to_end_quantity_fixture():

@@ -7,10 +7,10 @@ class TestAtomicWrite:
     def test_replaces_the_file_when_the_block_completes(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("old\n")
-        with atomic_write(path, newline="") as fh:
-            fh.write("a,b\r\n")
+        with atomic_write(path) as fh:
+            fh.write("a,b\n")
             assert path.read_text() == "old\n"
-        assert path.read_bytes() == b"a,b\r\n"
+        assert path.read_bytes() == b"a,b\n"
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("existed", [True, False])

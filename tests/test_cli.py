@@ -10,14 +10,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_GROUPS, base_config
+from conftest import MALFORMED_GROUPS, NON_FINITE_FIELDS, base_config
 from groupanon import reference as ref
 from groupanon import pipeline, remap
 from groupanon.cli import main
 from groupanon.config import load_pipeline_config
 from groupanon.microfile import GroupSpec, load_microfile
 from groupanon.signals import concentration_signal, quantity_signal
-from groupanon.wavelet import approximation_component, decompose, get_filter
+from groupanon.wavelet import (approximation_component, decompose, get_filter,
+                               reconstruction_matrix)
 
 
 def run_cli(*argv):
@@ -600,6 +601,31 @@ class TestRedistributeCommand:
         assert payload["warnings"] == []
         assert not (tmp_path / "out/report/active-duty_swaps.csv").exists()
 
+    def test_constraints_list_every_row_with_its_check(self, config_factory, tmp_path):
+        path = config_factory()
+        assert run_cli("redistribute", "--config", str(path), "--group", "active-duty") == 0
+        payload = json.loads((tmp_path / "out/report/active-duty_redistribution.json").read_text())
+        dec = decompose(ref.QUANTITY, get_filter("db2"), 2)
+        matrix = reconstruction_matrix(dec.filter, 2, 16)
+        expected = []
+        for position, relation, bound, _ in ref.QUANTITY_SYSTEM:
+            row = matrix[position - 1]
+            terms = [f"{c:+.3f}*a({j + 1})" for j, c in enumerate(row) if abs(c) >= 5e-4]
+            lhs = float(row @ ref.QUANTITY_SOLUTION)
+            expected.append((f"{' '.join(terms)} {relation} {bound:.3f}", lhs,
+                             lhs <= bound + 1e-9 if relation == "<=" else lhs >= bound - 1e-9))
+        got = [(c["row"], c["lhs"], c["satisfied"]) for c in payload["constraints"]]
+        assert [g[0] for g in got] == [e[0] for e in expected]
+        assert [g[2] for g in got] == [e[2] for e in expected] == [True] * 12
+        assert np.allclose([g[1] for g in got], [e[1] for e in expected], rtol=1e-12)
+
+    def test_a_declared_target_lists_no_constraints(self, config_factory, tmp_path):
+        path = config_factory(target=[int(v) for v in ref.QUANTITY_FINAL], constraints=None,
+                              solution=None, shift=None, repair=None)
+        assert run_cli("redistribute", "--config", str(path), "--group", "active-duty") == 0
+        payload = json.loads((tmp_path / "out/report/active-duty_redistribution.json").read_text())
+        assert payload["constraints"] == [] and payload["shift"] == 0.0
+
     def test_mean_std_repair_needs_no_swap_partners(self, config_factory, tmp_path, caplog):
         # `run` cannot plan this config (test_mean_std_repair_beyond_fixture_capacity_is_surfaced);
         # `redistribute` plans no swaps, so it succeeds
@@ -642,6 +668,15 @@ class TestExitCodes:
         assert err.startswith("configuration error: ")
         assert path in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, error", NON_FINITE_FIELDS)
+    def test_non_finite_number_exits_2_naming_its_path(self, edit, error, config_factory, capsys):
+        config = base_config()
+        edit(config)
+        assert run_cli("run", "--config", str(config_factory(config))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert error in err and "Traceback" not in err
+
     def test_overrides_take_effect(self, config_factory, tmp_path):
         path = config_factory()
         out_alt = tmp_path / "alt.csv"
@@ -682,6 +717,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"stage error [load:-] {table}: cannot read: 'utf-8' codec can't "
                               "decode byte 0xff")
+        assert "Traceback" not in err
+
+    def test_cell_over_the_field_limit_is_a_load_error(self, config_factory, tmp_path, capsys):
+        path = config_factory()
+        table = tmp_path / "military.csv"
+        header, body = table.read_bytes().split(b"\n", 1)
+        width = header.count(b",") + 1
+        long_row = b",".join([b'"' + b"x" * (csv.field_size_limit() + 1) + b'"'] * width)
+        table.write_bytes(header + b"\n" + long_row + b"\n" + body)
+        assert run_cli("run", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage error [load:-] {table}: cannot read: field larger than "
+                              "field limit")
         assert "Traceback" not in err
 
     def test_unwritable_output_is_io_error(self, config_factory, capsys):

@@ -6,10 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_GROUPS, base_config
+from conftest import MALFORMED_GROUPS, NON_FINITE_FIELDS, base_config, rows_of
 from groupanon.config import ROW_FIELDS, _Cursor, _parse_constraints, load_pipeline_config
 from groupanon.errors import ConfigError
-from groupanon.redistribute import ConstraintRow
 
 
 def write(tmp_path, config):
@@ -26,7 +25,7 @@ class TestLoadConfig:
         assert group.name == "active-duty"
         assert group.level == 2
         assert group.group.parameter == "area"
-        assert len(group.constraints.rows) == 12
+        assert len(group.constraints.relations) == 12
         assert group.shift == 2150.0
         assert np.allclose(group.solution, [0.0, 379.097, 1000.0, 5464.854])
 
@@ -181,17 +180,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(path)):
             load_pipeline_config(write(tmp_path, config))
 
+    @pytest.mark.parametrize("edit, error", NON_FINITE_FIELDS)
+    def test_non_finite_number_is_an_error_at_its_path(self, tmp_path, edit, error):
+        config = base_config()
+        edit(config)
+        path = write(tmp_path, config)
+        assert re.search(r"\b(NaN|-?Infinity)\b", path.read_text())
+        with pytest.raises(ConfigError) as err:
+            load_pipeline_config(path)
+        assert str(err.value) == f"{path}: {error}"
+
 
 def cursor_rows(cur, m):
-    """The per-row reader the columns replaced: one cursor, check and ``ConstraintRow`` a row."""
+    """The per-row reader the columns replaced: one cursor and check a row.
+
+    A row reads as ``(position, relation, bound)``, its bound a float or "original".
+    """
     rows = []
     for row in cur.child("rows").items():
         row.fields(ROW_FIELDS)
         position = row.field("position", int)
         if not 1 <= position <= m:
             row.fail(f"position {position} outside 1..{m}")
-        rows.append(row.build(ConstraintRow, position, row.field("relation", str),
-                              row.number_or("bound", "original")))
+        relation, bound = row.field("relation", str), row.number_or("bound", "original")
+        if relation not in ("<=", ">="):
+            row.fail("relation must be one of ('<=', '>=')")
+        rows.append((position, relation, bound))
     return rows
 
 
@@ -252,11 +266,11 @@ class TestRowColumns:
         m = 64
         rows = generated_rows(rng, m, int(rng.integers(1, 300)))
         expected, spec = read_both(rows, m)
-        assert spec.rows == tuple(expected)
-        assert spec.positions.tolist() == [row.position for row in expected]
-        assert spec.relations == tuple(row.relation for row in expected)
-        assert spec.original.tolist() == [row.bound == "original" for row in expected]
-        numbers = [math.nan if row.bound == "original" else float(row.bound) for row in expected]
+        assert rows_of(spec) == expected
+        assert spec.positions.tolist() == [position for position, _, _ in expected]
+        assert spec.relations == tuple(relation for _, relation, _ in expected)
+        assert spec.original.tolist() == [bound == "original" for _, _, bound in expected]
+        numbers = [math.nan if bound == "original" else float(bound) for _, _, bound in expected]
         assert spec.bounds.tobytes() == np.array(numbers).tobytes()
 
     @pytest.mark.parametrize("edit", range(len(BAD_ROWS)))

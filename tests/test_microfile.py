@@ -67,7 +67,7 @@ def reference_load(path, schema, identifiers=()):
             except StopIteration:
                 raise ParseError(f"{path}: file is empty") from None
             rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
 
     positions = {name: i for i, name in enumerate(header)}
@@ -96,6 +96,11 @@ def reference_load(path, schema, identifiers=()):
                     raise ParseError(
                         f"{path}: row {rownum}: empty value in "
                         f"{attr.role} column {attr.name!r}"
+                    )
+                if value.endswith("\0"):
+                    raise ParseError(
+                        f"{path}: row {rownum}: text ending in NUL in "
+                        f"nominal column {attr.name!r}"
                     )
             columns[attr.name] = np.array(raw, dtype=str) if raw else np.empty(0, dtype="<U1")
         else:
@@ -463,16 +468,8 @@ class TestChunkBoundaries:
         path = write_csv(tmp_path / "f.csv", header,
                          [["a1", "1"], ["a2", "0", "5"], ["a1", "1", "6"], ["a2", "0", huge]])
         for loader in (load_microfile, reference_load):
-            with pytest.raises(csv.Error, match="field larger than field limit"):
+            with pytest.raises(ParseError, match="cannot read: field larger than field limit"):
                 loader(path, TOY_SCHEMA)
-
-
-def outcome_or_csv_error(loader, path, schema):
-    """``load_outcome``, or the (type, message) of a ``csv.Error`` that both loaders raise."""
-    try:
-        return load_outcome(loader, path, schema)
-    except csv.Error as exc:
-        return type(exc), str(exc)
 
 
 class TestReaderChoice:
@@ -516,9 +513,9 @@ class TestReaderChoice:
                                                                  body, reader):
         path = tmp_path / "f.csv"
         path.write_bytes(self.HEADER + self.GOOD + body)
-        got = outcome_or_csv_error(load_microfile, path, TOY_SCHEMA)
+        got = load_outcome(load_microfile, path, TOY_SCHEMA)
         assert csv_reads == ([path] if reader == "csv" else [])
-        assert got == outcome_or_csv_error(reference_load, path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
 
     @pytest.mark.parametrize("content", [b'"area",service\n', b"name\n", b"",
                                          "área\na\n".encode(), b"area\na\n\nb\n"],
@@ -528,9 +525,9 @@ class TestReaderChoice:
         schema = (Attribute("area", "nominal", "plain"),)
         path = tmp_path / "f.csv"
         path.write_bytes(content)
-        got = outcome_or_csv_error(load_microfile, path, schema)
+        got = load_outcome(load_microfile, path, schema)
         assert csv_reads == [path]
-        assert got == outcome_or_csv_error(reference_load, path, schema)
+        assert got == load_outcome(reference_load, path, schema)
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv"])
     def test_identifier_warning_is_logged_once(self, tmp_path, caplog, quoted):
@@ -586,6 +583,59 @@ class TestReaderChoice:
         assert got == load_outcome(reference_load, path, TOY_SCHEMA)
         assert got[0] is ParseError
         assert got[1].startswith(f"{path}: cannot read: 'utf-8' codec can't decode byte 0xff")
+
+    def test_quoted_cell_over_the_field_limit_is_a_read_error(self, tmp_path):
+        path = tmp_path / "f.csv"
+        # a ragged row comes first, but a read error outranks it
+        path.write_bytes(self.HEADER + b"a1,1\n" + self.GOOD + b'"'
+                         + b"x" * (csv.field_size_limit() + 1) + b'",1,10\n')
+        got = load_outcome(load_microfile, path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert got == (ParseError, f"{path}: cannot read: field larger than field limit "
+                                   f"({csv.field_size_limit()})")
+
+    @pytest.mark.skipif(csv_reads_nul(), reason="this Python's csv reads a NUL")
+    def test_nul_is_a_read_error_where_csv_rejects_it(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(self.HEADER + self.GOOD + b"a\x001,1,10\n")
+        got = load_outcome(load_microfile, path, TOY_SCHEMA)
+        assert got == load_outcome(reference_load, path, TOY_SCHEMA)
+        assert got[0] is ParseError and got[1].startswith(f"{path}: cannot read: ")
+
+
+@pytest.mark.skipif(not csv_reads_nul(), reason="this Python's csv rejects a NUL")
+class TestTrailingNul:
+    """A nominal text ending in NUL is an error: the vocabulary would drop the NUL."""
+
+    SCHEMA = (*TOY_SCHEMA, Attribute("note", "nominal", "plain"))
+
+    @pytest.mark.parametrize("chunk_rows", [2, 16_384])
+    @pytest.mark.parametrize("rows, error", [
+        ([["a\0", "1", "1", ""], ["a", "1", "2", ""], ["b\0\0", "0", "3", ""]],
+         "row 2: text ending in NUL in nominal column 'area'"),
+        ([["a", "1", "1", ""], ["a", "1", "2", "x\0"], ["b", "0", "3", ""]],
+         "row 3: text ending in NUL in nominal column 'note'"),
+        ([["a", "", "1", ""], ["a", "1\0", "2", ""], ["b", "0", "3", ""]],
+         "row 2: empty value in vital column 'service'"),
+        ([["a", "1", "1", ""], ["a", "1\0", "2", ""], ["b", "", "3", ""]],
+         "row 3: text ending in NUL in nominal column 'service'"),
+        ([["a", "1", "1", "x\0"], ["a\0", "1", "2", ""], ["b", "0", "3", ""]],
+         "row 3: text ending in NUL in nominal column 'area'"),
+    ], ids=["parameter", "plain", "empty-first", "nul-first", "earlier-column-wins"])
+    def test_first_bad_cell_is_named(self, tmp_path, monkeypatch, chunk_rows, rows, error):
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", chunk_rows)
+        path = write_csv(tmp_path / "f.csv", ["area", "service", "pay", "note"], rows)
+        got = load_outcome(load_microfile, path, self.SCHEMA)
+        assert got == load_outcome(reference_load, path, self.SCHEMA)
+        assert got == (ParseError, f"{path}: {error}")
+
+    def test_interior_nuls_load_and_round_trip(self, tmp_path):
+        rows = [["a\0b", "1", "1", "\0x"], ["a", "1", "2", ""], ["\0b", "0", "3", "x"]]
+        path = write_csv(tmp_path / "f.csv", ["area", "service", "pay", "note"], rows)
+        m = load_microfile(path, self.SCHEMA)
+        assert m.vocabulary("area").tolist() == ["\0b", "a", "a\0b"]
+        write_microfile(m, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
 
 
 class TestColumnsFilledInPlace:

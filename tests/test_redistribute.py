@@ -1,16 +1,14 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import linprog
 
-from groupanon import redistribute as rd
+from conftest import rows_of, spec_of
 from groupanon import reference as ref
 from groupanon.errors import ConstraintError, InfeasibleError, UnboundedError
 from groupanon.redistribute import (
-    ConstraintRow,
     ConstraintSpec,
     Objective,
     build_constraints,
@@ -39,11 +37,7 @@ def concentration_dec():
 
 
 def spec_from(system, bounds="printed"):
-    rows = tuple(
-        ConstraintRow(p, rel, b if bounds == "printed" else "original")
-        for p, rel, b, _ in system
-    )
-    return ConstraintSpec(rows=rows)
+    return spec_of([(p, rel, b if bounds == "printed" else "original") for p, rel, b, _ in system])
 
 
 class TestBuildConstraints:
@@ -59,21 +53,36 @@ class TestBuildConstraints:
             assert np.max(np.abs(coeffs - np.array(printed))) < 1e-3
 
     def test_original_bounds_make_coefficients_feasible(self, quantity_dec):
-        rows = tuple(ConstraintRow(i, "<=", "original") for i in range(1, 17))
-        lp = build_constraints(quantity_dec, ConstraintSpec(rows=rows))
+        lp = build_constraints(quantity_dec, spec_of([(i, "<=", "original") for i in range(1, 17)]))
         assert satisfies(lp, quantity_dec.approx, tol=1e-9)
 
     def test_position_out_of_range(self, quantity_dec):
         with pytest.raises(ConstraintError, match="17"):
-            build_constraints(quantity_dec, ConstraintSpec((ConstraintRow(17, "<="),)))
+            build_constraints(quantity_dec, spec_of([(17, "<=", "original")]))
 
     def test_relation_validated(self):
         with pytest.raises(ConstraintError, match="relation"):
-            ConstraintRow(1, "==")
+            ConstraintSpec([1], ["=="], [0.0])
 
     def test_spec_needs_rows(self):
         with pytest.raises(ConstraintError, match="at least one"):
-            ConstraintSpec(rows=())
+            ConstraintSpec([], [], [])
+
+    @pytest.mark.parametrize("columns", [([1, 2], ["<=", "<="], [0.0]),
+                                         ([1], ["<=", ">="], [0.0, 1.0]),
+                                         ([1, 2], ["<=", "<="], [0.0, 1.0], [True])])
+    def test_columns_must_have_one_entry_per_row(self, columns):
+        with pytest.raises(ConstraintError, match="one entry per row"):
+            ConstraintSpec(*columns)
+
+    def test_columns_are_read_only_copies(self):
+        positions, bounds = [3, 1], np.array([2.5, 7.0])
+        spec = ConstraintSpec(positions, ("<=", ">="), bounds, [False, True])
+        bounds[0] = 0.0
+        assert spec.positions.dtype == np.int64 and spec.positions.tolist() == [3, 1]
+        assert spec.bounds[0] == 2.5 and np.isnan(spec.bounds[1])
+        assert not any(a.flags.writeable for a in (spec.positions, spec.bounds, spec.original))
+        assert ConstraintSpec(positions, ("<=", ">="), bounds).original.tolist() == [False, False]
 
     def test_feasibility_objective_takes_no_positions(self):
         with pytest.raises(ConstraintError, match="takes no positions"):
@@ -90,25 +99,22 @@ class TestSolve:
         # row, the position-15 cap, by under 1e-3; the verifier must flag it
         lp = build_constraints(quantity_dec, spec_from(ref.QUANTITY_SYSTEM))
         checks = check_solution(lp, ref.QUANTITY_SOLUTION_RAW)
-        bad = [c for c in checks if not c.satisfied]
-        assert len(bad) == 1
-        assert "0.404" in bad[0].position_text
-        assert 0 < bad[0].violation < 1e-3
+        bad = np.flatnonzero(~checks.satisfied)
+        assert bad.size == 1
+        assert "0.404" in lp.describe_row(bad[0])
+        assert 0 < checks.violation[bad[0]] < 1e-3
 
     def test_concentration_solution_known_violation(self, concentration_dec):
         # the bundled concentration solution genuinely violates the position-5
         # row of its own system; assert the verifier reports exactly that
         lp = build_constraints(concentration_dec, spec_from(ref.CONCENTRATION_SYSTEM))
         checks = check_solution(lp, ref.CONCENTRATION_SOLUTION)
-        bad = [c for c in checks if not c.satisfied]
-        assert len(bad) == 1
         expected = ref.CONCENTRATION_KNOWN_VIOLATION
-        assert bad[0].violation == pytest.approx(expected["violation"], abs=2e-4)
-        assert checks.index(bad[0]) == 4  # fifth row of the declared system
+        assert np.flatnonzero(~checks.satisfied).tolist() == [4]  # fifth row of the system
+        assert checks.violation[4] == pytest.approx(expected["violation"], abs=2e-4)
 
     def test_feasibility_warm_start_returns_original(self, quantity_dec):
-        rows = tuple(ConstraintRow(i, "<=", "original") for i in range(1, 17))
-        lp = build_constraints(quantity_dec, ConstraintSpec(rows=rows))
+        lp = build_constraints(quantity_dec, spec_of([(i, "<=", "original") for i in range(1, 17)]))
         out = solve_constraints(lp, warm_start=quantity_dec.approx)
         assert np.array_equal(out, quantity_dec.approx)
 
@@ -121,10 +127,8 @@ class TestSolve:
             assert lhs <= bound + 1e-6 if relation == "<=" else lhs >= bound - 1e-6
 
     def test_maximize_objective_moves_mass(self, quantity_dec):
-        spec = ConstraintSpec(
-            rows=tuple(ConstraintRow(i, "<=", "original") for i in (1, 2, 15, 16)),
-            objective=Objective("maximize", (8, 9)),
-        )
+        spec = spec_of([(i, "<=", "original") for i in (1, 2, 15, 16)],
+                       Objective("maximize", (8, 9)))
         lp = build_constraints(quantity_dec, spec)
         out = solve_constraints(lp)
         rebuilt = reassemble(quantity_dec, out)
@@ -132,19 +136,14 @@ class TestSolve:
         assert rebuilt[7] + rebuilt[8] > baseline[7] + baseline[8]
 
     def test_contradictory_rows_infeasible_with_conflict(self, quantity_dec):
-        spec = ConstraintSpec(
-            rows=(ConstraintRow(1, "<=", 0.0), ConstraintRow(1, ">=", 1.0))
-        )
+        spec = spec_of([(1, "<=", 0.0), (1, ">=", 1.0)])
         lp = build_constraints(quantity_dec, spec)
         with pytest.raises(InfeasibleError) as err:
             solve_constraints(lp)
         assert len(err.value.conflict) == 2
 
     def test_unbounded_objective_detected(self, quantity_dec):
-        spec = ConstraintSpec(
-            rows=(ConstraintRow(1, ">=", 0.0),),
-            objective=Objective("maximize", (1,)),
-        )
+        spec = spec_of([(1, ">=", 0.0)], Objective("maximize", (1,)))
         lp = build_constraints(quantity_dec, spec)
         with pytest.raises(UnboundedError):
             solve_constraints(lp)
@@ -159,12 +158,11 @@ def reference_checks(dec, spec, coeffs, tol=1e-9):
     """Row-by-row check straight from the spec: (text, lhs, satisfied, violation)."""
     matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
     out = []
-    for row in spec.rows:
-        coeffs_row, bound = matrix[row.position - 1], float(row.bound)
+    for position, relation, bound in rows_of(spec):
+        coeffs_row, bound = matrix[position - 1], float(bound)
         lhs = float(coeffs_row @ coeffs)
-        gap = lhs - bound if row.relation == "<=" else bound - lhs
-        out.append((row_text(coeffs_row, row.relation, bound), lhs, gap <= tol,
-                    max(gap, 0.0)))
+        gap = lhs - bound if relation == "<=" else bound - lhs
+        out.append((row_text(coeffs_row, relation, bound), lhs, gap <= tol, max(gap, 0.0)))
     return out
 
 
@@ -174,12 +172,10 @@ def random_long_axis_case():
     dec = decompose(rng.poisson(20.0, size=4096).astype(float), DB2, 2)
     approx = reconstruction_matrix(DB2, 2, 4096) @ dec.approx
     positions = rng.choice(4096, size=600, replace=False) + 1
-    rows = tuple(
-        ConstraintRow(int(p), rel, float(approx[p - 1]) + (0.5 if rel == "<=" else -0.5))
-        for p, rel in zip(positions, rng.choice(["<=", ">="], size=positions.size))
-    )
+    rows = [(int(p), rel, float(approx[p - 1]) + (0.5 if rel == "<=" else -0.5))
+            for p, rel in zip(positions, rng.choice(["<=", ">="], size=positions.size))]
     coeffs = dec.approx + rng.normal(scale=0.5, size=dec.approx.size)
-    return dec, ConstraintSpec(rows=rows), coeffs
+    return dec, spec_of(rows), coeffs
 
 
 class TestCheckSolutionAgainstRowLoop:
@@ -195,52 +191,35 @@ class TestCheckSolutionAgainstRowLoop:
         lp = build_constraints(dec, spec)
         checks = check_solution(lp, coeffs)
         expected = reference_checks(dec, spec, coeffs)
-        assert any(not c.satisfied for c in checks)
-        assert len(checks) == len(expected)
+        assert not checks.satisfied.all()
+        for array in (checks.lhs, checks.bound, checks.satisfied, checks.violation):
+            assert array.shape == (len(expected),) and not array.flags.writeable
         described = lp.describe()
-        for i, (check, (text, lhs, ok, violation)) in enumerate(zip(checks, expected)):
-            assert check.satisfied == ok
-            assert check.violation == violation
-            assert check.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
-            assert check.position_text == described[i] == text
-        assert satisfies(lp, coeffs) == all(c.satisfied for c in checks)
-
-    def test_vectors_agree_with_rows_built_on_read(self):
-        dec, spec, coeffs = random_long_axis_case()
-        lp = build_constraints(dec, spec)
-        with mock.patch.object(rd, "RowCheck", wraps=rd.RowCheck) as row_check:
-            checks = check_solution(lp, coeffs)
-            assert row_check.call_count == 0
-            rows = list(checks)
-            assert row_check.call_count == len(spec.rows)
-        assert len(checks) == len(rows) == len(spec.rows)
-        assert checks.satisfied.tolist() == [c.satisfied for c in rows]
-        assert checks.violation.tolist() == [c.violation for c in rows]
-        assert checks.lhs.tolist() == [c.lhs for c in rows]
-        assert checks.bound.tolist() == [c.bound for c in rows]
-        assert checks[-1] == rows[-1] and checks[-1].index == len(rows) - 1
-        with pytest.raises(IndexError):
-            checks[len(rows)]
-        bad = np.flatnonzero(~checks.satisfied)
-        assert bad.size and checks.index(checks[int(bad[-1])]) == bad[-1]
+        for i, (text, lhs, ok, violation) in enumerate(expected):
+            assert checks.satisfied[i] == ok
+            assert checks.violation[i] == violation
+            assert checks.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+            assert lp.describe_row(i) == described[i] == text
+        assert satisfies(lp, coeffs) == checks.satisfied.all()
 
     def test_rows_recover_operator_form_exactly(self):
         dec, spec, _ = random_long_axis_case()
         lp = build_constraints(dec, spec)
         matrix = reconstruction_matrix(DB2, 2, 4096)
-        for (coeffs, relation, bound), row in zip(lp.rows, spec.rows):
-            assert coeffs.tobytes() == matrix[row.position - 1].tobytes()
-            assert (relation, bound) == (row.relation, row.bound)
+        for (coeffs, relation, bound), row in zip(lp.rows, rows_of(spec), strict=True):
+            assert coeffs.tobytes() == matrix[row[0] - 1].tobytes()
+            assert (relation, bound) == row[1:]
 
 
 def dense_system(dec, spec):
     """The obvious dense form of the system: ``R[positions] * sign[:, None]`` and its bounds."""
     matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
     original = approximation_component(dec)
-    positions = np.array([row.position - 1 for row in spec.rows])
-    sign = np.array([1.0 if row.relation == "<=" else -1.0 for row in spec.rows])
-    bounds = np.array([original[row.position - 1] if row.bound == "original" else float(row.bound)
-                       for row in spec.rows])
+    rows = rows_of(spec)
+    positions = np.array([position - 1 for position, _, _ in rows])
+    sign = np.array([1.0 if relation == "<=" else -1.0 for _, relation, _ in rows])
+    bounds = np.array([original[position - 1] if bound == "original" else float(bound)
+                       for position, _, bound in rows])
     return matrix[positions] * sign[:, None], bounds * sign
 
 
@@ -266,10 +245,10 @@ def banded_case(seed, m, objective):
     width = rng.uniform(0.5, 3.0, size=m)
     rows = []
     for p in range(1, m + 1):
-        rows.append(ConstraintRow(p, "<=", float(approx[p - 1] + width[p - 1])))
-        rows.append(ConstraintRow(p, ">=", float(max(approx[p - 1] - width[p - 1], 0.0))))
+        rows.append((p, "<=", float(approx[p - 1] + width[p - 1])))
+        rows.append((p, ">=", float(max(approx[p - 1] - width[p - 1], 0.0))))
     picks = tuple(int(p) for p in rng.choice(m, size=2, replace=False) + 1)
-    return dec, ConstraintSpec(rows=tuple(rows), objective=Objective(objective, picks))
+    return dec, spec_of(rows, Objective(objective, picks))
 
 
 def fixture_cases():
@@ -299,14 +278,13 @@ class TestSparseOperatorAgainstDense:
             assert np.all(lp.a_ub.data != 0), name
             matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
             widest = int(np.count_nonzero(matrix, axis=1).max())
-            assert lp.a_ub.nnz <= len(spec.rows) * widest, name
+            assert lp.a_ub.nnz <= len(spec.relations) * widest, name
 
     @pytest.mark.parametrize("objective", ["feasibility", "maximize", "minimize"])
     def test_fixture_solutions_bitwise_equal_dense_linprog(self, objective):
         for name, dec, spec in fixture_cases():
-            spec = ConstraintSpec(rows=spec.rows,
-                                  objective=Objective(objective, () if objective == "feasibility"
-                                                      else (2, 9)))
+            spec = spec_of(rows_of(spec), Objective(objective, () if objective == "feasibility"
+                                                    else (2, 9)))
             lp = build_constraints(dec, spec)
             res = dense_linprog(lp, *dense_system(dec, spec))
             assert res.status == 0, name
@@ -317,7 +295,7 @@ class TestSparseOperatorAgainstDense:
         direction = -1.0 if objective == "maximize" else 1.0
         for name, dec, spec in self.all_cases():
             positions = (2, 9, 2) if dec.signal_length == 16 else (1, 514, 1023)
-            spec = ConstraintSpec(rows=spec.rows, objective=Objective(objective, positions))
+            spec = spec_of(rows_of(spec), Objective(objective, positions))
             matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
             expected = np.zeros(matrix.shape[1])
             for pos in positions:
@@ -341,19 +319,18 @@ class TestSparseOperatorAgainstDense:
                                              size=dec.approx.size)
             signed = a @ coeffs
             checks = check_solution(lp, coeffs)
-            for i, (check, row) in enumerate(zip(checks, spec.rows)):
-                sign = 1.0 if row.relation == "<=" else -1.0
-                assert check.relation == row.relation
-                assert check.bound == b[i] * sign
-                assert check.satisfied == (signed[i] - b[i] <= 1e-9)
-                assert check.lhs == pytest.approx(signed[i] * sign, rel=1e-12, abs=1e-12)
-                assert check.position_text == dense_text(a[i], row.relation, b[i])
+            for i, (_, relation, _) in enumerate(rows_of(spec)):
+                sign = 1.0 if relation == "<=" else -1.0
+                assert lp.relations[i] == relation
+                assert checks.bound[i] == b[i] * sign
+                assert checks.satisfied[i] == (signed[i] - b[i] <= 1e-9)
+                assert checks.lhs[i] == pytest.approx(signed[i] * sign, rel=1e-12, abs=1e-12)
+                assert lp.describe_row(i) == dense_text(a[i], relation, b[i])
             assert satisfies(lp, coeffs) == bool(np.all(signed - b <= 1e-9))
 
     def test_infeasible_conflict_text_matches_dense_deletion_filter(self, quantity_dec):
-        rows = spec_from(ref.QUANTITY_SYSTEM).rows + (
-            ConstraintRow(7, "<=", 10.0), ConstraintRow(7, ">=", 500.0))
-        spec = ConstraintSpec(rows=rows)
+        rows = rows_of(spec_from(ref.QUANTITY_SYSTEM)) + [(7, "<=", 10.0), (7, ">=", 500.0)]
+        spec = spec_of(rows)
         lp = build_constraints(quantity_dec, spec)
         a, b = dense_system(quantity_dec, spec)
         keep = list(range(len(b)))
@@ -361,7 +338,7 @@ class TestSparseOperatorAgainstDense:
             trial = [i for i in keep if i != idx]
             if trial and dense_linprog(lp, a[trial], b[trial]).status == 2:
                 keep = trial
-        expected = [dense_text(a[i], rows[i].relation, b[i]) for i in keep]
+        expected = [dense_text(a[i], rows[i][1], b[i]) for i in keep]
         with pytest.raises(InfeasibleError) as err:
             solve_constraints(lp)
         assert err.value.conflict == expected
@@ -396,8 +373,8 @@ class TestReassemble:
         rng = np.random.default_rng(61)
         signal = rng.poisson(20.0, size=m).astype(float)
         dec = decompose(signal, DB2, 2)
-        spec = ConstraintSpec(rows=tuple(ConstraintRow(p, ">=") for p in range(1, m + 1)),
-                              objective=Objective("minimize", (17, 4000)))
+        spec = spec_of([(p, ">=", "original") for p in range(1, m + 1)],
+                       Objective("minimize", (17, 4000)))
         tracemalloc.start()
         try:
             lp = build_constraints(dec, spec)
