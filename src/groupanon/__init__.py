@@ -35,7 +35,6 @@ from .redistribute import (
     build_constraints,
     check_solution,
     make_nonnegative,
-    mean_fix,
     normalize_mean_std,
     reassemble,
     round_to_integers,

@@ -25,8 +25,9 @@ Layout (see README for the full reference):
     }
 
 Errors carry the file name and the JSON path of the offending field.
-JSON's ``NaN``, ``Infinity`` and ``-Infinity`` are errors wherever a value
-is read.  A field an object does not define is an error too, except a
+JSON's ``NaN``, ``Infinity`` and ``-Infinity``, and a number past float64
+(``1e999``) or past Python's integer digit limit, are errors wherever a
+value is read.  A field an object does not define is an error too, except a
 removed one (``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is
 ignored with a warning naming its path; ``"repair": "none"``, the old
 name of the default, loads as ``"mean_fix"`` with the same kind of
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -138,9 +140,28 @@ class PipelineConfig:
 
 
 _REQUIRED = object()
-#: What JSON's ``NaN``, ``Infinity`` and ``-Infinity`` load as: neither a number nor a
-#: text, so every read that meets one fails at its path.
+#: What JSON's ``NaN``, ``Infinity``, ``-Infinity`` and a number with no finite value load
+#: as: neither a number nor a text, so every read that meets one fails at its path.
 _NON_FINITE = object()
+
+
+def _parse_int(text: str):
+    """A JSON integer, or ``_NON_FINITE`` past the interpreter's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return _NON_FINITE
+
+
+def _as_float(value):
+    """An int or float as a finite float, else ``_NON_FINITE``; any other value as it is."""
+    if type(value) not in (int, float):
+        return value
+    try:
+        value = float(value)
+    except OverflowError:
+        return _NON_FINITE
+    return value if math.isfinite(value) else _NON_FINITE
 
 
 class _Cursor:
@@ -199,8 +220,8 @@ class _Cursor:
         value = self._get(key, default)
         if value is None:
             return default
-        if kind is float and type(value) is int:
-            return float(value)
+        if kind is float:
+            value = _as_float(value)
         if not isinstance(value, kind) or type(value) is bool and kind is not bool:
             self.fail(f"field {key!r} must be {what or kind.__name__}")
         return value
@@ -224,9 +245,10 @@ class _Cursor:
         value = self._get(key, keyword)
         if value is None or value == keyword:
             return keyword
-        if type(value) not in (int, float):
+        value = _as_float(value)
+        if type(value) is not float:
             self.fail(f'field {key!r} must be a number or "{keyword}"')
-        return float(value)
+        return value
 
     def array(self, kind, what):
         """This array as a list of ``kind`` values (an integer counts as a float).
@@ -236,7 +258,7 @@ class _Cursor:
         if isinstance(self.data, list):
             values = list(self.data)
             if kind is float:
-                values = [float(v) if type(v) is int else v for v in values]
+                values = list(map(_as_float, values))
             if all(map(isinstance, values, repeat(kind))) and bool not in set(map(type, values)):
                 return values
         self.fail(f"expected an array of {what}")
@@ -316,12 +338,13 @@ def _row_columns(data, m: int):
     if not set().union(*data) <= set(ROW_FIELDS):
         return None
     positions, relations, bounds = (list(map(dict.get, data, repeat(key))) for key in ROW_FIELDS)
+    bounds = list(map(_as_float, bounds))
     if (not set(map(type, positions)) <= {int} or not 1 <= min(positions, default=1)
             or max(positions, default=m) > m
             or not set(map(type, relations)) <= {str} or not set(relations) <= set(RELATIONS)):
         return None
     kinds = set(map(type, bounds))
-    if not kinds <= {int, float, str, type(None)}:
+    if not kinds <= {float, str, type(None)}:
         return None
     original = np.fromiter(map(isinstance, bounds, repeat((str, type(None)))), bool, len(bounds))
     if str in kinds and set(b for b in bounds if type(b) is str) != {"original"}:
@@ -442,7 +465,8 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
-        data = json.loads(text, parse_constant=lambda literal: _NON_FINITE)
+        data = json.loads(text, parse_float=lambda literal: _as_float(float(literal)),
+                          parse_int=_parse_int, parse_constant=lambda literal: _NON_FINITE)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 

@@ -77,10 +77,10 @@ class Attribute:
         if self.role not in ROLES:
             raise SchemaError(f"attribute {self.name!r}: unknown role {self.role!r}")
         if self.role in _WEIGHTED_ROLES:
-            if self.weight is None or self.weight < 0:
+            if self.weight is None or not 0 <= self.weight < math.inf:
                 raise SchemaError(
                     f"attribute {self.name!r}: role {self.role!r} requires a "
-                    "non-negative weight"
+                    "finite, non-negative weight"
                 )
         elif self.weight is not None:
             raise SchemaError(
@@ -94,8 +94,9 @@ class Microfile:
     """Immutable table: attribute metadata plus one stored array per attribute.
 
     An ordinal column is stored as its float64 values.  A nominal column is
-    stored as int32 codes into its vocabulary: the sorted, distinct texts of
-    its cells.  ``column`` and ``columns`` give a nominal column's texts,
+    stored as int32 codes into its vocabulary: the distinct texts of its
+    cells, as a read-only object array of Python ``str`` in code-point
+    order.  ``column`` and ``columns`` give a nominal column's texts,
     ``vocabulary[codes]``, built when asked for; the table's own functions
     read the codes and never sort or compare a text column.
     """
@@ -107,14 +108,18 @@ class Microfile:
     def __init__(self, attributes: Sequence[Attribute], columns: Mapping[str, np.ndarray]):
         """Table of ``columns``: float values for ordinal, texts for nominal attributes.
 
-        Each nominal column is encoded once, here.
+        Each nominal column is encoded once, here, a value as its ``str``.
         """
         _check_names(attributes, columns)
         cells, vocabularies = {}, {}
         for attr in attributes:
-            cells[attr.name], vocab = _encode(attr, columns[attr.name])
-            if vocab is not None:
-                vocabularies[attr.name] = vocab
+            values = columns[attr.name]
+            if attr.kind == "nominal":
+                first: dict[str, int] = {}
+                codes = _first_codes(first, map(str, values), len(values))
+                vocabularies[attr.name], rank = _sorted_vocabulary(list(first))
+                values = rank[codes]
+            cells[attr.name] = values
         self._store(attributes, cells, vocabularies)
 
     @classmethod
@@ -122,7 +127,8 @@ class Microfile:
                    vocabularies: Mapping[str, np.ndarray]) -> "Microfile":
         """Table of stored arrays, as ``cells`` and ``vocabulary`` return them.
 
-        Every vocabulary must be sorted and distinct, and every code index it.
+        Every vocabulary must be an object array of distinct ``str`` in
+        code-point order, and every code index it.
         """
         _check_names(attributes, cells)
         m = cls.__new__(cls)
@@ -193,12 +199,17 @@ def _check_names(attributes: Sequence[Attribute], columns: Mapping[str, object])
         raise SchemaError("columns must match declared attributes exactly")
 
 
-def _encode(attr: Attribute, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A column's stored array and vocabulary (None if ordinal) from its values."""
-    if attr.kind == "ordinal":
-        return values, None
-    vocab, codes = np.unique(np.asarray(values, dtype=str), return_inverse=True)
-    return codes.reshape(-1).astype(np.int32), vocab
+def _first_codes(first: dict, keys: Iterable, n: int) -> np.ndarray:
+    """Each of the ``n`` keys' index in ``first``, its keys in order of first appearance."""
+    # len(first) is taken before setdefault adds a key, so a new key gets the next index
+    return np.fromiter(map(first.setdefault, keys, map(len, repeat(first))), np.int32, n)
+
+
+def _sorted_vocabulary(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``texts`` as a read-only object array in code-point order, and each one's index."""
+    vocab, rank = np.unique(np.array(texts, dtype=object), return_inverse=True)
+    vocab.setflags(write=False)
+    return vocab, rank.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -256,7 +267,8 @@ def _match_mask(m: Microfile, pairs: tuple[tuple[str, frozenset], ...]) -> np.nd
         if vocab is None:
             mask &= np.isin(cells, [float(v) for v in values])
         else:
-            mask &= np.isin(vocab, [str(v) for v in values])[cells]
+            wanted = set(map(str, values))
+            mask &= np.fromiter(map(wanted.__contains__, vocab), bool, vocab.size)[cells]
     return mask
 
 
@@ -332,16 +344,17 @@ def load_microfile(
     cells are allowed (as missing values, NaN in ordinal columns) only in
     plain columns.  Any other cell is a ``ParseError`` naming its row.
 
-    A plain file (see ``_read_plain``) is parsed by a byte path that builds
-    no cell string and fills columns allocated once, at their full length,
-    in place.  Any other file is read again from the start
-    by ``csv.reader``, which builds the same table and raises every parse
-    error.  It parses the body ``_CHUNK_ROWS`` rows at a time into
-    per-column arrays that are joined at the end, so only one chunk's rows
-    are held as Python lists.  Errors come in the order of a reader that
-    takes in the whole file before checking it: read errors, then header
-    and schema errors, then the first ragged row, then the first bad cell
-    of the first schema column that has one.
+    A plain file (see ``_read_plain``) is parsed by a byte path that fills
+    columns allocated once, at their full length, in place, and builds no
+    cell string for a chunk whose nominal cells fit in 8 bytes.  Any other
+    file is read again from the start by ``csv.reader``, which builds the
+    same table and raises every parse error.  It parses the body
+    ``_CHUNK_ROWS`` rows at a time into per-column arrays that are joined
+    at the end, so only one chunk's rows are held as Python lists.  Errors
+    come in the order of a reader that takes in the whole file before
+    checking it: read errors, then header and schema errors, then the first
+    ragged row, then the first bad cell of the first schema column that has
+    one.
 
     If ``info`` is given, ``info["reader"]`` is set to the path that built
     the table: ``"bytes"`` or ``"csv"``.
@@ -441,11 +454,8 @@ def _read_columns(path: Path, reader, width: int, schema: Sequence[Attribute],
             joined = np.concatenate(column_parts or [np.empty(0, np.int32 if nominal else float)])
         column_parts.clear()
         if nominal:
-            # renumber the codes in sorted text order, merging texts that
-            # NumPy's fixed-width strings make equal
-            vocabularies[attr.name], sorted_code = np.unique(np.array(list(vocab), dtype=str),
-                                                             return_inverse=True)
-            joined = sorted_code.astype(np.int32)[joined]
+            vocabularies[attr.name], rank = _sorted_vocabulary(list(vocab))
+            joined = rank[joined]
         cells[attr.name] = joined
     return Microfile.from_cells(schema, cells, vocabularies)
 
@@ -455,23 +465,13 @@ def _parse_cells(path: Path, attr: Attribute, raw: list[str], first_row: int,
     """One chunk of one column's cells; ``first_row`` is the file row of ``raw[0]``.
 
     A nominal cell becomes its text's code in ``vocab``, the column's texts
-    in order of first appearance, which gains each text it lacks.  A text
-    that ends in NUL is an error, ranked with an empty cell by row: the
-    vocabulary's fixed-width strings would drop the NUL and merge the text
-    with another.
+    in order of first appearance, which gains each text it lacks.
     """
     if attr.kind == "ordinal":
         return _parse_ordinal(path, attr, raw, first_row)
-    bad = raw.index("") if attr.role != "plain" and "" in raw else len(raw)
-    if "\0" in "".join(raw[:bad]):
-        bad = next((i for i, text in enumerate(raw[:bad]) if text.endswith("\0")), bad)
-    if bad < len(raw):
-        if raw[bad] == "":
-            raise _empty_cell_error(path, first_row + bad, attr)
-        raise ParseError(f"{path}: row {first_row + bad}: text ending in NUL in nominal column "
-                         f"{attr.name!r}")
-    # len(vocab) is taken before setdefault adds the text, so a new text gets the next code
-    return np.fromiter(map(vocab.setdefault, raw, map(len, repeat(vocab))), np.int32, len(raw))
+    if attr.role != "plain" and "" in raw:
+        raise _empty_cell_error(path, first_row + raw.index(""), attr)
+    return _first_codes(vocab, raw, len(raw))
 
 
 #: Stands in for an empty cell of a plain ordinal column while parsing.
@@ -565,12 +565,12 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
     is allocated once, at its full length.  The body is then read
     ``_CHUNK_ROWS`` lines at a time; a chunk's fields are found by one scan
     for delimiters and gathered by offset, and each column's cells are
-    written into the chunk's slice of it.  A nominal chunk's cells are
-    codes into that chunk's sorted texts, kept once for a run of chunks
-    with the same texts, until every chunk is read; then each slice is
-    renumbered in place into the column's vocabulary.  So the load holds
-    the table and one chunk.  If the second pass reads another
-    number of lines than the first counted, the file is not taken as plain.
+    written into the chunk's slice of it.  A nominal column's cells are
+    codes into its distinct texts as bytes, in order of first appearance,
+    until every chunk is read; then the column is renumbered in place into
+    its vocabulary.  So the load holds the table and one chunk.  If the
+    second pass reads another number of lines than the first counted, the
+    file is not taken as plain.
     """
     if not _ascii_compatible(locale.getpreferredencoding(False)):
         return None
@@ -592,8 +592,8 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
         n = _count_lines(fh)
         fh.seek(body)
         columns = [np.empty(n, np.int32 if attr.kind == "nominal" else float) for attr in schema]
-        # each nominal column's runs of chunks with the same texts (see ``_renumber``)
-        runs: list[list] = [[] for _ in schema]
+        # each nominal column's distinct texts, as bytes, in order of first appearance
+        texts: list[dict[bytes, int]] = [{} for _ in schema]
         at = 0
         # the line list goes as soon as its bytes are joined, before they are parsed
         while chunk := b"".join(islice(fh, _CHUNK_ROWS)):
@@ -607,16 +607,11 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
             if fields is None:
                 return None
             data, starts, lengths = fields
-            for attr, pos, column, column_runs in zip(schema, positions, columns, runs):
+            for attr, pos, column, first in zip(schema, positions, columns, texts):
                 if attr.role != "plain" and not lengths[:, pos].all():
                     return None
                 if attr.kind == "nominal":
-                    distinct, column[rows], width = _plain_nominal(data, starts[:, pos],
-                                                                   lengths[:, pos])
-                    if column_runs and np.array_equal(column_runs[-1][2], distinct):
-                        column_runs[-1][1] = rows.stop
-                    else:
-                        column_runs.append([rows.start, rows.stop, distinct, width])
+                    column[rows] = _plain_nominal(data, starts[:, pos], lengths[:, pos], first)
                 else:
                     values = _plain_ordinal(data, starts[:, pos], lengths[:, pos])
                     if values is None:
@@ -626,10 +621,10 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
             return None
     _warn_identifiers(path, header, identifiers)
     cells, vocabularies = {}, {}
-    for attr, column, column_runs in zip(schema, columns, runs):
+    for attr, column, first in zip(schema, columns, texts):
         cells[attr.name] = column
         if attr.kind == "nominal":
-            vocabularies[attr.name] = _renumber(column, column_runs)
+            vocabularies[attr.name] = _renumber(column, first)
     return Microfile.from_cells(schema, cells, vocabularies)
 
 
@@ -659,8 +654,8 @@ def _plain_fields(chunk: bytes, lines: int, width: int,
 
     ``chunk`` holds ``lines`` whole lines; without a final line feed, its
     last line is the file's.  None unless every line is plain.  The bytes
-    go on with zeros, so that a window as wide as the widest field, or
-    eight bytes, starting at any field lies inside them.
+    go on with eight zeros, so that an eight-byte word starting at any
+    field lies inside them.
     """
     if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
         return None
@@ -685,10 +680,9 @@ def _plain_fields(chunk: bytes, lines: int, width: int,
     np.add(ends.reshape(-1)[:-1], 1, out=starts.reshape(-1)[1:])
     ends[:, -1] -= crlf
     lengths = np.subtract(ends, starts, out=ends)
-    widest = int(lengths.max())
-    if widest > limit or (width == 1 and not lengths.all()):
+    if int(lengths.max()) > limit or (width == 1 and not lengths.all()):
         return None
-    return np.concatenate((data, np.zeros(widest + 8, np.uint8))), starts, lengths
+    return np.concatenate((data, np.zeros(8, np.uint8))), starts, lengths
 
 
 def _words(data: np.ndarray) -> np.ndarray:
@@ -703,25 +697,24 @@ _SHIFT = np.array([0] + [64 - 8 * n for n in range(1, 9)], np.uint64)
 _FIRST = _LAST << _SHIFT
 
 
-def _plain_nominal(data: np.ndarray, starts: np.ndarray,
-                   lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The chunk's distinct texts as sorted bytes, each cell's index into them, the widest cell.
+def _plain_nominal(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   first: dict[bytes, int]) -> np.ndarray:
+    """Each cell's index in ``first``, the column's texts as bytes, which gains each it lacks.
 
-    A cell of at most 8 bytes becomes the big-endian integer of its bytes,
-    zero-padded, whose order is its text's; wider cells are compared as
-    fixed-width bytes.  No plain cell holds NUL, so the zero padding never
-    merges two texts.
+    When no cell is wider than 8 bytes, each becomes the big-endian integer
+    of its bytes, zero-padded, and one ``np.unique`` of those finds the
+    chunk's texts, each looked up once; no plain cell holds NUL, so the
+    padding never merges two.  Otherwise each cell is looked up by its
+    bytes, as the csv path looks up a text, so no cell is padded.
     """
-    width = int(lengths.max())
-    if width <= 8:
+    if int(lengths.max()) <= 8:
         keys = _words(data)[starts].astype(np.uint64) & _FIRST[lengths]
         distinct, codes = np.unique(keys, return_inverse=True)
-        distinct = distinct.astype(">u8").view("S8")
-    else:
-        cells = np.lib.stride_tricks.sliding_window_view(data, width)[starts]
-        cells[np.arange(width) >= lengths[:, None]] = 0
-        distinct, codes = np.unique(cells.view(f"S{width}"), return_inverse=True)
-    return distinct.reshape(-1), codes.reshape(-1).astype(np.int32), width
+        chunk_texts = distinct.astype(">u8").view("S8").tolist()
+        return _first_codes(first, chunk_texts, len(chunk_texts))[codes.reshape(-1)]
+    chunk = data.tobytes()
+    cells = map(chunk.__getitem__, map(slice, starts.tolist(), (starts + lengths).tolist()))
+    return _first_codes(first, cells, starts.size)
 
 
 #: Cells of up to this many ASCII digits are read by arithmetic: below
@@ -783,24 +776,15 @@ def _plain_ordinal(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) ->
     return values
 
 
-def _renumber(codes: np.ndarray, runs: list[list]) -> np.ndarray:
-    """A nominal column's vocabulary, with ``codes`` renumbered into it in place.
+def _renumber(codes: np.ndarray, first: dict[bytes, int]) -> np.ndarray:
+    """The vocabulary of ASCII texts ``first``, which ``codes`` index and are renumbered into.
 
-    Each run is [start, stop, texts, width]: rows ``start:stop`` of
-    ``codes`` index ``texts``, sorted distinct bytes whose longest is
-    ``width`` long.  Chunks with the same texts share one run, so a column
-    of few texts keeps one copy of them.  Codes are renumbered
-    ``_CHUNK_ROWS`` rows at a time.
+    Each text is decoded once; codes change in place, ``_CHUNK_ROWS`` at a time.
     """
-    if not runs:
-        return np.array([], str)
-    distinct = np.unique(np.concatenate([texts for _, _, texts, _ in runs]))
-    for start, stop, texts, _ in runs:
-        new = np.searchsorted(distinct, texts).astype(np.int32)
-        for at in range(start, stop, _CHUNK_ROWS):
-            rows = slice(at, min(at + _CHUNK_ROWS, stop))
-            codes[rows] = new[codes[rows]]
-    return distinct.astype(f"<U{max(1, max(width for *_, width in runs))}")
+    vocab, rank = _sorted_vocabulary([text.decode("ascii") for text in first])
+    for at in range(0, codes.size, _CHUNK_ROWS):
+        codes[at:at + _CHUNK_ROWS] = rank[codes[at:at + _CHUNK_ROWS]]
+    return vocab
 
 
 def _format_cell(attr: Attribute, value) -> str:

@@ -41,7 +41,6 @@ __all__ = [
     "satisfies",
     "reassemble",
     "make_nonnegative",
-    "mean_fix",
     "normalize_mean_std",
     "round_to_integers",
 ]
@@ -328,16 +327,6 @@ def make_nonnegative(values: np.ndarray, shift: float | None = None, margin: flo
         lowest = float(values.min()) if values.size else 0.0
         shift = 0.0 if lowest >= 0 else math.ceil(-lowest) + margin
     return values + shift, float(shift)
-
-
-def mean_fix(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rescale so the sum (hence mean) matches the reference signal."""
-    values = np.asarray(values, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    total = values.sum()
-    if total == 0:
-        raise ConstraintError("cannot fix the mean of a zero-sum signal")
-    return values * (reference.sum() / total)
 
 
 def normalize_mean_std(values: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ tree only if one went.  Record indices are int32 wherever the table allows.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -75,9 +76,11 @@ class InfluentialWeights:
     chi_diff: float = 1.0
 
     def __post_init__(self):
+        weights = list(self.ordinal.values()) + list(self.nominal.values())
+        if not all(map(math.isfinite, (*weights, self.chi_same, self.chi_diff))):
+            raise RemapError("weights and category factors must be finite")
         if self.chi_same > self.chi_diff:
             raise RemapError("matching categories must not cost more than mismatching")
-        weights = list(self.ordinal.values()) + list(self.nominal.values())
         if any(w < 0 for w in weights):
             raise RemapError("weights must be non-negative")
         if not any(w > 0 for w in weights):

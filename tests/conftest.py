@@ -2,9 +2,11 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from groupanon import reference as ref
+from groupanon.errors import ConstraintError
 from groupanon.redistribute import ConstraintSpec, Objective
 
 
@@ -21,6 +23,16 @@ def fixture_group():
 @pytest.fixture(scope="session")
 def concentration_microfile():
     return ref.build_concentration_microfile()
+
+
+def mean_fix(values, reference) -> np.ndarray:
+    """``values`` rescaled so their sum, hence their mean, is ``reference``'s."""
+    values = np.asarray(values, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    total = values.sum()
+    if total == 0:
+        raise ConstraintError("cannot fix the mean of a zero-sum signal")
+    return values * (reference.sum() / total)
 
 
 def spec_of(rows, objective=Objective()) -> ConstraintSpec:
@@ -191,4 +203,39 @@ NON_FINITE_FIELDS = [
                  id="parameter-order-entry"),
     pytest.param(lambda c: c["groups"][0].update(name=math.nan),
                  "$.groups[0]: field 'name' must be str", id="name"),
+]
+
+
+#: Stands for a number literal in a config; ``with_number`` writes the literal in its place.
+NUMBER = "@number@"
+
+
+def with_number(path, literal: str):
+    """Put ``literal`` in place of ``NUMBER`` in the config file at ``path``; the path."""
+    path.write_text(path.read_text().replace(f'"{NUMBER}"', literal))
+    return path
+
+
+#: Config edits that put ``NUMBER`` where a number goes, a literal with no finite float
+#: (or no int) for it, and the error each gives after the file name.
+OVERFLOWING_NUMBERS = [
+    pytest.param(lambda c: c["schema"][1].update(weight=NUMBER), "1e999",
+                 "$.schema[1]: field 'weight' must be float", id="weight-1e999"),
+    pytest.param(lambda c: c["groups"][0].update(chi_diff=NUMBER), "1e999",
+                 "$.groups[0]: field 'chi_diff' must be float", id="chi_diff-1e999"),
+    pytest.param(lambda c: c["groups"][0]["constraints"]["rows"][0].update(bound=NUMBER), "1e999",
+                 "$.groups[0].constraints.rows[0]: field 'bound' must be a number or "
+                 '"original"', id="bound-1e999"),
+    pytest.param(lambda c: c["groups"][0].update(shift=NUMBER), "-1e999",
+                 "$.groups[0]: field 'shift' must be a number or \"auto\"",
+                 id="shift-minus-1e999"),
+    pytest.param(lambda c: c["schema"][1].update(weight=NUMBER), "1" + "0" * 400,
+                 "$.schema[1]: field 'weight' must be float", id="weight-401-digits"),
+    pytest.param(lambda c: c["groups"][0]["constraints"]["rows"][0].update(bound=NUMBER),
+                 "1" + "0" * 400, "$.groups[0].constraints.rows[0]: field 'bound' must be a "
+                 'number or "original"', id="bound-401-digits"),
+    pytest.param(lambda c: c["groups"][0]["solution"].__setitem__(0, NUMBER), "-1" + "0" * 400,
+                 "$.groups[0].solution: expected an array of numbers", id="solution-401-digits"),
+    pytest.param(lambda c: c["schema"][1].update(weight=NUMBER), "1" + "0" * 5000,
+                 "$.schema[1]: field 'weight' must be float", id="weight-past-the-digit-limit"),
 ]

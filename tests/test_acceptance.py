@@ -18,14 +18,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import spec_of
+from conftest import mean_fix, spec_of
 from groupanon import reference as ref
 from groupanon.microfile import superset_members
 from groupanon.redistribute import (
     build_constraints,
     check_solution,
     make_nonnegative,
-    mean_fix,
     normalize_mean_std,
     reassemble,
     round_to_integers,

@@ -10,7 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_GROUPS, NON_FINITE_FIELDS, base_config
+from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, base_config,
+                      with_number)
 from groupanon import reference as ref
 from groupanon import pipeline, remap
 from groupanon.cli import main
@@ -454,7 +455,8 @@ class TestNominalColumnsStayCoded:
         def guarded(fn):
             def call(*args, **kwargs):
                 for arg in (*args, *kwargs.values()):
-                    if isinstance(arg, np.ndarray) and arg.dtype.kind == "U" and arg.size > longest:
+                    if (isinstance(arg, np.ndarray) and arg.dtype.kind in "UO"
+                            and arg.size > longest):
                         raise AssertionError(f"np.{fn.__name__} over {arg.size} texts")
                 return fn(*args, **kwargs)
             return call
@@ -676,6 +678,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert error in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, literal, error", OVERFLOWING_NUMBERS)
+    def test_overflowing_number_exits_2_naming_its_path(self, edit, literal, error,
+                                                        config_factory, capsys):
+        config = base_config()
+        edit(config)
+        path = with_number(config_factory(config), literal)
+        assert run_cli("run", "--config", str(path)) == 2
+        assert capsys.readouterr().err == f"configuration error: {path}: {error}\n"
 
     def test_overrides_take_effect(self, config_factory, tmp_path):
         path = config_factory()

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_GROUPS, NON_FINITE_FIELDS, base_config, rows_of
+from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, base_config,
+                      rows_of, with_number)
 from groupanon.config import ROW_FIELDS, _Cursor, _parse_constraints, load_pipeline_config
 from groupanon.errors import ConfigError
 
@@ -186,6 +187,15 @@ class TestLoadConfig:
         edit(config)
         path = write(tmp_path, config)
         assert re.search(r"\b(NaN|-?Infinity)\b", path.read_text())
+        with pytest.raises(ConfigError) as err:
+            load_pipeline_config(path)
+        assert str(err.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize("edit, literal, error", OVERFLOWING_NUMBERS)
+    def test_overflowing_number_is_an_error_at_its_path(self, tmp_path, edit, literal, error):
+        config = base_config()
+        edit(config)
+        path = with_number(write(tmp_path, config), literal)
         with pytest.raises(ConfigError) as err:
             load_pipeline_config(path)
         assert str(err.value) == f"{path}: {error}"

@@ -97,12 +97,7 @@ def reference_load(path, schema, identifiers=()):
                         f"{path}: row {rownum}: empty value in "
                         f"{attr.role} column {attr.name!r}"
                     )
-                if value.endswith("\0"):
-                    raise ParseError(
-                        f"{path}: row {rownum}: text ending in NUL in "
-                        f"nominal column {attr.name!r}"
-                    )
-            columns[attr.name] = np.array(raw, dtype=str) if raw else np.empty(0, dtype="<U1")
+            columns[attr.name] = np.array(raw, dtype=object)
         else:
             values = np.empty(len(raw))
             for i, value in enumerate(raw):
@@ -143,13 +138,18 @@ def reference_write(m, path):
             )
 
 
+def stored(array):
+    """An array as its dtype and content: the texts of an object array, else its bytes."""
+    return array.dtype, array.tolist() if array.dtype == object else array.tobytes()
+
+
 def load_outcome(loader, path, schema):
-    """Columns as (dtype, bytes) per name, or the (type, message) of the error raised."""
+    """Columns as ``stored`` per name, or the (type, message) of the error raised."""
     try:
         m = loader(path, schema)
     except (ParseError, SchemaError) as exc:
         return type(exc), str(exc)
-    return {name: (col.dtype, col.tobytes()) for name, col in m.columns.items()}
+    return {name: stored(col) for name, col in m.columns.items()}
 
 
 def read_with(info):
@@ -166,16 +166,17 @@ def csv_reads_nul() -> bool:
 
 
 # Cells the differential tests draw from: text that needs quoting, unicode,
-# codes with leading zeros and surrounding spaces, and interior NULs where the
-# csv reader can read them back; ordinals at the edges of integer formatting
-# (1e15) and of float repr.  Generated text leaves out NUL, which NumPy's
-# fixed-width strings drop from the end of a value, and lone surrogates, which
-# no text encoding writes.
+# codes with leading zeros and surrounding spaces, and NULs, trailing ones
+# too, where the csv reader can read them back; ordinals at the edges of
+# integer formatting (1e15) and of float repr.  Generated text leaves out
+# lone surrogates, which no text encoding writes.
 NOMINAL_CELLS = st.one_of(
     st.sampled_from(["06010", " a ", "a,b", 'say "hi"', "line\nbreak", "cr\rlf\r\n",
                      "ünïcødé", "中文", "😀", "0", "-0.0", "nan", " "]
-                    + (["a\x00b", "\x00x", 'q"\x00,'] if csv_reads_nul() else [])),
-    st.text(st.characters(min_codepoint=1, max_codepoint=0xD7FF), max_size=6),
+                    + (["a\x00b", "\x00x", 'q"\x00,', "a\x00", "a\x00\x00", "\x00"]
+                       if csv_reads_nul() else [])),
+    st.text(st.characters(min_codepoint=0 if csv_reads_nul() else 1, max_codepoint=0xD7FF),
+            max_size=6),
 )
 # Padded bytes per row assembly: a small budget joins the rows of a chunk in halves.
 JOIN_BYTES = st.sampled_from([1, 64, microfile._JOIN_BYTES])
@@ -199,7 +200,7 @@ def tables(draw):
         attr = Attribute(f"c{j}", kind, role, ROLES[role])
         if kind == "nominal":
             cells = NOMINAL_CELLS if role == "plain" else NOMINAL_CELLS.filter(bool)
-            col = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=str)
+            col = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=object)
         else:
             values = st.one_of(ORDINAL_VALUES, st.just(np.nan)) if role == "plain" else ORDINAL_VALUES
             col = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
@@ -347,7 +348,8 @@ class TestCodedColumnsAgainstTexts:
     def test_coded_table_matches_per_cell_texts(self, case, data):
         texts, pools = case
         n = len(texts["p"])
-        m = Microfile(CODED_SCHEMA, {name: np.array(col, dtype=str) for name, col in texts.items()})
+        m = Microfile(CODED_SCHEMA, {name: np.array(col, dtype=object)
+                                     for name, col in texts.items()})
         for name, col in texts.items():
             assert m.column(name).tolist() == col
 
@@ -402,7 +404,7 @@ class TestCodedColumnsAgainstTexts:
     @given(case=coded_cases())
     def test_loaded_table_equals_the_table_built_from_texts(self, tmp_path_factory, case):
         texts, _ = case
-        built = Microfile(CODED_SCHEMA, {name: np.array(col, dtype=str)
+        built = Microfile(CODED_SCHEMA, {name: np.array(col, dtype=object)
                                          for name, col in texts.items()})
         path = write_csv(tmp_path_factory.mktemp("coded") / "in.csv", CODED_SCHEMA_NAMES,
                          zip(*texts.values()))
@@ -411,7 +413,7 @@ class TestCodedColumnsAgainstTexts:
             for got, want in ((loaded.cells(name), built.cells(name)),
                               (loaded.vocabulary(name), built.vocabulary(name)),
                               (loaded.column(name), built.column(name))):
-                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+                assert stored(got) == stored(want)
 
 
 class TestChunkBoundaries:
@@ -459,7 +461,7 @@ class TestChunkBoundaries:
     def test_parts_of_different_widths_join_to_the_full_width(self, tmp_path):
         path = toy_file(tmp_path, [["a", "1", "5"], ["b", "0", "5"], ["a-long-code", "1", "6"]])
         got = self.outcome(path)
-        assert got["area"][0] == np.dtype("<U11")
+        assert got["area"] == (np.dtype(object), ["a", "b", "a-long-code"])
 
     @pytest.mark.parametrize("header", [["area", "service", "pay"], ["area", "service"]],
                              ids=["ragged_first", "schema_error_first"])
@@ -605,29 +607,37 @@ class TestReaderChoice:
 
 @pytest.mark.skipif(not csv_reads_nul(), reason="this Python's csv rejects a NUL")
 class TestTrailingNul:
-    """A nominal text ending in NUL is an error: the vocabulary would drop the NUL."""
+    """A nominal text ending in NUL loads as written and round-trips.
+
+    Only an empty cell of a column that is not plain is named, however
+    many NULs come before it.
+    """
 
     SCHEMA = (*TOY_SCHEMA, Attribute("note", "nominal", "plain"))
 
     @pytest.mark.parametrize("chunk_rows", [2, 16_384])
     @pytest.mark.parametrize("rows, error", [
-        ([["a\0", "1", "1", ""], ["a", "1", "2", ""], ["b\0\0", "0", "3", ""]],
-         "row 2: text ending in NUL in nominal column 'area'"),
-        ([["a", "1", "1", ""], ["a", "1", "2", "x\0"], ["b", "0", "3", ""]],
-         "row 3: text ending in NUL in nominal column 'note'"),
+        ([["a\0", "1", "1", ""], ["a", "1", "2", ""], ["b\0\0", "0", "3", ""]], None),
+        ([["a", "1", "1", ""], ["a", "1", "2", "x\0"], ["b", "0", "3", ""]], None),
         ([["a", "", "1", ""], ["a", "1\0", "2", ""], ["b", "0", "3", ""]],
          "row 2: empty value in vital column 'service'"),
         ([["a", "1", "1", ""], ["a", "1\0", "2", ""], ["b", "", "3", ""]],
-         "row 3: text ending in NUL in nominal column 'service'"),
-        ([["a", "1", "1", "x\0"], ["a\0", "1", "2", ""], ["b", "0", "3", ""]],
-         "row 3: text ending in NUL in nominal column 'area'"),
+         "row 4: empty value in vital column 'service'"),
+        ([["a", "1", "1", "x\0"], ["a\0", "1", "2", ""], ["b", "0", "3", ""]], None),
     ], ids=["parameter", "plain", "empty-first", "nul-first", "earlier-column-wins"])
     def test_first_bad_cell_is_named(self, tmp_path, monkeypatch, chunk_rows, rows, error):
         monkeypatch.setattr(microfile, "_CHUNK_ROWS", chunk_rows)
         path = write_csv(tmp_path / "f.csv", ["area", "service", "pay", "note"], rows)
         got = load_outcome(load_microfile, path, self.SCHEMA)
         assert got == load_outcome(reference_load, path, self.SCHEMA)
-        assert got == (ParseError, f"{path}: {error}")
+        if error is not None:
+            assert got == (ParseError, f"{path}: {error}")
+            return
+        m = load_microfile(path, self.SCHEMA)
+        for j, name in ((0, "area"), (1, "service"), (3, "note")):
+            assert m.column(name).tolist() == [row[j] for row in rows]
+        write_microfile(m, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
 
     def test_interior_nuls_load_and_round_trip(self, tmp_path):
         rows = [["a\0b", "1", "1", "\0x"], ["a", "1", "2", ""], ["\0b", "0", "3", "x"]]
@@ -713,6 +723,12 @@ class TestAttribute:
             Attribute("x", "nominal", role)
         with pytest.raises(SchemaError, match="weight"):
             Attribute("x", "nominal", role, weight=-1.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("role", ["vital", "influential"])
+    def test_weighted_roles_reject_a_non_finite_weight(self, role, weight):
+        with pytest.raises(SchemaError, match="requires a finite, non-negative weight"):
+            Attribute("x", "ordinal", role, weight=weight)
 
     def test_plain_role_rejects_weight(self):
         with pytest.raises(SchemaError, match="weight"):
@@ -875,6 +891,26 @@ class TestLoad:
         # Parts joined at the end would add the largest column again (1.6 MB)
         assert peak < kept + 400 * microfile._CHUNK_ROWS
 
+    def test_a_long_cell_costs_only_its_own_bytes(self, tmp_path):
+        # one 20,000-character cell among 4,096 rows: padding each text, or
+        # each cell of its chunk, to the longest would take hundreds of MB
+        n = 4096
+        cells = [f"a{i % 7}" for i in range(n)]
+        cells[1234] = "x" * 20_000
+        path = tmp_path / "wide.csv"
+        path.write_text("area,service,pay\n"
+                        + "".join(f"{c},{i % 2},{i}\n" for i, c in enumerate(cells)))
+        info = {}
+        tracemalloc.start()
+        try:
+            m = load_microfile(path, TOY_SCHEMA, info=info)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info == {"reader": "bytes"}
+        assert m.column("area").tolist() == cells
+        assert peak < 16 * 2**20
+
     def test_undeclared_columns_ignored(self, tmp_path):
         path = write_csv(
             tmp_path / "f.csv",
@@ -985,7 +1021,7 @@ class TestWrite:
         schema = (Attribute("text", "nominal", "plain"), Attribute("age", "ordinal", "plain"))
         codes = np.where(np.arange(n) == 23_456, 2, np.arange(n) % 2).astype(np.int32)
         m = Microfile.from_cells(schema, {"text": codes, "age": 18.0 + np.arange(n) % 71},
-                                 {"text": np.array(["a", "b", wide])})
+                                 {"text": np.array(["a", "b", wide], dtype=object)})
         tracemalloc.start()
         try:
             write_microfile(m, tmp_path / "new.csv")
@@ -997,12 +1033,10 @@ class TestWrite:
         # a few copies of the text itself; padding every row of its chunk to
         # its width would take 2 GB
         assert peak < 8 * microfile._JOIN_BYTES + 10 * len(wide)
-        # the table's text column would be 40,000 cells as wide as the long one
-        texts = m.vocabulary("text").tolist()
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([["text", "age"]] + [
-                [texts[c], microfile._format_cell(schema[1], v)]
-                for c, v in zip(codes.tolist(), m.cells("age").tolist())])
+                [text, microfile._format_cell(schema[1], v)]
+                for text, v in zip(m.column("text").tolist(), m.cells("age").tolist())])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_packaged_fixture_matches_its_generator(self, tmp_path):
@@ -1134,6 +1168,15 @@ class TestMicrofileInvariants:
     def test_columns_are_read_only(self, fixture_microfile):
         with pytest.raises(ValueError):
             fixture_microfile.column("area")[0] = "zzz"
+
+    def test_texts_differing_in_trailing_nuls_stay_apart(self):
+        m = Microfile((Attribute("a", "nominal", "plain"),),
+                      {"a": np.array(["a\0", "a", "b\0\0"], dtype=object)})
+        assert m.vocabulary("a").tolist() == ["a", "a\0", "b\0\0"]
+        assert m.cells("a").tolist() == [1, 0, 2]
+        assert m.column("a").tolist() == ["a\0", "a", "b\0\0"]
+        wanted = (("a", frozenset({"a\0", "b\0\0"})),)
+        assert microfile._match_mask(m, wanted).tolist() == [True, False, True]
 
     def test_with_cells_rejects_wrong_length(self, fixture_microfile):
         with pytest.raises(SchemaError, match="length"):

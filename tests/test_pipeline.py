@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import base_config
+from conftest import base_config, mean_fix
 from groupanon import reference as ref
 from groupanon.config import load_pipeline_config
 from groupanon.pipeline import GroupLog, _repair_and_target, _stage, edit_group
-from groupanon.redistribute import make_nonnegative, mean_fix, round_to_integers
+from groupanon.redistribute import make_nonnegative, round_to_integers
 from groupanon.signals import quantity_signal
 from groupanon.wavelet import decompose, get_filter
 

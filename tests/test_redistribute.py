@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import linprog
 
-from conftest import rows_of, spec_of
+from conftest import mean_fix, rows_of, spec_of
 from groupanon import reference as ref
 from groupanon.errors import ConstraintError, InfeasibleError, UnboundedError
 from groupanon.redistribute import (
@@ -14,7 +14,6 @@ from groupanon.redistribute import (
     build_constraints,
     check_solution,
     make_nonnegative,
-    mean_fix,
     normalize_mean_std,
     reassemble,
     round_to_integers,

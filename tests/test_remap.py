@@ -157,6 +157,17 @@ class TestInfluentialMetric:
         with pytest.raises(RemapError, match="match"):
             InfluentialWeights(ordinal={"age": 1.0}, nominal={}, chi_same=2.0, chi_diff=1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    @pytest.mark.parametrize("where", ["ordinal", "nominal", "chi_same", "chi_diff"])
+    def test_non_finite_weight_or_factor_rejected(self, where, bad):
+        fields = dict(ordinal={"age": 1.0}, nominal={"service": 1.0}, chi_same=0.0, chi_diff=1.0)
+        if where in ("ordinal", "nominal"):
+            fields[where] = {**fields[where], "extra": bad}
+        else:
+            fields[where] = bad
+        with pytest.raises(RemapError, match="weights and category factors must be finite"):
+            InfluentialWeights(**fields)
+
     def test_needs_positive_weight(self):
         with pytest.raises(RemapError, match="positive"):
             InfluentialWeights(ordinal={"age": 0.0}, nominal={"service": 0.0})
