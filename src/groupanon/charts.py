@@ -17,13 +17,25 @@ __all__ = ["svg_line_chart"]
 
 _WIDTH, _HEIGHT = 720, 360
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 60
+_PLOT_W = _WIDTH - _MARGIN_L - _MARGIN_R
+_PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
+#: A chart's x axis: each label's formatted position, and the tick and label elements.
+_Axis = tuple[list[str], list[str]]
 
 
-def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
-    """Write a single-series line chart, atomically; one x position per label."""
+def svg_line_chart(labels, values, path: str | Path, title: str = "", *,
+                   axis: _Axis | None = None) -> _Axis:
+    """Write a single-series line chart, atomically; one x position per label.
+
+    Returns the chart's x axis, its formatted positions and tick elements.
+    A chart over the same labels, such as a group's chart after swapping,
+    takes it as ``axis`` and formats no x position again.
+    """
     values = [float(v) for v in values]
-    labels = [str(x) for x in labels]
-    if len(labels) != len(values) or not values:
+    if axis is None:
+        axis = _x_axis([str(x) for x in labels])
+    xs, ticks = axis
+    if len(xs) != len(values) or not values:
         raise ValueError("labels and values must be equally long and non-empty")
 
     lo, hi = min(values), max(values)
@@ -32,19 +44,10 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-
     def y_at(v):
-        return _MARGIN_T + plot_h * (1.0 - (v - lo) / (hi - lo))
+        return _MARGIN_T + _PLOT_H * (1.0 - (v - lo) / (hi - lo))
 
-    n = len(values)
-    if n == 1:
-        x = np.array([_MARGIN_L + plot_w / 2])
-    else:
-        x = _MARGIN_L + plot_w * np.arange(n) / (n - 1)
     # each point is formatted once, for the polyline and its circle
-    xs = list(map("{:.1f}".format, x.tolist()))
     ys = list(map("{:.1f}".format, y_at(np.array(values)).tolist()))
     points = " ".join(map(",".join, zip(xs, ys)))
 
@@ -58,13 +61,13 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
             f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>'
         )
-    axis_y = _MARGIN_T + plot_h
+    axis_y = _MARGIN_T + _PLOT_H
     parts.append(
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
     )
     parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_MARGIN_L + plot_w}" y2="{axis_y}" '
+        f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_MARGIN_L + _PLOT_W}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -77,16 +80,7 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
             f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
         )
-    step = max(1, len(labels) // 16)
-    for i in range(0, len(labels), step):
-        parts.append(
-            f'<line x1="{xs[i]}" y1="{axis_y}" x2="{xs[i]}" y2="{axis_y + 4}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{xs[i]}" y="{axis_y + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10" '
-            f'transform="rotate(45 {xs[i]} {axis_y + 16})">{escape(labels[i], quote=False)}</text>'
-        )
+    parts.extend(ticks)
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="2"/>'
     )
@@ -95,3 +89,26 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
 
     with atomic_write(path) as fh:
         fh.write("\n".join(parts))
+    return axis
+
+
+def _x_axis(labels: list[str]) -> _Axis:
+    """The x axis of a chart over ``labels``."""
+    n = len(labels)
+    if n == 1:
+        x = np.array([_MARGIN_L + _PLOT_W / 2])
+    else:
+        x = _MARGIN_L + _PLOT_W * np.arange(n) / (n - 1)
+    xs = list(map("{:.1f}".format, x.tolist()))
+    axis_y = _MARGIN_T + _PLOT_H
+    ticks = []
+    for i in range(0, n, max(1, n // 16)):
+        ticks.append(
+            f'<line x1="{xs[i]}" y1="{axis_y}" x2="{xs[i]}" y2="{axis_y + 4}" stroke="black"/>'
+        )
+        ticks.append(
+            f'<text x="{xs[i]}" y="{axis_y + 16}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="10" '
+            f'transform="rotate(45 {xs[i]} {axis_y + 16})">{escape(labels[i], quote=False)}</text>'
+        )
+    return xs, ticks

@@ -33,7 +33,7 @@ from itertools import islice, repeat
 from operator import itemgetter, not_
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -321,7 +321,8 @@ def _gc_paused():
             gc.enable()
 
 
-#: Body rows parsed, and rows written, at a time.  The load's transient (one
+#: Body rows parsed (the byte path's blocks hold as many on average), and
+#: rows written, at a time.  The load's transient (one
 #: chunk's bytes and offsets, or its row lists and cell strings) and the
 #: write's (one chunk's cell positions and padded byte matrix) scale with
 #: this rather than with the file; 16,384 rows loaded as fast as 4,096 and
@@ -562,15 +563,17 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
 
     The file must also be a regular one, so that the csv path can read it
     again.  One streaming pass counts the body's lines, so that each column
-    is allocated once, at its full length.  The body is then read
-    ``_CHUNK_ROWS`` lines at a time; a chunk's fields are found by one scan
-    for delimiters and gathered by offset, and each column's cells are
-    written into the chunk's slice of it.  A nominal column's cells are
-    codes into its distinct texts as bytes, in order of first appearance,
-    until every chunk is read; then the column is renumbered in place into
-    its vocabulary.  So the load holds the table and one chunk.  If the
-    second pass reads another number of lines than the first counted, the
-    file is not taken as plain.
+    is allocated once, at its full length, and gives the body's average
+    line length.  The body is then read in blocks of about ``_CHUNK_ROWS``
+    average lines' bytes, each cut at its last line end (see
+    ``_line_blocks``), so no object is built per line; a chunk's fields
+    are found by one scan for delimiters and gathered by offset, and each
+    column's cells are written into the chunk's slice of it.  A nominal
+    column's cells are codes into its distinct texts as bytes, in order of
+    first appearance, until every chunk is read; then the column is
+    renumbered in place into its vocabulary.  So the load holds the table
+    and one chunk.  If the second pass reads another number of lines than
+    the first counted, the file is not taken as plain.
     """
     if not _ascii_compatible(locale.getpreferredencoding(False)):
         return None
@@ -590,13 +593,14 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
             return None
         body = fh.tell()
         n = _count_lines(fh)
+        # about _CHUNK_ROWS lines' bytes at a time
+        block = max(1, (fh.tell() - body) * _CHUNK_ROWS // max(n, 1))
         fh.seek(body)
         columns = [np.empty(n, np.int32 if attr.kind == "nominal" else float) for attr in schema]
         # each nominal column's distinct texts, as bytes, in order of first appearance
         texts: list[dict[bytes, int]] = [{} for _ in schema]
         at = 0
-        # the line list goes as soon as its bytes are joined, before they are parsed
-        while chunk := b"".join(islice(fh, _CHUNK_ROWS)):
+        for chunk in _line_blocks(fh, block):
             lines = chunk.count(b"\n") + (not chunk.endswith(b"\n"))
             rows = slice(at, at + lines)
             at = rows.stop
@@ -636,6 +640,25 @@ def _count_lines(fh) -> int:
         lines += block.count(b"\n", 0, size)
         last = block[size - 1]
     return lines + (last != ord("\n"))
+
+
+def _line_blocks(fh, size: int) -> Iterator[bytes]:
+    """The rest of ``fh`` in blocks of whole lines, read ``size`` bytes at a time.
+
+    Each block ends at the last line feed of what was read, and the bytes
+    after it open the next; a line longer than ``size`` is read on until
+    its line feed.  The last block is the file's end, whether or not a line
+    feed ends it.
+    """
+    rest = b""
+    while data := fh.read(size):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]  # the whole of ``data`` when it ends a line, not a copy
+        rest = data[cut:]
+    if rest:
+        yield rest
 
 
 def _plain_header(line: bytes, limit: int) -> list[str] | None:

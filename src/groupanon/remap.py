@@ -31,10 +31,21 @@ then are the queue's own records collapsed into classes, each described by
 its lowest record: no factorisation of the whole table is made.  The queue
 keeps its classes, partitions, candidate groups and k-d trees for that
 position's later blocks; it is dropped after the position's last block,
-which the up-front flow names.  One array of used-record flags, set by the
-sweep and the search alike, is the only record of which records are gone:
-at each block start a kept view drops its used-up groups and rebuilds its
-tree only if one went.  Record indices are int32 wherever the table allows.
+which the up-front flow names.  A view of a queue's candidate groups is
+built from the runs of records that its ascending classes already form,
+and sorts records only where a group merges several classes.  One array
+of used-record flags, set by the sweep and the search alike, is the only
+record of which records are gone: at each block start a kept view drops
+its used-up groups and rebuilds its tree only if one went.  Record
+indices are int32 wherever the table allows.
+
+Costs often tie: coarse attributes give many candidate groups the same
+cost against a class of the other side, and on a table whose influential
+attributes are constant every pair costs the same.  Once no other pair is
+as cheap as a class's pairs with its tied candidate groups, greedy order
+pairs the class's records, ascending, with the groups' merged records,
+ascending, one to one.  Such a run is taken in one step, by array passes
+when it may be long, rather than one heap step per swap.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -102,9 +114,10 @@ def influential_metric(rec_a, rec_b, w: InfluentialWeights) -> float:
     """Weighted squared distance between two records over influential attributes.
 
     The ordinal term for a pair of zeros is 0 (equal values, no distance);
-    negative ordinal values are rejected because the relative difference is
-    no longer a distance there.  Nominal values compare as texts.  The
-    records are scored as a two-record table by the planner's own metric.
+    negative and non-finite ordinal values are rejected because the
+    relative difference is no longer a distance there.  Nominal values
+    compare as texts.  The records are scored as a two-record table by the
+    planner's own metric.
     """
     attributes, columns = [], {}
     for kind, weights, value in (("ordinal", w.ordinal, float), ("nominal", w.nominal, str)):
@@ -176,7 +189,8 @@ class SwapPlan:
 class _PairCost:
     """Vectorized influential metric over record-index arrays.
 
-    ``ordinal`` holds (weight, column) per ordinal attribute and
+    Every ordinal column must be finite and non-negative, so no cost is
+    NaN.  ``ordinal`` holds (weight, column) per ordinal attribute and
     ``nominal`` (codes, weight * chi_same², weight * chi_diff²) per nominal
     one.  Nominal terms compare stored cells: a nominal column's codes are
     equal exactly where its texts are.
@@ -186,6 +200,10 @@ class _PairCost:
         self.ordinal = []
         for name, weight in w.ordinal.items():
             col = m.column(name)
+            if not np.isfinite(col).all():
+                raise RemapError(
+                    f"non-finite value in ordinal influential attribute {name!r}; metric undefined"
+                )
             if np.any(col < 0):
                 raise RemapError(
                     f"negative value in ordinal influential attribute {name!r}; metric undefined"
@@ -202,9 +220,9 @@ class _PairCost:
         """The cost of each pair of record indices ``left`` and ``right``, broadcast together.
 
         An ordinal term is ``(weight * ratio) * ratio`` with ratio
-        ``(a - b) / (a + b)``, 0 where a + b is not positive (two zeros, or
-        a missing value).  A nominal term is the weight times the squared
-        category factor, multiplied once per attribute.
+        ``(a - b) / (a + b)``, 0 where a + b is not positive (two zeros).
+        A nominal term is the weight times the squared category factor,
+        multiplied once per attribute.
         """
         cost = np.zeros(np.broadcast_shapes(left.shape, right.shape))
         for weight, col in self.ordinal:
@@ -229,7 +247,11 @@ _GROWTH = 4
 #: A whole block with at most this many pairs is matched by ``_sweep``.
 _SCORE_ALL = 4096
 #: The planner's counts, as ``plan_swaps`` reports them in ``info``.
-_COUNTS = ("blocks", "swept_blocks", "queues_built", "trees_built", "pairs_scored", "refills")
+_COUNTS = ("blocks", "swept_blocks", "queues_built", "trees_built", "pairs_scored", "refills",
+           "runs")
+#: Pair-offs that may pass this many pairs are found by array passes rather
+#: than record by record.
+_RUN = 32
 
 
 def plan_swaps(
@@ -253,8 +275,9 @@ def plan_swaps(
     If ``info`` is given, it receives the planner's counts: ``blocks`` in
     the flow, ``swept_blocks`` matched by scoring every pair,
     ``queues_built`` (at most one per position and side), ``trees_built``,
-    ``pairs_scored`` (record pairs in sweeps, class pairs in searches) and
-    ``refills`` (deeper candidate queries).
+    ``pairs_scored`` (record pairs in sweeps, class pairs in searches),
+    ``refills`` (deeper candidate queries) and ``runs`` (pair-offs of two
+    or more swaps taken in one step, see ``_Block``).
     """
     if q_target.kind != "quantity":
         raise RemapError("target must be a quantity signal")
@@ -418,10 +441,9 @@ def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray, k: int,
     cost = pair_cost(mem[:, None], par).reshape(-1)
     if k == 1 and cost.size:
         first = int(cost.argmin())
-        a, b, c = int(mem[first // par.size]), int(par[first % par.size]), float(cost[first])
-        if c == c:  # a NaN cost sorts last but would be the argmin
-            used[a] = used[b] = 1
-            return [(a, b, c)]
+        a, b = int(mem[first // par.size]), int(par[first % par.size])
+        used[a] = used[b] = 1
+        return [(a, b, float(cost[first]))]
     left, right = np.repeat(mem, par.size), np.tile(par, mem.size)
     order = np.lexsort((right, left, cost))
     out = []
@@ -550,6 +572,23 @@ def _unused(recs: memoryview, p: int, stop: int, used: memoryview, n: int) -> li
     return out
 
 
+def _unused_at(recs: np.ndarray, p: int, stop: int, flags: np.ndarray, n: int) -> np.ndarray:
+    """Positions in ``recs`` of the first ``n`` records of ``recs[p:stop]`` not flagged, or fewer.
+
+    ``_unused`` as array passes: windows of ``n`` records and then twice
+    as many each time, so a run of mostly unused records costs one pass.
+    """
+    parts, found, width = [], 0, n
+    while p < stop and found < n:
+        end = min(p + width, stop)
+        free = np.flatnonzero(~flags[recs[p:end]])
+        free += p
+        parts.append(free)
+        found += free.size
+        p, width = end, 2 * width
+    return np.concatenate(parts)[:n] if parts else np.empty(0, np.intp)
+
+
 class _Queue:
     """One position's members or partners, by class, kept for every block of that position.
 
@@ -625,13 +664,15 @@ class _View:
     def __init__(self, cands: _Queue, classes: np.ndarray, dims: np.ndarray | None, base: int):
         self.space, self.used, self.dims, self.base = cands.space, cands.used, dims, base
         self.classes = cands.classes
-        # the unused records of ``classes``, each with its class
+        # the unused records of the ascending ``classes``, class by class and
+        # each class's ascending, so every class is one run of ``of``
         start, sizes = cands.start[classes], cands.count[classes]
         pos = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
         recs, of = cands.recs[pos], np.repeat(classes, sizes)
         free = ~np.frombuffer(self.used, dtype=bool)[recs]
         recs, of = recs[free], of[free]
-        classes = np.unique(of)
+        runs = np.flatnonzero(np.diff(of, prepend=-1))
+        classes, sizes = of[runs], np.diff(runs, append=of.size)
         if dims is None:
             first = group = np.arange(classes.size)
         elif dims.size:
@@ -644,11 +685,15 @@ class _View:
         self.tree: cKDTree | None = None
         self.live = np.arange(first.size)
         self.dead = 0
-        # each group's records, ascending
-        member_of = group[np.searchsorted(classes, of)]
-        self.group_recs = recs[np.lexsort((recs, member_of))]
+        # each group's records, ascending: a group of one class is that class's
+        # run, so only groups that merge classes need their records sorted
+        count = np.bincount(group, weights=sizes, minlength=first.size).astype(np.int64)
+        if first.size < classes.size:
+            recs = recs[np.lexsort((recs, np.repeat(group, sizes)))]
+        elif np.any(group[1:] < group[:-1]):
+            recs = recs[np.argsort(np.repeat(group, sizes), kind="stable")]
+        self.group_recs = recs
         self.rec_at = memoryview(self.group_recs)
-        count = np.bincount(member_of, minlength=first.size)
         self.group_start = np.cumsum(count) - count
         self.ptr = self.group_start.tolist()
         self.stop = np.cumsum(count).tolist()
@@ -724,9 +769,10 @@ class _Block:
     row reaches the top for the first time, its cheapest listed cost stands
     in for its entry.  Keys only grow as records are used, so an entry whose
     candidate record was taken is re-scored when it reaches the top, and a
-    fresh entry that sorts before the top is taken at once.  When the row's
-    next listed cost and the top's cost both exceed a taken pair's cost,
-    the rest of that row class and candidate group pair off in one loop.
+    fresh entry that sorts before the top is taken at once.  When the top's
+    cost exceeds the entry's, no other row is as cheap, and the row's
+    listed candidates at the entry's cost are every group at that cost: the
+    row class and those tied groups pair off in one step (``_pair_off``).
     """
 
     def __init__(self, space: _ClassSpace, mem: _Queue, par: _Queue, tally: Counter):
@@ -768,10 +814,14 @@ class _Block:
 
         A candidate side small enough to score in full is listed class by
         class; otherwise each partition contributes through the view of the
-        row's active ordinal columns.  Returns per row
-        ``[tokens, costs, limit, start]``, cut at the limit up to which the
-        list provably holds every live candidate; the limit is infinite
-        when it holds all of them.
+        row's active ordinal columns.  Returns per row ``[tokens, costs,
+        limit, start, end]``: the row's list is ``tokens[start:end]`` and
+        ``costs[start:end]``, flat lists that the rows of one call share,
+        cut at the limit up to which the list provably holds every live
+        candidate; the limit is infinite when it holds all of them.  When
+        one query covers every row, each row of its cost matrix is ordered
+        on its own; otherwise the queries' candidates are sorted by (row,
+        cost) together.
         """
         cands, row_classes, cand_classes = self.cands, self.rows.classes, self.cands.classes
         n = a.size
@@ -789,22 +839,33 @@ class _Block:
                     sel = np.flatnonzero(code == c)
                     dims = np.flatnonzero(active[sel[0]])
                     queries.append((self._view((pi, c), part, dims), sel))
-        limit = np.full(n, np.inf)
-        row_of, tokens, costs = [], [], []
-        for view, sel in queries:
-            idx, cost, lim = view.search(row_classes, a[sel], k, full, self._score, self.tally)
-            limit[sel] = np.minimum(limit[sel], lim)
-            row_of.append(np.broadcast_to(sel[:, None], idx.shape).reshape(-1))
-            tokens.append(idx.reshape(-1) + view.base)
-            costs.append(cost.reshape(-1))
-        row_of, tokens, costs = (np.concatenate(x) for x in (row_of, tokens, costs))
-        order = np.lexsort((costs, row_of))
-        row_of, tokens, costs = row_of[order], tokens[order], costs[order]
-        keep = costs <= limit[row_of]
-        bounds = np.searchsorted(row_of[keep], np.arange(n + 1)).tolist()
-        tokens, costs = tokens[keep].tolist(), costs[keep].tolist()
-        return [[tokens[s:e], costs[s:e], lim, 0]
-                for s, e, lim in zip(bounds[:-1], bounds[1:], limit.tolist())]
+        if len(queries) == 1:
+            view, _ = queries[0]  # its rows are every row, in order
+            idx, costs, limit = view.search(row_classes, a, k, full, self._score, self.tally)
+            order = np.argsort(costs, axis=1, kind="stable")
+            tokens = np.take_along_axis(idx, order, axis=1) + view.base
+            costs = np.take_along_axis(costs, order, axis=1)
+            start = np.arange(n) * costs.shape[1]
+            end = start + np.count_nonzero(costs <= limit[:, None], axis=1)
+        else:
+            limit = np.full(n, np.inf)
+            row_of, tokens, costs = [], [], []
+            for view, sel in queries:
+                idx, cost, lim = view.search(row_classes, a[sel], k, full, self._score,
+                                             self.tally)
+                limit[sel] = np.minimum(limit[sel], lim)
+                row_of.append(np.broadcast_to(sel[:, None], idx.shape).reshape(-1))
+                tokens.append(idx.reshape(-1) + view.base)
+                costs.append(cost.reshape(-1))
+            row_of, tokens, costs = (np.concatenate(x) for x in (row_of, tokens, costs))
+            order = np.lexsort((costs, row_of))
+            keep = order[costs[order] <= limit[row_of[order]]]
+            row_of, tokens, costs = row_of[keep], tokens[keep], costs[keep]
+            bounds = np.searchsorted(row_of, np.arange(n + 1))
+            start, end = bounds[:-1], bounds[1:]
+        tokens, costs = tokens.reshape(-1).tolist(), costs.reshape(-1).tolist()
+        return [[tokens, costs, lim, s, e]
+                for s, e, lim in zip(start.tolist(), end.tolist(), limit.tolist())]
 
     def _entry(self, a: int, lists: dict):
         """Heap entry (cost, member, partner, row class, candidate token) of row ``a``.
@@ -816,15 +877,15 @@ class _Block:
         row_head = self.rows.head(a)
         if row_head < 0:
             return None
-        tokens, costs, limit, p = lists[a]
-        while p < len(tokens) and self._head(tokens[p]) < 0:
+        tokens, costs, limit, p, end = lists[a]
+        while p < end and self._head(tokens[p]) < 0:
             p += 1
         lists[a][3] = p
-        if p == len(tokens):
+        if p == end:
             return None if limit == np.inf else (limit, -1, -1, a, -1)
         cost, t = costs[p], tokens[p]
         head = self._head(t)
-        for j in range(p + 1, len(tokens)):
+        for j in range(p + 1, end):
             if costs[j] != cost:
                 break
             h = self._head(tokens[j])
@@ -834,16 +895,64 @@ class _Block:
             return cost, row_head, head, a, t
         return cost, head, row_head, a, t
 
+    def _pair_off(self, a: int, tied: list[int], cost: float, n: int,
+                  out: list[tuple[int, int, float]]) -> None:
+        """Pair up to ``n`` unused records of row class ``a`` with those of the groups ``tied``.
+
+        Every pair of them costs ``cost``, and every other pair more, so in
+        greedy order the row's records, ascending, take the groups' merged
+        records, ascending, one to one.  A run that may pass ``_RUN`` pairs
+        is found and flagged by array passes, and the class's and groups'
+        search positions move past it.
+        """
+        rows, used, view_of = self.rows, self.rows.used, self.cands.view_of
+        groups = [(view_of[t], t - view_of[t].base) for t in tied]
+        if (n <= _RUN or rows.end[a] - rows.next[a] <= _RUN
+                or sum(view.stop[g] - view.ptr[g] for view, g in groups) <= _RUN):
+            row_recs = _unused(rows.rec_at, rows.next[a], rows.end[a], used, n)
+            cand_recs = [r for view, g in groups
+                         for r in _unused(view.rec_at, view.ptr[g], view.stop[g], used,
+                                          len(row_recs))]
+            if len(groups) > 1:
+                cand_recs.sort()
+            n = min(len(row_recs), len(cand_recs))
+            row_recs, cand_recs = row_recs[:n], cand_recs[:n]
+            for r in row_recs + cand_recs:
+                used[r] = 1
+        else:
+            flags = np.frombuffer(used, dtype=bool)
+            row_at = _unused_at(rows.recs, rows.next[a], rows.end[a], flags, n)
+            at = [_unused_at(view.group_recs, view.ptr[g], view.stop[g], flags, row_at.size)
+                  for view, g in groups]
+            cand_recs = np.concatenate([view.group_recs[pos] for (view, _), pos in zip(groups, at)])
+            first = np.argsort(cand_recs)[:row_at.size]
+            row_at = row_at[:first.size]
+            row_recs, cand_recs = rows.recs[row_at], cand_recs[first]
+            flags[row_recs] = flags[cand_recs] = True
+            # each position moves onto the last record it gave, now used
+            rows.next[a] = int(row_at[-1])
+            of = np.repeat(np.arange(len(groups)), [pos.size for pos in at])
+            taken = np.bincount(of[first], minlength=len(groups)).tolist()
+            for (view, g), pos, count in zip(groups, at, taken):
+                if count:
+                    view.ptr[g] = int(pos[count - 1])
+            row_recs, cand_recs = row_recs.tolist(), cand_recs.tolist()
+        if self.member_rows:
+            out.extend(zip(row_recs, cand_recs, repeat(cost)))
+        else:
+            out.extend(zip(cand_recs, row_recs, repeat(cost)))
+        self.tally["runs"] += len(row_recs) > 1
+
     def match(self, k: int) -> list[tuple[int, int, float]]:
         """The block's ``k`` swaps in greedy order, as (member, partner, cost)."""
-        rows, used, member_rows = self.rows, self.rows.used, self.member_rows
+        used, member_rows = self.rows.used, self.member_rows
         live = self.live_rows.tolist()
         depth = dict.fromkeys(live, _FIRST_K)
         lists = dict(zip(live, self.candidates(self.live_rows, _FIRST_K)))
         # every listed candidate is live yet, so a row's first listed cost
         # (or its limit) keys it until its entry is worked out, token -2
-        heap = [(costs[0] if costs else limit, -2, -2, a, -2)
-                for a, (_, costs, limit, _) in lists.items()]
+        heap = [(costs[start] if start < end else limit, -2, -2, a, -2)
+                for a, (_, costs, limit, start, end) in lists.items()]
         heapq.heapify(heap)
         out = []
         while len(out) < k:
@@ -871,22 +980,19 @@ class _Block:
                 if entry[4] < 0 or (heap and heap[0] < entry):
                     heapq.heappush(heap, entry)
                     break
-                cost, member, partner, a, t = entry
-                out.append((member, partner, cost))
-                used[member] = used[partner] = 1
-                tokens, costs, _, p = lists[a]
-                if ((p + 1 == len(tokens) or costs[p + 1] > cost)
-                        and (not heap or heap[0][0] > cost)):
-                    # every other pair costs more: the rest of this row class
-                    # and candidate group pair off in record order
-                    view, n = self.cands.view_of[t], k - len(out)
-                    row_recs = _unused(rows.rec_at, rows.next[a], rows.end[a], used, n)
-                    g = t - view.base
-                    cand_recs = _unused(view.rec_at, view.ptr[g], view.stop[g], used, n)
-                    for pair in (zip(row_recs, cand_recs) if member_rows
-                                 else zip(cand_recs, row_recs)):
-                        out.append((*pair, cost))
-                        used[pair[0]] = used[pair[1]] = 1
+                cost, member, partner, a, _ = entry
+                if heap and heap[0][0] <= cost:
+                    out.append((member, partner, cost))
+                    used[member] = used[partner] = 1
+                else:
+                    # every other row costs more, and so does every candidate
+                    # group not listed at this cost: the rest of this row class
+                    # and of the tied groups pair off in one step
+                    tokens, costs, _, p, end = lists[a]
+                    tie = p + 1
+                    while tie < end and costs[tie] == cost:
+                        tie += 1
+                    self._pair_off(a, tokens[p:tie], cost, k - len(out), out)
                 if len(out) == k:
                     break
                 entry = self._entry(a, lists)

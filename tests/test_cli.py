@@ -121,13 +121,15 @@ class TestRunCommand:
                                     "published_max_violation"}
         plan = group["plan"]
         assert set(plan) == {"blocks", "swept_blocks", "queues_built", "trees_built",
-                             "pairs_scored", "refills"}
+                             "pairs_scored", "refills", "runs"}
         # a quantity group's counts before and after give the flow the planner ran
         surplus = np.array(group["signal_before"]) - np.array(group["signal_after"])
         assert plan["blocks"] == len(remap._flow_blocks(surplus.astype(np.int64)))
         assert 0 <= plan["swept_blocks"] <= plan["blocks"]
         assert 0 < plan["queues_built"] <= 2 * len(group["signal_before"])
         assert plan["pairs_scored"] > 0
+        # a run pairs at least two swaps
+        assert 0 <= 2 * plan["runs"] <= group["swaps"]
 
     def test_report_parses_as_the_indented_dump(self, config_factory, tmp_path):
         path = config_factory()

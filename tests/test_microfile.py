@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import locale
 import logging
 import math
@@ -706,6 +707,67 @@ class TestColumnsFilledInPlace:
         got = load_outcome(read_with(info), path, TOY_SCHEMA)
         assert got == load_outcome(reference_load, path, TOY_SCHEMA)
         assert info == {"reader": "csv"}
+
+
+class TestLineBlocks:
+    """The byte path reads the body in blocks of whole lines, about ``_CHUNK_ROWS`` lines each.
+
+    Whatever the blocks, a plain file loads as the csv path loads it.
+    """
+
+    HEADER = b"area,service,pay\n"
+
+    @staticmethod
+    def read_ends(body: bytes, chunk_rows: int) -> list[int]:
+        """Body offsets at which the byte path's reads of ``body`` end."""
+        lines = body.count(b"\n") + (not body.endswith(b"\n"))
+        size = max(1, len(body) * chunk_rows // lines)
+        return list(range(size, len(body), size))
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\n", b"a\n", b"a", b"ab\r\ncd\r\n", b"ab\r\ncde", b"\n\nx\n",
+        b"x" * 40 + b"\ny\nzz\r\n" + b"w" * 17,
+    ], ids=["empty", "one-line-feed", "one-line", "no-line-feed", "crlf", "crlf-then-tail",
+            "blank-lines", "long-line"])
+    def test_blocks_end_at_the_last_line_feed_read(self, data):
+        for size in range(1, len(data) + 2):
+            blocks = list(microfile._line_blocks(io.BytesIO(data), size))
+            assert b"".join(blocks) == data and all(blocks)
+            # each read that holds a line feed ends a block at its last one; the tail
+            # after the last line feed is a block of its own
+            ends = sorted({data.rfind(b"\n", 0, stop) + 1
+                           for stop in range(size, len(data) + size, size)} - {0})
+            if data and not data.endswith(b"\n"):
+                ends.append(len(data))
+            assert np.cumsum([len(b) for b in blocks]).tolist() == ends
+
+    # lines of 9, 9 and 10 bytes: at 1, 2 and 3 lines a block, a read ends between a CR
+    # and its LF
+    CRLF = b"".join(b"a2,0,100\r\n" if i % 3 == 2 else b"a1,1,10\r\n" for i in range(7))
+    # one line far longer than a block
+    LONG = b"a1,1,10\n" + b"b" * 300 + b",0,5\n" + b"a2,1,7\n" * 5
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("body", [CRLF, CRLF[:-2], LONG, LONG[:-1], b"a1,1,10\na2,0,5"],
+                             ids=["crlf", "crlf-no-final-line-feed", "long-line",
+                                  "long-line-no-final-line-feed", "no-final-line-feed"])
+    def test_blocks_load_like_the_csv_path(self, tmp_path, monkeypatch, chunk_rows, body):
+        monkeypatch.setattr(microfile, "_CHUNK_ROWS", chunk_rows)
+        header = self.HEADER.replace(b"\n", b"\r\n") if b"\r" in body else self.HEADER
+        path = tmp_path / "f.csv"
+        path.write_bytes(header + body)
+        info, blocks, split = {}, [], microfile._plain_fields
+        monkeypatch.setattr(microfile, "_plain_fields",
+                            lambda chunk, *args: blocks.append(chunk) or split(chunk, *args))
+        got = load_outcome(read_with(info), path, TOY_SCHEMA)
+        assert info == {"reader": "bytes"}
+        assert got == load_outcome(lambda p, s: microfile._read_csv(p, s, ()), path, TOY_SCHEMA)
+        assert b"".join(blocks) == body and len(blocks) > 1
+        ends = self.read_ends(body, chunk_rows)
+        if body.endswith(b"\r\n"):
+            assert any(body[end - 1:end + 1] == b"\r\n" for end in ends)
+        if b"b" * 300 in body:
+            assert max(map(len, blocks)) > 300 > (ends or [len(body)])[0]
 
 
 class TestAttribute:

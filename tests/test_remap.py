@@ -131,6 +131,14 @@ class TestInfluentialMetric:
         with pytest.raises(RemapError, match="negative"):
             influential_metric({"age": -1.0}, {"age": 1.0}, w)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ordinal_rejected(self, bad):
+        # NaN scored 0 against every age, cheaper than a one-year gap
+        w = InfluentialWeights(ordinal={"age": 1.0}, nominal={})
+        with pytest.raises(RemapError, match="non-finite value in ordinal influential attribute "
+                                             "'age'"):
+            influential_metric({"age": bad}, {"age": 30.0}, w)
+
     def test_missing_attribute_rejected(self):
         with pytest.raises(RemapError, match="age"):
             influential_metric({"income": 1.0, "service": "1"},
@@ -445,8 +453,7 @@ class TestPairCostFormula:
     def test_every_pair_costs_what_the_formula_gives(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 60))
-        m = cost_table(rng, n, spread=[1, 3, 1000][seed % 3],
-                       special=(np.nan,) if seed % 2 else ())
+        m = cost_table(rng, n, spread=[1, 3, 1000][seed % 3])
         w = InfluentialWeights(ordinal={"age": float(rng.random() * 3), "income": 1.0 / 3.0},
                                nominal={"service": float(rng.random()), "kind": 0.7},
                                chi_same=[0.0, 0.3][seed % 2], chi_diff=[1.0, 1.7][seed % 4 // 2])
@@ -455,22 +462,34 @@ class TestPairCostFormula:
         assert got.tobytes() == expected.tobytes()
         # two zeros, and two equal values, score no ordinal term
         age = m.column("age")
-        same = (age[left] == age[right]) | (np.isnan(age[left]) | np.isnan(age[right]))
+        same = age[left] == age[right]
         w_age = InfluentialWeights(ordinal={"age": 2.5}, nominal={})
         assert not _PairCost(m, w_age)(left, right)[same].any()
+        if seed % 2:
+            # a missing value has no distance to anything: the metric refuses it
+            income = m.cells("income").copy()
+            income[rng.integers(n)] = np.nan
+            with pytest.raises(RemapError, match="non-finite value in ordinal influential "
+                                                 "attribute 'income'"):
+                _PairCost(m.with_cells("income", income), w)
 
     def test_ordinal_extremes(self):
-        values = np.array([0.0, 0.0, 5e-324, 1e-300, 1.0, 1.0, 1e300, np.inf, np.nan])
+        values = np.array([0.0, 0.0, 5e-324, 1e-300, 1.0, 1.0, 1e300])
         m = Microfile((Attribute("age", "ordinal", "influential", weight=1.0),),
                       {"age": values})
         n = values.size
         left, right = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
         for weight in (1e-320, 0.1, 7.0, 1e308):
             w = InfluentialWeights(ordinal={"age": weight}, nominal={})
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore"):
                 got = _PairCost(m, w)(left, right)
             expected = formula_pair_cost(m, w, left, right)
             assert got.tobytes() == expected.tobytes()
+            # inf scored NaN against every value, and NaN scored 0
+            for bad in (np.inf, np.nan, -np.inf):
+                with pytest.raises(RemapError, match="non-finite value in ordinal influential "
+                                                     "attribute 'age'; metric undefined"):
+                    _PairCost(m.with_cells("age", np.where(values == 1e300, bad, values)), w)
 
 
 def lexsort_sweep(pair_cost, mem, par, k, used):
@@ -494,32 +513,43 @@ class TestSingleSwapSweep:
     def test_argmin_takes_the_pair_the_lexsort_takes(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 80))
-        # a spread of 1 or 2 ties most pairs; inf values make NaN costs
-        m = cost_table(rng, n, spread=[1, 2, 50][seed % 3],
-                       special=[(), (np.nan,), (np.inf,)][seed % 3])
+        # a spread of 1 or 2 ties most pairs
+        m = cost_table(rng, n, spread=[1, 2, 50][seed % 3])
         w = InfluentialWeights(ordinal={"age": 1.0, "income": 0.5},
                                nominal={"service": 1.0, "kind": 0.0 if seed % 2 else 0.7},
                                chi_same=0.0, chi_diff=1.0)
+        special = [None, np.nan, np.inf][seed % 3]
+        if special is not None:
+            # a NaN or inf value would make NaN costs, which the argmin would take first
+            age = m.cells("age").copy()
+            age[rng.integers(n)] = special
+            with pytest.raises(RemapError, match="non-finite value in ordinal influential "
+                                                 "attribute 'age'"):
+                _PairCost(m.with_cells("age", age), w)
         pair_cost = _PairCost(m, w)
         records = rng.permutation(n)
         n_mem = int(rng.integers(1, n))
         mem = np.sort(records[:n_mem])
         par = np.sort(records[n_mem:n_mem + int(rng.integers(1, n - n_mem + 1))])
         used, expected_used = remap._used_flags(n), remap._used_flags(n)
-        with np.errstate(invalid="ignore"):
-            got = _sweep(pair_cost, mem, par, 1, used)
-            expected = lexsort_sweep(pair_cost, mem, par, 1, expected_used)
-        assert repr(got) == repr(expected)  # a NaN cost equals itself only as text
+        got = _sweep(pair_cost, mem, par, 1, used)
+        assert got == lexsort_sweep(pair_cost, mem, par, 1, expected_used)
         assert bytes(used) == bytes(expected_used)
 
     def test_nan_cost_is_not_taken_first(self):
-        # (inf - 1) / (inf + 1) is NaN: the first pair scores NaN, which sorts last
+        # (inf - 1) / (inf + 1) would be NaN, a cost that sorts last but is the
+        # argmin; no such cost is made, because the infinite age is refused
         w = InfluentialWeights(ordinal={"age": 1.0}, nominal={})
         m = toy_microfile([("a1", "1", np.inf, 0), ("a1", "1", 2.0, 0), ("a2", "0", 1.0, 0)])
+        message = "non-finite value in ordinal influential attribute 'age'"
+        with pytest.raises(RemapError, match=message):
+            _PairCost(m, w)
+        with pytest.raises(RemapError, match=message):
+            plan_swaps(m, toy_group(), target([1, 1, 0, 0]), w)
+        finite = toy_microfile([("a1", "1", 1e300, 0), ("a1", "1", 2.0, 0), ("a2", "0", 1.0, 0)])
         mem, par = np.array([0, 1]), np.array([2])
-        with np.errstate(invalid="ignore"):
-            expected = lexsort_sweep(_PairCost(m, w), mem, par, 1, remap._used_flags(3))
-            got = _sweep(_PairCost(m, w), mem, par, 1, remap._used_flags(3))
+        expected = lexsort_sweep(_PairCost(finite, w), mem, par, 1, remap._used_flags(3))
+        got = _sweep(_PairCost(finite, w), mem, par, 1, remap._used_flags(3))
         assert got == expected == [(1, 2, pytest.approx(1 / 9))]
 
 
@@ -820,6 +850,112 @@ class TestClassesPerQueue:
         # flags, and the sort keys of each side: about 23 bytes per record;
         # factorising the whole table took about 92
         assert peak < 32 * n
+
+
+def tied_case(seed, superset, chi_same, kinds):
+    """Six positions whose pair costs tie: constant ordinals and partners split by vital code.
+
+    Members hold service "1" and partners one of "0", "2", "3" and "4", so a
+    position's partner classes sit in up to four nominal partitions that
+    cost the same against every member.  ``kinds`` ("none", "partners" or
+    "both") names the records that draw a ``kind`` of "a" or "b"; every
+    other record's is "a".  With ``chi_same`` 1.0 every nominal term costs
+    its weight, so every pair ties; with 0.0 a matching kind is cheaper.
+    p0 and p1 hand more than 100 members to p4 and p5, blocks of far more
+    than ``_SCORE_ALL`` pairs.
+    """
+    rng = np.random.default_rng(seed)
+    order = tuple(f"p{i}" for i in range(6))
+    counts = [(150, 20), (120, 10), (20, 40), (10, 60), (5, 240), (5, 230)]
+    area, service = [], []
+    for pos, (n_mem, n_par) in enumerate(counts):
+        area += [order[pos]] * (n_mem + n_par)
+        service += ["1"] * n_mem + list(rng.choice(["0", "2", "3", "4"], n_par))
+    n = len(area)
+    shuffle = rng.permutation(n)
+    service = np.array(service)[shuffle]
+    member = service == "1"
+    sex = np.where(member, "1", rng.choice(["1", "2"], n)) if superset else np.full(n, "1")
+    kind = rng.choice(["a", "b"], n)
+    if kinds != "both":
+        kind[member if kinds == "partners" else slice(None)] = "a"
+    m = Microfile(
+        attributes=(
+            Attribute("area", "nominal", "parameter"),
+            Attribute("service", "nominal", "vital", weight=1.0),
+            Attribute("kind", "nominal", "influential", weight=0.7),
+            Attribute("sex", "nominal", "plain"),
+            Attribute("age", "ordinal", "influential", weight=2.0),
+            Attribute("income", "ordinal", "influential", weight=1.0),
+        ),
+        columns={"area": np.array(area)[shuffle], "service": service, "kind": kind, "sex": sex,
+                 "age": np.full(n, 40.0), "income": np.full(n, 50000.0)},
+    )
+    g = GroupSpec.create({"service": {"1"}}, "area", order,
+                         superset_vital={"sex": {"1"}} if superset else None)
+    goal = np.array([n_mem for n_mem, _ in counts]) + [-110, -100, 5, 5, 100, 100]
+    w = InfluentialWeights.from_microfile(m, chi_same=chi_same, chi_diff=1.0)
+    return m, g, GoalSignal("quantity", goal.astype(float), order), w
+
+
+TIED_CASES = [(seed, superset, chi_same, kinds) for seed in range(2) for superset in (False, True)
+              for chi_same, kinds in ((1.0, "none"), (1.0, "partners"), (0.0, "partners"),
+                                      (1.0, "both"), (0.0, "both"))]
+
+
+class TestTiedGroups:
+    """Pair-offs of a row class with several tied candidate groups, against the obvious planners.
+
+    ``_RUN`` at 0 pairs every run by array passes and at 10**9 record by
+    record; ``_FIRST_K=2, _SCORE_ALL=0`` lists candidates partition by
+    partition, sorted together.
+    """
+
+    SETTINGS = [{"_RUN": remap._RUN}, {"_RUN": 0}, {"_RUN": 10**9},
+                {"_FIRST_K": 2, "_SCORE_ALL": 0},
+                {"_FIRST_K": 2, "_SCORE_ALL": 0, "_RUN": 0},
+                {"_FIRST_K": 2, "_SCORE_ALL": 0, "_RUN": 10**9}]
+
+    @pytest.mark.parametrize("case", TIED_CASES)
+    def test_plan_matches_the_exhaustive_greedy(self, case):
+        m, g, tgt, w = tied_case(*case)
+        expected = exhaustive_plan(m, g, tgt, w)
+        for patch in self.SETTINGS:
+            info = {}
+            with mock.patch.multiple(remap, **patch):
+                plan = plan_swaps(m, g, tgt, w, info=info)
+            assert as_tuples(plan) == expected, patch
+            if case[3] != "both":
+                assert info["runs"] > 0
+            if case[3] == "none":
+                # one member class against tied partner groups: one pair-off a searched block
+                assert info["runs"] == info["blocks"] - info["swept_blocks"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_matches_the_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        m, _, _, w = tied_case(seed, superset=False, chi_same=[1.0, 0.0][seed % 2],
+                               kinds=["none", "partners", "both"][seed % 3])
+        pair_cost = _PairCost(m, w)
+        service = m.column("service")
+        members_, partners = np.flatnonzero(service == "1"), np.flatnonzero(service != "1")
+        # some records of each side already used, as by earlier blocks
+        used = remap._used_flags(m.n_records)
+        flags = np.frombuffer(used, dtype=bool)
+        flags[rng.choice(m.n_records, 40, replace=False)] = True
+        mem, par = members_[~flags[members_]], partners[~flags[partners]]
+        for k in (1, 2, 40, min(mem.size, par.size)):
+            for patch in ({"_RUN": 0}, {"_RUN": 10**9}, {"_RUN": 5}):
+                got_used, want_used = remap._used_flags(m.n_records), remap._used_flags(m.n_records)
+                np.frombuffer(got_used, dtype=bool)[:] = flags
+                np.frombuffer(want_used, dtype=bool)[:] = flags
+                space = _ClassSpace(pair_cost)
+                with mock.patch.multiple(remap, **patch):
+                    block = _Block(space, _Queue(space, members_, got_used),
+                                   _Queue(space, partners, got_used), collections.Counter())
+                    got = block.match(k)
+                assert got == _sweep(pair_cost, mem, par, k, want_used), (k, patch)
+                assert bytes(got_used) == bytes(want_used)
 
 
 class TestApplySwaps:

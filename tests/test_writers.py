@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupanon import microfile
 from groupanon import reference as ref
+from groupanon import charts
 from groupanon.charts import svg_line_chart
 from groupanon.cli import main
 from groupanon.pipeline import _write_plan_csv, write_coefficients_csv, write_signal_csv
@@ -184,6 +185,31 @@ class TestAgainstRowByRowWriters:
         svg_line_chart(labels, values, tmp_path / "new.svg", title="long")
         reference_svg_line_chart(labels, values, tmp_path / "ref.svg", title="long")
         assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+    def test_charts_sharing_an_axis_format_it_once(self, tmp_path):
+        rng = np.random.default_rng(8)
+        labels = [f"L{i:05d}" for i in range(300)]
+        series = [rng.integers(0, 40, 300).astype(float), np.full(300, 2.0)]
+        with mock.patch.object(charts, "_x_axis", wraps=charts._x_axis) as x_axis:
+            axis = svg_line_chart(labels, series[0], tmp_path / "new0.svg", title="chart 0")
+            assert svg_line_chart(labels, series[1], tmp_path / "new1.svg", title="chart 1",
+                                  axis=axis) is axis
+        assert x_axis.call_count == 1
+        for i, values in enumerate(series):
+            ref_path = tmp_path / f"ref{i}.svg"
+            reference_svg_line_chart(labels, values, ref_path, title=f"chart {i}")
+            assert (tmp_path / f"new{i}.svg").read_bytes() == ref_path.read_bytes()
+        with pytest.raises(ValueError, match="equally long"):
+            svg_line_chart(labels, series[0][:-1], tmp_path / "short.svg", axis=axis)
+
+    def test_a_run_formats_each_group_axis_once(self, config_factory):
+        path = config_factory()
+        with mock.patch.object(charts, "_x_axis", wraps=charts._x_axis) as x_axis:
+            assert main(["run", "--config", str(path)]) == 0
+        assert x_axis.call_count == 1
+        report = path.parent / "out/report"
+        assert (report / "active-duty_before.svg").exists()
+        assert (report / "active-duty_after.svg").exists()
 
     def test_coefficients_of_the_bundled_config(self, config_factory, tmp_path):
         path = config_factory()
