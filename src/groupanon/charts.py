@@ -6,6 +6,7 @@ reporting needs, so no plotting dependency is pulled in.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from html import escape
 from pathlib import Path
 
@@ -19,22 +20,12 @@ _WIDTH, _HEIGHT = 720, 360
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 60
 _PLOT_W = _WIDTH - _MARGIN_L - _MARGIN_R
 _PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
-#: A chart's x axis: each label's formatted position, and the tick and label elements.
-_Axis = tuple[list[str], list[str]]
 
 
-def svg_line_chart(labels, values, path: str | Path, title: str = "", *,
-                   axis: _Axis | None = None) -> _Axis:
-    """Write a single-series line chart, atomically; one x position per label.
-
-    Returns the chart's x axis, its formatted positions and tick elements.
-    A chart over the same labels, such as a group's chart after swapping,
-    takes it as ``axis`` and formats no x position again.
-    """
+def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
+    """Write a single-series line chart, atomically; one x position per label."""
     values = [float(v) for v in values]
-    if axis is None:
-        axis = _x_axis([str(x) for x in labels])
-    xs, ticks = axis
+    xs, ticks = _x_axis(tuple(map(str, labels)))
     if len(xs) != len(values) or not values:
         raise ValueError("labels and values must be equally long and non-empty")
 
@@ -89,11 +80,15 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "", *,
 
     with atomic_write(path) as fh:
         fh.write("\n".join(parts))
-    return axis
 
 
-def _x_axis(labels: list[str]) -> _Axis:
-    """The x axis of a chart over ``labels``."""
+@lru_cache(maxsize=1)
+def _x_axis(labels: tuple[str, ...]) -> tuple[list[str], list[str]]:
+    """The x axis of a chart over ``labels``: each label's formatted position, and the ticks.
+
+    The last axis is kept, so the next chart over the same labels, such as
+    a group's chart after swapping, formats no position again.
+    """
     n = len(labels)
     if n == 1:
         x = np.array([_MARGIN_L + _PLOT_W / 2])

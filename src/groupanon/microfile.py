@@ -565,7 +565,7 @@ def _read_plain(path: Path, schema: Sequence[Attribute],
     again.  One streaming pass counts the body's lines, so that each column
     is allocated once, at its full length, and gives the body's average
     line length.  The body is then read in blocks of about ``_CHUNK_ROWS``
-    average lines' bytes, each cut at its last line end (see
+    average lines' bytes, each finished to the end of its last line (see
     ``_line_blocks``), so no object is built per line; a chunk's fields
     are found by one scan for delimiters and gathered by offset, and each
     column's cells are written into the chunk's slice of it.  A nominal
@@ -643,22 +643,15 @@ def _count_lines(fh) -> int:
 
 
 def _line_blocks(fh, size: int) -> Iterator[bytes]:
-    """The rest of ``fh`` in blocks of whole lines, read ``size`` bytes at a time.
+    """The rest of ``fh`` in blocks of whole lines: reads of ``size`` bytes finished to a line end.
 
-    Each block ends at the last line feed of what was read, and the bytes
-    after it open the next; a line longer than ``size`` is read on until
-    its line feed.  The last block is the file's end, whether or not a line
-    feed ends it.
+    ``readline`` finishes the read's last line, or reads the whole next
+    line when the read already ends at a line feed, so no bytes are carried
+    from one block to the next.  The last block ends at the file's end,
+    whether or not a line feed ends it.
     """
-    rest = b""
     while data := fh.read(size):
-        data = rest + data
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield data[:cut]  # the whole of ``data`` when it ends a line, not a copy
-        rest = data[cut:]
-    if rest:
-        yield rest
+        yield data + fh.readline()
 
 
 def _plain_header(line: bytes, limit: int) -> list[str] | None:

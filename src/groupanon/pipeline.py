@@ -382,10 +382,10 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
         order = g.edit.before.parameter_order
         write_signal_csv(artifact(f"{g.name}_signal_before.csv"), order, g.edit.before.values)
         write_signal_csv(artifact(f"{g.name}_signal_after.csv"), order, g.after.values)
-        axis = svg_line_chart(order, g.edit.before.values, artifact(f"{g.name}_before.svg"),
-                              title=f"{g.name}: goal signal (before)")
+        svg_line_chart(order, g.edit.before.values, artifact(f"{g.name}_before.svg"),
+                       title=f"{g.name}: goal signal (before)")
         svg_line_chart(order, g.after.values, artifact(f"{g.name}_after.svg"),
-                       title=f"{g.name}: goal signal (after)", axis=axis)
+                       title=f"{g.name}: goal signal (after)")
         _write_plan_csv(artifact(f"{g.name}_swaps.csv"), g.plan)
         groups.append(
             {

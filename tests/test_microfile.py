@@ -718,32 +718,41 @@ class TestLineBlocks:
     HEADER = b"area,service,pay\n"
 
     @staticmethod
-    def read_ends(body: bytes, chunk_rows: int) -> list[int]:
-        """Body offsets at which the byte path's reads of ``body`` end."""
+    def expected(data: bytes, size: int) -> tuple[list[int], list[int]]:
+        """Offsets at which the reads of ``data`` and its blocks end.
+
+        Each block is a read of ``size`` bytes finished to its line end: through
+        the first line feed at or after the read's end, or to the end of ``data``.
+        """
+        reads, ends, at = [], [], 0
+        while at < len(data):
+            reads.append(min(at + size, len(data)))
+            at = data.find(b"\n", at + size) + 1 or len(data)
+            ends.append(at)
+        return reads, ends
+
+    @staticmethod
+    def read_size(body: bytes, chunk_rows: int) -> int:
+        """The byte path's read size for ``body``: ``chunk_rows`` average lines' bytes."""
         lines = body.count(b"\n") + (not body.endswith(b"\n"))
-        size = max(1, len(body) * chunk_rows // lines)
-        return list(range(size, len(body), size))
+        return max(1, len(body) * chunk_rows // lines)
 
     @pytest.mark.parametrize("data", [
         b"", b"\n", b"a\n", b"a", b"ab\r\ncd\r\n", b"ab\r\ncde", b"\n\nx\n",
         b"x" * 40 + b"\ny\nzz\r\n" + b"w" * 17,
     ], ids=["empty", "one-line-feed", "one-line", "no-line-feed", "crlf", "crlf-then-tail",
             "blank-lines", "long-line"])
-    def test_blocks_end_at_the_last_line_feed_read(self, data):
+    def test_each_block_is_a_read_finished_to_its_line_end(self, data):
         for size in range(1, len(data) + 2):
             blocks = list(microfile._line_blocks(io.BytesIO(data), size))
             assert b"".join(blocks) == data and all(blocks)
-            # each read that holds a line feed ends a block at its last one; the tail
-            # after the last line feed is a block of its own
-            ends = sorted({data.rfind(b"\n", 0, stop) + 1
-                           for stop in range(size, len(data) + size, size)} - {0})
-            if data and not data.endswith(b"\n"):
-                ends.append(len(data))
-            assert np.cumsum([len(b) for b in blocks]).tolist() == ends
+            assert np.cumsum([len(b) for b in blocks]).tolist() == self.expected(data, size)[1]
+            # every block but the file's last ends a line
+            assert all(b.endswith(b"\n") for b in blocks[:-1])
 
-    # lines of 9, 9 and 10 bytes: at 1, 2 and 3 lines a block, a read ends between a CR
-    # and its LF
-    CRLF = b"".join(b"a2,0,100\r\n" if i % 3 == 2 else b"a1,1,10\r\n" for i in range(7))
+    # lines of 9, 10, 10, 9, 9 and 9 bytes: at 1, 2 and 3 lines a block, a read ends
+    # between a CR and its LF
+    CRLF = b"".join(b"a2,0,100\r\n" if i in (1, 2) else b"a1,1,10\r\n" for i in range(6))
     # one line far longer than a block
     LONG = b"a1,1,10\n" + b"b" * 300 + b",0,5\n" + b"a2,1,7\n" * 5
 
@@ -762,12 +771,13 @@ class TestLineBlocks:
         got = load_outcome(read_with(info), path, TOY_SCHEMA)
         assert info == {"reader": "bytes"}
         assert got == load_outcome(lambda p, s: microfile._read_csv(p, s, ()), path, TOY_SCHEMA)
-        assert b"".join(blocks) == body and len(blocks) > 1
-        ends = self.read_ends(body, chunk_rows)
+        assert b"".join(blocks) == body
+        reads, ends = self.expected(body, self.read_size(body, chunk_rows))
+        assert np.cumsum([len(b) for b in blocks]).tolist() == ends
         if body.endswith(b"\r\n"):
-            assert any(body[end - 1:end + 1] == b"\r\n" for end in ends)
+            assert any(body[end - 1:end + 1] == b"\r\n" for end in reads)
         if b"b" * 300 in body:
-            assert max(map(len, blocks)) > 300 > (ends or [len(body)])[0]
+            assert max(map(len, blocks)) > 300 > reads[0]
 
 
 class TestAttribute:

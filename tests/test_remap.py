@@ -958,6 +958,68 @@ class TestTiedGroups:
                 assert bytes(got_used) == bytes(want_used)
 
 
+class TestCandidateLists:
+    """Each row's candidate list, against scoring every live candidate class.
+
+    A list ascends, stops at its proven limit, and holds a group of every
+    cost up to that limit that a live candidate class has against the row.
+    Ordinal values spread over five orders of magnitude, so a tree's k
+    nearest groups are not always the k cheapest.
+    """
+
+    @staticmethod
+    def spread_case(seed, one_partition):
+        """Members and partners with two wide-spread ordinals; one nominal partition or several."""
+        rng = np.random.default_rng(seed)
+        n = 400
+        service = rng.choice(["1", "0"] if one_partition else ["1", "0", "2"], n)
+        ordinal = {name: np.round(10 ** rng.uniform(0, 5, n)) for name in ("age", "income")}
+        if not one_partition:
+            for values in ordinal.values():
+                values[rng.random(n) < 0.15] = 0.0
+        m = Microfile(
+            attributes=(Attribute("service", "nominal", "vital", weight=1.0),
+                        Attribute("age", "ordinal", "influential", weight=2.0),
+                        Attribute("income", "ordinal", "influential", weight=1.0)),
+            columns={"service": service, **ordinal})
+        return m, InfluentialWeights(ordinal={"age": 2.0, "income": 1.0},
+                                     nominal={"service": 1.0})
+
+    @pytest.mark.parametrize("one_partition", [True, False], ids=["one-query", "queries"])
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lists_hold_every_cost_up_to_their_limit(self, seed, k, one_partition):
+        m, w = self.spread_case(seed, one_partition)
+        pair_cost = _PairCost(m, w)
+        service = m.column("service")
+        space = _ClassSpace(pair_cost)
+        used = remap._used_flags(m.n_records)
+        queues = [_Queue(space, np.flatnonzero(service == "1"), used),
+                  _Queue(space, np.flatnonzero(service != "1"), used)]
+        with mock.patch.object(remap, "_SCORE_ALL", 0):
+            block = _Block(space, *queues, collections.Counter())
+            lists = block.candidates(block.live_rows, k)
+        rows, cands = block.rows, block.cands
+        assert (len(cands.views) == 1) == one_partition
+
+        def cost(a, cand_recs):
+            left = np.full(cand_recs.size, rows.classes.rep[a])
+            return pair_cost(left, cand_recs) if block.member_rows else pair_cost(cand_recs, left)
+
+        every_class = cands.classes.rep[cands.live()]
+        cut = 0
+        for a, (tokens, costs, limit, start, end) in zip(block.live_rows.tolist(), lists):
+            listed = costs[start:end]
+            assert listed == sorted(listed) and all(c <= limit for c in listed)
+            groups = [(cands.view_of[t], t - cands.view_of[t].base) for t in tokens[start:end]]
+            reps = np.array([cands.classes.rep[view.rep[g]] for view, g in groups], dtype=int)
+            assert cost(a, reps).tolist() == listed
+            every = cost(a, every_class)
+            assert set(listed) == set(every[every <= limit].tolist())
+            cut += limit < np.inf
+        assert cut  # some lists stop short of the candidates' far end
+
+
 class TestApplySwaps:
     def test_empty_plan_is_identity(self, fixture_microfile):
         plan = SwapPlan(parameter="area", swaps=(), costs=())

@@ -186,27 +186,31 @@ class TestAgainstRowByRowWriters:
         reference_svg_line_chart(labels, values, tmp_path / "ref.svg", title="long")
         assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
-    def test_charts_sharing_an_axis_format_it_once(self, tmp_path):
+    def test_charts_over_the_same_labels_format_the_axis_once(self, tmp_path):
         rng = np.random.default_rng(8)
         labels = [f"L{i:05d}" for i in range(300)]
         series = [rng.integers(0, 40, 300).astype(float), np.full(300, 2.0)]
-        with mock.patch.object(charts, "_x_axis", wraps=charts._x_axis) as x_axis:
-            axis = svg_line_chart(labels, series[0], tmp_path / "new0.svg", title="chart 0")
-            assert svg_line_chart(labels, series[1], tmp_path / "new1.svg", title="chart 1",
-                                  axis=axis) is axis
-        assert x_axis.call_count == 1
+        charts._x_axis.cache_clear()
+        for i, values in enumerate(series):
+            svg_line_chart(labels, values, tmp_path / f"new{i}.svg", title=f"chart {i}")
+        assert charts._x_axis.cache_info()[:2] == (1, 1)  # (hits, misses)
         for i, values in enumerate(series):
             ref_path = tmp_path / f"ref{i}.svg"
             reference_svg_line_chart(labels, values, ref_path, title=f"chart {i}")
             assert (tmp_path / f"new{i}.svg").read_bytes() == ref_path.read_bytes()
+        # other labels get their own axis
+        svg_line_chart(labels[:-1], series[0][:-1], tmp_path / "new2.svg", title="chart 2")
+        reference_svg_line_chart(labels[:-1], series[0][:-1], tmp_path / "ref2.svg",
+                                 title="chart 2")
+        assert (tmp_path / "new2.svg").read_bytes() == (tmp_path / "ref2.svg").read_bytes()
         with pytest.raises(ValueError, match="equally long"):
-            svg_line_chart(labels, series[0][:-1], tmp_path / "short.svg", axis=axis)
+            svg_line_chart(labels, series[0][:-1], tmp_path / "short.svg")
 
     def test_a_run_formats_each_group_axis_once(self, config_factory):
         path = config_factory()
-        with mock.patch.object(charts, "_x_axis", wraps=charts._x_axis) as x_axis:
-            assert main(["run", "--config", str(path)]) == 0
-        assert x_axis.call_count == 1
+        charts._x_axis.cache_clear()
+        assert main(["run", "--config", str(path)]) == 0
+        assert charts._x_axis.cache_info()[:2] == (1, 1)  # (hits, misses)
         report = path.parent / "out/report"
         assert (report / "active-duty_before.svg").exists()
         assert (report / "active-duty_after.svg").exists()
