@@ -376,8 +376,14 @@ def load_microfile(
 
 
 def _read_csv(path: Path, schema: Sequence[Attribute], identifiers: Sequence[str]) -> Microfile:
-    """The table as ``csv.reader`` reads the file; the source of every parse error."""
-    with path.open(newline="") as fh:
+    """The table as ``csv.reader`` reads the file; the source of every parse error.
+
+    Under a UTF-8 platform encoding the file is read as ``utf-8-sig``, which
+    drops a leading byte order mark (as spreadsheet "CSV UTF-8" exports
+    write) and reads a file without one exactly as UTF-8 does.
+    """
+    utf8 = locale.getpreferredencoding(False).lower().replace("-", "").replace("_", "") == "utf8"
+    with path.open(newline="", encoding="utf-8-sig" if utf8 else None) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

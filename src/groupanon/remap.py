@@ -28,7 +28,10 @@ holds every class.
 A position's members (as a donor) and partners (as a recipient) are
 grouped into a queue on the first searched block that needs them.  Only
 then are the queue's own records collapsed into classes, each described by
-its lowest record: no factorisation of the whole table is made.  The queue
+its lowest record: no factorisation of the whole table is made.  Classes,
+partitions and candidate groups are all numbered the same way, as the runs
+of equal rows in one stable lexsort of their keys (``_runs``), so each run
+lists its members ascending and runs are ranked by their keys.  The queue
 keeps its classes, partitions, candidate groups and k-d trees for that
 position's later blocks; it is dropped after the position's last block,
 which the up-front flow names.  A view of a queue's candidate groups is
@@ -459,24 +462,24 @@ def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray, k: int,
     return out
 
 
-def _row_ids(codes: list[np.ndarray]) -> np.ndarray:
-    """Dense ids numbering the distinct rows across equal-length non-negative integer ``codes``.
+def _runs(columns: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n`` rows of ``columns`` in one stable lexsort, first column most significant.
 
-    The ids rank the rows lexicographically.  The columns are folded into a
-    mixed-radix int64 key, with radix ``max + 1`` each, for as long as every
-    key fits; only then are the keys replaced by their dense ranks, so
-    columns whose radices multiply to at most 2**63 cost one ``np.unique``.
+    Returns ``(order, start, rank)``: run i of equal rows is
+    ``order[start[i]:start[i + 1]]`` (to the end for the last run), its
+    rows ascending, and ``rank`` is each row's run.  Values are equal as
+    ``==`` has them, so -0.0 and 0.0 share a run.  With no columns, all
+    ``n`` rows form one run.
     """
-    key = np.zeros(codes[0].size, dtype=np.int64)
-    span = 1  # every key is below it
-    for code in codes:
-        radix = int(code.max()) + 1
-        if span * radix > 2**63:
-            distinct, key = np.unique(key, return_inverse=True)
-            key, span = key.reshape(-1), distinct.size
-        key = key * radix + code
-        span *= radix
-    return np.unique(key, return_inverse=True)[1].reshape(-1)
+    order = np.lexsort(columns[::-1]) if columns else np.arange(n)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for col in columns:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return order, np.flatnonzero(new), rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,16 +511,6 @@ class _ClassSpace:
     def __init__(self, pair_cost: _PairCost):
         self.pair_cost = pair_cost
         self.weight = np.array([weight for weight, _ in pair_cost.ordinal], dtype=float)
-
-    def classes_of(self, records: np.ndarray) -> np.ndarray:
-        """Dense class ids of ``records``, ranking the classes among them by their attributes.
-
-        Only ``records`` are factorised; two record sets that share classes
-        rank those classes in the same order.
-        """
-        pc = self.pair_cost
-        return _row_ids([np.unique(col[records], return_inverse=True)[1].reshape(-1)
-                         for _, col in pc.ordinal] + [codes[records] for codes, _, _ in pc.nominal])
 
     def describe(self, rep: np.ndarray) -> _Classes:
         """The classes whose lowest records are ``rep``."""
@@ -595,10 +588,12 @@ class _Queue:
     """One position's members or partners, by class, kept for every block of that position.
 
     The queue's ascending ``records`` are collapsed into classes (see
-    ``_ClassSpace``) here, and only they.  A record is used once its flag
-    in the plan's ``used`` array is set, by ``_sweep`` or by ``_Block``;
-    flags are never cleared.  Within a class the lowest unused record
-    always goes first, and ``next[i]`` is where the search for class
+    ``_ClassSpace``) here, and only they: the runs of their ordinal values
+    and then nominal codes (``_runs``), so class ``i``'s records, ascending,
+    are ``recs[start[i]:start[i] + count[i]]``.  A record is used once its
+    flag in the plan's ``used`` array is set, by ``_sweep`` or by
+    ``_Block``; flags are never cleared.  Within a class the lowest unused
+    record always goes first, and ``next[i]`` is where the search for class
     ``i``'s lowest unused record resumes.  The partitions and the views of
     the queue as a candidate side are built on the first block that
     searches it and kept for the later ones.
@@ -606,10 +601,12 @@ class _Queue:
 
     def __init__(self, space: _ClassSpace, records: np.ndarray, used: memoryview):
         self.space, self.used = space, used
-        cls = space.classes_of(records)
-        self.recs = records[np.argsort(cls, kind="stable")]
-        self.count = np.bincount(cls)
-        self.start = np.cumsum(self.count) - self.count
+        pc = space.pair_cost
+        order, self.start, _ = _runs([col[records] for _, col in pc.ordinal]
+                                     + [codes[records] for codes, _, _ in pc.nominal],
+                                     records.size)
+        self.recs = records[order]
+        self.count = np.diff(self.start, append=records.size)
         # the same records read one at a time, with no Python int kept per record
         self.rec_at = memoryview(self.recs)
         self.classes = space.describe(self.recs[self.start])
@@ -643,10 +640,8 @@ class _Queue:
         """
         if self.part_of is None:
             c = self.classes
-            part = _row_ids(list(c.nominal.T) + list(c.zero.T))
-            order = np.argsort(part, kind="stable")
-            self.parts = np.split(order, np.cumsum(np.bincount(part))[:-1])
-            self.part_of = part
+            order, start, self.part_of = _runs(list(c.nominal.T) + list(c.zero.T), c.rep.size)
+            self.parts = np.split(order, start[1:])
 
 
 class _View:
@@ -654,9 +649,11 @@ class _View:
 
     Classes that agree on those columns cost the same against every such
     row, so they merge into one group, whose head is the lowest unused
-    record of any of its classes; with no active column the whole partition
-    is one group.  Without ``dims`` every class is its own group, for
-    candidate sides small enough to be scored in full.  Groups are searched
+    record of any of its classes: the groups are the runs of one stable
+    lexsort of the classes by their values on ``dims`` (``_runs``), and
+    with no active column the whole partition is one group.  Without
+    ``dims`` every class is its own group, for candidate sides small
+    enough to be scored in full.  Groups are searched
     with a k-d tree.  A view is kept with its queue: ``refresh`` drops the
     groups used up by earlier blocks, and within a block the tree is rebuilt
     without used-up groups once half of the groups it holds are found used
@@ -675,15 +672,9 @@ class _View:
         recs, of = recs[free], of[free]
         runs = np.flatnonzero(np.diff(of, prepend=-1))
         classes, sizes = of[runs], np.diff(runs, append=of.size)
-        if dims is None:
-            first = group = np.arange(classes.size)
-        elif dims.size:
-            values = self.classes.values[classes][:, dims]
-            _, first, group = np.unique(values, axis=0, return_index=True, return_inverse=True)
-            group = group.reshape(-1)
-        else:
-            first, group = np.zeros(min(classes.size, 1), dtype=int), np.zeros(classes.size, int)
-        self.rep = classes[first]  # each group's first class
+        keys = [classes] if dims is None else list(self.classes.values[classes][:, dims].T)
+        order, first, group = _runs(keys, classes.size)
+        self.rep = classes[order[first]]  # each group's first class
         self.tree: cKDTree | None = None
         self.live = np.arange(first.size)
         self.dead = 0
@@ -816,14 +807,15 @@ class _Block:
 
         A candidate side small enough to score in full is listed class by
         class; otherwise each partition contributes through the view of the
-        row's active ordinal columns.  Returns per row ``[tokens, costs,
-        limit, start, end]``: the row's list is ``tokens[start:end]`` and
-        ``costs[start:end]``, flat lists that the rows of one call share,
-        cut at the limit up to which the list provably holds every live
-        candidate; the limit is infinite when it holds all of them.  When
-        one query covers every row, each row of its cost matrix is ordered
-        on its own; otherwise the queries' candidates are sorted by (row,
-        cost) together.
+        row's active ordinal columns, one query per run of rows with equal
+        active columns (``_runs``, last column first).  Returns per row
+        ``[tokens, costs, limit, start, end]``: the row's list is
+        ``tokens[start:end]`` and ``costs[start:end]``, flat lists that the
+        rows of one call share, cut at the limit up to which the list
+        provably holds every live candidate; the limit is infinite when it
+        holds all of them.  When one query covers every row, each row of its
+        cost matrix is ordered on its own; otherwise the queries' candidates
+        are sorted by (row, cost) together.
         """
         cands, row_classes, cand_classes = self.cands, self.rows.classes, self.cands.classes
         n = a.size
@@ -836,11 +828,10 @@ class _Block:
                 part = cands.parts[pi]
                 active = (~row_classes.zero[a] & ~cand_classes.zero[part[0]]
                           & (self.space.weight > 0))
-                code = active @ (1 << np.arange(active.shape[1]))
-                for c in np.unique(code).tolist():
-                    sel = np.flatnonzero(code == c)
+                order, start, _ = _runs(list(active.T[::-1]), n)
+                for sel in np.split(order, start[1:]):
                     dims = np.flatnonzero(active[sel[0]])
-                    queries.append((self._view((pi, c), part, dims), sel))
+                    queries.append((self._view((pi, *dims.tolist()), part, dims), sel))
         if len(queries) == 1:
             view, _ = queries[0]  # its rows are every row, in order
             idx, costs, limit = view.search(row_classes, a, k, full, self._score, self.tally)

@@ -60,8 +60,10 @@ def reference_load(path, schema, identifiers=()):
     path = Path(path)
     if not schema:
         raise SchemaError("schema must declare at least one attribute")
+    # a UTF-8 file may open with a byte order mark, which is not part of the header
+    utf8 = locale.getpreferredencoding(False).lower().replace("-", "").replace("_", "") == "utf8"
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig" if utf8 else None) as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -586,6 +588,22 @@ class TestReaderChoice:
         assert got == load_outcome(reference_load, path, TOY_SCHEMA)
         assert got[0] is ParseError
         assert got[1].startswith(f"{path}: cannot read: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                        reason="a byte order mark is dropped only under a UTF-8 platform encoding")
+    def test_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start the file with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        content = b"area,age\n06010,30\n06020,40\n"
+        plain.write_bytes(content)
+        marked.write_bytes(b"\xef\xbb\xbf" + content)
+        schema = (Attribute("area", "nominal", "parameter"), Attribute("age", "ordinal", "plain"))
+        info = {}
+        got = load_outcome(read_with(info), marked, schema)
+        assert info["reader"] == "csv"
+        assert got == load_outcome(load_microfile, plain, schema)
+        assert got == load_outcome(reference_load, marked, schema)
+        assert isinstance(got, dict)
 
     def test_quoted_cell_over_the_field_limit_is_a_read_error(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -59,16 +59,30 @@ WEIGHTS = InfluentialWeights(ordinal={"age": 1.0, "income": 1.0},
 
 
 def row_ids_by_column(codes):
-    """One ``np.unique`` per column over every record: the reference for ``remap._row_ids``."""
+    """One ``np.unique`` per column over every record: the reference for ``remap._runs``' ranks."""
     ids = np.zeros(codes[0].size, dtype=np.int64)
     for code in codes:
         ids = np.unique(ids * (int(code.max()) + 1) + code, return_inverse=True)[1].reshape(-1)
     return ids
 
 
+def checked_runs(columns, n):
+    """``remap._runs(columns, n)``, checked to be runs of equal rows, each ascending, in rank order."""
+    order, start, rank = remap._runs(columns, n)
+    assert sorted(order.tolist()) == list(range(n))
+    runs = np.split(order, start[1:]) if n else []
+    assert len(runs) == start.size
+    rows = list(zip(*(col.tolist() for col in columns))) if columns else [()] * n
+    for i, run in enumerate(runs):
+        assert np.all(np.diff(run) > 0)
+        assert np.all(rank[run] == i)
+        assert len({rows[r] for r in run.tolist()}) == 1
+    return order, start, rank
+
+
 class TestRowIds:
-    # radices from 1 up to 2**56 + 1, so that two or more large ones overflow one int64
-    # key, while the reference's dense ids (below 40) times any radix still fit
+    """``remap._runs``: the runs of equal rows in one stable lexsort, and each row's rank."""
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40),
            tops=st.lists(st.sampled_from([0, 1, 2, 6, 1000, 2**20, 2**40, 2**56]),
@@ -76,37 +90,43 @@ class TestRowIds:
     def test_matches_the_per_column_fold(self, data, n, tops):
         codes = []
         for top in tops:
-            # each column holds its top code, so its radix is top + 1
             values = data.draw(st.lists(st.integers(0, top), min_size=n - 1, max_size=n - 1))
             code = np.array(data.draw(st.permutations(values + [top])), dtype=np.int64)
             codes.append(code)
-        got = remap._row_ids(codes)
-        assert got.dtype == np.int64
-        assert got.tolist() == row_ids_by_column(codes).tolist()
+        _, _, rank = checked_runs(codes, n)
+        assert rank.tolist() == row_ids_by_column(codes).tolist()
         rows = sorted(set(zip(*(c.tolist() for c in codes))))
-        assert got.tolist() == [rows.index(r) for r in zip(*(c.tolist() for c in codes))]
+        assert rank.tolist() == [rows.index(r) for r in zip(*(c.tolist() for c in codes))]
 
-    # radix products just past 2**63 (147 * 2**56), far past it, and within it
-    @pytest.mark.parametrize("tops", [[2**56, 6, 6, 2], [2**31, 2**31, 2**31], [2**40, 1, 6]])
-    def test_ranks_rows_whatever_the_radix_product(self, tops):
-        rng = np.random.default_rng(len(tops))
-        codes = [np.append(rng.integers(0, top + 1, 30), top) for top in tops]
-        assert remap._row_ids(codes).tolist() == row_ids_by_column(codes).tolist()
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), kinds=st.lists(st.booleans(), min_size=1,
+                                                                max_size=4))
+    def test_float_and_bool_rows_match_unique_rows(self, data, n, kinds):
+        # float columns draw -0.0 and 0.0 alike, which compare equal
+        cols = [np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 1e300])
+                                            if is_float else st.booleans(),
+                                            min_size=n, max_size=n)),
+                         dtype=float if is_float else bool)
+                for is_float in kinds]
+        order, start, rank = checked_runs(cols, n)
+        _, first, inverse = np.unique(np.stack(cols, 1), axis=0, return_index=True,
+                                      return_inverse=True)
+        assert order[start].tolist() == first.tolist()
+        assert rank.tolist() == inverse.reshape(-1).tolist()
 
-    def test_radices_that_fit_cost_one_unique(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        codes = [rng.integers(0, 100, 500), rng.integers(0, 2, 500).astype(bool),
-                 rng.integers(0, 7, 500).astype(np.int32)]
-        expected = row_ids_by_column(codes).tolist()
-        calls, unique = [], np.unique
+    def test_signed_zeros_form_one_run(self):
+        zeros = np.array([0.0, -0.0, -0.0, 0.0, 3.0, -0.0])
+        flags = np.array([True, True, True, True, False, True])
+        order, start, rank = checked_runs([zeros, flags], 6)
+        assert order.tolist() == [0, 1, 2, 3, 5, 4] and start.tolist() == [0, 5]
+        assert rank.tolist() == [0, 0, 0, 0, 1, 0]
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].size)
-            return unique(*args, **kwargs)
-
-        monkeypatch.setattr(remap.np, "unique", counting)
-        assert remap._row_ids(codes).tolist() == expected
-        assert calls == [500]
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_columns_make_one_run(self, n):
+        order, start, rank = checked_runs([], n)
+        assert order.tolist() == list(range(n))
+        assert start.tolist() == [0] * min(n, 1)
+        assert rank.tolist() == [0] * n
 
 
 class TestInfluentialMetric:
@@ -721,6 +741,80 @@ class TestAcrossBlocks:
         # every block of the plan reuses its two queues rather than building them again
         assert info["blocks"] > info["queues_built"] / 2
         assert as_tuples(plan) == exhaustive_plan(fixture_microfile, fixture_group, tgt, w)
+
+    # (_View builds, trees_built, refills, pairs_scored) with shallow lists on every block
+    @pytest.mark.parametrize("seed, shape", [(0, (42, 23, 3, 968)), (1, (40, 29, 3, 1119)),
+                                             (2, (41, 17, 8, 1020)), (3, (40, 21, 6, 1035)),
+                                             (4, (37, 21, 4, 1009)), (5, (37, 20, 1, 780))])
+    def test_kept_views_keep_the_search_shape(self, seed, shape):
+        # a view key that stopped matching across blocks would build more
+        # views and trees; the plan alone would not show it
+        m, g, tgt, w = cross_block_case(seed)
+        info = {}
+        with mock.patch.multiple(remap, _SCORE_ALL=0, _FIRST_K=2), \
+                mock.patch.object(remap, "_View", wraps=remap._View) as view:
+            plan = plan_swaps(m, g, tgt, w, info=info)
+        assert as_tuples(plan) == exhaustive_plan(m, g, tgt, w)
+        assert (view.call_count, info["trees_built"], info["refills"],
+                info["pairs_scored"]) == shape
+
+
+def signed_zero_case(seed):
+    """Members and partners whose three ordinal columns mix 0.0, -0.0 and positive values.
+
+    The loader reads a ``-0`` cell as -0.0.  Zeros of either sign split the
+    classes into partitions and leave rows with different active columns;
+    p0 and p1 hand members to p2 and p3.
+    """
+    rng = np.random.default_rng(seed)
+    n = 300
+    service = rng.choice(["1", "0", "2"], n, p=[0.4, 0.3, 0.3])
+    ordinal = {name: rng.choice([0.0, -0.0, 1.0, 2.0, 5.0], n, p=[0.2, 0.2, 0.2, 0.2, 0.2])
+               for name in ("age", "income", "tenure")}
+    m = Microfile(
+        attributes=(
+            Attribute("area", "nominal", "parameter"),
+            Attribute("service", "nominal", "vital", weight=1.0),
+            Attribute("age", "ordinal", "influential", weight=2.0),
+            Attribute("income", "ordinal", "influential", weight=1.0),
+            Attribute("tenure", "ordinal", "influential", weight=0.5),
+        ),
+        columns={"area": rng.choice(ORDER, n), "service": service, **ordinal},
+    )
+    g = GroupSpec.create({"service": {"1"}}, "area", ORDER)
+    area = m.column("area")
+    current = np.array([np.sum((service == "1") & (area == v)) for v in ORDER])
+    partners = np.array([np.sum((service != "1") & (area == v)) for v in ORDER])
+    moved = np.minimum(current[:2], partners[2:]) // 2
+    goal = current + np.concatenate([-moved, moved])
+    return m, g, target(goal), InfluentialWeights.from_microfile(m)
+
+
+class TestSignedZeros:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_signed_zeros_plan_like_the_exhaustive_greedy(self, seed):
+        m, g, tgt, w = signed_zero_case(seed)
+        queues, build = [], remap._Queue
+
+        def kept(*args):
+            queues.append(build(*args))
+            return queues[-1]
+
+        with mock.patch.multiple(remap, _SCORE_ALL=0, _FIRST_K=2), \
+                mock.patch.object(remap, "_Queue", side_effect=kept):
+            plan = plan_swaps(m, g, tgt, w)
+        assert len(plan) > 0
+        assert as_tuples(plan) == exhaustive_plan(m, g, tgt, w)
+        # -0.0 and 0.0 are one value: a queue has one class per distinct row
+        columns = [m.cells(name) for name in ("age", "income", "tenure", "service")]
+        for queue in queues:
+            assert queue.count.size == len(set(zip(*(col[queue.recs].tolist()
+                                                     for col in columns))))
+        # some queue holds both signs of zero in one column, and rows differ in
+        # their active columns
+        assert any(len(set(np.signbit(col[queue.recs][col[queue.recs] == 0]).tolist())) == 2
+                   for queue in queues for col in columns[:3])
+        assert len({key[1:] for queue in queues for key in queue.views if key != "all"}) > 1
 
 
 def shared_class_case(seed):
