@@ -14,14 +14,13 @@ import time
 
 import numpy as np
 
-from groupanon.microfile import superset_members
 from groupanon.reference import AREA_CODES, QUANTITY_FINAL, fixture_group, load_quantity_microfile
 from groupanon.remap import InfluentialWeights, apply_swaps, influential_metric, plan_swaps
-from groupanon.signals import GoalSignal, quantity_signal
+from groupanon.signals import GoalSignal, concentration_signal, quantity_signal
 
 microfile = load_quantity_microfile()
 group = fixture_group()
-weights = InfluentialWeights.from_microfile(microfile)
+weights = InfluentialWeights.from_attributes(microfile.attributes)
 print("metric weights:", weights.ordinal, weights.nominal)
 
 a, b = ({attr.name: microfile.column(attr.name)[i] for attr in microfile.attributes}
@@ -48,8 +47,6 @@ print("non-parameter columns untouched:", same_elsewhere)
 print("area multiset unchanged:",
       collections.Counter(modified.column("area")) == collections.Counter(microfile.column("area")))
 
-rho_before = np.unique(microfile.column("area")[superset_members(microfile, group)],
-                       return_counts=True)[1]
-rho_after = np.unique(modified.column("area")[superset_members(modified, group)],
-                      return_counts=True)[1]
+rho_before = concentration_signal(microfile, group).denominators
+rho_after = concentration_signal(modified, group).denominators
 print("population counts per area unchanged:", np.array_equal(rho_before, rho_after))

@@ -38,8 +38,8 @@ declared shift or on a difference group, a negative ``margin``, and
 ``"repair": "mean_std"`` on a concentration or difference group, and any
 edit field (``EDIT_FIELDS``) on a group with a declared ``target``.  The
 library objects a run needs (attributes, groups, constraints, the wavelet
-filter and a declared target) are built here, so their own checks fail at
-load, tagged with the same path.
+filter, the swap weights and a declared target) are built here, so their
+own checks fail at load, tagged with the same path.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import numpy as np
 from .errors import ConfigError, GroupAnonError
 from .microfile import Attribute, GroupSpec
 from .redistribute import RELATIONS, REPAIRS, ConstraintSpec, Objective
+from .remap import InfluentialWeights
 from .signals import KINDS as SIGNAL_KINDS, GoalSignal
 from .wavelet import FilterPair, check_level, get_filter
 
@@ -89,6 +90,7 @@ class GroupConfig:
     ``target`` bypasses the signal-editing stages entirely and remaps the
     group straight onto the given quantity signal; such a group has no
     ``constraints``, and the other edit fields keep their defaults.
+    ``weights`` score record closeness for the swap planner.
     """
 
     name: str
@@ -97,14 +99,13 @@ class GroupConfig:
     filter: FilterPair
     level: int
     constraints: ConstraintSpec | None
+    weights: InfluentialWeights
     subordinate: GroupSpec | None = None
     solution: np.ndarray | None = None
     target: GoalSignal | None = None
     shift: float | None = None
     margin: float = 0.0
     repair: str = "mean_fix"
-    chi_same: float = 0.0
-    chi_diff: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -446,14 +447,14 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
         filter=filter_pair,
         level=level,
         constraints=constraints,
+        weights=cur.build(InfluentialWeights.from_attributes, schema,
+                          cur.field("chi_same", float, 0.0), cur.field("chi_diff", float, 1.0)),
         subordinate=subordinate,
         solution=solution,
         target=target,
         shift=None if shift == "auto" else shift,
         margin=margin,
         repair=repair,
-        chi_same=cur.field("chi_same", float, 0.0),
-        chi_diff=cur.field("chi_diff", float, 1.0),
     )
 
 

@@ -51,8 +51,7 @@ __all__ = [
     "integer_cells",
     "formatted_cells",
     "members",
-    "axis_positions",
-    "values_outside_order",
+    "group_census",
 ]
 
 logger = logging.getLogger(__name__)
@@ -281,26 +280,6 @@ def members(m: Microfile, g: GroupSpec) -> np.ndarray:
         m.attribute(name)
     m.attribute(g.parameter)
     return np.flatnonzero(_match_mask(m, g.vital))
-
-
-def superset_members(m: Microfile, g: GroupSpec) -> np.ndarray:
-    """Indices of records in the superset population (requires superset_vital)."""
-    if g.superset_vital is None:
-        raise SchemaError("group spec declares no superset population")
-    return np.flatnonzero(_match_mask(m, g.superset_vital))
-
-
-def check_group_in_superset(m: Microfile, g: GroupSpec) -> None:
-    """Raise unless every group member also matches the superset combination."""
-    if g.superset_vital is None:
-        return
-    inside = _match_mask(m, g.superset_vital)
-    outside = np.flatnonzero(_match_mask(m, g.vital) & ~inside)
-    if outside.size:
-        raise SchemaError(
-            f"{outside.size} group member(s) fall outside the declared superset "
-            f"(first record index {int(outside[0])})"
-        )
 
 
 @contextmanager
@@ -822,45 +801,55 @@ def _format_cell(attr: Attribute, value) -> str:
     return repr(v)
 
 
-def _distinct_cells(m: Microfile, name: str,
-                    records: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
+def _distinct_cells(m: Microfile, name: str) -> tuple[list[str], np.ndarray]:
     """The texts of a column's distinct values, and each cell's index into them.
 
-    ``records`` are record indices; None means every record, in table
-    order.  A nominal column's distinct values are its vocabulary, which
-    its codes already index, and ``_format_cell`` writes each as it is.
-    An ordinal column's are formatted once each; they come from
-    ``np.unique``, which merges -0.0 with 0.0 and every NaN with every
-    other NaN; each merged group formats to one text ("0" and ""), so the
-    result equals formatting cell by cell.  The distinct values go in as
-    Python scalars, which format several times faster than numpy ones.
+    A nominal column's distinct values are its vocabulary, which its codes
+    already index, and ``_format_cell`` writes each as it is.  An ordinal
+    column's are formatted once each; they come from ``np.unique``, which
+    merges -0.0 with 0.0 and every NaN with every other NaN; each merged
+    group formats to one text ("0" and ""), so the result equals
+    formatting cell by cell.  The distinct values go in as Python scalars,
+    which format several times faster than numpy ones.
     """
     attr, cells, distinct = m.attribute(name), m.cells(name), m.vocabulary(name)
-    if records is not None:
-        cells = cells[records]
     if distinct is not None:
         return distinct.tolist(), cells
     distinct, cells = np.unique(cells, return_inverse=True)
     return [_format_cell(attr, v) for v in distinct.tolist()], cells
 
 
-def axis_positions(m: Microfile, g: GroupSpec, records: np.ndarray | None = None) -> np.ndarray:
-    """Each record's index in ``g.parameter_order``, -1 where its value is not in it.
+def group_census(m: Microfile, g: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Where group ``g`` counts each record: ``(positions, member, superset)``.
 
-    A parameter cell belongs to the order entry equal to the text
-    ``write_microfile`` gives it, so an ordinal 2000.0 sits at "2000".
-    ``records`` are record indices; None means every record, in table
-    order.  Each distinct value is looked up once.
+    ``positions`` is each record's int32 index in ``g.parameter_order``,
+    -1 where its value is not in it.  A parameter cell belongs to the order
+    entry equal to the text ``write_microfile`` gives it, so an ordinal
+    2000.0 sits at "2000"; each distinct value is looked up once.
+    ``member`` and ``superset`` are boolean masks over the records;
+    ``superset`` is None when the group declares no superset population.
+
+    Raises ``SchemaError`` when a member falls outside the declared
+    superset or sits at a parameter value outside the order.
     """
-    text, inverse = _distinct_cells(m, g.parameter, records)
+    member = _match_mask(m, g.vital)
+    superset = None
+    if g.superset_vital is not None:
+        superset = _match_mask(m, g.superset_vital)
+        outside = np.flatnonzero(member & ~superset)
+        if outside.size:
+            raise SchemaError(
+                f"{outside.size} group member(s) fall outside the declared superset "
+                f"(first record index {int(outside[0])})"
+            )
+    text, inverse = _distinct_cells(m, g.parameter)
     index = dict(zip(g.parameter_order, range(len(g.parameter_order))))
-    return np.fromiter(map(index.get, text, repeat(-1)), np.int64, len(text))[inverse]
-
-
-def values_outside_order(m: Microfile, g: GroupSpec, records: np.ndarray) -> list[str]:
-    """The sorted distinct texts of the ``records``' parameter cells missing from the order."""
-    text, inverse = _distinct_cells(m, g.parameter, records)
-    return sorted({text[i] for i in np.unique(inverse).tolist()}.difference(g.parameter_order))
+    positions = np.fromiter(map(index.get, text, repeat(-1)), np.int32, len(text))[inverse]
+    outside = member & (positions < 0)
+    if outside.any():
+        bad = sorted({text[i] for i in np.unique(inverse[outside]).tolist()})
+        raise SchemaError(f"members at parameter values outside the order: {bad}")
+    return positions, member, superset
 
 
 #: A chunk of a written column: a uint8 buffer, and for each row of the chunk

@@ -28,7 +28,7 @@ from .config import GroupConfig, PipelineConfig
 from .errors import GroupAnonError, StageError
 from .microfile import (Microfile, formatted_cells, integer_cells, load_microfile, members,
                         text_cells, write_columns, write_microfile)
-from .remap import InfluentialWeights, SwapPlan, apply_swaps, plan_swaps
+from .remap import SwapPlan, apply_swaps, plan_swaps
 from .signals import (
     GoalSignal,
     clamping_warning,
@@ -192,9 +192,7 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
     """Swap plan, application, recount and published-bound audit of an edited group."""
     stage = log.stage
     planner: dict[str, int] = {}
-    plan = stage("plan", plan_swaps, m, gcfg.group, edit.target,
-                 InfluentialWeights.from_microfile(m, gcfg.chi_same, gcfg.chi_diff),
-                 info=planner)
+    plan = stage("plan", plan_swaps, m, gcfg.group, edit.target, gcfg.weights, info=planner)
     modified = stage("apply", apply_swaps, m, plan)
 
     after = stage("recount", quantity_signal, modified, gcfg.group)

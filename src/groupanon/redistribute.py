@@ -122,9 +122,10 @@ class LinearProgram:
     ``sign_i * bound_i``, where the sign is -1 for a ">=" relation.  It is
     built, solved and checked in that form.  Negation is exact and R has
     no negative zeros, so the operator-facing form of every row (raw
-    coefficients, relation, resolved bound) is recovered bit for bit by
-    scattering a row's entries times its sign into zeros, for reporting
-    and conflict extraction.
+    coefficients, relation, resolved bound) is recovered bit for bit from
+    a row's stored entries times its sign; ``rows`` scatters them into
+    zeros, and ``describe_row`` reads them as they are stored, sorted by
+    column as R's rows are.
     """
 
     a_ub: csr_array
@@ -158,8 +159,11 @@ class LinearProgram:
     def describe_row(self, i: int) -> str:
         """One row as text; coefficients below 5e-4 in magnitude are left out."""
         sign = self._sign(i)
-        coeffs = self._coefficients(i)
-        terms = [f"{coeffs[j]:+.3f}*a({j + 1})" for j in np.flatnonzero(np.abs(coeffs) >= 5e-4)]
+        start, end = self.a_ub.indptr[i], self.a_ub.indptr[i + 1]
+        coeffs = self.a_ub.data[start:end] * sign
+        keep = np.abs(coeffs) >= 5e-4
+        terms = [f"{c:+.3f}*a({j + 1})"
+                 for j, c in zip(self.a_ub.indices[start:end][keep].tolist(), coeffs[keep].tolist())]
         return f"{' '.join(terms)} {self.relations[i]} {self.b_ub[i] * sign:.3f}"
 
     def describe(self) -> list[str]:

@@ -58,13 +58,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import RemapError
-from .microfile import (Attribute, GroupSpec, Microfile, axis_positions, check_group_in_superset,
-                        members, superset_members, values_outside_order)
+from .microfile import Attribute, GroupSpec, Microfile, group_census
 from .signals import GoalSignal
 
 __all__ = [
@@ -94,20 +94,21 @@ class InfluentialWeights:
         weights = list(self.ordinal.values()) + list(self.nominal.values())
         if not all(map(math.isfinite, (*weights, self.chi_same, self.chi_diff))):
             raise RemapError("weights and category factors must be finite")
-        if self.chi_same > self.chi_diff:
-            raise RemapError("matching categories must not cost more than mismatching")
+        if not 0 <= self.chi_same <= self.chi_diff:
+            raise RemapError("category factors must satisfy 0 <= chi_same <= chi_diff: "
+                             "matching categories must not cost more than mismatching")
         if any(w < 0 for w in weights):
             raise RemapError("weights must be non-negative")
         if not any(w > 0 for w in weights):
             raise RemapError("at least one influential weight must be positive")
 
     @classmethod
-    def from_microfile(
-        cls, m: Microfile, chi_same: float = 0.0, chi_diff: float = 1.0
+    def from_attributes(
+        cls, attributes: Sequence[Attribute], chi_same: float = 0.0, chi_diff: float = 1.0
     ) -> "InfluentialWeights":
         """Collect every vital and influential attribute with its declared weight."""
         ordinal, nominal = {}, {}
-        for attr in m.attributes:
+        for attr in attributes:
             if attr.role in ("vital", "influential"):
                 (ordinal if attr.kind == "ordinal" else nominal)[attr.name] = attr.weight
         return cls(ordinal=ordinal, nominal=nominal, chi_same=chi_same, chi_diff=chi_diff)
@@ -289,29 +290,16 @@ def plan_swaps(
     if q_target.parameter_order != g.parameter_order:
         raise RemapError("target signal is built over a different parameter order")
 
-    member_idx = members(m, g)
     target = q_target.values.astype(np.int64)
-    if g.superset_vital is not None:
-        check_group_in_superset(m, g)
-        pool = np.zeros(m.n_records, dtype=bool)
-        pool[superset_members(m, g)] = True
-    else:
-        pool = np.ones(m.n_records, dtype=bool)
-    pool[member_idx] = False
-
     n_pos = len(g.parameter_order)
-    positions = axis_positions(m, g)
-    outside = member_idx[positions[member_idx] < 0]
-    if outside.size:
-        bad = values_outside_order(m, g, outside)
-        raise RemapError(f"members at parameter values outside the order: {bad}")
-    pool &= positions >= 0
-    member = np.zeros(m.n_records, dtype=bool)
-    member[member_idx] = True
+    positions, member, superset = group_census(m, g)
+    pool = ~member & (positions >= 0)
+    if superset is not None:
+        pool &= superset
     # side 0 holds each position's members, side 1 its partners
     sides = (_by_position(member, positions, n_pos), _by_position(pool, positions, n_pos))
     # past here the sides are the only arrays over the table's records that the plan holds
-    del member_idx, pool, positions, member
+    del pool, positions, member, superset
     left = np.stack([np.diff(start) for _, start in sides])  # unused records per side and position
     current, partners = left
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignalError
-from .microfile import (GroupSpec, Microfile, axis_positions, check_group_in_superset, members,
-                        superset_members, values_outside_order)
+from .microfile import GroupSpec, Microfile, group_census
 from .redistribute import round_to_integers
 
 __all__ = [
@@ -84,15 +83,11 @@ class GoalSignal:
 def quantity_signal(m: Microfile, g: GroupSpec) -> GoalSignal:
     """Count group members at each declared parameter value.
 
-    Raises if any member carries a parameter value missing from the order;
-    the total always equals the number of members.
+    ``group_census`` raises if any member carries a parameter value missing
+    from the order, so the total always equals the number of members.
     """
-    idx = members(m, g)
-    pos = axis_positions(m, g, idx)
-    if np.any(pos < 0):
-        raise SignalError("parameter values outside the declared order: "
-                          f"{values_outside_order(m, g, idx[pos < 0])}")
-    return GoalSignal("quantity", np.bincount(pos, minlength=len(g.parameter_order)),
+    positions, member, _ = group_census(m, g)
+    return GoalSignal("quantity", np.bincount(positions[member], minlength=len(g.parameter_order)),
                       g.parameter_order)
 
 
@@ -100,10 +95,10 @@ def concentration_signal(m: Microfile, g: GroupSpec) -> GoalSignal:
     """Member counts divided by superset counts, per parameter value."""
     if g.superset_vital is None:
         raise SignalError("concentration signal requires a superset population")
-    check_group_in_superset(m, g)
-    q = quantity_signal(m, g)
-    pos = axis_positions(m, g, superset_members(m, g))
-    rho = np.bincount(pos[pos >= 0], minlength=len(g.parameter_order))
+    positions, member, superset = group_census(m, g)
+    n = len(g.parameter_order)
+    q = np.bincount(positions[member], minlength=n)
+    rho = np.bincount(positions[superset & (positions >= 0)], minlength=n)
     zero = np.flatnonzero(rho == 0)
     if zero.size:
         value = g.parameter_order[int(zero[0])]
@@ -111,7 +106,7 @@ def concentration_signal(m: Microfile, g: GroupSpec) -> GoalSignal:
             f"superset population is empty at parameter value {value!r}; "
             "concentration undefined"
         )
-    return GoalSignal("concentration", q.values / rho, g.parameter_order, denominators=rho)
+    return GoalSignal("concentration", q / rho, g.parameter_order, denominators=rho)
 
 
 def difference_signal(main: GoalSignal, subordinate: GoalSignal) -> GoalSignal:

@@ -35,6 +35,13 @@ def mean_fix(values, reference) -> np.ndarray:
     return values * (reference.sum() / total)
 
 
+def superset_records(m, g) -> list[int]:
+    """The records of group ``g``'s superset population, found from each cell's text."""
+    texts = {name: m.column(name).tolist() for name, _ in g.superset_vital}
+    return [i for i in range(m.n_records)
+            if all(texts[name][i] in values for name, values in g.superset_vital)]
+
+
 def spec_of(rows, objective=Objective()) -> ConstraintSpec:
     """The spec of ``(position, relation, bound)`` rows; a bound is a number or "original"."""
     positions, relations, bounds = zip(*rows)
@@ -159,6 +166,26 @@ MALFORMED_GROUPS = [
                  "$.groups[0].constraints.rows[7]", id="row-text-bound"),
     pytest.param(lambda g: g["constraints"]["rows"][7].update(bound=True),
                  "$.groups[0].constraints.rows[7]", id="row-bool-bound"),
+]
+
+
+def _zero_every_weight(c):
+    for attr in c["schema"]:
+        if "weight" in attr:
+            attr["weight"] = 0
+
+
+#: Config edits that leave a group's swap weights unusable, each with the error it gives
+#: after the file name.  The weights are built at load, before the input is read.
+UNUSABLE_WEIGHTS = [
+    pytest.param(lambda c: c["groups"][0].update(chi_same=2, chi_diff=1),
+                 "$.groups[0]: category factors must satisfy 0 <= chi_same <= chi_diff: "
+                 "matching categories must not cost more than mismatching", id="chi-same-above"),
+    pytest.param(lambda c: c["groups"][0].update(chi_same=-3),
+                 "$.groups[0]: category factors must satisfy 0 <= chi_same <= chi_diff: "
+                 "matching categories must not cost more than mismatching", id="negative-chi-same"),
+    pytest.param(_zero_every_weight,
+                 "$.groups[0]: at least one influential weight must be positive", id="zero-weights"),
 ]
 
 

@@ -18,9 +18,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import mean_fix, spec_of
+from conftest import mean_fix, spec_of, superset_records
 from groupanon import reference as ref
-from groupanon.microfile import superset_members
 from groupanon.redistribute import (
     build_constraints,
     check_solution,
@@ -129,7 +128,7 @@ def test_c4_end_to_end_quantity_fixture():
 
 def test_c5_remap_realization(fixture_microfile, fixture_group):
     with criterion("C5 remap realization on the fixture"):
-        weights = InfluentialWeights.from_microfile(fixture_microfile)
+        weights = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         target = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
 
         start = time.perf_counter()
@@ -146,7 +145,7 @@ def test_c5_remap_realization(fixture_microfile, fixture_group):
             fixture_microfile.column("area"))
 
         def rho(m):
-            idx = superset_members(m, fixture_group)
+            idx = superset_records(m, fixture_group)
             values, counts = np.unique(m.column("area")[idx], return_counts=True)
             return dict(zip(values, counts))
 

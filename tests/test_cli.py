@@ -10,8 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, base_config,
-                      with_number)
+from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, UNUSABLE_WEIGHTS,
+                      base_config, with_number)
 from groupanon import reference as ref
 from groupanon import pipeline, remap
 from groupanon.cli import main
@@ -445,6 +445,13 @@ class TestRunCommand:
         assert run_cli(command, "--config", str(path), *group) == 1
         assert capsys.readouterr().err.startswith("stage error [signal:active-duty] ")
 
+    def test_quantity_member_outside_the_superset_stops_at_signal(self, config_factory, capsys):
+        path = config_factory(superset={"military_service": ["2"]})
+        assert run_cli("run", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage error [signal:active-duty] ")
+        assert "fall outside the declared superset" in err
+
 
 class TestNominalColumnsStayCoded:
     def test_run_sorts_and_matches_no_text_column(self, config_factory, monkeypatch):
@@ -687,6 +694,16 @@ class TestExitCodes:
         config = base_config()
         edit(config)
         path = with_number(config_factory(config), literal)
+        assert run_cli("run", "--config", str(path)) == 2
+        assert capsys.readouterr().err == f"configuration error: {path}: {error}\n"
+
+    @pytest.mark.parametrize("edit, error", UNUSABLE_WEIGHTS)
+    def test_unusable_weights_exit_2_before_the_input_is_read(self, edit, error, config_factory,
+                                                              capsys):
+        config = base_config()
+        edit(config)
+        path = config_factory(config)
+        (path.parent / config["input"]).unlink()
         assert run_cli("run", "--config", str(path)) == 2
         assert capsys.readouterr().err == f"configuration error: {path}: {error}\n"
 

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, base_config,
-                      rows_of, with_number)
+from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, UNUSABLE_WEIGHTS,
+                      base_config, rows_of, with_number)
 from groupanon.config import ROW_FIELDS, _Cursor, _parse_constraints, load_pipeline_config
 from groupanon.errors import ConfigError
 
@@ -196,6 +196,15 @@ class TestLoadConfig:
         config = base_config()
         edit(config)
         path = with_number(write(tmp_path, config), literal)
+        with pytest.raises(ConfigError) as err:
+            load_pipeline_config(path)
+        assert str(err.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize("edit, error", UNUSABLE_WEIGHTS)
+    def test_unusable_weights_are_an_error_at_the_group(self, tmp_path, edit, error):
+        config = base_config()
+        edit(config)
+        path = write(tmp_path, config)
         with pytest.raises(ConfigError) as err:
             load_pipeline_config(path)
         assert str(err.value) == f"{path}: {error}"

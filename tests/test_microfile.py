@@ -5,6 +5,7 @@ import locale
 import logging
 import math
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import superset_records
 from groupanon import microfile
 from groupanon import reference as ref
 from groupanon.errors import ParseError, SchemaError
@@ -21,12 +23,9 @@ from groupanon.microfile import (
     Attribute,
     GroupSpec,
     Microfile,
-    axis_positions,
-    check_group_in_superset,
+    group_census,
     load_microfile,
     members,
-    superset_members,
-    values_outside_order,
     write_microfile,
 )
 from groupanon.remap import InfluentialWeights, SwapPlan, _PairCost, apply_swaps
@@ -364,23 +363,36 @@ class TestCodedColumnsAgainstTexts:
         order = data.draw(st.lists(st.one_of(st.sampled_from(pools["p"]), NOMINAL_CELLS),
                                    min_size=4, max_size=7, unique=True))
         g = GroupSpec.create({"v": vital}, "p", order, superset_vital={"s": superset})
-        assert members(m, g).tolist() == [i for i in range(n) if texts["v"][i] in vital]
-        assert superset_members(m, g).tolist() == [i for i in range(n) if texts["s"][i] in superset]
+        member = [texts["v"][i] in vital for i in range(n)]
+        assert members(m, g).tolist() == [i for i in range(n) if member[i]]
 
-        records = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else [],
-                           dtype=np.int64)
-        cells = [texts["p"][r] for r in records.tolist()]
-        assert axis_positions(m, g, records).tolist() == [
-            order.index(t) if t in order else -1 for t in cells]
-        assert axis_positions(m, g).tolist() == [
-            order.index(t) if t in order else -1 for t in texts["p"]]
-        assert values_outside_order(m, g, records) == sorted(set(cells) - set(order))
+        positions = [order.index(t) if t in order else -1 for t in texts["p"]]
+        outside = sorted({t for t, inside in zip(texts["p"], member) if inside} - set(order))
+        wider = [texts["s"][i] in superset for i in range(n)]
+        escaped = [i for i in range(n) if member[i] and not wider[i]]
+        for spec, within in ((g, wider), (GroupSpec.create({"v": vital}, "p", order), None)):
+            if within is not None and escaped:
+                with pytest.raises(SchemaError, match=re.escape(
+                        f"{len(escaped)} group member(s) fall outside the declared superset "
+                        f"(first record index {escaped[0]})")):
+                    group_census(m, spec)
+            elif outside:
+                with pytest.raises(SchemaError, match=re.escape(
+                        f"members at parameter values outside the order: {outside}")):
+                    group_census(m, spec)
+            else:
+                got, got_member, got_superset = group_census(m, spec)
+                assert got.dtype == np.int32
+                assert got.tolist() == positions
+                assert got_member.tolist() == member
+                assert within is None and got_superset is None or got_superset.tolist() == within
 
         weight = st.sampled_from([0.5, 1.0, 2.0])
         w = InfluentialWeights(ordinal={}, nominal={"v": data.draw(weight), "s": data.draw(weight)},
                                chi_same=data.draw(st.sampled_from([0.0, 0.5])), chi_diff=1.0)
-        left, right = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(records),
-                                                    max_size=len(records))) if n else [],
+        size = data.draw(st.integers(0, 12)) if n else 0
+        left, right = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=size,
+                                                    max_size=size)) if n else [],
                                 dtype=np.int64) for _ in range(2))
         expected = []
         for a, b in zip(left.tolist(), right.tolist()):
@@ -1152,10 +1164,11 @@ class TestMembers:
         assert members(m, g).size == 0
 
     def test_group_is_subset_of_superset(self, fixture_microfile, fixture_group):
-        inside = set(members(fixture_microfile, fixture_group))
-        wider = set(superset_members(fixture_microfile, fixture_group))
-        assert inside <= wider
-        check_group_in_superset(fixture_microfile, fixture_group)
+        _, member, superset = group_census(fixture_microfile, fixture_group)
+        assert np.flatnonzero(member).tolist() == members(fixture_microfile, fixture_group).tolist()
+        assert np.flatnonzero(superset).tolist() == superset_records(fixture_microfile,
+                                                                     fixture_group)
+        assert not (member & ~superset).any()
 
     def test_group_outside_superset_detected(self, tmp_path):
         schema = TOY_SCHEMA + (Attribute("sex", "nominal", "plain"),)
@@ -1169,7 +1182,7 @@ class TestMembers:
             {"service": {"1"}}, "area", ["a1", "a2", "a3", "a4"], superset_vital={"sex": {"1"}}
         )
         with pytest.raises(SchemaError, match="outside"):
-            check_group_in_superset(m, g)
+            group_census(m, g)
 
 
 class TestGroupSpec:
@@ -1212,20 +1225,37 @@ class TestAxisPositions:
         rng = np.random.default_rng(seed)
         column = np.array(rng.choice(np.array(cells, dtype=object), 60).tolist(),
                           dtype=str if kind == "nominal" else float)
-        m = Microfile((Attribute("p", kind, "plain"),), {"p": column})
-        g = GroupSpec.create({}, "p", order)
-        for records in (rng.choice(60, 25), np.flatnonzero(rng.random(60) < 0.5),
+        expected = positions_cell_by_cell(
+            Microfile((Attribute("p", kind, "plain"),), {"p": column}),
+            GroupSpec.create({}, "p", order), range(60))
+        half = rng.random(60) < 0.5
+        for records in (rng.choice(60, 25), np.flatnonzero(half),
+                        np.flatnonzero(half & (np.array(expected) >= 0)),
                         np.array([], dtype=np.int64)):
-            got = axis_positions(m, g, records)
-            assert got.dtype == np.int64
-            assert got.tolist() == positions_cell_by_cell(m, g, records)
-        assert axis_positions(m, g).tolist() == positions_cell_by_cell(m, g, range(60))
+            member = np.zeros(60, dtype=bool)
+            member[records] = True
+            m = Microfile((Attribute("p", kind, "plain"), Attribute("v", "nominal", "plain")),
+                          {"p": column, "v": np.where(member, "1", "0")})
+            g = GroupSpec.create({"v": {"1"}}, "p", order)
+            attr = m.attribute("p")
+            outside = sorted({microfile._format_cell(attr, column[r]) for r in records.tolist()}
+                             - set(order))
+            if outside:
+                with pytest.raises(SchemaError, match=re.escape(
+                        f"members at parameter values outside the order: {outside}")):
+                    group_census(m, g)
+                continue
+            got, got_member, _ = group_census(m, g)
+            assert got.dtype == np.int32
+            assert got.tolist() == expected
+            assert got_member.tolist() == member.tolist()
 
     def test_integer_years_sit_at_their_written_text(self):
-        m = Microfile((Attribute("year", "ordinal", "parameter"),),
-                      {"year": np.array([2001.0, 2000.0, 2003.0, 1999.0])})
-        g = GroupSpec.create({}, "year", ["2000", "2001", "2002", "2003"])
-        assert axis_positions(m, g).tolist() == [1, 0, 3, -1]
+        m = Microfile((Attribute("year", "ordinal", "parameter"), Attribute("v", "nominal", "plain")),
+                      {"year": np.array([2001.0, 2000.0, 2003.0, 1999.0]),
+                       "v": np.array(["1", "1", "1", "0"])})
+        g = GroupSpec.create({"v": {"1"}}, "year", ["2000", "2001", "2002", "2003"])
+        assert group_census(m, g)[0].tolist() == [1, 0, 3, -1]
 
 
 class TestNonFiniteOrdinal:
@@ -1238,7 +1268,7 @@ class TestNonFiniteOrdinal:
             write_microfile(m, tmp_path / "out.csv")
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(SchemaError, match=message):
-            axis_positions(m, GroupSpec.create({}, "year", ["1", "2", "3", "4"]))
+            group_census(m, GroupSpec.create({}, "year", ["1", "2", "3", "4"]))
 
 
 class TestMicrofileInvariants:

@@ -343,6 +343,26 @@ class TestSparseOperatorAgainstDense:
         assert err.value.conflict == expected
 
 
+class TestDescribeRowAgainstDenseScatter:
+    @pytest.mark.parametrize("family", ["haar", "db2", "db4"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_text_matches_the_dense_row(self, family, seed):
+        # random positions, relations and bounds, about a third of them "original"
+        rng = np.random.default_rng(seed)
+        level = int(rng.integers(1, 4))
+        m = int(rng.integers(8, 33)) << level
+        dec = decompose(rng.poisson(20.0, size=m).astype(float), FILTERS[family], level)
+        rows = [(int(p), str(rel), "original" if rng.random() < 0.3 else float(b))
+                for p, rel, b in zip(rng.integers(1, m + 1, size=2 * m),
+                                     rng.choice(["<=", ">="], size=2 * m),
+                                     rng.normal(20.0, 5.0, size=2 * m))]
+        spec = spec_of(rows)
+        lp = build_constraints(dec, spec)
+        a, b = dense_system(dec, spec)
+        for i, (_, relation, _) in enumerate(rows):
+            assert lp.describe_row(i) == dense_text(a[i], relation, b[i])
+
+
 class TestReassemble:
     def test_reference_reassembly(self, quantity_dec):
         qhat = reassemble(quantity_dec, ref.QUANTITY_SOLUTION)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import superset_records
 from groupanon import reference as ref
 from groupanon import remap
-from groupanon.errors import RemapError
-from groupanon.microfile import Attribute, GroupSpec, Microfile, members, superset_members
+from groupanon.errors import RemapError, SchemaError
+from groupanon.microfile import Attribute, GroupSpec, Microfile, members
 from groupanon.remap import (InfluentialWeights, SwapPlan, _Block, _ClassSpace, _PairCost, _Queue,
                              _sweep, apply_swaps, influential_metric, plan_swaps)
 from groupanon.signals import GoalSignal, quantity_signal
@@ -182,8 +183,12 @@ class TestInfluentialMetric:
             plan_swaps(m, toy_group(), target([4, 0, 0, 0]), w)
 
     def test_chi_ordering_enforced(self):
-        with pytest.raises(RemapError, match="match"):
-            InfluentialWeights(ordinal={"age": 1.0}, nominal={}, chi_same=2.0, chi_diff=1.0)
+        # the metric squares the factors, so a negative chi_same would make
+        # matching categories cost more than mismatching ones
+        for chi_same in (2.0, -3.0):
+            with pytest.raises(RemapError, match="match"):
+                InfluentialWeights(ordinal={"age": 1.0}, nominal={}, chi_same=chi_same,
+                                   chi_diff=1.0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     @pytest.mark.parametrize("where", ["ordinal", "nominal", "chi_same", "chi_diff"])
@@ -200,8 +205,8 @@ class TestInfluentialMetric:
         with pytest.raises(RemapError, match="positive"):
             InfluentialWeights(ordinal={"age": 0.0}, nominal={"service": 0.0})
 
-    def test_from_microfile_collects_vital_and_influential(self, fixture_microfile):
-        w = InfluentialWeights.from_microfile(fixture_microfile)
+    def test_from_attributes_collects_vital_and_influential(self, fixture_microfile):
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         assert w.ordinal == {"age": 1.0, "income": 1.0}
         assert w.nominal == {"military_service": 1.0}
 
@@ -225,7 +230,7 @@ class TestPlanSwaps:
 
     def test_fixture_realizes_reference_target(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
-        w = InfluentialWeights.from_microfile(fixture_microfile)
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         plan = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         modified = apply_swaps(fixture_microfile, plan)
         # recount oracle: direct per-area tally over the new table
@@ -240,7 +245,7 @@ class TestPlanSwaps:
 
     def test_deterministic_for_fixed_inputs(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
-        w = InfluentialWeights.from_microfile(fixture_microfile)
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         first = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         second = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         assert first == second
@@ -276,7 +281,7 @@ class TestPlanSwaps:
 
     def test_members_outside_the_order_are_listed(self):
         m = toy_microfile([("a1", "1", 30, 100), ("b7", "1", 40, 100), ("a2", "0", 30, 100)])
-        with pytest.raises(RemapError, match="outside the order.*b7"):
+        with pytest.raises(SchemaError, match="outside the order.*b7"):
             plan_swaps(m, toy_group(), target([1, 1, 0, 0]), WEIGHTS)
 
     def test_ordinal_parameter_plans_like_its_written_text(self):
@@ -302,7 +307,7 @@ class TestPlanSwaps:
         g = GroupSpec.create({"service": {"1"}}, "year", order)
         before = quantity_signal(ordinal, g).values
         tgt = GoalSignal("quantity", before[::-1].copy(), order)
-        w = InfluentialWeights.from_microfile(ordinal)
+        w = InfluentialWeights.from_attributes(ordinal.attributes)
         plan = plan_swaps(ordinal, g, tgt, w)
         assert len(plan) > 0
         assert plan == plan_swaps(nominal, g, tgt, w)
@@ -319,12 +324,12 @@ class TestPlanSwaps:
         )
         g = GroupSpec.create({"service": {"1"}}, "year", ("2000", "2001", "2002", "2003"))
         tgt = GoalSignal("quantity", np.array([1.0, 1.0, 0.0, 0.0]), g.parameter_order)
-        with pytest.raises(RemapError, match=r"outside the order: \['1999'\]"):
+        with pytest.raises(SchemaError, match=r"outside the order: \['1999'\]"):
             plan_swaps(m, g, tgt, InfluentialWeights(ordinal={}, nominal={"service": 1.0}))
 
     def test_vectorized_costs_match_scalar_metric(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
-        w = InfluentialWeights.from_microfile(fixture_microfile)
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         plan = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         for (a, b), cost in list(zip(plan.swaps, plan.costs))[:25]:
             scalar = influential_metric(record_view(fixture_microfile, a),
@@ -346,7 +351,7 @@ def exhaustive_plan(m, g, tgt, w):
     """
     param = m.column(g.parameter)
     member = set(members(m, g).tolist())
-    pool = set(superset_members(m, g).tolist()) if g.superset_vital else set(range(m.n_records))
+    pool = set(superset_records(m, g) if g.superset_vital else range(m.n_records))
     member_at = [[i for i in range(m.n_records) if i in member and param[i] == v]
                  for v in g.parameter_order]
     partner_at = [[i for i in sorted(pool - member) if param[i] == v] for v in g.parameter_order]
@@ -412,7 +417,7 @@ def random_case(seed, spread, nominal_only, chi_same, superset):
                            chi_same=chi_same, chi_diff=1.0)
 
     pool = np.zeros(n, dtype=bool)
-    pool[superset_members(m, g) if superset else np.arange(n)] = True
+    pool[superset_records(m, g) if superset else np.arange(n)] = True
     pool[members(m, g)] = False
     area = m.column("area")
     current = np.array([np.sum((service == "1") & (area == v)) for v in ORDER])
@@ -725,7 +730,7 @@ class TestAcrossBlocks:
 
     def test_each_queue_is_built_once_per_plan(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
-        w = InfluentialWeights.from_microfile(fixture_microfile)
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         member = np.zeros(fixture_microfile.n_records, dtype=bool)
         member[members(fixture_microfile, fixture_group)] = True
         area = fixture_microfile.column("area")
@@ -787,7 +792,7 @@ def signed_zero_case(seed):
     partners = np.array([np.sum((service != "1") & (area == v)) for v in ORDER])
     moved = np.minimum(current[:2], partners[2:]) // 2
     goal = current + np.concatenate([-moved, moved])
-    return m, g, target(goal), InfluentialWeights.from_microfile(m)
+    return m, g, target(goal), InfluentialWeights.from_attributes(m.attributes)
 
 
 class TestSignedZeros:
@@ -935,7 +940,7 @@ class TestClassesPerQueue:
         info = {}
         tracemalloc.start()
         try:
-            plan = plan_swaps(m, g, tgt, InfluentialWeights.from_microfile(m), info=info)
+            plan = plan_swaps(m, g, tgt, InfluentialWeights.from_attributes(m.attributes), info=info)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -988,7 +993,7 @@ def tied_case(seed, superset, chi_same, kinds):
     g = GroupSpec.create({"service": {"1"}}, "area", order,
                          superset_vital={"sex": {"1"}} if superset else None)
     goal = np.array([n_mem for n_mem, _ in counts]) + [-110, -100, 5, 5, 100, 100]
-    w = InfluentialWeights.from_microfile(m, chi_same=chi_same, chi_diff=1.0)
+    w = InfluentialWeights.from_attributes(m.attributes, chi_same=chi_same, chi_diff=1.0)
     return m, g, GoalSignal("quantity", goal.astype(float), order), w
 
 
@@ -1129,7 +1134,7 @@ class TestApplySwaps:
 
     def test_preserves_parameter_multiset_and_other_columns(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
-        w = InfluentialWeights.from_microfile(fixture_microfile)
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         plan = plan_swaps(fixture_microfile, fixture_group, tgt, w)
         out = apply_swaps(fixture_microfile, plan)
         assert out.n_records == fixture_microfile.n_records
@@ -1141,12 +1146,12 @@ class TestApplySwaps:
 
     def test_superset_counts_invariant(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
-        w = InfluentialWeights.from_microfile(fixture_microfile)
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
         out = apply_swaps(fixture_microfile,
                           plan_swaps(fixture_microfile, fixture_group, tgt, w))
 
         def rho(m):
-            idx = superset_members(m, fixture_group)
+            idx = superset_records(m, fixture_group)
             values, counts = np.unique(m.column("area")[idx], return_counts=True)
             return dict(zip(values, counts))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groupanon import reference as ref
-from groupanon.errors import SignalError
+from groupanon.errors import SchemaError, SignalError
 from groupanon.microfile import Attribute, GroupSpec, Microfile
 from groupanon.signals import (
     GoalSignal,
@@ -58,7 +58,7 @@ class TestQuantity:
 
     def test_member_outside_order_is_reported(self):
         m = toy_microfile(["a1", "zz"], ["1", "1"])
-        with pytest.raises(SignalError, match="zz"):
+        with pytest.raises(SchemaError, match="zz"):
             quantity_signal(m, toy_group())
 
     def test_total_always_matches_member_count(self, fixture_microfile, fixture_group):
