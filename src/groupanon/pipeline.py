@@ -54,7 +54,8 @@ class GroupEdit:
 
     ``lp`` and ``checks`` are None for a group with a declared ``target``,
     which builds no system; its coefficients are then the original ones and
-    its final signal is the target.
+    its final signal is the target.  ``solves`` counts the LPs solved for
+    the coefficients (see ``solve_constraints``); 0 when they were declared.
     """
 
     before: GoalSignal
@@ -66,6 +67,7 @@ class GroupEdit:
     shift: float
     final_signal: np.ndarray
     target: GoalSignal
+    solves: int = 0
 
 
 @dataclass
@@ -161,6 +163,7 @@ def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
 
     lp = stage("constraints", rd.build_constraints, dec, gcfg.constraints)
 
+    solver: dict[str, int] = {"solves": 0}
     if gcfg.solution is not None:
         coeffs = gcfg.solution
         checks = stage("check", rd.check_solution, lp, coeffs)
@@ -168,7 +171,7 @@ def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
             log.warn(f"declared solution violates {lp.describe_row(i)} "
                      f"by {checks.violation[i]:.6g}")
     else:
-        coeffs = stage("solve", rd.solve_constraints, lp, warm_start=dec.approx)
+        coeffs = stage("solve", rd.solve_constraints, lp, warm_start=dec.approx, info=solver)
         checks = stage("check", rd.check_solution, lp, coeffs, tol=1e-6)
         bad = np.flatnonzero(~checks.satisfied)
         if bad.size:
@@ -184,7 +187,7 @@ def edit_group(m: Microfile, gcfg: GroupConfig, log: GroupLog) -> GroupEdit:
 
     final, shift, target = stage("repair", _repair_and_target, m, gcfg, before, reassembled, log)
     return GroupEdit(before, dec, lp, np.asarray(coeffs, dtype=float), checks, reassembled,
-                     shift, final, target)
+                     shift, final, target, solver["solves"])
 
 
 def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
@@ -395,7 +398,7 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
                 "swaps": len(g.plan),
                 "total_swap_cost": g.plan.total_cost,
                 "plan": g.planner,
-                "lp": _lp_summary(g.edit.lp, g.edit.checks, g.published_checks),
+                "lp": _lp_summary(g.edit, g.published_checks),
                 "timings": {k: round(v, 6) for k, v in g.timings.items()},
                 "warnings": g.warnings,
             }
@@ -442,18 +445,22 @@ def _json_text(value, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(members) + f"\n{pad}{brackets[1]}"
 
 
-def _lp_summary(lp: rd.LinearProgram | None, checks: rd.RowChecks,
-                published: rd.RowChecks | None) -> dict | None:
-    """Size of the group's LP and how its coefficients and the published signal met it.
+def _lp_summary(edit: GroupEdit, published: rd.RowChecks | None) -> dict | None:
+    """Size of the group's LP, how it was solved and how its coefficients and the published
+    signal met it.
 
     None without an LP, that is for a group with a declared target.
     """
+    lp, checks = edit.lp, edit.checks
     if lp is None:
         return None
     return {
         "rows": len(lp.relations),
         "vars": lp.n_vars,
         "nonzeros": int(lp.a_ub.nnz),
+        "solves": edit.solves,
+        "coefficients_moved": int(np.count_nonzero(edit.coefficients
+                                                   != edit.decomposition.approx)),
         "violated_rows": int(np.count_nonzero(~checks.satisfied)),
         "max_violation": float(checks.violation.max(initial=0.0)),
         "published_violated_rows": int(np.count_nonzero(~published.satisfied)),

@@ -5,7 +5,12 @@ low-frequency signal component become linear constraints over candidate
 approximation coefficients (rows of the reconstruction matrix), a solution
 is found by linear programming, and the signal is reassembled with its
 detail coefficients untouched, which is what preserves the high-frequency
-behaviour.  The repairs that restore realizability are here too: a
+behaviour.  When the original coefficients a0 meet every row (and are
+non-negative where the system asks it), an objective moves them only where
+it needs to: restricted LPs over a growing working set of rows, with every
+other coefficient fixed at a0 (row sifting, see ``solve_constraints``).
+Otherwise one HiGHS solve covers every row; a feasibility-only system that
+a0 meets is not solved at all and keeps a0, negative entries included.  The repairs that restore realizability are here too: a
 non-negativity shift, a mean/std renormalization, a sum-preserving rescale
 and largest-remainder integer rounding.  A run shifts every group's signal
 (a difference group's only by a declared number), renormalizes it when
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, hstack
 
 from .errors import ConstraintError, InfeasibleError, UnboundedError
 from .wavelet import (
@@ -212,12 +217,22 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     )
 
 
+def _highs(cost: np.ndarray, a_ub: csr_array, b_ub: np.ndarray, bounds, **options):
+    """One HiGHS solve of ``min cost @ x`` subject to ``a_ub @ x <= b_ub`` and ``bounds``.
+
+    ``bounds`` is one (lo, hi) pair for every variable or an (n, 2) array.
+    Every LP of this module is solved here, through the module's ``linprog``.
+    """
+    return linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                   options=options or None)
+
+
 def _run_lp(lp: LinearProgram, row_subset: np.ndarray | None = None):
+    """The whole system, or the rows ``row_subset`` of it, over free or non-negative columns."""
     a, b = lp.a_ub, lp.b_ub
     if row_subset is not None:
         a, b = a[row_subset], b[row_subset]
-    bounds = [(0, None) if lp.nonnegative else (None, None)] * lp.n_vars
-    return linprog(lp.cost, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+    return _highs(lp.cost, a, b, (0, None) if lp.nonnegative else (None, None))
 
 
 def _conflict_subset(lp: LinearProgram) -> list[str]:
@@ -233,17 +248,106 @@ def _conflict_subset(lp: LinearProgram) -> list[str]:
     return [lp.describe_row(i) for i in keep]
 
 
-def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None) -> np.ndarray:
+#: Times the first working set is widened (rows -> their columns -> every row on those
+#: columns) before the first restricted LP.
+_START_WIDENINGS = 3
+
+
+def _sift(lp: LinearProgram, start: np.ndarray, info: dict) -> np.ndarray:
+    """Optimum of the system from a satisfying ``start`` by row sifting over restricted LPs.
+
+    The working set W starts as the rows that touch the objective's columns.
+    Each round solves the LP over F, W's columns and the objective's own,
+    with every other column fixed at ``start``, in change variables
+    ``x_F = start_F + up - down`` (up, down >= 0; down <= start_F for a
+    non-negative system), so the slack basis at zero is feasible and the
+    simplex pivots in only what the objective needs.  Rows outside W that
+    the result violates join W, widened to every row on their columns; an
+    unbounded round adds every row on F, and is final when that adds none.
+    """
+    pattern = csr_array((np.ones(lp.a_ub.nnz), lp.a_ub.indices, lp.a_ub.indptr),
+                        shape=lp.a_ub.shape)
+
+    def rows_on(columns: np.ndarray) -> np.ndarray:
+        return pattern @ columns.astype(float) > 0
+
+    def columns_of(rows: np.ndarray) -> np.ndarray:
+        return pattern.T @ rows.astype(float) > 0
+
+    def widened(rows: np.ndarray) -> np.ndarray:
+        return rows | rows_on(columns_of(rows))
+
+    objective = lp.cost != 0
+    work = rows_on(objective)
+    for _ in range(_START_WIDENINGS):
+        work = widened(work)
+    info["solves"] = 0
+    while True:
+        on_f = columns_of(work) | objective
+        free = np.flatnonzero(on_f)
+        rows = np.flatnonzero(work)
+        a = lp.a_ub[rows]
+        slack = lp.b_ub[rows] - a @ start
+        local = np.zeros(lp.n_vars, dtype=np.int64)
+        local[free] = np.arange(free.size)
+        a = csr_array((a.data, local[a.indices], a.indptr), shape=(rows.size, free.size))
+        upper = start[free] if lp.nonnegative else np.full(free.size, np.inf)
+        bounds = np.zeros((2 * free.size, 2))
+        bounds[:, 1] = np.concatenate([np.full(free.size, np.inf), upper])
+        cost = lp.cost[free]
+        split = (np.concatenate([cost, -cost]), hstack([a, -a], format="csr"), slack, bounds)
+        res = _highs(*split, presolve=False)
+        info["solves"] += 1
+        if res.status not in (0, 3):
+            # without presolve HiGHS can end an unbounded LP with no model status
+            res = _highs(*split)
+            info["solves"] += 1
+        if res.status == 3:
+            grown = work | rows_on(on_f)
+            if np.array_equal(grown, work):
+                raise UnboundedError("objective is unbounded over the constraint system")
+            work = grown
+            continue
+        if res.status != 0:
+            raise ConstraintError(f"linear programming failed: {res.message}")
+        coeffs = start.copy()
+        coeffs[free] += res.x[:free.size] - res.x[free.size:]
+        missed = (lp.a_ub @ coeffs - lp.b_ub > 1e-9) & ~work
+        if not missed.any():
+            return coeffs
+        work = work | widened(missed)
+
+
+def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None,
+                      info: dict | None = None) -> np.ndarray:
     """Find coefficients satisfying the system, optionally optimizing.
 
     With a pure feasibility objective a satisfying ``warm_start`` (typically
-    the original coefficients) is returned as-is, which keeps identity
-    configurations exactly identity.
+    the original coefficients) is returned as-is, also where it is negative
+    in a non-negative system, which keeps identity configurations exactly
+    identity.  With an objective, a ``warm_start`` a0 that meets every row
+    (and is >= 0 in a non-negative system) is moved only where the
+    objective needs it: restricted LPs over a working set of rows, in which
+    every column outside the set's support has zero cost and no entry, so
+    their duals extended by zeros are dual feasible for the whole system,
+    and a restricted optimum that meets every row is optimal for it (row
+    sifting; Bixby et al., Operations Research 40(5), 1992).  Every other
+    case is one HiGHS solve of the whole system.
+
+    If ``info`` is given, ``info["solves"]`` receives the number of LPs
+    solved: 0 for a returned warm start, 1 for the whole system, else the
+    restricted LPs.
     """
-    if warm_start is not None and not lp.cost.any():
-        start = np.asarray(warm_start, dtype=float)
-        if start.size == lp.n_vars and satisfies(lp, start):
-            return start.copy()
+    info = {} if info is None else info
+    start = None if warm_start is None else np.asarray(warm_start, dtype=float)
+    if start is not None and (start.size != lp.n_vars or not satisfies(lp, start)):
+        start = None
+    if start is not None and not lp.cost.any():
+        info["solves"] = 0
+        return start.copy()
+    if start is not None and not (lp.nonnegative and np.any(start < 0)):
+        return _sift(lp, start, info)
+    info["solves"] = 1
     res = _run_lp(lp)
     if res.status == 2:
         conflict = _conflict_subset(lp)

@@ -116,9 +116,9 @@ class TestRunCommand:
         group = report["groups"][0]
         assert set(group) == {"name", "signal_before", "signal_after", "coefficients", "shift",
                               "swaps", "total_swap_cost", "plan", "lp", "timings", "warnings"}
-        assert set(group["lp"]) == {"rows", "vars", "nonzeros", "violated_rows",
-                                    "max_violation", "published_violated_rows",
-                                    "published_max_violation"}
+        assert set(group["lp"]) == {"rows", "vars", "nonzeros", "solves", "coefficients_moved",
+                                    "violated_rows", "max_violation",
+                                    "published_violated_rows", "published_max_violation"}
         plan = group["plan"]
         assert set(plan) == {"blocks", "swept_blocks", "queues_built", "trees_built",
                              "pairs_scored", "refills", "runs"}
@@ -130,6 +130,36 @@ class TestRunCommand:
         assert plan["pairs_scored"] > 0
         # a run pairs at least two swaps
         assert 0 <= 2 * plan["runs"] <= group["swaps"]
+
+    @pytest.mark.parametrize("case, solves", [("declared", 0), ("warm-start", 0),
+                                              ("violated-start", 1), ("objective", None)])
+    def test_lp_reports_solves_and_coefficients_moved(self, config_factory, tmp_path,
+                                                      case, solves):
+        dec = decompose(ref.QUANTITY, get_filter("db2"), 2)
+        level = approximation_component(dec)
+        config = base_config()
+        group = config["groups"][0]
+        if case != "declared":
+            del group["solution"]
+            group["shift"] = "auto"
+            # a band of +-5 around every position's original value, or a cap the
+            # original coefficients miss at position 16
+            rows = ([(16, "<=", 0.9 * level[15])] if case == "violated-start" else
+                    [(p, rel, level[p - 1] + (5.0 if rel == "<=" else -5.0))
+                     for p in range(1, 17) for rel in ("<=", ">=")])
+            group["constraints"] = {
+                "rows": [{"position": p, "relation": rel, "bound": float(b)} for p, rel, b in rows],
+                "objective": {"minimize": [16]} if case == "objective" else "feasibility",
+            }
+        assert run_cli("run", "--config", str(config_factory(config))) == 0
+        group = json.loads((tmp_path / "out/report/report.json").read_text())["groups"][0]
+        moved = np.count_nonzero(np.array(group["coefficients"]) != dec.approx)
+        assert group["lp"]["coefficients_moved"] == moved
+        assert (moved > 0) == (case != "warm-start")
+        if case == "objective":
+            assert group["lp"]["solves"] >= 1
+        else:
+            assert group["lp"]["solves"] == solves
 
     def test_report_parses_as_the_indented_dump(self, config_factory, tmp_path):
         path = config_factory()

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.optimize import linprog
 
 from conftest import mean_fix, rows_of, spec_of
+from groupanon import redistribute
 from groupanon import reference as ref
 from groupanon.errors import ConstraintError, InfeasibleError, UnboundedError
 from groupanon.redistribute import (
@@ -341,6 +343,185 @@ class TestSparseOperatorAgainstDense:
         with pytest.raises(InfeasibleError) as err:
             solve_constraints(lp)
         assert err.value.conflict == expected
+
+
+#: Objective values of the restricted and the full solve agree to this, relative to 1.
+OBJECTIVE_TOL = 1e-6
+
+
+def full_solve_outcome(lp, a, b):
+    """One full ``linprog`` over the dense system: ("optimal", value), ("unbounded", None), ...
+
+    HiGHS's presolve can call an unbounded system infeasible (``sifting_case(43)``
+    has a satisfying point, and is unbounded without presolve), so an
+    "infeasible" is solved once more without presolve.
+    """
+    bounds = (0, None) if lp.nonnegative else (None, None)
+    res = linprog(lp.cost, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+    if res.status == 2:
+        res = linprog(lp.cost, A_ub=a, b_ub=b, bounds=bounds, method="highs",
+                      options={"presolve": False})
+    assert res.status in (0, 2, 3), res.message
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status], res.fun
+
+
+def solve_outcome(lp, warm_start):
+    """``solve_constraints`` from ``warm_start``: the outcome, the point and the LP count."""
+    info = {}
+    try:
+        x = solve_constraints(lp, warm_start=warm_start, info=info)
+    except UnboundedError:
+        return "unbounded", None, info["solves"]
+    except InfeasibleError:
+        return "infeasible", None, info["solves"]
+    return "optimal", x, info["solves"]
+
+
+def sifting_case(seed):
+    """A random banded system the original coefficients meet, with an objective.
+
+    haar, db2 or db4 at level 1-3 over m = 16..256; about a third to all
+    positions get a band of random width around their original value, each
+    side kept with probability 0.8; one to three positions are minimized
+    or maximized; the coefficients are non-negative or free.
+    """
+    rng = np.random.default_rng(seed)
+    family = ("haar", "db2", "db4")[seed % 3]
+    level = int(rng.integers(1, 4))
+    m = int(rng.integers(max(8, 16 >> level), (256 >> level) + 1)) << level
+    dec = decompose(rng.poisson(20.0, size=m).astype(float), FILTERS[family], level)
+    approx = approximation_component(dec)
+    coverage = rng.uniform(0.3, 1.0)
+    rows = []
+    for p in np.flatnonzero(rng.random(m) < coverage) + 1:
+        width = rng.uniform(0.1, 3.0)
+        for rel, side in (("<=", width), (">=", -width)):
+            if rng.random() < 0.8:
+                rows.append((int(p), rel, float(approx[p - 1] + side)))
+    if not rows:
+        rows.append((1, ">=", float(approx[0] - 1.0)))
+    picks = tuple(int(p) for p in rng.choice(m, size=int(rng.integers(1, 4)), replace=False) + 1)
+    objective = Objective(("minimize", "maximize")[int(rng.integers(2))], picks)
+    return dec, rows, objective, bool(rng.integers(2))
+
+
+def spec_with(rows, objective, nonnegative):
+    positions, relations, bounds = zip(*rows)
+    return ConstraintSpec(positions, relations, bounds, None, objective, nonnegative)
+
+
+class TestSiftingAgainstOneFullSolve:
+    """Restricted LPs from the original coefficients against one ``linprog`` over every row.
+
+    The optimum is not unique, so the points are not compared: the outcome
+    (optimal, unbounded, infeasible), the objective value within
+    ``OBJECTIVE_TOL`` and every row at 1e-6 are.
+    """
+
+    def assert_agrees(self, dec, spec, warm_start=None):
+        warm_start = dec.approx if warm_start is None else warm_start
+        lp = build_constraints(dec, spec)
+        expected, value = full_solve_outcome(lp, *dense_system(dec, spec))
+        outcome, x, solves = solve_outcome(lp, warm_start)
+        assert outcome == expected
+        if outcome == "optimal":
+            assert lp.cost @ x == pytest.approx(value, rel=OBJECTIVE_TOL, abs=OBJECTIVE_TOL)
+            assert satisfies(lp, x, tol=1e-6)
+            assert not lp.nonnegative or x.min() >= 0.0
+        return outcome, solves
+
+    def test_random_banded_systems(self):
+        outcomes, rounds = [], []
+        for seed in range(60):
+            dec, rows, objective, nonnegative = sifting_case(seed)
+            outcome, solves = self.assert_agrees(dec, spec_with(rows, objective, nonnegative))
+            outcomes.append(outcome)
+            rounds.append(solves)
+        # both outcomes the original coefficients allow, and cases that take more than one
+        # restricted LP, are exercised
+        assert {"optimal", "unbounded"} <= set(outcomes)
+        assert max(rounds) >= 2 and min(rounds) >= 1
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    @pytest.mark.parametrize("kind", ["minimize", "maximize"])
+    def test_objective_column_no_row_touches(self, kind, nonnegative):
+        # rows on the first half only; the objective sits at the far end of the axis.
+        # Haar's reconstruction rows are non-negative, so the sign bound bounds a minimum
+        dec = decompose(np.random.default_rng(3).poisson(20.0, size=64).astype(float),
+                        FILTERS["haar"], 2)
+        approx = approximation_component(dec)
+        rows = [(p, rel, float(approx[p - 1] + (1.0 if rel == "<=" else -1.0)))
+                for p in range(1, 25) for rel in ("<=", ">=")]
+        spec = spec_with(rows, Objective(kind, (48,)), nonnegative)
+        lp = build_constraints(dec, spec)
+        assert not lp.a_ub[:, np.flatnonzero(lp.cost)].nnz
+        outcome, _ = self.assert_agrees(dec, spec)
+        # minimizing a free or maximizing any column is unbounded; minimizing a
+        # non-negative one drives it to zero, a point only its own column reaches
+        assert outcome == ("optimal" if nonnegative and kind == "minimize" else "unbounded")
+
+    def test_unbounded_system(self, quantity_dec):
+        spec = spec_with([(1, ">=", 0.0), (9, "<=", 5000.0)], Objective("maximize", (1,)), False)
+        assert self.assert_agrees(quantity_dec, spec) == ("unbounded", 1)
+
+    def test_original_coefficients_missing_a_row_take_the_full_solve(self, quantity_dec):
+        level = approximation_component(quantity_dec)
+        rows = [(16, "<=", 0.9 * level[15])] + [(p, ">=", level[p - 1] - 500.0)
+                                                 for p in range(1, 16)]
+        spec = spec_with(rows, Objective("minimize", (3,)), False)
+        assert not satisfies(build_constraints(quantity_dec, spec), quantity_dec.approx)
+        assert self.assert_agrees(quantity_dec, spec) == ("optimal", 1)
+        infeasible = spec_with(rows + [(16, ">=", level[15])], Objective("minimize", (3,)), False)
+        assert self.assert_agrees(quantity_dec, infeasible) == ("infeasible", 1)
+
+    @pytest.mark.parametrize("kind", ["minimize", "maximize"])
+    def test_negative_original_coefficients_under_a_sign_bound_take_the_full_solve(self, kind):
+        rng = np.random.default_rng(23)
+        dec = decompose(rng.normal(0.0, 5.0, size=64), DB2, 2)
+        assert dec.approx.min() < 0
+        approx = approximation_component(dec)
+        rows = [(p, rel, float(approx[p - 1] + (2.0 if rel == "<=" else -2.0)))
+                for p in range(1, 65) for rel in ("<=", ">=")]
+        spec = spec_with(rows, Objective(kind, (5, 40)), True)
+        _, solves = self.assert_agrees(dec, spec)
+        assert solves == 1
+        # the same system without the sign bound is sifted from the original coefficients
+        assert self.assert_agrees(dec, spec_with(rows, Objective(kind, (5, 40)), False))[1] >= 1
+
+
+class TestOneHighsCallSite:
+    """Every LP goes through the module attribute ``redistribute.linprog`` with ``A_ub=``."""
+
+    def calls(self, fn):
+        counted = []
+
+        def counter(*args, **kwargs):
+            counted.append(kwargs)
+            return linprog(*args, **kwargs)
+
+        with mock.patch.object(redistribute, "linprog", counter):
+            fn()
+        assert counted and all(k["A_ub"].shape[0] == k["b_ub"].size for k in counted)
+        return counted
+
+    def test_long_axis_solves(self):
+        dec, spec = banded_case(5, 4096, "minimize")
+        lp = build_constraints(dec, spec)
+        info = {}
+        restricted = self.calls(lambda: solve_constraints(lp, warm_start=dec.approx, info=info))
+        assert len(restricted) == info["solves"]
+        assert all(k["A_ub"].shape[0] < lp.a_ub.shape[0] for k in restricted)
+        # one full solve, its bounds one (lo, hi) pair for every coefficient
+        (full,) = self.calls(lambda: solve_constraints(lp))
+        assert full["A_ub"].shape == lp.a_ub.shape and np.shape(full["bounds"]) == (2,)
+
+    def test_conflict_filter_solves(self, quantity_dec):
+        rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
+        lp = build_constraints(quantity_dec, spec_of(rows))
+        calls = self.calls(lambda: pytest.raises(InfeasibleError, solve_constraints, lp))
+        # the full solve, then the deletion filter's one solve per row
+        assert len(calls) == 1 + len(rows)
+        assert all(np.shape(k["bounds"]) == (2,) for k in calls)
 
 
 class TestDescribeRowAgainstDenseScatter:
