@@ -10,9 +10,10 @@ non-negative where the system asks it), an objective moves them only where
 it needs to: restricted LPs over a growing working set of rows, with every
 other coefficient fixed at a0 (row sifting, see ``solve_constraints``).
 Otherwise one HiGHS solve covers every row; a feasibility-only system that
-a0 meets is not solved at all and keeps a0, negative entries included.  The repairs that restore realizability are here too: a
-non-negativity shift, a mean/std renormalization, a sum-preserving rescale
-and largest-remainder integer rounding.  A run shifts every group's signal
+a0 meets is not solved at all and keeps a0, negative entries included.
+The repairs that restore realizability are here too: a non-negativity
+shift, a mean/std renormalization, a sum-preserving rescale and
+largest-remainder integer rounding.  A run shifts every group's signal
 (a difference group's only by a declared number), renormalizes it when
 ``"repair": "mean_std"`` asks, and then ``signals.concentration_to_quantity``
 clamps, rescales and rounds it for every signal kind.
@@ -288,12 +289,11 @@ def _sift(lp: LinearProgram, start: np.ndarray, info: dict) -> np.ndarray:
         rows = np.flatnonzero(work)
         a = lp.a_ub[rows]
         slack = lp.b_ub[rows] - a @ start
-        local = np.zeros(lp.n_vars, dtype=np.int64)
-        local[free] = np.arange(free.size)
-        a = csr_array((a.data, local[a.indices], a.indptr), shape=(rows.size, free.size))
-        upper = start[free] if lp.nonnegative else np.full(free.size, np.inf)
+        a = a[:, free]
         bounds = np.zeros((2 * free.size, 2))
-        bounds[:, 1] = np.concatenate([np.full(free.size, np.inf), upper])
+        bounds[:, 1] = np.inf
+        if lp.nonnegative:
+            bounds[free.size:, 1] = start[free]
         cost = lp.cost[free]
         split = (np.concatenate([cost, -cost]), hstack([a, -a], format="csr"), slack, bounds)
         res = _highs(*split, presolve=False)
@@ -340,13 +340,12 @@ def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None,
     """
     info = {} if info is None else info
     start = None if warm_start is None else np.asarray(warm_start, dtype=float)
-    if start is not None and (start.size != lp.n_vars or not satisfies(lp, start)):
-        start = None
-    if start is not None and not lp.cost.any():
-        info["solves"] = 0
-        return start.copy()
-    if start is not None and not (lp.nonnegative and np.any(start < 0)):
-        return _sift(lp, start, info)
+    if start is not None and start.size == lp.n_vars and satisfies(lp, start):
+        if not lp.cost.any():
+            info["solves"] = 0
+            return start.copy()
+        if not (lp.nonnegative and np.any(start < 0)):
+            return _sift(lp, start, info)
     info["solves"] = 1
     res = _run_lp(lp)
     if res.status == 2:
