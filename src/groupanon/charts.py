@@ -24,12 +24,12 @@ _PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
 
 def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
     """Write a single-series line chart, atomically; one x position per label."""
-    values = [float(v) for v in values]
+    values = np.asarray(values, dtype=float)
     xs, ticks = _x_axis(tuple(map(str, labels)))
-    if len(xs) != len(values) or not values:
+    if values.shape != (len(xs),) or not values.size:
         raise ValueError("labels and values must be equally long and non-empty")
 
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
@@ -38,8 +38,10 @@ def svg_line_chart(labels, values, path: str | Path, title: str = "") -> None:
     def y_at(v):
         return _MARGIN_T + _PLOT_H * (1.0 - (v - lo) / (hi - lo))
 
-    # each point is formatted once, for the polyline and its circle
-    ys = list(map("{:.1f}".format, y_at(np.array(values)).tolist()))
+    # each distinct value is formatted once, for the polylines and circles of all its points
+    distinct, where = np.unique(values, return_inverse=True)
+    texts = list(map("{:.1f}".format, y_at(distinct).tolist()))
+    ys = list(map(texts.__getitem__, where.tolist()))
     points = " ".join(map(",".join, zip(xs, ys)))
 
     parts = [

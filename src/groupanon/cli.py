@@ -152,9 +152,9 @@ def _cmd_redistribute(config: PipelineConfig, gcfg: GroupConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_run(config: PipelineConfig) -> int:
+def _cmd_run(config: PipelineConfig, config_s: float) -> int:
     result = run_pipeline(config)
-    write_outputs(config, result)
+    write_outputs(config, result, config_s)
     for g in result.groups:
         print(f"group {g.name}: {len(g.plan)} swaps, total cost {g.plan.total_cost:.3f}, "
               f"shift {g.edit.shift:g}")
@@ -175,9 +175,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args.fixture)
+        started = time.perf_counter()
         config = _load_config(args)
         if args.command == "run":
-            return _cmd_run(config)
+            return _cmd_run(config, time.perf_counter() - started)
         command = {"signal": _cmd_signal, "decompose": _cmd_decompose,
                    "redistribute": _cmd_redistribute}[args.command]
         return command(config, *config.groups)

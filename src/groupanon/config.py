@@ -141,8 +141,11 @@ class PipelineConfig:
 
 
 _REQUIRED = object()
-#: What JSON's ``NaN``, ``Infinity``, ``-Infinity`` and a number with no finite value load
-#: as: neither a number nor a text, so every read that meets one fails at its path.
+#: What JSON's ``NaN``, ``Infinity`` and ``-Infinity``, an integer past the interpreter's
+#: digit limit, and (through ``_as_float``) a number with no finite float load as: neither
+#: a number nor a text, so every read that meets one fails at its path.  A float literal
+#: past float64 (``1e999``) loads as an infinite float, which every float read and
+#: ``_Cursor.array`` reject.
 _NON_FINITE = object()
 
 
@@ -254,13 +257,17 @@ class _Cursor:
     def array(self, kind, what):
         """This array as a list of ``kind`` values (an integer counts as a float).
 
+        A float that is not finite (``1e999``) is no value of any kind.
         ``what`` names the elements in the error.
         """
         if isinstance(self.data, list):
             values = list(self.data)
             if kind is float:
                 values = list(map(_as_float, values))
-            if all(map(isinstance, values, repeat(kind))) and bool not in set(map(type, values)):
+            types = set(map(type, values))
+            finite = float not in types or all(
+                map(math.isfinite, (v for v in values if type(v) is float)))
+            if finite and bool not in types and all(map(isinstance, values, repeat(kind))):
                 return values
         self.fail(f"expected an array of {what}")
 
@@ -332,18 +339,27 @@ def _row_columns(data, m: int):
     position in 1..m, a relation of ``RELATIONS`` and a bound that is a
     number, "original" or absent.  A bound that is absent or null is
     "original", as ``_Cursor.number_or`` reads it.  Every check runs over
-    a whole column at once.
+    a whole column at once; a column of numbers alone is read as one array.
     """
     if not isinstance(data, list) or not set(map(type, data)) <= {dict}:
         return None
     if not set().union(*data) <= set(ROW_FIELDS):
         return None
     positions, relations, bounds = (list(map(dict.get, data, repeat(key))) for key in ROW_FIELDS)
-    bounds = list(map(_as_float, bounds))
     if (not set(map(type, positions)) <= {int} or not 1 <= min(positions, default=1)
             or max(positions, default=m) > m
             or not set(map(type, relations)) <= {str} or not set(relations) <= set(RELATIONS)):
         return None
+    kinds = set(map(type, bounds))
+    if kinds <= {float, int}:
+        try:
+            values = np.array(bounds, dtype=float)
+        except OverflowError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        return positions, relations, values, np.zeros(values.size, dtype=bool)
+    bounds = list(map(_as_float, bounds))
     kinds = set(map(type, bounds))
     if not kinds <= {float, str, type(None)}:
         return None
@@ -458,6 +474,24 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     )
 
 
+def _parse_json(text: str):
+    """The JSON value of ``text``, with ``NaN``, ``Infinity`` and ``-Infinity`` as ``_NON_FINITE``.
+
+    Numbers are read by the JSON module's own C parse, with no Python call
+    per number.  An integer past the interpreter's digit limit stops that
+    parse, and the text is read again with it as ``_NON_FINITE``.
+    """
+    def constant(literal):
+        return _NON_FINITE
+
+    try:
+        return json.loads(text, parse_constant=constant)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        return json.loads(text, parse_int=_parse_int, parse_constant=constant)
+
+
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a pipeline configuration file."""
     path = Path(path)
@@ -466,8 +500,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
-        data = json.loads(text, parse_float=lambda literal: _as_float(float(literal)),
-                          parse_int=_parse_int, parse_constant=lambda literal: _NON_FINITE)
+        data = _parse_json(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 

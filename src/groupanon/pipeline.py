@@ -359,11 +359,14 @@ def write_coefficients_csv(path, dec: WaveletDecomposition) -> None:
                                    "{:.12g}".format)], sum(sizes))
 
 
-def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
+def write_outputs(config: PipelineConfig, result: PipelineResult,
+                  config_s: float | None = None) -> None:
     """Write the modified table, per-group artifacts and the JSON report.
 
     Every file is replaced atomically, and ``report.json`` comes last, so a
     run that fails while writing leaves the previous report in place.
+    ``config_s``, the time the config read took, is reported as ``io.config_s``
+    (null when not given).
     """
     output = config.output_path
     report_dir = config.report_path
@@ -408,6 +411,7 @@ def write_outputs(config: PipelineConfig, result: PipelineResult) -> None:
     report = {
         "output": str(output),
         "io": {
+            "config_s": None if config_s is None else round(config_s, 6),
             "load_s": round(result.load_s, 6),
             "write_s": round(write_s, 6),
             "records": result.microfile.n_records,

@@ -277,6 +277,8 @@ def plan_swaps(
     Each swap is the cheapest remaining (member, partner) pair of its
     donor→recipient block, ties going to the lower member and then the lower
     partner record index, so identical inputs always produce identical plans.
+    A target equal to the group's counts gets the empty plan as soon as the
+    weights are checked.
 
     If ``info`` is given, it receives the planner's counts: ``blocks`` in
     the flow, ``swept_blocks`` matched by scoring every pair,
@@ -293,6 +295,11 @@ def plan_swaps(
     target = q_target.values.astype(np.int64)
     n_pos = len(g.parameter_order)
     positions, member, superset = group_census(m, g)
+    if np.array_equal(np.bincount(positions[member], minlength=n_pos), target):
+        _PairCost(m, w)  # the weights are checked, though no pair is scored
+        if info is not None:
+            info.update(dict.fromkeys(_COUNTS, 0))
+        return SwapPlan._of(g.parameter, np.empty((0, 2), np.int64), np.empty(0))
     pool = ~member & (positions >= 0)
     if superset is not None:
         pool &= superset

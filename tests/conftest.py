@@ -265,4 +265,11 @@ OVERFLOWING_NUMBERS = [
                  "$.groups[0].solution: expected an array of numbers", id="solution-401-digits"),
     pytest.param(lambda c: c["schema"][1].update(weight=NUMBER), "1" + "0" * 5000,
                  "$.schema[1]: field 'weight' must be float", id="weight-past-the-digit-limit"),
+    pytest.param(lambda c: c["groups"][0]["vital"].update(military_service=["1", NUMBER]),
+                 "1e999",
+                 "$.groups[0].vital.military_service: expected an array of strings or numbers",
+                 id="vital-value-1e999"),
+    pytest.param(lambda c: c["groups"][0]["parameter_order"].__setitem__(0, NUMBER), "-1e999",
+                 "$.groups[0].parameter_order: expected an array of strings or numbers",
+                 id="parameter-order-entry-minus-1e999"),
 ]

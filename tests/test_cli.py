@@ -96,7 +96,7 @@ class TestRunCommand:
         assert 0 < lp["nonzeros"] <= lp["rows"] * lp["vars"]
         assert (lp["violated_rows"], lp["max_violation"]) == (0, 0.0)
         io = report["io"]
-        assert io["load_s"] > 0 and io["write_s"] > 0
+        assert io["config_s"] > 0 and io["load_s"] > 0 and io["write_s"] > 0
         assert io["records"] == out.n_records == 12894
         assert io["bytes_read"] == (tmp_path / "military.csv").stat().st_size
         written = [tmp_path / "out/modified.csv"] + [
@@ -109,7 +109,7 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(path)) == 0
         report = json.loads((tmp_path / "out/report/report.json").read_text())
         assert set(report) == {"output", "io", "groups"}
-        assert set(report["io"]) == {"load_s", "write_s", "records", "bytes_read",
+        assert set(report["io"]) == {"config_s", "load_s", "write_s", "records", "bytes_read",
                                      "bytes_written", "reader"}
         assert report["io"]["reader"] == "bytes"
         assert len(report["groups"]) == 1

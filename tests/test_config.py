@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, UNUSABLE_WEIGHTS,
-                      base_config, rows_of, with_number)
+from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, NUMBER, OVERFLOWING_NUMBERS,
+                      UNUSABLE_WEIGHTS, base_config, rows_of, with_number)
 from groupanon.config import ROW_FIELDS, _Cursor, _parse_constraints, load_pipeline_config
 from groupanon.errors import ConfigError
 
@@ -199,6 +199,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_pipeline_config(path)
         assert str(err.value) == f"{path}: {error}"
+
+    def test_finite_float_entries_read_as_their_text(self, tmp_path):
+        config = base_config()
+        config["groups"][0]["vital"]["military_service"].append(NUMBER)
+        config["groups"][0]["parameter_order"][0] = NUMBER
+        group = load_pipeline_config(with_number(write(tmp_path, config), "1.5")).groups[0].group
+        assert group.vital == (("military_service", frozenset({"1", "1.5"})),)
+        assert group.parameter_order[0] == "1.5"
 
     @pytest.mark.parametrize("edit, error", UNUSABLE_WEIGHTS)
     def test_unusable_weights_are_an_error_at_the_group(self, tmp_path, edit, error):

@@ -252,6 +252,29 @@ def banded_case(seed, m, objective):
     return dec, spec_of(rows, Objective(objective, picks))
 
 
+def tight_band_case(seed, m):
+    """Counts of 1-5 with two spikes of 200-1200, db2 level 2, banded +-0.25 at every position.
+
+    The two spikes get only a lower bound and are minimized, and the
+    coefficients are free, as on the long-axis benchmark workload.
+    """
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 6, m).astype(float)
+    spikes = rng.choice(m, 2, replace=False)
+    counts[spikes] += rng.integers(200, 1200, 2)
+    dec = decompose(counts, DB2, 2)
+    approx = approximation_component(dec)
+    top = sorted(int(p) + 1 for p in spikes)
+    rows = []
+    for p in range(1, m + 1):
+        rows.append((p, ">=", float(approx[p - 1]) - 0.25))
+        if p not in top:
+            rows.append((p, "<=", float(approx[p - 1]) + 0.25))
+    positions, relations, bounds = zip(*rows)
+    return dec, ConstraintSpec(positions, relations, bounds, None,
+                               Objective("minimize", tuple(top)), False)
+
+
 def fixture_cases():
     yield "C3-quantity", decompose(ref.QUANTITY, DB2, 2), spec_from(ref.QUANTITY_SYSTEM)
     yield ("C3-concentration", decompose(ref.CONCENTRATION, DB2, 2),
@@ -460,6 +483,12 @@ class TestSiftingAgainstOneFullSolve:
         # non-negative one drives it to zero, a point only its own column reaches
         assert outcome == ("optimal" if nonnegative and kind == "minimize" else "unbounded")
 
+    @pytest.mark.parametrize("seed, m", [(0, 256), (2, 256), (1, 1024)])
+    def test_tight_bands_take_one_lp(self, seed, m):
+        # three widenings took three restricted LPs on each of these
+        dec, spec = tight_band_case(seed, m)
+        assert self.assert_agrees(dec, spec) == ("optimal", 1)
+
     def test_unbounded_system(self, quantity_dec):
         spec = spec_with([(1, ">=", 0.0), (9, "<=", 5000.0)], Objective("maximize", (1,)), False)
         assert self.assert_agrees(quantity_dec, spec) == ("unbounded", 1)
@@ -472,7 +501,21 @@ class TestSiftingAgainstOneFullSolve:
         assert not satisfies(build_constraints(quantity_dec, spec), quantity_dec.approx)
         assert self.assert_agrees(quantity_dec, spec) == ("optimal", 1)
         infeasible = spec_with(rows + [(16, ">=", level[15])], Objective("minimize", (3,)), False)
-        assert self.assert_agrees(quantity_dec, infeasible) == ("infeasible", 1)
+        # presolve's "infeasible" is solved once more without presolve
+        assert self.assert_agrees(quantity_dec, infeasible) == ("infeasible", 2)
+
+    def test_unbounded_system_presolve_calls_infeasible(self):
+        # the original coefficients meet every row, and the system is unbounded, yet
+        # HiGHS's presolve reports it infeasible
+        dec, rows, objective, nonnegative = sifting_case(43)
+        lp = build_constraints(dec, spec_with(rows, objective, nonnegative))
+        assert satisfies(lp, dec.approx)
+        assert linprog(lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(None, None),
+                       method="highs").status == 2
+        info = {}
+        with pytest.raises(UnboundedError):
+            solve_constraints(lp, info=info)
+        assert info["solves"] == 2
 
     @pytest.mark.parametrize("kind", ["minimize", "maximize"])
     def test_negative_original_coefficients_under_a_sign_bound_take_the_full_solve(self, kind):
@@ -483,8 +526,9 @@ class TestSiftingAgainstOneFullSolve:
         rows = [(p, rel, float(approx[p - 1] + (2.0 if rel == "<=" else -2.0)))
                 for p in range(1, 65) for rel in ("<=", ">=")]
         spec = spec_with(rows, Objective(kind, (5, 40)), True)
-        _, solves = self.assert_agrees(dec, spec)
-        assert solves == 1
+        # the sign bound makes the system infeasible: the full solve, and its "infeasible"
+        # solved again without presolve
+        assert self.assert_agrees(dec, spec) == ("infeasible", 2)
         # the same system without the sign bound is sifted from the original coefficients
         assert self.assert_agrees(dec, spec_with(rows, Objective(kind, (5, 40)), False))[1] >= 1
 
@@ -519,8 +563,11 @@ class TestOneHighsCallSite:
         rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
         lp = build_constraints(quantity_dec, spec_of(rows))
         calls = self.calls(lambda: pytest.raises(InfeasibleError, solve_constraints, lp))
-        # the full solve, then the deletion filter's one solve per row
-        assert len(calls) == 1 + len(rows)
+        # the full solve, then the deletion filter's one solve per row; every "infeasible"
+        # (the full system and the trial without row 3) is solved again without presolve
+        assert len(calls) == 1 + len(rows) + 2
+        assert [k["options"] for k in calls] == [None, {"presolve": False}, None, None, None,
+                                                 {"presolve": False}]
         assert all(np.shape(k["bounds"]) == (2,) for k in calls)
 
 

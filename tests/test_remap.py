@@ -218,6 +218,18 @@ class TestPlanSwaps:
         assert len(plan) == 0
         assert plan.total_cost == 0.0
 
+    def test_target_equal_to_the_counts_plans_nothing(self, fixture_microfile, fixture_group):
+        tgt = quantity_signal(fixture_microfile, fixture_group)
+        w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
+        info = {}
+        with mock.patch.object(remap, "_by_position", wraps=remap._by_position) as sides:
+            plan = plan_swaps(fixture_microfile, fixture_group, tgt, w, info=info)
+        assert plan.swaps.shape == (0, 2) and plan.swaps.dtype == np.int64
+        assert plan.costs.shape == (0,) and plan.total_cost == 0.0
+        assert info == dict.fromkeys(remap._COUNTS, 0)
+        # neither side is sorted by position
+        assert sides.call_count == 0
+
     def test_forced_single_swap_with_identical_partner(self):
         # one member in a1, an attribute-identical non-member in a2: the only
         # viable move, at pure category cost
