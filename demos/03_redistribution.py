@@ -38,8 +38,8 @@ positions, relations, bounds, _ = zip(*QUANTITY_SYSTEM)
 spec = ConstraintSpec(positions, relations, bounds)
 lp = build_constraints(dec, spec)
 print("constraint system:")
-for line in lp.describe():
-    print(" ", line)
+for i in range(lp.sign.size):
+    print(" ", lp.describe_row(i))
 
 coeffs = solve_constraints(lp, warm_start=dec.approx)
 print("\nsolver feasible point:", np.round(coeffs, 3))

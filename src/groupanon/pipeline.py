@@ -459,7 +459,7 @@ def _lp_summary(edit: GroupEdit, published: rd.RowChecks | None) -> dict | None:
     if lp is None:
         return None
     return {
-        "rows": len(lp.relations),
+        "rows": lp.sign.size,
         "vars": lp.n_vars,
         "nonzeros": int(lp.a_ub.nnz),
         "solves": edit.solves,

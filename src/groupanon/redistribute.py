@@ -9,8 +9,10 @@ behaviour.  When the original coefficients a0 meet every row (and are
 non-negative where the system asks it), an objective moves them only where
 it needs to: restricted LPs over a growing working set of rows, with every
 other coefficient fixed at a0 (row sifting, see ``solve_constraints``).
-Otherwise one HiGHS solve covers every row; a feasibility-only system that
-a0 meets is not solved at all and keeps a0, negative entries included.
+Otherwise one HiGHS answer covers every row; a feasibility-only system
+that a0 meets is not solved at all and keeps a0, negative entries included.
+Every LP goes through ``_highs``, which asks HiGHS once more, with presolve
+flipped, when an answer is neither optimal nor unbounded.
 The repairs that restore realizability are here too: a non-negativity
 shift, a mean/std renormalization, a sum-preserving rescale and
 largest-remainder integer rounding.  A run shifts every group's signal
@@ -111,69 +113,40 @@ class ConstraintSpec:
             object.__setattr__(self, name, value)
 
 
-def _scatter_row(matrix: csr_array, i: int, scale: float) -> np.ndarray:
-    """Row i of a CSR matrix as a dense vector: its stored entries times ``scale``, in zeros."""
-    start, end = matrix.indptr[i], matrix.indptr[i + 1]
-    row = np.zeros(matrix.shape[1])
-    row[matrix.indices[start:end]] = matrix.data[start:end] * scale
-    return row
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """Sparse inequality system A x <= b over approximation coefficients.
 
-    ``a_ub`` is a CSR matrix: row i holds the nonzeros of
-    reconstruction-matrix row ``sign_i * R[position_i - 1]``, with bound
-    ``sign_i * bound_i``, where the sign is -1 for a ">=" relation.  It is
-    built, solved and checked in that form.  Negation is exact and R has
-    no negative zeros, so the operator-facing form of every row (raw
+    ``sign`` is the read-only array of +1 for a "<=" row and -1 for a ">="
+    row, the only record of a row's direction.  ``a_ub`` is a CSR matrix:
+    row i holds the nonzeros of reconstruction-matrix row
+    ``sign[i] * R[position_i - 1]``, with bound ``b_ub[i] = sign[i] * bound_i``.
+    It is built, solved and checked in that form.  Negation is exact and R
+    has no negative zeros, so the operator-facing form of every row (raw
     coefficients, relation, resolved bound) is recovered bit for bit from
-    a row's stored entries times its sign; ``rows`` scatters them into
-    zeros, and ``describe_row`` reads them as they are stored, sorted by
-    column as R's rows are.
+    a row's stored entries and bound times its sign; ``describe_row`` reads
+    the entries as they are stored, sorted by column as R's rows are.
     """
 
     a_ub: csr_array
     b_ub: np.ndarray
     cost: np.ndarray
     nonnegative: bool
-    relations: tuple[str, ...] = field(repr=False)
+    sign: np.ndarray = field(repr=False)
 
     @property
     def n_vars(self) -> int:
         return int(self.a_ub.shape[1])
 
-    def _sign(self, i: int) -> float:
-        return 1.0 if self.relations[i] == "<=" else -1.0
-
-    def _coefficients(self, i: int) -> np.ndarray:
-        """Row i in operator form, dense: its stored entries times its sign, scattered.
-
-        ``toarray()`` would negate the zeros of a ">=" row to -0.0 as well.
-        """
-        return _scatter_row(self.a_ub, i, self._sign(i))
-
-    @property
-    def rows(self) -> tuple[tuple[np.ndarray, str, float], ...]:
-        """Operator-facing (coefficients, relation, bound) of every row."""
-        return tuple(
-            (self._coefficients(i), rel, float(self.b_ub[i] * self._sign(i)))
-            for i, rel in enumerate(self.relations)
-        )
-
     def describe_row(self, i: int) -> str:
         """One row as text; coefficients below 5e-4 in magnitude are left out."""
-        sign = self._sign(i)
+        sign = self.sign[i]
         start, end = self.a_ub.indptr[i], self.a_ub.indptr[i + 1]
         coeffs = self.a_ub.data[start:end] * sign
         keep = np.abs(coeffs) >= 5e-4
         terms = [f"{c:+.3f}*a({j + 1})"
                  for j, c in zip(self.a_ub.indices[start:end][keep].tolist(), coeffs[keep].tolist())]
-        return f"{' '.join(terms)} {self.relations[i]} {self.b_ub[i] * sign:.3f}"
-
-    def describe(self) -> list[str]:
-        return [self.describe_row(i) for i in range(len(self.relations))]
+        return f"{' '.join(terms)} {'<=' if sign > 0 else '>='} {self.b_ub[i] * sign:.3f}"
 
 
 def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> LinearProgram:
@@ -197,6 +170,7 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
 
     positions = spec.positions - 1
     sign = np.where(np.array(spec.relations) == "<=", 1.0, -1.0)
+    sign.setflags(write=False)
     bounds = spec.bounds
     if spec.original.any():
         bounds = np.where(spec.original, approximation_component(dec)[positions], bounds)
@@ -207,48 +181,52 @@ def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> Linear
     if spec.objective.kind != "feasibility":
         direction = -1.0 if spec.objective.kind == "maximize" else 1.0
         for pos in spec.objective.positions:
-            cost += _scatter_row(matrix, pos - 1, direction)
+            start, end = matrix.indptr[pos - 1], matrix.indptr[pos]
+            cost[matrix.indices[start:end]] += matrix.data[start:end] * direction
 
     return LinearProgram(
         a_ub=a_ub,
         b_ub=bounds * sign,
         cost=cost,
         nonnegative=spec.nonnegative,
-        relations=spec.relations,
+        sign=sign,
     )
 
 
-def _highs(cost: np.ndarray, a_ub: csr_array, b_ub: np.ndarray, bounds, **options):
-    """One HiGHS solve of ``min cost @ x`` subject to ``a_ub @ x <= b_ub`` and ``bounds``.
+def _highs(cost: np.ndarray, a_ub: csr_array, b_ub: np.ndarray, bounds, presolve: bool = True):
+    """HiGHS's answer to ``min cost @ x`` subject to ``a_ub @ x <= b_ub`` and ``bounds``.
 
     ``bounds`` is one (lo, hi) pair for every variable or an (n, 2) array.
+    An answer that is neither optimal (status 0) nor unbounded (status 3)
+    is asked once more with presolve flipped: presolve can call an
+    unbounded system infeasible, and without presolve HiGHS can end an
+    unbounded LP with no model status.  The second answer is kept only if
+    it is 0 or 3.  Returns the answer and the number of solves, 1 or 2.
     Every LP of this module is solved here, through the module's ``linprog``.
     """
-    return linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
-                   options=options or None)
+    def solve(presolve: bool):
+        return linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                       options=None if presolve else {"presolve": False})
+
+    res = solve(presolve)
+    if res.status in (0, 3):
+        return res, 1
+    again = solve(not presolve)
+    return (again if again.status in (0, 3) else res), 2
 
 
 def _run_lp(lp: LinearProgram, row_subset: np.ndarray | None = None, info: dict | None = None):
-    """The whole system, or the rows ``row_subset`` of it, over free or non-negative columns.
+    """HiGHS's answer for the whole system, or the rows ``row_subset`` of it.
 
-    HiGHS's presolve can call an unbounded system infeasible, so an
-    "infeasible" is solved again without presolve, and an optimum or
-    unboundedness found then is the answer.  ``info["solves"]``, if given,
-    receives the number of solves, 1 or 2.
+    The columns are free or non-negative.  ``info["solves"]``, if given,
+    receives the number of solves ``_highs`` made, 1 or 2.
     """
     a, b = lp.a_ub, lp.b_ub
     if row_subset is not None:
         a, b = a[row_subset], b[row_subset]
-    problem = (lp.cost, a, b, (0, None) if lp.nonnegative else (None, None))
-    res = _highs(*problem)
-    calls = 1
-    if res.status == 2:
-        again = _highs(*problem, presolve=False)
-        calls += 1
-        if again.status in (0, 3):
-            res = again
+    res, solves = _highs(lp.cost, a, b, (0, None) if lp.nonnegative else (None, None))
     if info is not None:
-        info["solves"] = calls
+        info["solves"] = solves
     return res
 
 
@@ -317,13 +295,9 @@ def _sift(lp: LinearProgram, start: np.ndarray, info: dict) -> np.ndarray:
         if lp.nonnegative:
             bounds[free.size:, 1] = start[free]
         cost = lp.cost[free]
-        split = (np.concatenate([cost, -cost]), hstack([a, -a], format="csr"), slack, bounds)
-        res = _highs(*split, presolve=False)
-        info["solves"] += 1
-        if res.status not in (0, 3):
-            # without presolve HiGHS can end an unbounded LP with no model status
-            res = _highs(*split)
-            info["solves"] += 1
+        res, solves = _highs(np.concatenate([cost, -cost]), hstack([a, -a], format="csr"),
+                             slack, bounds, presolve=False)
+        info["solves"] += solves
         if res.status == 3:
             grown = work | rows_on(on_f)
             if np.array_equal(grown, work):
@@ -355,12 +329,12 @@ def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None,
     and a restricted optimum that meets every row is optimal for it (row
     sifting; Bixby et al., Operations Research 40(5), 1992).  On a banded
     system that is usually one restricted LP.  Every other case is one
-    HiGHS solve of the whole system, solved again without presolve when
-    presolve calls it infeasible (presolve can say so of an unbounded one).
+    HiGHS answer for the whole system.  Any answer that is neither optimal
+    nor unbounded is asked once more with presolve flipped (``_highs``).
 
     If ``info`` is given, ``info["solves"]`` receives the number of LPs
-    solved: 0 for a returned warm start, 1 for the whole system (2 when an
-    "infeasible" was solved again), else the restricted LPs.
+    solved: 0 for a returned warm start, 1 for the whole system (2 when its
+    first answer was asked again), else those of the restricted LPs.
     """
     info = {} if info is None else info
     start = None if warm_start is None else np.asarray(warm_start, dtype=float)
@@ -407,17 +381,16 @@ class RowChecks:
 def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> RowChecks:
     """Evaluate every row at ``coeffs``; violations carry their magnitude.
 
-    One sparse product ``a_ub @ coeffs`` gives every left-hand side; a ">="
-    row's is negated back, exactly.  Its gap in ``a_ub`` form, ``lhs - bound``,
-    equals ``bound - lhs`` of the operator-facing row.
+    One sparse product ``a_ub @ coeffs`` gives every left-hand side, and
+    times ``lp.sign`` (exact) its operator-facing form.  A ">=" row's gap in
+    ``a_ub`` form, ``lhs - bound``, equals ``bound - lhs`` of that form.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     signed = lp.a_ub @ coeffs
     gap = signed - lp.b_ub
-    upper = np.array(lp.relations) == "<="
     return RowChecks(
-        lhs=np.where(upper, signed, -signed),
-        bound=np.where(upper, lp.b_ub, -lp.b_ub),
+        lhs=signed * lp.sign,
+        bound=lp.b_ub * lp.sign,
         satisfied=gap <= tol,
         violation=np.where(gap < 0.0, 0.0, gap),
     )

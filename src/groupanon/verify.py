@@ -70,7 +70,7 @@ def _case(kind: str, fp: FilterPair, solution_row, tol: float) -> tuple[list[Che
     positions, relations, bounds, _ = zip(*system)
     lp = build_constraints(dec, ConstraintSpec(positions, relations, bounds))
     rows.append(_compare(f"{kind} constraint-system coefficients",
-                         [coeffs for coeffs, _, _ in lp.rows],
+                         lp.a_ub.toarray() * lp.sign[:, None],
                          [printed for *_, printed in system], 1e-3))
 
     solution = frozen("SOLUTION")

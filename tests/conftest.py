@@ -57,6 +57,21 @@ def rows_of(spec: ConstraintSpec) -> list:
                    spec.original.tolist())]
 
 
+def operator_rows(lp) -> list:
+    """Every row of ``lp`` in operator form: ``(coefficients, relation, bound)``.
+
+    The coefficients are the row's stored entries times its sign, scattered
+    into zeros (``toarray()`` would negate a ">=" row's zeros to -0.0 as well).
+    """
+    rows = []
+    for i, sign in enumerate(lp.sign.tolist()):
+        start, end = lp.a_ub.indptr[i], lp.a_ub.indptr[i + 1]
+        coeffs = np.zeros(lp.n_vars)
+        coeffs[lp.a_ub.indices[start:end]] = lp.a_ub.data[start:end] * sign
+        rows.append((coeffs, "<=" if sign > 0 else ">=", float(lp.b_ub[i] * sign)))
+    return rows
+
+
 def base_config() -> dict:
     """Pipeline config for the bundled quantity case (paths relative to the config)."""
     return {

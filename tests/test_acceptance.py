@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import mean_fix, spec_of, superset_records
+from conftest import mean_fix, operator_rows, spec_of, superset_records
 from groupanon import reference as ref
 from groupanon.redistribute import (
     build_constraints,
@@ -95,12 +95,12 @@ def test_c3_constraint_system_fixtures():
     with criterion("C3 constraint systems (1 documented reference inconsistency)"):
         dec_q = decompose(ref.QUANTITY, DB2, 2)
         lp_q = build_constraints(dec_q, system_spec(ref.QUANTITY_SYSTEM))
-        for (coeffs, _, _), (_, _, _, printed) in zip(lp_q.rows, ref.QUANTITY_SYSTEM):
+        for (coeffs, _, _), (_, _, _, printed) in zip(operator_rows(lp_q), ref.QUANTITY_SYSTEM):
             assert np.max(np.abs(coeffs - np.array(printed))) <= 1e-3
 
         dec_c = decompose(ref.CONCENTRATION, DB2, 2)
         lp_c = build_constraints(dec_c, system_spec(ref.CONCENTRATION_SYSTEM))
-        for (coeffs, _, _), (_, _, _, printed) in zip(lp_c.rows, ref.CONCENTRATION_SYSTEM):
+        for (coeffs, _, _), (_, _, _, printed) in zip(operator_rows(lp_c), ref.CONCENTRATION_SYSTEM):
             assert np.max(np.abs(coeffs - np.array(printed))) <= 1e-3
 
         # the consistent quantity-case solution satisfies its system

@@ -466,6 +466,32 @@ class TestRunCommand:
             assert run_cli("run", "--config", str(path)) == 1
         assert capsys.readouterr().err.startswith("stage error [repair:active-duty] ")
 
+    def test_infeasible_rows_stop_at_solve_naming_the_conflict(self, config_factory, tmp_path,
+                                                               capsys):
+        config = base_config()
+        group = config["groups"][0]
+        del group["solution"]
+        group["constraints"] = {"rows": [{"position": 16, "relation": "<=", "bound": 1.0},
+                                         {"position": 16, "relation": ">=", "bound": 2.0}]}
+        assert run_cli("run", "--config", str(config_factory(config))) == 1
+        assert capsys.readouterr().err == (
+            "stage error [solve:active-duty] constraint system is infeasible; irreducible "
+            "conflict (best effort): +0.512*a(1) -0.012*a(4) <= 1.000; "
+            "+0.512*a(1) -0.012*a(4) >= 2.000\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unbounded_objective_stops_at_solve(self, config_factory, tmp_path, capsys):
+        config = base_config()
+        group = config["groups"][0]
+        del group["solution"]
+        group["constraints"] = {"rows": [{"position": 16, "relation": ">=", "bound": "original"}],
+                                "objective": {"maximize": [16]},
+                                "nonnegative_coefficients": False}
+        assert run_cli("run", "--config", str(config_factory(config))) == 1
+        assert capsys.readouterr().err == ("stage error [solve:active-duty] objective is "
+                                           "unbounded over the constraint system\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["signal", "decompose", "redistribute", "run"])
     def test_signal_failure_is_tagged_signal_by_every_command(self, command, config_factory,
                                                               capsys):

@@ -1,12 +1,13 @@
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
-from conftest import mean_fix, rows_of, spec_of
+from conftest import mean_fix, operator_rows, rows_of, spec_of
 from groupanon import redistribute
 from groupanon import reference as ref
 from groupanon.errors import ConstraintError, InfeasibleError, UnboundedError
@@ -44,13 +45,13 @@ def spec_from(system, bounds="printed"):
 class TestBuildConstraints:
     def test_quantity_system_coefficients(self, quantity_dec):
         lp = build_constraints(quantity_dec, spec_from(ref.QUANTITY_SYSTEM))
-        for (coeffs, rel, bound), (_, rel_ref, b_ref, printed) in zip(lp.rows, ref.QUANTITY_SYSTEM):
+        for (coeffs, rel, bound), (_, rel_ref, b_ref, printed) in zip(operator_rows(lp), ref.QUANTITY_SYSTEM):
             assert rel == rel_ref and bound == pytest.approx(b_ref)
             assert np.max(np.abs(coeffs - np.array(printed))) < 1e-3
 
     def test_concentration_system_coefficients(self, concentration_dec):
         lp = build_constraints(concentration_dec, spec_from(ref.CONCENTRATION_SYSTEM))
-        for (coeffs, _, _), (_, _, _, printed) in zip(lp.rows, ref.CONCENTRATION_SYSTEM):
+        for (coeffs, _, _), (_, _, _, printed) in zip(operator_rows(lp), ref.CONCENTRATION_SYSTEM):
             assert np.max(np.abs(coeffs - np.array(printed))) < 1e-3
 
     def test_original_bounds_make_coefficients_feasible(self, quantity_dec):
@@ -123,7 +124,7 @@ class TestSolve:
         lp = build_constraints(quantity_dec, spec_from(ref.QUANTITY_SYSTEM))
         out = solve_constraints(lp)
         assert satisfies(lp, out, tol=1e-6)
-        for (coeffs, relation, bound) in lp.rows:
+        for (coeffs, relation, bound) in operator_rows(lp):
             lhs = float(coeffs @ out)
             assert lhs <= bound + 1e-6 if relation == "<=" else lhs >= bound - 1e-6
 
@@ -195,21 +196,28 @@ class TestCheckSolutionAgainstRowLoop:
         assert not checks.satisfied.all()
         for array in (checks.lhs, checks.bound, checks.satisfied, checks.violation):
             assert array.shape == (len(expected),) and not array.flags.writeable
-        described = lp.describe()
         for i, (text, lhs, ok, violation) in enumerate(expected):
             assert checks.satisfied[i] == ok
             assert checks.violation[i] == violation
             assert checks.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=1e-12)
-            assert lp.describe_row(i) == described[i] == text
+            assert lp.describe_row(i) == text
         assert satisfies(lp, coeffs) == checks.satisfied.all()
 
     def test_rows_recover_operator_form_exactly(self):
         dec, spec, _ = random_long_axis_case()
         lp = build_constraints(dec, spec)
         matrix = reconstruction_matrix(DB2, 2, 4096)
-        for (coeffs, relation, bound), row in zip(lp.rows, rows_of(spec), strict=True):
+        # left-hand sides at every unit vector: column j of the operator-form rows
+        lhs = np.column_stack([check_solution(lp, unit).lhs for unit in np.eye(lp.n_vars)])
+        bound = check_solution(lp, dec.approx).bound
+        for i, ((coeffs, relation, resolved), row) in enumerate(
+                zip(operator_rows(lp), rows_of(spec), strict=True)):
             assert coeffs.tobytes() == matrix[row[0] - 1].tobytes()
-            assert (relation, bound) == row[1:]
+            assert (relation, resolved) == row[1:]
+            assert lp.sign[i] == (1.0 if relation == "<=" else -1.0)
+            assert np.array_equal(lhs[i], matrix[row[0] - 1])
+            assert bound[i].tobytes() == np.float64(resolved).tobytes()
+            assert lp.describe_row(i).endswith(f" {relation} {resolved:.3f}")
 
 
 def dense_system(dec, spec):
@@ -345,7 +353,7 @@ class TestSparseOperatorAgainstDense:
             checks = check_solution(lp, coeffs)
             for i, (_, relation, _) in enumerate(rows_of(spec)):
                 sign = 1.0 if relation == "<=" else -1.0
-                assert lp.relations[i] == relation
+                assert lp.sign[i] == sign
                 assert checks.bound[i] == b[i] * sign
                 assert checks.satisfied[i] == (signed[i] - b[i] <= 1e-9)
                 assert checks.lhs[i] == pytest.approx(signed[i] * sign, rel=1e-12, abs=1e-12)
@@ -569,6 +577,106 @@ class TestOneHighsCallSite:
         assert [k["options"] for k in calls] == [None, {"presolve": False}, None, None, None,
                                                  {"presolve": False}]
         assert all(np.shape(k["bounds"]) == (2,) for k in calls)
+
+
+class TestOneAnswerRule:
+    """``_highs`` asks once more, presolve flipped, for any answer but optimal or unbounded.
+
+    ``redistribute.linprog`` answers from a script of statuses, then, once
+    the script is spent, as HiGHS does; ``options`` lists every call's.
+    """
+
+    @contextmanager
+    def scripted(self, *statuses):
+        script, options = list(statuses), []
+
+        def answer(cost, **kwargs):
+            options.append(kwargs["options"])
+            if not script:
+                return linprog(cost, **kwargs)
+            status = script.pop(0)
+            return OptimizeResult(status=status, x=np.zeros(len(cost)),
+                                  message=f"scripted status {status}")
+
+        with mock.patch.object(redistribute, "linprog", answer):
+            yield options
+        assert not script
+
+    def test_full_solve_unbounded_on_the_second_answer(self, quantity_dec):
+        lp = build_constraints(quantity_dec, spec_of([(1, ">=", 0.0)], Objective("maximize", (1,))))
+        info = {}
+        with self.scripted(2, 3) as options, pytest.raises(UnboundedError):
+            solve_constraints(lp, info=info)
+        assert options == [None, {"presolve": False}] and info["solves"] == 2
+
+    def test_sifting_round_kept_on_the_second_answer(self):
+        dec, spec = tight_band_case(0, 256)
+        lp = build_constraints(dec, spec)
+        info = {}
+        with self.scripted(4, 0) as options:
+            out = solve_constraints(lp, warm_start=dec.approx, info=info)
+        assert options == [{"presolve": False}, None] and info["solves"] == 2
+        # every change variable of the scripted optimum is zero
+        assert np.array_equal(out, dec.approx)
+
+    def test_two_infeasible_answers_reach_the_deletion_filter(self, quantity_dec):
+        rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
+        lp = build_constraints(quantity_dec, spec_of(rows))
+        info = {}
+        with self.scripted(2, 2) as options, pytest.raises(InfeasibleError) as err:
+            solve_constraints(lp, info=info)
+        # the full system's two answers, then HiGHS's for the filter's trials: one per row,
+        # and the trial without row 3 asked again
+        assert options == [None, {"presolve": False}, None, None, None, {"presolve": False}]
+        assert info["solves"] == 2 and len(err.value.conflict) == 2
+
+    def test_a_failure_then_infeasible_is_the_failure(self, quantity_dec):
+        lp = build_constraints(quantity_dec, spec_of([(1, "<=", 0.0)]))
+        info = {}
+        with self.scripted(1, 2) as options, pytest.raises(ConstraintError) as err:
+            solve_constraints(lp, info=info)
+        assert type(err.value) is ConstraintError and "scripted status 1" in str(err.value)
+        assert options == [None, {"presolve": False}] and info["solves"] == 2
+
+
+def conflict_case(seed):
+    """A small infeasible system: bands around the original values, one ">=" row above a "<=".
+
+    haar, db2 or db4 at level 1-3 over m = 16..64; 16 positions get a
+    "<=" and a ">=" row of random width, and one more ">=" row, placed at a
+    random index, bounds a banded position above its "<=" bound.
+    """
+    rng = np.random.default_rng(seed)
+    family = ("haar", "db2", "db4")[seed % 3]
+    level = int(rng.integers(1, 4))
+    m = int(rng.integers(max(8, 16 >> level), (64 >> level) + 1)) << level
+    dec = decompose(rng.poisson(20.0, size=m).astype(float), FILTERS[family], level)
+    approx = approximation_component(dec)
+    rows = []
+    for p in rng.choice(m, size=min(m, 16), replace=False) + 1:
+        width = rng.uniform(0.1, 3.0)
+        rows += [(int(p), "<=", float(approx[p - 1] + width)),
+                 (int(p), ">=", float(approx[p - 1] - width))]
+    p, _, upper = rows[2 * int(rng.integers(len(rows) // 2))]
+    rows.insert(int(rng.integers(len(rows) + 1)), (p, ">=", upper + rng.uniform(0.1, 2.0)))
+    return dec, spec_with(rows, Objective(), bool(rng.integers(2)))
+
+
+class TestConflictIsIrreducible:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_conflict_rows_are_infeasible_and_each_is_needed(self, seed):
+        dec, spec = conflict_case(seed)
+        lp = build_constraints(dec, spec)
+        texts = [lp.describe_row(i) for i in range(lp.sign.size)]
+        assert len(set(texts)) == len(texts)
+        with pytest.raises(InfeasibleError) as err:
+            solve_constraints(lp, warm_start=dec.approx)
+        conflict = [texts.index(text) for text in err.value.conflict]
+        a, b = dense_system(dec, spec)
+        assert dense_linprog(lp, a[conflict], b[conflict]).status == 2
+        for drop in conflict:
+            rest = [i for i in conflict if i != drop]
+            assert dense_linprog(lp, a[rest], b[rest]).status == 0, drop
 
 
 class TestDescribeRowAgainstDenseScatter:
