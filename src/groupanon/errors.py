@@ -28,8 +28,8 @@ class ConstraintError(GroupAnonError):
 class InfeasibleError(ConstraintError):
     """No point satisfies the constraint system.
 
-    ``conflict`` holds a best-effort irreducible subset of the conflicting
-    row descriptions.
+    ``conflict`` holds a best-effort irreducible set of conflicting rows, each
+    ``rows[j]: <row text>`` with j its 0-based index in ``constraints.rows``.
     """
 
     def __init__(self, message: str, conflict: list | None = None):

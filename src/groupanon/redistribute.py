@@ -12,7 +12,8 @@ other coefficient fixed at a0 (row sifting, see ``solve_constraints``).
 Otherwise one HiGHS answer covers every row; a feasibility-only system
 that a0 meets is not solved at all and keeps a0, negative entries included.
 Every LP goes through ``_highs``, which asks HiGHS once more, with presolve
-flipped, when an answer is neither optimal nor unbounded.
+flipped, when an answer is neither optimal nor unbounded; zero-cost trials
+(QuickXplain) name the rows of an infeasible system.
 The repairs that restore realizability are here too: a non-negativity
 shift, a mean/std renormalization, a sum-preserving rescale and
 largest-remainder integer rounding.  A run shifts every group's signal
@@ -201,7 +202,8 @@ def _highs(cost: np.ndarray, a_ub: csr_array, b_ub: np.ndarray, bounds, presolve
     is asked once more with presolve flipped: presolve can call an
     unbounded system infeasible, and without presolve HiGHS can end an
     unbounded LP with no model status.  The second answer is kept only if
-    it is 0 or 3.  Returns the answer and the number of solves, 1 or 2.
+    it is 0 or 3, and a zero-cost LP's status 2 is final: it cannot be
+    unbounded.  Returns the answer and the number of solves, 1 or 2.
     Every LP of this module is solved here, through the module's ``linprog``.
     """
     def solve(presolve: bool):
@@ -209,38 +211,37 @@ def _highs(cost: np.ndarray, a_ub: csr_array, b_ub: np.ndarray, bounds, presolve
                        options=None if presolve else {"presolve": False})
 
     res = solve(presolve)
-    if res.status in (0, 3):
+    if res.status in (0, 3) or (res.status == 2 and not cost.any()):
         return res, 1
     again = solve(not presolve)
     return (again if again.status in (0, 3) else res), 2
 
 
-def _run_lp(lp: LinearProgram, row_subset: np.ndarray | None = None, info: dict | None = None):
-    """HiGHS's answer for the whole system, or the rows ``row_subset`` of it.
+def _conflict_subset(lp: LinearProgram, bounds) -> list[str]:
+    """A minimal infeasible set of rows, as ``rows[j]: <describe_row text>`` in row order.
 
-    The columns are free or non-negative.  ``info["solves"]``, if given,
-    receives the number of solves ``_highs`` made, 1 or 2.
+    Each trial asks only whether some rows are feasible (zero cost).  If the
+    whole system is called infeasible, QuickXplain (Junker, AAAI 2004) over
+    the rows listed last-first, preferring rows listed first, names in about
+    k log(n / k) trials the k rows that the deletion filter (drop row 0, 1,
+    ... while the rest stays infeasible) names in n; else every row is named.
     """
-    a, b = lp.a_ub, lp.b_ub
-    if row_subset is not None:
-        a, b = a[row_subset], b[row_subset]
-    res, solves = _highs(lp.cost, a, b, (0, None) if lp.nonnegative else (None, None))
-    if info is not None:
-        info["solves"] = solves
-    return res
+    def infeasible(rows: list[int]) -> bool:
+        rows = sorted(rows)
+        return _highs(np.zeros(lp.n_vars), lp.a_ub[rows], lp.b_ub[rows], bounds)[0].status == 2
 
+    def explain(background: list[int], added: bool, rows: list[int]) -> list[int]:
+        if added and infeasible(background):
+            return []
+        if len(rows) == 1:
+            return rows
+        first, second = rows[:len(rows) // 2], rows[len(rows) // 2:]
+        tail = explain(background + first, True, second)
+        return explain(background + tail, bool(tail), first) + tail
 
-def _conflict_subset(lp: LinearProgram) -> list[str]:
-    """Deletion filter: drop rows whose removal keeps the system infeasible."""
-    keep = list(range(len(lp.b_ub)))
-    for idx in list(keep):
-        trial = [i for i in keep if i != idx]
-        if not trial:
-            break
-        res = _run_lp(lp, np.array(trial))
-        if res.status == 2:
-            keep = trial
-    return [lp.describe_row(i) for i in keep]
+    every = list(range(lp.b_ub.size))
+    rows = sorted(explain([], False, every[::-1])) if infeasible(every) else every
+    return [f"rows[{j}]: {lp.describe_row(j)}" for j in rows]
 
 
 #: Times the first working set is widened (rows -> their columns -> every row on those
@@ -334,7 +335,8 @@ def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None,
 
     If ``info`` is given, ``info["solves"]`` receives the number of LPs
     solved: 0 for a returned warm start, 1 for the whole system (2 when its
-    first answer was asked again), else those of the restricted LPs.
+    first answer was asked again), else those of the restricted LPs.  The
+    trials that name an infeasible system's conflict are not counted.
     """
     info = {} if info is None else info
     start = None if warm_start is None else np.asarray(warm_start, dtype=float)
@@ -344,14 +346,12 @@ def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None,
             return start.copy()
         if not (lp.nonnegative and np.any(start < 0)):
             return _sift(lp, start, info)
-    res = _run_lp(lp, info=info)
+    bounds = (0, None) if lp.nonnegative else (None, None)
+    res, info["solves"] = _highs(lp.cost, lp.a_ub, lp.b_ub, bounds)
     if res.status == 2:
-        conflict = _conflict_subset(lp)
-        raise InfeasibleError(
-            "constraint system is infeasible; irreducible conflict (best effort): "
-            + "; ".join(conflict),
-            conflict=conflict,
-        )
+        conflict = _conflict_subset(lp, bounds)
+        raise InfeasibleError("constraint system is infeasible; irreducible conflict (best "
+                              "effort): " + "; ".join(conflict), conflict=conflict)
     if res.status == 3:
         raise UnboundedError("objective is unbounded over the constraint system")
     if res.status != 0:

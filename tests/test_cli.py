@@ -476,8 +476,8 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(config_factory(config))) == 1
         assert capsys.readouterr().err == (
             "stage error [solve:active-duty] constraint system is infeasible; irreducible "
-            "conflict (best effort): +0.512*a(1) -0.012*a(4) <= 1.000; "
-            "+0.512*a(1) -0.012*a(4) >= 2.000\n")
+            "conflict (best effort): rows[0]: +0.512*a(1) -0.012*a(4) <= 1.000; "
+            "rows[1]: +0.512*a(1) -0.012*a(4) >= 2.000\n")
         assert not (tmp_path / "out").exists()
 
     def test_unbounded_objective_stops_at_solve(self, config_factory, tmp_path, capsys):

@@ -360,19 +360,26 @@ class TestSparseOperatorAgainstDense:
                 assert lp.describe_row(i) == dense_text(a[i], relation, b[i])
             assert satisfies(lp, coeffs) == bool(np.all(signed - b <= 1e-9))
 
-    def test_infeasible_conflict_text_matches_dense_deletion_filter(self, quantity_dec):
-        rows = rows_of(spec_from(ref.QUANTITY_SYSTEM)) + [(7, "<=", 10.0), (7, ">=", 500.0)]
-        spec = spec_of(rows)
-        lp = build_constraints(quantity_dec, spec)
-        a, b = dense_system(quantity_dec, spec)
+    @pytest.mark.parametrize("seed", [None, *range(20)])
+    def test_infeasible_conflict_text_matches_dense_deletion_filter(self, quantity_dec, seed):
+        # the reference system plus two contradictory rows, or a random ``conflict_case``
+        if seed is None:
+            dec = quantity_dec
+            spec = spec_of(rows_of(spec_from(ref.QUANTITY_SYSTEM))
+                           + [(7, "<=", 10.0), (7, ">=", 500.0)])
+        else:
+            dec, spec = conflict_case(seed)
+        rows = rows_of(spec)
+        lp = build_constraints(dec, spec)
+        a, b = dense_system(dec, spec)
         keep = list(range(len(b)))
         for idx in list(keep):
             trial = [i for i in keep if i != idx]
             if trial and dense_linprog(lp, a[trial], b[trial]).status == 2:
                 keep = trial
-        expected = [dense_text(a[i], rows[i][1], b[i]) for i in keep]
+        expected = [f"rows[{i}]: {dense_text(a[i], rows[i][1], b[i])}" for i in keep]
         with pytest.raises(InfeasibleError) as err:
-            solve_constraints(lp)
+            solve_constraints(lp, warm_start=dec.approx)
         assert err.value.conflict == expected
 
 
@@ -542,14 +549,17 @@ class TestSiftingAgainstOneFullSolve:
 
 
 class TestOneHighsCallSite:
-    """Every LP goes through the module attribute ``redistribute.linprog`` with ``A_ub=``."""
+    """Every LP goes through the module attribute ``redistribute.linprog`` with ``A_ub=``.
+
+    ``calls`` lists every call's keywords, and its cost as ``"c"``.
+    """
 
     def calls(self, fn):
         counted = []
 
-        def counter(*args, **kwargs):
-            counted.append(kwargs)
-            return linprog(*args, **kwargs)
+        def counter(cost, **kwargs):
+            counted.append(dict(kwargs, c=cost))
+            return linprog(cost, **kwargs)
 
         with mock.patch.object(redistribute, "linprog", counter):
             fn()
@@ -569,14 +579,28 @@ class TestOneHighsCallSite:
 
     def test_conflict_filter_solves(self, quantity_dec):
         rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
-        lp = build_constraints(quantity_dec, spec_of(rows))
+        lp = build_constraints(quantity_dec, spec_of(rows, Objective("maximize", (2,))))
         calls = self.calls(lambda: pytest.raises(InfeasibleError, solve_constraints, lp))
-        # the full solve, then the deletion filter's one solve per row; every "infeasible"
-        # (the full system and the trial without row 3) is solved again without presolve
-        assert len(calls) == 1 + len(rows) + 2
-        assert [k["options"] for k in calls] == [None, {"presolve": False}, None, None, None,
-                                                 {"presolve": False}]
+        # the full solve, asked again without presolve; then zero-cost trials: every row,
+        # and QuickXplain's over rows 3, 2, 1: {3}, {2, 3}, {1, 3} and {1, 2}
+        assert [k["options"] for k in calls] == [None, {"presolve": False}] + [None] * 5
+        assert [k["A_ub"].shape[0] for k in calls] == [3, 3, 3, 1, 2, 2, 2]
+        assert all(k["c"].any() for k in calls[:2]) and not any(k["c"].any() for k in calls[2:])
         assert all(np.shape(k["bounds"]) == (2,) for k in calls)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_axis_conflict_takes_few_trials(self, seed):
+        # every position banded, then one ">=" row 1 above position 50's "<=" row
+        dec, spec = banded_case(seed, 1024, "minimize")
+        rows = rows_of(spec)
+        position, relation, upper = rows[98]
+        assert (position, relation) == (50, "<=")
+        lp = build_constraints(dec, spec_of(rows + [(50, ">=", upper + 1.0)], spec.objective))
+        with mock.patch.object(redistribute, "linprog", wraps=linprog) as counted:
+            with pytest.raises(InfeasibleError) as err:
+                solve_constraints(lp, warm_start=dec.approx)
+        assert lp.sign.size == 2049 and counted.call_count <= 40
+        assert [c.split(":")[0] for c in err.value.conflict] == ["rows[98]", "rows[2048]"]
 
 
 class TestOneAnswerRule:
@@ -619,16 +643,32 @@ class TestOneAnswerRule:
         # every change variable of the scripted optimum is zero
         assert np.array_equal(out, dec.approx)
 
-    def test_two_infeasible_answers_reach_the_deletion_filter(self, quantity_dec):
+    def test_two_infeasible_answers_reach_the_conflict_trials(self, quantity_dec):
         rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
-        lp = build_constraints(quantity_dec, spec_of(rows))
+        lp = build_constraints(quantity_dec, spec_of(rows, Objective("maximize", (2,))))
         info = {}
         with self.scripted(2, 2) as options, pytest.raises(InfeasibleError) as err:
             solve_constraints(lp, info=info)
-        # the full system's two answers, then HiGHS's for the filter's trials: one per row,
-        # and the trial without row 3 asked again
-        assert options == [None, {"presolve": False}, None, None, None, {"presolve": False}]
+        # the full system's two answers, then HiGHS's for five zero-cost trials, each final
+        assert options == [None, {"presolve": False}] + [None] * 5
         assert info["solves"] == 2 and len(err.value.conflict) == 2
+
+    def test_zero_cost_infeasible_is_asked_once(self, quantity_dec):
+        rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
+        lp = build_constraints(quantity_dec, spec_of(rows))
+        info = {}
+        with self.scripted(2) as options, pytest.raises(InfeasibleError) as err:
+            solve_constraints(lp, info=info)
+        assert options == [None] * 6 and info["solves"] == 1
+        assert err.value.conflict == [f"rows[{i}]: {lp.describe_row(i)}" for i in (0, 1)]
+
+    def test_every_row_is_named_when_the_trial_of_every_row_is_feasible(self, quantity_dec):
+        rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
+        lp = build_constraints(quantity_dec, spec_of(rows))
+        with self.scripted(2, 0) as options, pytest.raises(InfeasibleError) as err:
+            solve_constraints(lp)
+        assert options == [None, None]
+        assert err.value.conflict == [f"rows[{i}]: {lp.describe_row(i)}" for i in range(3)]
 
     def test_a_failure_then_infeasible_is_the_failure(self, quantity_dec):
         lp = build_constraints(quantity_dec, spec_of([(1, "<=", 0.0)]))
@@ -667,11 +707,9 @@ class TestConflictIsIrreducible:
     def test_conflict_rows_are_infeasible_and_each_is_needed(self, seed):
         dec, spec = conflict_case(seed)
         lp = build_constraints(dec, spec)
-        texts = [lp.describe_row(i) for i in range(lp.sign.size)]
-        assert len(set(texts)) == len(texts)
         with pytest.raises(InfeasibleError) as err:
             solve_constraints(lp, warm_start=dec.approx)
-        conflict = [texts.index(text) for text in err.value.conflict]
+        conflict = [int(text[len("rows["):text.index("]")]) for text in err.value.conflict]
         a, b = dense_system(dec, spec)
         assert dense_linprog(lp, a[conflict], b[conflict]).status == 2
         for drop in conflict:
