@@ -29,7 +29,8 @@ class InfeasibleError(ConstraintError):
     """No point satisfies the constraint system.
 
     ``conflict`` holds a best-effort irreducible set of conflicting rows, each
-    ``rows[j]: <row text>`` with j its 0-based index in ``constraints.rows``.
+    named by ``LinearProgram.describe_row(j)``: ``rows[j]: <row text>``, j its
+    0-based index in ``constraints.rows``.
     """
 
     def __init__(self, message: str, conflict: list | None = None):

@@ -16,7 +16,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -31,7 +31,6 @@ from .microfile import (Microfile, formatted_cells, integer_cells, load_microfil
 from .remap import SwapPlan, apply_swaps, plan_swaps
 from .signals import (
     GoalSignal,
-    clamping_warning,
     concentration_signal,
     concentration_to_quantity,
     difference_signal,
@@ -208,11 +207,9 @@ def realize_group(m: Microfile, gcfg: GroupConfig, edit: GroupEdit,
         bad = np.flatnonzero(~published.satisfied)
         if bad.size:
             worst = int(np.argmax(published.violation))
-            msg = (f"published signal violates {bad.size} of {published.satisfied.size} "
-                   f"declared rows; worst is the row at position "
-                   f"{gcfg.constraints.positions[worst]} ({edit.lp.describe_row(worst)}), "
-                   f"off by {published.violation[worst]:.6g}")
-            log.warn(msg)
+            log.warn(f"published signal violates {bad.size} of {published.satisfied.size} "
+                     f"declared rows; worst is {edit.lp.describe_row(worst)}, "
+                     f"off by {published.violation[worst]:.6g}")
 
     return modified, GroupRunResult(gcfg.name, edit, plan, planner, after, published,
                                     subordinate, log.timings, log.warnings)
@@ -278,11 +275,11 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
     The edited signal is shifted and optionally renormalized.  A difference
     group is shifted only by a declared number, and its difference goes back
     onto the subordinate concentrations, so the main group absorbs the edit.
-    The result is a concentration over the group's denominators.  Its
-    negative values are clamped to zero here, with a warning under the
-    group's name, and the conversion rescales it to the member total and
-    rounds: swaps move members between parameter values but never add or
-    remove one.  A quantity signal's final form is its rounded target.
+    The result is a concentration over the group's denominators, which the
+    conversion clamps at zero (warning under the group's name), rescales to
+    the member total and rounds: swaps move members between parameter values
+    but never add or remove one.  A quantity signal's final form is its
+    rounded target.
     """
     shift, base = gcfg.shift, 0.0
     if gcfg.signal == "difference":
@@ -293,10 +290,7 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
         final = rd.normalize_mean_std(final, before.values)
     c_target = GoalSignal("concentration", final + base, before.parameter_order,
                           denominators=_denominators(before))
-    if warning := clamping_warning(c_target):
-        log.warn(warning)
-        c_target = replace(c_target, values=np.where(c_target.values < 0, 0.0, c_target.values))
-    target = concentration_to_quantity(c_target, int(members(m, gcfg.group).size))
+    target = concentration_to_quantity(c_target, int(members(m, gcfg.group).size), warn=log.warn)
     if before.denominators is None:
         final = target.values
     return final, shift, target

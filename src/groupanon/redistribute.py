@@ -140,55 +140,54 @@ class LinearProgram:
         return int(self.a_ub.shape[1])
 
     def describe_row(self, i: int) -> str:
-        """One row as text; coefficients below 5e-4 in magnitude are left out."""
+        """Row i as ``rows[i]: <terms> <relation> <bound>``, i its index in ``constraints.rows``.
+
+        The one name a row gets; coefficients below 5e-4 in magnitude are left out.
+        """
         sign = self.sign[i]
         start, end = self.a_ub.indptr[i], self.a_ub.indptr[i + 1]
         coeffs = self.a_ub.data[start:end] * sign
         keep = np.abs(coeffs) >= 5e-4
         terms = [f"{c:+.3f}*a({j + 1})"
                  for j, c in zip(self.a_ub.indices[start:end][keep].tolist(), coeffs[keep].tolist())]
-        return f"{' '.join(terms)} {'<=' if sign > 0 else '>='} {self.b_ub[i] * sign:.3f}"
+        return (f"rows[{i}]: {' '.join(terms)} {'<=' if sign > 0 else '>='} "
+                f"{self.b_ub[i] * sign:.3f}")
 
 
 def build_constraints(dec: WaveletDecomposition, spec: ConstraintSpec) -> LinearProgram:
-    """Turn position bounds into a linear program over new coefficients.
+    """Turn position bounds and the objective into a linear program over new coefficients.
 
     Row (i, rel, b) becomes sum_j R[i-1, j] * a_j rel b, with R the
-    reconstruction matrix of the decomposition.  Constraint and objective
-    rows are read from R's CSR view, so only their nonzeros are copied and
-    no dense R is built.
+    reconstruction matrix of the decomposition.  One sparse product W @ R
+    gives every row: W's row i holds ``sign[i]`` at row i's position, and
+    its last row, the cost, the objective's direction (+1 to minimize, -1
+    to maximize) at each objective position in declared order, repeats
+    kept.  Only R's nonzeros are read; no dense R is built.
     """
-    m = dec.signal_length
-    outside = np.flatnonzero((spec.positions < 1) | (spec.positions > m))
+    m, n = dec.signal_length, spec.positions.size
+    columns = np.concatenate([spec.positions,
+                              np.array(spec.objective.positions, dtype=np.int64)]) - 1
+    outside = np.flatnonzero((columns < 0) | (columns >= m))
     if outside.size:
-        raise ConstraintError(
-            f"constraint position {spec.positions[outside[0]]} outside 1..{m}"
-        )
-    for pos in spec.objective.positions:
-        if not 1 <= pos <= m:
-            raise ConstraintError(f"objective position {pos} outside 1..{m}")
-    matrix = dec.reconstruction_csr
+        i = int(outside[0])
+        raise ConstraintError(f"{'constraint' if i < n else 'objective'} position "
+                              f"{columns[i] + 1} outside 1..{m}")
 
-    positions = spec.positions - 1
     sign = np.where(np.array(spec.relations) == "<=", 1.0, -1.0)
     sign.setflags(write=False)
+    direction = -1.0 if spec.objective.kind == "maximize" else 1.0
+    weights = csr_array((np.concatenate([sign, np.full(columns.size - n, direction)]), columns,
+                         np.append(np.arange(n + 1), columns.size)), shape=(n + 1, m))
+    rows = weights @ dec.reconstruction_csr
+    rows.sort_indices()
     bounds = spec.bounds
     if spec.original.any():
-        bounds = np.where(spec.original, approximation_component(dec)[positions], bounds)
-    a_ub = matrix[positions]
-    a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
-
-    cost = np.zeros(dec.approx.size)
-    if spec.objective.kind != "feasibility":
-        direction = -1.0 if spec.objective.kind == "maximize" else 1.0
-        for pos in spec.objective.positions:
-            start, end = matrix.indptr[pos - 1], matrix.indptr[pos]
-            cost[matrix.indices[start:end]] += matrix.data[start:end] * direction
+        bounds = np.where(spec.original, approximation_component(dec)[columns[:n]], bounds)
 
     return LinearProgram(
-        a_ub=a_ub,
+        a_ub=rows[:n],
         b_ub=bounds * sign,
-        cost=cost,
+        cost=rows[[n]].toarray().reshape(-1),
         nonnegative=spec.nonnegative,
         sign=sign,
     )
@@ -218,7 +217,7 @@ def _highs(cost: np.ndarray, a_ub: csr_array, b_ub: np.ndarray, bounds, presolve
 
 
 def _conflict_subset(lp: LinearProgram, bounds) -> list[str]:
-    """A minimal infeasible set of rows, as ``rows[j]: <describe_row text>`` in row order.
+    """A minimal infeasible set of rows, each named by ``describe_row``, in row order.
 
     Each trial asks only whether some rows are feasible (zero cost).  If the
     whole system is called infeasible, QuickXplain (Junker, AAAI 2004) over
@@ -241,7 +240,7 @@ def _conflict_subset(lp: LinearProgram, bounds) -> list[str]:
 
     every = list(range(lp.b_ub.size))
     rows = sorted(explain([], False, every[::-1])) if infeasible(every) else every
-    return [f"rows[{j}]: {lp.describe_row(j)}" for j in rows]
+    return list(map(lp.describe_row, rows))
 
 
 #: Times the first working set is widened (rows -> their columns -> every row on those

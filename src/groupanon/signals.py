@@ -29,7 +29,6 @@ __all__ = [
     "concentration_signal",
     "difference_signal",
     "concentration_to_quantity",
-    "clamping_warning",
 ]
 
 logger = logging.getLogger(__name__)
@@ -127,28 +126,23 @@ def difference_signal(main: GoalSignal, subordinate: GoalSignal) -> GoalSignal:
     )
 
 
-def clamping_warning(c_target: GoalSignal) -> str | None:
-    """The warning ``concentration_to_quantity`` gives for ``c_target``, if any."""
-    negative = int((c_target.values < 0).sum())
-    if not negative:
-        return None
-    return f"clamping {negative} negative value(s) to zero before conversion"
-
-
-def concentration_to_quantity(c_target: GoalSignal, total: int) -> GoalSignal:
+def concentration_to_quantity(c_target: GoalSignal, total: int,
+                              warn=logger.warning) -> GoalSignal:
     """Integer quantity signal proportional to concentration times denominator.
 
-    Negative values are clamped to zero with a warning; the result sums
-    exactly to ``total`` via largest-remainder rounding.  A quantity signal
-    converts as its own concentration over unit denominators.
+    Negative values are clamped to zero, and ``warn`` receives one message
+    that counts them (the module logger by default; a run passes its group
+    report's).  The result sums exactly to ``total`` via largest-remainder
+    rounding.  A quantity signal converts as its own concentration over unit
+    denominators.
     """
     if c_target.denominators is None:
         raise SignalError("conversion requires a signal with denominators")
     if total <= 0:
         raise SignalError("total to distribute must be positive")
     c = c_target.values
-    if warning := clamping_warning(c_target):
-        logger.warning("%s", warning)
+    if negative := int((c < 0).sum()):
+        warn(f"clamping {negative} negative value(s) to zero before conversion")
         c = np.where(c < 0, 0.0, c)
     mass = c * c_target.denominators
     if not mass.any():

@@ -13,9 +13,10 @@ import pytest
 from conftest import (MALFORMED_GROUPS, NON_FINITE_FIELDS, OVERFLOWING_NUMBERS, UNUSABLE_WEIGHTS,
                       base_config, with_number)
 from groupanon import reference as ref
-from groupanon import pipeline, remap
+from groupanon import pipeline, redistribute, remap
 from groupanon.cli import main
 from groupanon.config import load_pipeline_config
+from groupanon.errors import StageError
 from groupanon.microfile import GroupSpec, load_microfile
 from groupanon.signals import concentration_signal, quantity_signal
 from groupanon.wavelet import (approximation_component, decompose, get_filter,
@@ -195,7 +196,7 @@ class TestRunCommand:
         audit = [w for w in group["warnings"] if w.startswith("published signal")]
         assert len(audit) == 1
         assert "violates 2 of 12 declared rows" in audit[0]
-        assert "position 14" in audit[0] and "off by 206.203" in audit[0]
+        assert "worst is rows[9]: " in audit[0] and "off by 206.203" in audit[0]
 
     @pytest.mark.parametrize("kind", ["concentration", "difference"])
     def test_audit_recounts_the_published_concentrations(self, kind, config_factory, tmp_path):
@@ -675,11 +676,11 @@ class TestRedistributeCommand:
         dec = decompose(ref.QUANTITY, get_filter("db2"), 2)
         matrix = reconstruction_matrix(dec.filter, 2, 16)
         expected = []
-        for position, relation, bound, _ in ref.QUANTITY_SYSTEM:
+        for i, (position, relation, bound, _) in enumerate(ref.QUANTITY_SYSTEM):
             row = matrix[position - 1]
             terms = [f"{c:+.3f}*a({j + 1})" for j, c in enumerate(row) if abs(c) >= 5e-4]
             lhs = float(row @ ref.QUANTITY_SOLUTION)
-            expected.append((f"{' '.join(terms)} {relation} {bound:.3f}", lhs,
+            expected.append((f"rows[{i}]: {' '.join(terms)} {relation} {bound:.3f}", lhs,
                              lhs <= bound + 1e-9 if relation == "<=" else lhs >= bound - 1e-9))
         got = [(c["row"], c["lhs"], c["satisfied"]) for c in payload["constraints"]]
         assert [g[0] for g in got] == [e[0] for e in expected]
@@ -705,6 +706,60 @@ class TestRedistributeCommand:
         redistributed = read_signal_csv(
             tmp_path / "out/report/active-duty_signal_redistributed.csv")[1]
         assert redistributed.sum() == 6272 and redistributed.min() == 0
+
+
+class TestRowsNamedByIndex:
+    """Every message that names a declared row names it ``rows[j]: <text>``, j its config index."""
+
+    def test_redistribution_json_tells_rows_of_one_text_apart(self, config_factory, tmp_path):
+        # rows 11-13 all read "<terms> <= 1156.942" once the bound is rounded
+        config = base_config()
+        config["groups"][0]["constraints"]["rows"] += [
+            {"position": 16, "relation": "<=", "bound": 1156.9421},
+            {"position": 16, "relation": "<=", "bound": 1156.9424}]
+        path = config_factory(config)
+        assert run_cli("redistribute", "--config", str(path), "--group", "active-duty") == 0
+        payload = json.loads((tmp_path / "out/report/active-duty_redistribution.json").read_text())
+        names = [c["row"] for c in payload["constraints"]]
+        assert [name.split(": ", 1)[0] for name in names] == [f"rows[{i}]" for i in range(14)]
+        assert len({name.split(": ", 1)[1] for name in names[11:]}) == 1
+
+    def test_concentration_warnings_name_rows(self, config_factory, concentration_microfile):
+        config = base_config()
+        group = config["groups"][0]
+        group.update(signal="concentration", shift=ref.CONCENTRATION_SHIFT,
+                     solution=[float(v) for v in ref.CONCENTRATION_SOLUTION])
+        group["constraints"]["rows"] = [{"position": p, "relation": rel, "bound": b}
+                                        for p, rel, b, _ in ref.CONCENTRATION_SYSTEM]
+        gcfg = load_pipeline_config(config_factory(config)).groups[0]
+        log = pipeline.GroupLog(gcfg.name)
+        edit = pipeline.edit_group(concentration_microfile, gcfg, log)
+        _, result = pipeline.realize_group(concentration_microfile, gcfg, edit, log)
+        declared, published = log.warnings
+        assert declared == (f"declared solution violates {edit.lp.describe_row(4)} "
+                            f"by {edit.checks.violation[4]:.6g}")
+        assert declared.startswith("declared solution violates rows[4]: ")
+        worst = result.published_checks.violation[3]
+        assert worst == result.published_checks.violation.max()
+        assert published.endswith(f"; worst is {edit.lp.describe_row(3)}, off by {worst:.6g}")
+        assert "; worst is rows[3]: " in published
+
+    def test_solver_check_names_the_missed_row(self, config_factory, fixture_microfile):
+        # the stubbed solver doubles a0: the loose row 0 still holds, row 1 does not
+        rows = [{"position": 1, "relation": ">=", "bound": -1e9},
+                {"position": 16, "relation": "<=", "bound": "original"}]
+        gcfg = load_pipeline_config(config_factory(
+            constraints={"rows": rows, "objective": "feasibility"}, solution=None)).groups[0]
+        def doubled(lp, warm_start, info):
+            return 2 * warm_start
+
+        with (mock.patch.object(redistribute, "solve_constraints", doubled),
+              pytest.raises(StageError) as err):
+            pipeline.edit_group(fixture_microfile, gcfg, pipeline.GroupLog(gcfg.name))
+        lp = redistribute.build_constraints(decompose(ref.QUANTITY, get_filter("db2"), 2),
+                                            gcfg.constraints)
+        assert str(err.value) == f"[solve:active-duty] solver output violates {lp.describe_row(1)}"
+        assert str(err.value).startswith("[solve:active-duty] solver output violates rows[1]: ")
 
 
 class TestVerifyCommand:

@@ -62,6 +62,18 @@ class TestBuildConstraints:
         with pytest.raises(ConstraintError, match="17"):
             build_constraints(quantity_dec, spec_of([(17, "<=", "original")]))
 
+    @pytest.mark.parametrize("rows, objective, message", [
+        ([(3, "<=", 1.0), (0, ">=", 0.0)], Objective("maximize", (17,)),
+         "constraint position 0 outside 1..16"),
+        ([(3, "<=", 1.0), (16, ">=", 0.0)], Objective("minimize", (2, 17, 0)),
+         "objective position 17 outside 1..16"),
+    ])
+    def test_out_of_range_names_the_first_bad_position(self, quantity_dec, rows, objective,
+                                                       message):
+        with pytest.raises(ConstraintError) as err:
+            build_constraints(quantity_dec, spec_of(rows, objective))
+        assert str(err.value) == message
+
     def test_relation_validated(self):
         with pytest.raises(ConstraintError, match="relation"):
             ConstraintSpec([1], ["=="], [0.0])
@@ -200,7 +212,7 @@ class TestCheckSolutionAgainstRowLoop:
             assert checks.satisfied[i] == ok
             assert checks.violation[i] == violation
             assert checks.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=1e-12)
-            assert lp.describe_row(i) == text
+            assert lp.describe_row(i) == f"rows[{i}]: {text}"
         assert satisfies(lp, coeffs) == checks.satisfied.all()
 
     def test_rows_recover_operator_form_exactly(self):
@@ -217,6 +229,7 @@ class TestCheckSolutionAgainstRowLoop:
             assert lp.sign[i] == (1.0 if relation == "<=" else -1.0)
             assert np.array_equal(lhs[i], matrix[row[0] - 1])
             assert bound[i].tobytes() == np.float64(resolved).tobytes()
+            assert lp.describe_row(i).startswith(f"rows[{i}]: ")
             assert lp.describe_row(i).endswith(f" {relation} {resolved:.3f}")
 
 
@@ -324,15 +337,17 @@ class TestSparseOperatorAgainstDense:
 
     @pytest.mark.parametrize("objective", ["maximize", "minimize"])
     def test_cost_equals_sum_of_dense_objective_rows(self, objective):
+        # R's rows are added in declared order, repeats included, as this loop adds them
         direction = -1.0 if objective == "maximize" else 1.0
         for name, dec, spec in self.all_cases():
-            positions = (2, 9, 2) if dec.signal_length == 16 else (1, 514, 1023)
-            spec = spec_of(rows_of(spec), Objective(objective, positions))
             matrix = reconstruction_matrix(dec.filter, dec.level, dec.signal_length)
-            expected = np.zeros(matrix.shape[1])
-            for pos in positions:
-                expected += direction * matrix[pos - 1]
-            assert build_constraints(dec, spec).cost.tobytes() == expected.tobytes(), name
+            for positions in (((2, 9, 2), (9, 2, 3, 2)) if dec.signal_length == 16
+                              else ((1, 514, 1023), (1023, 1, 514, 1))):
+                expected = np.zeros(matrix.shape[1])
+                for pos in positions:
+                    expected += direction * matrix[pos - 1]
+                lp = build_constraints(dec, spec_of(rows_of(spec), Objective(objective, positions)))
+                assert lp.cost.tobytes() == expected.tobytes(), (name, positions)
 
     @pytest.mark.parametrize("seed", [5, 17, 29])
     def test_long_axis_solutions_bitwise_equal_dense_linprog(self, seed):
@@ -357,7 +372,7 @@ class TestSparseOperatorAgainstDense:
                 assert checks.bound[i] == b[i] * sign
                 assert checks.satisfied[i] == (signed[i] - b[i] <= 1e-9)
                 assert checks.lhs[i] == pytest.approx(signed[i] * sign, rel=1e-12, abs=1e-12)
-                assert lp.describe_row(i) == dense_text(a[i], relation, b[i])
+                assert lp.describe_row(i) == f"rows[{i}]: {dense_text(a[i], relation, b[i])}"
             assert satisfies(lp, coeffs) == bool(np.all(signed - b <= 1e-9))
 
     @pytest.mark.parametrize("seed", [None, *range(20)])
@@ -660,7 +675,7 @@ class TestOneAnswerRule:
         with self.scripted(2) as options, pytest.raises(InfeasibleError) as err:
             solve_constraints(lp, info=info)
         assert options == [None] * 6 and info["solves"] == 1
-        assert err.value.conflict == [f"rows[{i}]: {lp.describe_row(i)}" for i in (0, 1)]
+        assert err.value.conflict == [lp.describe_row(i) for i in (0, 1)]
 
     def test_every_row_is_named_when_the_trial_of_every_row_is_feasible(self, quantity_dec):
         rows = [(1, "<=", 0.0), (1, ">=", 1.0), (9, "<=", 1e4)]
@@ -668,7 +683,7 @@ class TestOneAnswerRule:
         with self.scripted(2, 0) as options, pytest.raises(InfeasibleError) as err:
             solve_constraints(lp)
         assert options == [None, None]
-        assert err.value.conflict == [f"rows[{i}]: {lp.describe_row(i)}" for i in range(3)]
+        assert err.value.conflict == [lp.describe_row(i) for i in range(3)]
 
     def test_a_failure_then_infeasible_is_the_failure(self, quantity_dec):
         lp = build_constraints(quantity_dec, spec_of([(1, "<=", 0.0)]))
@@ -734,7 +749,7 @@ class TestDescribeRowAgainstDenseScatter:
         lp = build_constraints(dec, spec)
         a, b = dense_system(dec, spec)
         for i, (_, relation, _) in enumerate(rows):
-            assert lp.describe_row(i) == dense_text(a[i], relation, b[i])
+            assert lp.describe_row(i) == f"rows[{i}]: {dense_text(a[i], relation, b[i])}"
 
 
 class TestReassemble:
