@@ -34,12 +34,13 @@ of equal rows in one stable lexsort of their keys (``_runs``), so each run
 lists its members ascending and runs are ranked by their keys.  The queue
 keeps its classes, partitions, candidate groups and k-d trees for that
 position's later blocks; it is dropped after the position's last block,
-which the up-front flow names.  A view of a queue's candidate groups is
-built from the runs of records that its ascending classes already form,
-and sorts records only where a group merges several classes.  One array
-of used-record flags, set by the sweep and the search alike, is the only
-record of which records are gone: at each block start a kept view drops
-its used-up groups and rebuilds its tree only if one went.  Record
+which the up-front flow names.  A view of a queue's candidate groups lists
+each group's classes.  One array of used-record flags, set by the sweep
+and the search alike, records which records are gone.  Every greedy step
+takes a class's lowest unused record first, so a class's used records are
+its lowest: each block start reads every class's count of used records off
+the flags, the block moves the counts as it takes records, and a kept view
+drops its used-up groups and rebuilds its tree only if one went.  Record
 indices are int32 wherever the table allows.
 
 Costs often tie: coarse attributes give many candidate groups the same
@@ -47,17 +48,17 @@ cost against a class of the other side, and on a table whose influential
 attributes are constant every pair costs the same.  Once no other pair is
 as cheap as a class's pairs with its tied candidate groups, greedy order
 pairs the class's records, ascending, with the groups' merged records,
-ascending, one to one.  Such a run is taken in one step, by array passes
-when it may be long, rather than one heap step per swap.
+ascending, one to one: a run.  A block sorts its classes' cheapest entries
+and pairs off the runs of the longest prefix that greedy order takes in
+turn in one array pass, a batch (see ``_Block``), rather than taking one
+heap step per run.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +102,14 @@ class InfluentialWeights:
             raise RemapError("weights must be non-negative")
         if not any(w > 0 for w in weights):
             raise RemapError("at least one influential weight must be positive")
+        # the largest pair cost, summed in the metric's order: every ordinal
+        # term is at most its weight and every nominal one its weight * chi_diff²
+        largest = 0.0
+        for w in (*self.ordinal.values(), *(w * self.chi_diff**2 for w in self.nominal.values())):
+            largest += w
+        if not math.isfinite(largest):
+            raise RemapError("weights too large: the largest pair cost, the ordinal weights "
+                             "plus the nominal weights times chi_diff², overflows")
 
     @classmethod
     def from_attributes(
@@ -252,12 +261,7 @@ _GROWTH = 4
 _SCORE_ALL = 4096
 #: The planner's counts, as ``plan_swaps`` reports them in ``info``.
 _COUNTS = ("blocks", "swept_blocks", "queues_built", "trees_built", "pairs_scored", "refills",
-           "runs")
-#: Pair-offs that may pass this many pairs are found by array passes rather
-#: than record by record.  The array passes cost about 12 us a call more
-#: than a five-pair run record by record, and save about 0.3 us a pair on
-#: runs of hundreds of pairs.
-_RUN = 32
+           "runs", "batches")
 
 
 def plan_swaps(
@@ -284,8 +288,9 @@ def plan_swaps(
     the flow, ``swept_blocks`` matched by scoring every pair,
     ``queues_built`` (at most one per position and side), ``trees_built``,
     ``pairs_scored`` (record pairs in sweeps, class pairs in searches),
-    ``refills`` (deeper candidate queries) and ``runs`` (pair-offs of two
-    or more swaps taken in one step, see ``_Block``).
+    ``refills`` (deeper candidate queries), ``runs`` (pair-offs of two or
+    more swaps taken in one step, see ``_Block``) and ``batches`` (array
+    passes that paired off one or more runs).
     """
     if q_target.kind != "quantity":
         raise RemapError("target must be a quantity signal")
@@ -345,7 +350,7 @@ def plan_swaps(
             mem, par = mem[~flags[mem]], par[~flags[par]]
             tally["swept_blocks"] += 1
             tally["pairs_scored"] += mem.size * par.size
-            matched = _sweep(pair_cost, mem, par, k, used)
+            mem, par, cost = _sweep(pair_cost, mem, par, k, used)
         else:
             if space is None:
                 space = _ClassSpace(pair_cost)
@@ -353,13 +358,11 @@ def plan_swaps(
                 if key not in queues:
                     queues[key] = _Queue(space, records(*key), used)
                     tally["queues_built"] += 1
-            matched = _Block(space, queues[keys[0]], queues[keys[1]], tally).match(k)
-        if matched:
-            rec_m, rec_p, cost = zip(*matched)
-            swaps.append(np.array([rec_m, rec_p], dtype=np.int64).T)
-            costs.append(np.array(cost))
-        left[0, donor] -= len(matched)
-        left[1, recipient] -= len(matched)
+            mem, par, cost = _Block(space, queues[keys[0]], queues[keys[1]], tally).match(k)
+        swaps.append(np.stack([mem, par], axis=1).astype(np.int64))
+        costs.append(cost)
+        left[0, donor] -= cost.size
+        left[1, recipient] -= cost.size
         for key in keys:
             if last[key] == i:
                 queues.pop(key, None)
@@ -428,8 +431,8 @@ def _used_flags(n: int) -> memoryview:
 
 
 def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray, k: int,
-           used: memoryview) -> list[tuple[int, int, float]]:
-    """The block's ``k`` swaps in greedy order, as (member, partner, cost), by scoring every pair.
+           used: memoryview) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block's ``k`` greedy swaps as (member, partner, cost) arrays, by scoring every pair.
 
     Sorts all pairs of the unused records ``mem`` and ``par`` by (cost,
     member, partner) and takes each pair whose two records are still
@@ -441,20 +444,20 @@ def _sweep(pair_cost: _PairCost, mem: np.ndarray, par: np.ndarray, k: int,
     cost = pair_cost(mem[:, None], par).reshape(-1)
     if k == 1 and cost.size:
         first = int(cost.argmin())
-        a, b = int(mem[first // par.size]), int(par[first % par.size])
-        used[a] = used[b] = 1
-        return [(a, b, float(cost[first]))]
+        a, b = mem[[first // par.size]], par[[first % par.size]]
+        used[int(a[0])] = used[int(b[0])] = 1
+        return a, b, cost[[first]]
     left, right = np.repeat(mem, par.size), np.tile(par, mem.size)
     order = np.lexsort((right, left, cost))
-    out = []
-    for a, b, c in zip(left[order].tolist(), right[order].tolist(), cost[order].tolist()):
-        if len(out) == k:
+    taken = []
+    for j, a, b in zip(order.tolist(), left[order].tolist(), right[order].tolist()):
+        if len(taken) == k:
             break
         if used[a] or used[b]:
             continue
         used[a] = used[b] = 1
-        out.append((a, b, c))
-    return out
+        taken.append(j)
+    return left[taken], right[taken], cost[taken]
 
 
 def _runs(columns: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -552,31 +555,14 @@ class _ClassSpace:
         return np.sqrt(r2)
 
 
-def _unused(recs: memoryview, p: int, stop: int, used: memoryview, n: int) -> list[int]:
-    """The first ``n`` records of ``recs[p:stop]`` that are not flagged in ``used``, or fewer."""
-    out = []
-    while p < stop and len(out) < n:
-        if not used[recs[p]]:
-            out.append(recs[p])
-        p += 1
-    return out
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[i]`` to ``start[i] + count[i]`` (exclusive), concatenated."""
+    stop = np.cumsum(count)
+    return np.repeat(start - (stop - count), count) + np.arange(stop[-1] if stop.size else 0)
 
 
-def _unused_at(recs: np.ndarray, p: int, stop: int, flags: np.ndarray, n: int) -> np.ndarray:
-    """Positions in ``recs`` of the first ``n`` records of ``recs[p:stop]`` not flagged, or fewer.
-
-    ``_unused`` as array passes: windows of ``n`` records and then twice
-    as many each time, so a run of mostly unused records costs one pass.
-    """
-    parts, found, width = [], 0, n
-    while p < stop and found < n:
-        end = min(p + width, stop)
-        free = np.flatnonzero(~flags[recs[p:end]])
-        free += p
-        parts.append(free)
-        found += free.size
-        p, width = end, 2 * width
-    return np.concatenate(parts)[:n] if parts else np.empty(0, np.intp)
+#: The key of a class with no unused record: above every ``_Queue.keys`` value.
+_USED_UP = np.iinfo(np.int64).max
 
 
 class _Queue:
@@ -585,13 +571,15 @@ class _Queue:
     The queue's ascending ``records`` are collapsed into classes (see
     ``_ClassSpace``) here, and only they: the runs of their ordinal values
     and then nominal codes (``_runs``), so class ``i``'s records, ascending,
-    are ``recs[start[i]:start[i] + count[i]]``.  A record is used once its
-    flag in the plan's ``used`` array is set, by ``_sweep`` or by
-    ``_Block``; flags are never cleared.  Within a class the lowest unused
-    record always goes first, and ``next[i]`` is where the search for class
-    ``i``'s lowest unused record resumes.  The partitions and the views of
-    the queue as a candidate side are built on the first block that
-    searches it and kept for the later ones.
+    are ``recs[start[i]:end[i]]``.  A record is used once its flag in the
+    plan's ``used`` array is set, by ``_sweep`` or by ``_Block``; flags are
+    never cleared.  Every pair of two records of one class costs the same
+    against any third record, and greedy ties go to the lower index, so a
+    class's records are used lowest first: its used records are
+    ``recs[start[i]:next[i]]``.  ``live`` sets ``next`` from the flags at
+    each block start, and ``_Block`` moves it with every record it takes.
+    The partitions and the views of the queue as a candidate side are built
+    on the first block that searches it and kept for the later ones.
     """
 
     def __init__(self, space: _ClassSpace, records: np.ndarray, used: memoryview):
@@ -602,30 +590,46 @@ class _Queue:
                                      records.size)
         self.recs = records[order]
         self.count = np.diff(self.start, append=records.size)
-        # the same records read one at a time, with no Python int kept per record
-        self.rec_at = memoryview(self.recs)
+        self.end = self.start + self.count
+        self.next = self.start.copy()
         self.classes = space.describe(self.recs[self.start])
-        self.next = self.start.tolist()
-        self.end = (self.start + self.count).tolist()
         self.parts: list[np.ndarray] = []
         self.part_of: np.ndarray | None = None
         self.views: dict[object, _View] = {}
-        # candidate tokens number the groups of every view; token t is group
-        # t - view.base of view view_of[t]
-        self.view_of: list[_View] = []
-
-    def head(self, i: int) -> int:
-        """Lowest unused record of class ``i``, -1 once the class is used up."""
-        used, recs, j, end = self.used, self.rec_at, self.next[i], self.end[i]
-        while j < end and used[recs[j]]:
-            j += 1
-        self.next[i] = j
-        return recs[j] if j < end else -1
+        # candidate tokens number the groups of every view: token t's classes,
+        # ascending, are group_classes[group_start[t]:][:group_size[t]]
+        self.group_classes = np.empty(0, np.intp)
+        self.group_start = np.empty(0, np.intp)
+        self.group_size = np.empty(0, np.intp)
 
     def live(self) -> np.ndarray:
-        """The classes that still hold an unused record."""
+        """Move every class's ``next`` past its used records; the classes that still hold one."""
         flags = np.frombuffer(self.used, dtype=bool)[self.recs]
-        return np.flatnonzero(~np.logical_and.reduceat(flags, self.start))
+        self.next = self.start + np.add.reduceat(flags, self.start, dtype=np.intp)
+        return np.flatnonzero(self.next < self.end)
+
+    def keys(self, classes: np.ndarray) -> np.ndarray:
+        """Each class's lowest unused record r as r·C + class (C classes), or ``_USED_UP``.
+
+        The least key of several classes names their lowest unused record
+        and the class that holds it.
+        """
+        nxt = self.next[classes]
+        rec = self.recs[np.minimum(nxt, self.recs.size - 1)].astype(np.int64)
+        return np.where(nxt < self.end[classes], rec * self.count.size + classes, _USED_UP)
+
+    def add_groups(self, members: np.ndarray, first: np.ndarray) -> int:
+        """Number the groups ``members[first[g]:first[g + 1]]`` as tokens; the first one's token."""
+        base = self.group_start.size
+        self.group_start = np.concatenate([self.group_start, first + self.group_classes.size])
+        self.group_size = np.concatenate([self.group_size, np.diff(first, append=members.size)])
+        self.group_classes = np.concatenate([self.group_classes, members])
+        return base
+
+    def group_classes_of(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The classes of the groups ``tokens``, group after group, and each token's class count."""
+        size = self.group_size[tokens]
+        return self.group_classes[_ranges(self.group_start[tokens], size)], size
 
     def partition(self) -> None:
         """Split the classes by partition, once.
@@ -643,71 +647,42 @@ class _View:
     """Live candidates of one partition for rows with one set of active ordinal columns.
 
     Classes that agree on those columns cost the same against every such
-    row, so they merge into one group, whose head is the lowest unused
-    record of any of its classes: the groups are the runs of one stable
-    lexsort of the classes by their values on ``dims`` (``_runs``), and
-    with no active column the whole partition is one group.  Without
-    ``dims`` every class is its own group, for candidate sides small
-    enough to be scored in full.  Groups are searched
-    with a k-d tree.  A view is kept with its queue: ``refresh`` drops the
-    groups used up by earlier blocks, and within a block the tree is rebuilt
-    without used-up groups once half of the groups it holds are found used
-    up.
+    row, so they merge into one group: the groups are the runs of one stable
+    lexsort of the partition's live classes by their values on ``dims``
+    (``_runs``), each group's classes ascending, and with no active column
+    the whole partition is one group.  Without ``dims`` every class is its
+    own group, for candidate sides small enough to be scored in full.  A
+    group's lowest unused record is the least of its classes'.  Groups are
+    searched with a k-d tree.  A view is kept with its queue: ``refresh``
+    drops the groups used up by earlier blocks, and within a block the tree
+    is rebuilt without used-up groups once half of the groups it holds are
+    used up.
     """
 
-    def __init__(self, cands: _Queue, classes: np.ndarray, dims: np.ndarray | None, base: int):
-        self.space, self.used, self.dims, self.base = cands.space, cands.used, dims, base
+    def __init__(self, cands: _Queue, classes: np.ndarray, dims: np.ndarray | None):
+        self.cands, self.space, self.dims = cands, cands.space, dims
         self.classes = cands.classes
-        # the unused records of the ascending ``classes``, class by class and
-        # each class's ascending, so every class is one run of ``of``
-        start, sizes = cands.start[classes], cands.count[classes]
-        pos = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-        recs, of = cands.recs[pos], np.repeat(classes, sizes)
-        free = ~np.frombuffer(self.used, dtype=bool)[recs]
-        recs, of = recs[free], of[free]
-        runs = np.flatnonzero(np.diff(of, prepend=-1))
-        classes, sizes = of[runs], np.diff(runs, append=of.size)
+        classes = classes[cands.next[classes] < cands.end[classes]]
         keys = [classes] if dims is None else list(self.classes.values[classes][:, dims].T)
-        order, first, group = _runs(keys, classes.size)
-        self.rep = classes[order[first]]  # each group's first class
+        order, self.first, _ = _runs(keys, classes.size)
+        self.members = classes[order]
+        self.rep = self.members[self.first]  # each group's first class
+        self.base = cands.add_groups(self.members, self.first)
         self.tree: cKDTree | None = None
-        self.live = np.arange(first.size)
-        self.dead = 0
-        # each group's records, ascending: a group of one class is that class's
-        # run, so only groups that merge classes need their records sorted
-        count = np.bincount(group, weights=sizes, minlength=first.size).astype(np.int64)
-        if first.size < classes.size:
-            recs = recs[np.lexsort((recs, np.repeat(group, sizes)))]
-        elif np.any(group[1:] < group[:-1]):
-            recs = recs[np.argsort(np.repeat(group, sizes), kind="stable")]
-        self.group_recs = recs
-        self.rec_at = memoryview(self.group_recs)
-        self.group_start = np.cumsum(count) - count
-        self.ptr = self.group_start.tolist()
-        self.stop = np.cumsum(count).tolist()
+        self.live = np.arange(self.first.size)
+
+    def alive(self) -> np.ndarray:
+        """Whether each group still holds an unused record."""
+        held = self.cands.next < self.cands.end
+        if not self.first.size:
+            return held[:0]
+        return np.logical_or.reduceat(held[self.members], self.first)
 
     def refresh(self) -> None:
         """Drop the used-up groups from the live ones; the tree goes only if a group went."""
-        if self.live.size:
-            flags = np.frombuffer(self.used, dtype=bool)[self.group_recs]
-            alive = ~np.logical_and.reduceat(flags, self.group_start)
-            live = self.live[alive[self.live]]
-            if live.size < self.live.size:
-                self.live, self.tree = live, None
-        self.dead = 0
-
-    def head(self, g: int) -> int:
-        """Lowest unused record of group ``g``, -1 once the group is used up."""
-        used, recs = self.used, self.rec_at
-        p, stop = self.ptr[g], self.stop[g]
-        while p < stop and used[recs[p]]:
-            p += 1
-        if p == stop:
-            self.dead += self.ptr[g] < stop
-            self.ptr[g] = p
-            return -1
-        self.ptr[g] = p
-        return recs[p]
+        live = self.live[self.alive()[self.live]]
+        if live.size < self.live.size:
+            self.live, self.tree = live, None
 
     def search(self, rows: _Classes, a: np.ndarray, k: int, full: int, score, tally: Counter):
         """Candidate groups of classes ``a`` of ``rows``: group indices, costs, proven limits.
@@ -720,10 +695,9 @@ class _View:
         """
         sp = self.space
         n = a.size
-        if 2 * self.dead > self.live.size:
-            self.live = np.array([g for g in self.live.tolist() if self.head(g) >= 0], dtype=int)
-            self.dead = 0
-            self.tree = None
+        alive = self.alive()[self.live]
+        if 2 * np.count_nonzero(~alive) > self.live.size:
+            self.live, self.tree = self.live[alive], None
         if self.live.size <= full:
             idx = np.broadcast_to(self.live, (n, self.live.size))
             return idx, score(a, self.rep[idx]), np.full(n, np.inf)
@@ -742,6 +716,15 @@ class _View:
         return idx, cost, proven
 
 
+def _tie_ends(costs: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """For each position of the lists ending at ``end``, where its run of equal costs ends."""
+    stop = np.ones(costs.size, dtype=bool)
+    stop[:-1] = costs[1:] != costs[:-1]
+    stop[end[end > 0] - 1] = True
+    stops = np.flatnonzero(stop) + 1
+    return stops[np.searchsorted(stops, np.arange(costs.size), side="right")]
+
+
 class _Block:
     """Exact greedy matching of one donor→recipient block too large to sweep.
 
@@ -751,16 +734,32 @@ class _Block:
     flags, which ``_sweep`` does literally for blocks of at most
     ``_SCORE_ALL`` pairs.  The two sides are the donor's member queue and
     the recipient's partner queue, as ``plan_swaps`` keeps them across
-    blocks.  A heap holds one entry per live class of the side with fewer
-    live classes (the rows): its cheapest candidate group on the other
-    side, with the row's and the group's lowest unused records; until a
-    row reaches the top for the first time, its cheapest listed cost stands
-    in for its entry.  Keys only grow as records are used, so an entry whose
-    candidate record was taken is re-scored when it reaches the top, and a
-    fresh entry that sorts before the top is taken at once.  When the top's
-    cost exceeds the entry's, no other row is as cheap, and the row's
-    listed candidates at the entry's cost are every group at that cost: the
-    row class and those tied groups pair off in one step (``_pair_off``).
+    blocks.  Each live class of the side with fewer live classes (a row)
+    has a candidate list of groups on the other side, cheapest first.  Its
+    entry is the cost of its first listed groups that still hold an unused
+    record, with its own and those tied groups' lowest unused records; once
+    its listed groups are used up, a placeholder keyed by the list's proven
+    limit stands in for it until its list is refilled by a deeper query.
+
+    ``match`` keeps every live row's entry cost in one array, works the
+    entries out afresh only for the rows a step changed, and sorts the rows
+    by entry cost.  Every pair of a row's records with its tied groups'
+    records costs the entry's cost, so once no other row is as cheap, greedy
+    order pairs the row's records, ascending, with the groups' merged
+    records, ascending, one to one: a run.  A batch pairs off, in one array
+    pass, the runs of the longest prefix of the sorted entries that greedy
+    order takes in turn:
+
+    - costs rise strictly, up to and including the entry after the prefix;
+    - a candidate class in the tied groups of several entries serves them
+      in turn, each taking its whole row, only while each holds it alone;
+    - a row left with records after its run comes back no cheaper than its
+      list's next cost (or its limit), so no later run may cost that much;
+    - the runs stop at the block's remaining swaps, the last one cut.
+
+    Two cheapest entries of one cost take the lower (member, partner) pair
+    alone, and a placeholder first refills every placeholder's list up to
+    the cheapest entry, in one deeper query.
     """
 
     def __init__(self, space: _ClassSpace, mem: _Queue, par: _Queue, tally: Counter):
@@ -785,32 +784,26 @@ class _Block:
         cost = pair_cost(rows, cands) if self.member_rows else pair_cost(cands, rows)
         return cost.reshape(b.shape)
 
-    def _head(self, t: int) -> int:
-        view = self.cands.view_of[t]
-        return view.head(t - view.base)
-
     def _view(self, key, classes: np.ndarray, dims: np.ndarray | None) -> _View:
-        cands = self.cands
-        view = cands.views.get(key)
+        view = self.cands.views.get(key)
         if view is None:
-            view = cands.views[key] = _View(cands, classes, dims, len(cands.view_of))
-            cands.view_of.extend([view] * view.rep.size)
+            view = self.cands.views[key] = _View(self.cands, classes, dims)
         return view
 
-    def candidates(self, a: np.ndarray, k: int) -> list[list]:
+    def candidates(self, a: np.ndarray, k: int):
         """Candidate tokens for row classes ``a``, cheapest first.
 
         A candidate side small enough to score in full is listed class by
         class; otherwise each partition contributes through the view of the
         row's active ordinal columns, one query per run of rows with equal
-        active columns (``_runs``, last column first).  Returns per row
-        ``[tokens, costs, limit, start, end]``: the row's list is
-        ``tokens[start:end]`` and ``costs[start:end]``, flat lists that the
-        rows of one call share, cut at the limit up to which the list
-        provably holds every live candidate; the limit is infinite when it
-        holds all of them.  When one query covers every row, each row of its
-        cost matrix is ordered on its own; otherwise the queries' candidates
-        are sorted by (row, cost) together.
+        active columns (``_runs``, last column first).  Returns the arrays
+        ``(tokens, costs, limit, start, end)``: row i's list is
+        ``tokens[start[i]:end[i]]`` with ``costs[start[i]:end[i]]``, cut at
+        ``limit[i]``, the cost up to which the list provably holds every
+        live candidate; the limit is infinite when it holds all of them.
+        When one query covers every row, each row of its cost matrix is
+        ordered on its own; otherwise the queries' candidates are sorted by
+        (row, cost) together.
         """
         cands, row_classes, cand_classes = self.cands, self.rows.classes, self.cands.classes
         n = a.size
@@ -835,9 +828,8 @@ class _Block:
             keep = costs <= limit[:, None]  # a prefix of each ordered row
             tokens = np.take_along_axis(idx, order, axis=1)[keep] + view.base
             costs = costs[keep]
-            kept = np.count_nonzero(keep, axis=1)
-            end = np.cumsum(kept)
-            start = end - kept
+            end = np.cumsum(np.count_nonzero(keep, axis=1))
+            start = np.concatenate([[0], end[:-1]])
         else:
             limit = np.full(n, np.inf)
             row_of, tokens, costs = [], [], []
@@ -854,140 +846,218 @@ class _Block:
             row_of, tokens, costs = row_of[keep], tokens[keep], costs[keep]
             bounds = np.searchsorted(row_of, np.arange(n + 1))
             start, end = bounds[:-1], bounds[1:]
-        tokens, costs = tokens.tolist(), costs.tolist()
-        return [[tokens, costs, lim, s, e]
-                for s, e, lim in zip(start.tolist(), end.tolist(), limit.tolist())]
+        return tokens, costs, limit, start, end
 
-    def _entry(self, a: int, lists: dict):
-        """Heap entry (cost, member, partner, row class, candidate token) of row ``a``.
+    def _list(self, slots: np.ndarray, k: int) -> None:
+        """List the ``k`` nearest candidates of the rows ``slots`` after the lists already held."""
+        tokens, costs, limit, start, end = self.candidates(self.live_rows[slots], k)
+        shift = self.tokens.size
+        self.tokens = np.concatenate([self.tokens, tokens])
+        self.costs = np.concatenate([self.costs, costs])
+        self.ties = np.concatenate([self.ties, _tie_ends(costs, end) + shift])
+        self.limit[slots], self.pos[slots], self.end[slots] = limit, start + shift, end + shift
+        self.depth[slots] = k
 
-        When every listed candidate is used up the entry is a placeholder,
-        token -1, keyed by the list's proven limit: every unlisted
-        candidate costs more, so the placeholder sorts before the true entry.
+    def _settle(self, slots: np.ndarray) -> None:
+        """Work out the entries of the rows ``slots`` afresh.
+
+        Each row's list position moves onto its first cost whose tied groups
+        still hold an unused record: the row's entry cost ``at``.  Those
+        groups' classes that hold one replace the row's in ``tied``, with
+        the row in ``owner``.  A row whose list is used up is keyed by its
+        limit and not ``listed``; it is ``gone`` when the list held every
+        candidate, as is a row whose class is used up.
         """
-        row_head = self.rows.head(a)
-        if row_head < 0:
-            return None
-        tokens, costs, limit, p, end = lists[a]
-        while p < end and self._head(tokens[p]) < 0:
-            p += 1
-        lists[a][3] = p
-        if p == end:
-            return None if limit == np.inf else (limit, -1, -1, a, -1)
-        cost, t = costs[p], tokens[p]
-        head = self._head(t)
-        for j in range(p + 1, end):
-            if costs[j] != cost:
-                break
-            h = self._head(tokens[j])
-            if 0 <= h < head:
-                t, head = tokens[j], h
-        if self.member_rows:
-            return cost, row_head, head, a, t
-        return cost, head, row_head, a, t
+        rows, cands = self.rows, self.cands
+        a = self.live_rows[slots]
+        listed = np.zeros(slots.size, dtype=bool)
+        mine = np.zeros(self.at.size, dtype=bool)
+        mine[slots] = True
+        kept = ~mine[self.owner]
+        classes, owners = [self.tied[kept]], [self.owner[kept]]
+        alive = rows.next[a] < rows.end[a]
+        todo = np.flatnonzero(alive & (self.pos[slots] < self.end[slots]))
+        while todo.size:
+            p = self.pos[slots[todo]]
+            width = self.ties[p] - p
+            tied, size = cands.group_classes_of(self.tokens[_ranges(p, width)])
+            count = np.add.reduceat(size, np.cumsum(width) - width)
+            held = cands.next[tied] < cands.end[tied]
+            hit = np.logical_or.reduceat(held, np.cumsum(count) - count)
+            listed[todo[hit]] = True
+            held &= np.repeat(hit, count)
+            classes.append(tied[held])
+            owners.append(np.repeat(slots[todo], count)[held])
+            todo = todo[~hit]
+            self.pos[slots[todo]] = self.ties[self.pos[slots[todo]]]
+            todo = todo[self.pos[slots[todo]] < self.end[slots[todo]]]
+        self.tied, self.owner = np.concatenate(classes), np.concatenate(owners)
+        at = self.limit[slots]
+        at[listed] = self.costs[self.pos[slots[listed]]]
+        self.at[slots], self.listed[slots] = at, listed
+        self.gone[slots] = ~alive | (~listed & (at == np.inf))
 
-    def _pair_off(self, a: int, tied: list[int], cost: float, n: int,
-                  out: list[tuple[int, int, float]]) -> None:
-        """Pair up to ``n`` unused records of row class ``a`` with those of the groups ``tied``.
+    def _prune(self, slots: np.ndarray) -> None:
+        """Drop used-up classes and gone rows from ``tied``; settle ``slots`` and emptied rows."""
+        cands = self.cands
+        held = (cands.next[self.tied] < cands.end[self.tied]) & ~self.gone[self.owner]
+        self.tied, self.owner = self.tied[held], self.owner[held]
+        kept = np.zeros(self.at.size, dtype=bool)
+        kept[self.owner] = True
+        self._settle(np.union1d(slots, np.flatnonzero(self.listed & ~kept & ~self.gone)))
 
-        Every pair of them costs ``cost``, and every other pair more, so in
-        greedy order the row's records, ascending, take the groups' merged
-        records, ascending, one to one.  A run that may pass ``_RUN`` pairs
-        is found and flagged by array passes, and the class's and groups'
-        search positions move past it.
-        """
-        rows, used, view_of = self.rows, self.rows.used, self.cands.view_of
-        groups = [(view_of[t], t - view_of[t].base) for t in tied]
-        if (n <= _RUN or rows.end[a] - rows.next[a] <= _RUN
-                or sum(view.stop[g] - view.ptr[g] for view, g in groups) <= _RUN):
-            row_recs = _unused(rows.rec_at, rows.next[a], rows.end[a], used, n)
-            cand_recs = [r for view, g in groups
-                         for r in _unused(view.rec_at, view.ptr[g], view.stop[g], used,
-                                          len(row_recs))]
-            if len(groups) > 1:
-                cand_recs.sort()
-            n = min(len(row_recs), len(cand_recs))
-            row_recs, cand_recs = row_recs[:n], cand_recs[:n]
-            for r in row_recs + cand_recs:
-                used[r] = 1
-        else:
-            flags = np.frombuffer(used, dtype=bool)
-            row_at = _unused_at(rows.recs, rows.next[a], rows.end[a], flags, n)
-            at = [_unused_at(view.group_recs, view.ptr[g], view.stop[g], flags, row_at.size)
-                  for view, g in groups]
-            cand_recs = np.concatenate([view.group_recs[pos] for (view, _), pos in zip(groups, at)])
-            first = np.argsort(cand_recs)[:row_at.size]
-            row_at = row_at[:first.size]
-            row_recs, cand_recs = rows.recs[row_at], cand_recs[first]
-            flags[row_recs] = flags[cand_recs] = True
-            # each position moves onto the last record it gave, now used
-            rows.next[a] = int(row_at[-1])
-            of = np.repeat(np.arange(len(groups)), [pos.size for pos in at])
-            taken = np.bincount(of[first], minlength=len(groups)).tolist()
-            for (view, g), pos, count in zip(groups, at, taken):
-                if count:
-                    view.ptr[g] = int(pos[count - 1])
-            row_recs, cand_recs = row_recs.tolist(), cand_recs.tolist()
-        if self.member_rows:
-            out.extend(zip(row_recs, cand_recs, repeat(cost)))
-        else:
-            out.extend(zip(cand_recs, row_recs, repeat(cost)))
-        self.tally["runs"] += len(row_recs) > 1
+    def _heads(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (member, partner) records of the listed rows' entries, and each candidate's class."""
+        cands, n_cls = self.cands, self.cands.count.size
+        mine = np.zeros(self.at.size, dtype=bool)
+        mine[slots] = True
+        items = mine[self.owner]
+        least = np.full(self.at.size, _USED_UP)
+        np.minimum.at(least, self.owner[items], cands.keys(self.tied[items]))
+        cand = least[slots]
+        row = self.rows.recs[self.rows.next[self.live_rows[slots]]]
+        pair = (row, cand // n_cls) if self.member_rows else (cand // n_cls, row)
+        return *pair, cand % n_cls
 
-    def match(self, k: int) -> list[tuple[int, int, float]]:
-        """The block's ``k`` swaps in greedy order, as (member, partner, cost)."""
-        used, member_rows = self.rows.used, self.member_rows
-        live = self.live_rows.tolist()
-        depth = dict.fromkeys(live, _FIRST_K)
-        lists = dict(zip(live, self.candidates(self.live_rows, _FIRST_K)))
-        # every listed candidate is live yet, so a row's first listed cost
-        # (or its limit) keys it until its entry is worked out, token -2
-        heap = [(costs[start] if start < end else limit, -2, -2, a, -2)
-                for a, (_, costs, limit, start, end) in lists.items()]
-        heapq.heapify(heap)
-        out = []
-        while len(out) < k:
-            entry = heapq.heappop(heap)
-            a, t = entry[3], entry[4]
-            if t == -1:
-                # placeholders on top: refill their lists in one deeper query
-                refill = [a]
-                while heap and heap[0][4] == -1:
-                    refill.append(heapq.heappop(heap)[3])
-                deeper = _GROWTH * max(depth[r] for r in refill)
-                for r in refill:
-                    depth[r] = deeper
-                self.tally["refills"] += 1
-                for a, fresh in zip(refill, self.candidates(np.array(refill), deeper)):
-                    lists[a] = fresh
-                    entry = self._entry(a, lists)
-                    if entry is not None:
-                        heapq.heappush(heap, entry)
+    def match(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block's ``k`` swaps in greedy order, as (member, partner, cost) arrays."""
+        rows, cands, tally = self.rows, self.cands, self.tally
+        n = self.live_rows.size
+        self.tokens, self.costs, self.ties = np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp)
+        self.limit, self.at = np.empty(n), np.empty(n)
+        self.pos, self.end, self.depth = (np.empty(n, np.intp) for _ in range(3))
+        self.listed, self.gone = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.tied = self.owner = np.empty(0, np.intp)
+        live = np.arange(n)
+        self._list(live, _FIRST_K)
+        self._settle(live)
+        out = ([], [], [])
+        taken = 0
+        while taken < k:
+            live = live[~self.gone[live]]
+            order = live[np.argsort(self.at[live], kind="stable")]
+            at, listed = self.at[order], self.listed[order]
+            # placeholders sort before entries of their key: refill every one
+            # up to the cheapest entry in one deeper query
+            lowest = at[np.argmax(listed)] if listed.any() else np.inf
+            wait = order[~listed & (at <= lowest)]
+            if wait.size:
+                tally["refills"] += 1
+                self._list(wait, _GROWTH * int(self.depth[wait].max()))
+                self._settle(wait)
                 continue
-            if t == -2 or self._head(t) != entry[2 if member_rows else 1]:
-                entry = self._entry(a, lists)
-            # take the row's entries for as long as each sorts before the heap top
-            while entry is not None:
-                if entry[4] < 0 or (heap and heap[0] < entry):
-                    heapq.heappush(heap, entry)
-                    break
-                cost, member, partner, a, _ = entry
-                if heap and heap[0][0] <= cost:
-                    out.append((member, partner, cost))
-                    used[member] = used[partner] = 1
-                else:
-                    # every other row costs more, and so does every candidate
-                    # group not listed at this cost: the rest of this row class
-                    # and of the tied groups pair off in one step
-                    tokens, costs, _, p, end = lists[a]
-                    tie = p + 1
-                    while tie < end and costs[tie] == cost:
-                        tie += 1
-                    self._pair_off(a, tokens[p:tie], cost, k - len(out), out)
-                if len(out) == k:
-                    break
-                entry = self._entry(a, lists)
-        return out
+            if at.size > 1 and at[1] == at[0]:
+                # tied entries: the one of lowest (member, partner) takes its pair alone
+                tie = order[:np.searchsorted(at, at[0], side="right")]
+                mem, par, cand = self._heads(tie)
+                i = np.lexsort((par, mem))[0]
+                np.frombuffer(rows.used, dtype=bool)[[mem[i], par[i]]] = True
+                rows.next[self.live_rows[tie[i]]] += 1
+                cands.next[cand[i]] += 1
+                for part, value in zip(out, (mem[i:i + 1], par[i:i + 1], at[:1])):
+                    part.append(value)
+                taken += 1
+                changed = tie[i:i + 1]
+            else:
+                strict = listed.copy()
+                strict[:-1] &= at[:-1] < at[1:]
+                width = int(np.argmin(strict)) if not strict.all() else strict.size
+                changed = self._batch(order[:width], at[:width], k - taken, out)
+                taken += int(out[2][-1].size)
+            if taken < k:
+                self._prune(changed)
+        return tuple(np.concatenate(part) if part else np.empty(0, dtype)
+                     for part, dtype in zip(out, (np.int64, np.int64, float)))
+
+    def _batch(self, window: np.ndarray, cost: np.ndarray, k: int, out: tuple) -> np.ndarray:
+        """Pair off the runs of the longest prefix of ``window`` that greedy order takes in turn.
+
+        ``window`` holds the first rows in entry order, each entry at
+        ``cost`` cheaper than the next.  The prefix's (member, partner,
+        cost) arrays, ascending per run, are appended to ``out`` and their
+        records flagged used.  Its rows that are used up are ``gone``;
+        returns the others.
+        """
+        rows, cands = self.rows, self.cands
+        top = len(rows.used)  # above every record index
+        w = window.size
+        rank = np.full(self.at.size, w)
+        rank[window] = np.arange(w)
+        entry = rank[self.owner]
+        inside = entry < w
+        # the window's candidate classes by class and then entry, as one sort key
+        item = np.sort(self.tied[inside] * w + entry[inside])
+        tied, entry = item // w, item % w
+        avail = cands.end[tied] - cands.next[tied]  # the class's unused records
+        a = self.live_rows[window]
+        left = rows.end[a] - rows.next[a]
+        # a class in the levels of several entries serves them in turn, each
+        # taking its whole row, as long as each of them holds that class alone
+        again = np.flatnonzero(tied[1:] == tied[:-1]) + 1
+        if again.size:
+            alone = np.bincount(entry, minlength=w) == 1
+            mixed = again[~(alone[entry[again]] & alone[entry[again - 1]])]
+            w = min(w, int(entry[mixed].min())) if mixed.size else w
+            before = np.cumsum(left[entry]) - left[entry]
+            chain = np.ones(tied.size, dtype=bool)
+            chain[again] = False
+            chain_start = np.maximum.accumulate(np.where(chain, np.arange(tied.size), 0))
+            avail -= before - before[chain_start]
+        free = np.bincount(entry, weights=avail, minlength=window.size)[:w]
+        n = np.maximum(np.minimum(left[:w], free), 0).astype(np.intp)
+        total = np.cumsum(n)
+        j = min(w, int(np.searchsorted(total, k)) + 1)
+        # a row left with records comes back no cheaper than its list's next
+        # cost, or its limit once the list is used up: no later run may cost
+        # that much
+        short = np.flatnonzero(left[:j - 1] > free[:j - 1])
+        if short.size:
+            rows_short = window[short]
+            after = self.ties[self.pos[rows_short]]
+            more = after < self.end[rows_short]
+            bound = self.limit[rows_short]
+            bound[more] = self.costs[after[more]]
+            # a limit may equal the entry's own cost
+            reach = np.maximum(np.searchsorted(cost, bound), short + 1)
+            reach = np.minimum(np.minimum.accumulate(reach), j)
+            lim = np.concatenate([[j], reach[:-1]])
+            over = np.flatnonzero(short >= lim)
+            j = int(lim[over[0]]) if over.size else int(reach[-1])
+        n = n[:j]
+        n[-1] -= max(0, int(total[j - 1]) - k)
+        keep = (entry < j) & (avail > 0)
+        tied, entry, avail = tied[keep], entry[keep], avail[keep]
+        # a run's records are its n lowest of its classes' unused records: a
+        # class whose lowest lies behind r other classes' gives at most n - r
+        first = cands.end[tied] - avail
+        order = np.argsort(entry * top + cands.recs[first])
+        tied, entry, avail, first = tied[order], entry[order], avail[order], first[order]
+        behind = np.arange(entry.size) - np.searchsorted(entry, entry)
+        take = np.maximum(np.minimum(avail, n[entry] - behind), 0)
+        cand_recs = cands.recs[_ranges(first, take)]
+        if entry.size > np.count_nonzero(n):
+            # a run of several classes takes the n lowest of their records
+            # merged, so each class gives those up to the run's last
+            of = np.repeat(entry, take)
+            merged = np.sort(of * top + cand_recs)
+            merged = merged[_ranges(np.searchsorted(of, np.arange(j)), n)] % top
+            within = cand_recs <= np.repeat(merged[np.cumsum(n) - 1][entry], take)
+            take = np.bincount(np.repeat(np.arange(take.size), take), weights=within,
+                               minlength=take.size).astype(np.intp)
+            cand_recs = merged
+        np.add.at(cands.next, tied, take)
+        row_recs = rows.recs[_ranges(rows.next[a[:j]], n)]
+        rows.next[a[:j]] += n
+        flags = np.frombuffer(rows.used, dtype=bool)
+        flags[row_recs] = flags[cand_recs] = True
+        pairs = (row_recs, cand_recs) if self.member_rows else (cand_recs, row_recs)
+        for part, value in zip(out, (*pairs, np.repeat(cost[:j], n))):
+            part.append(value)
+        self.tally["runs"] += int(np.count_nonzero(n > 1))
+        self.tally["batches"] += 1
+        done = n == left[:j]
+        self.gone[window[:j][done]] = True
+        return window[:j][~done]
 
 
 def apply_swaps(m: Microfile, plan: SwapPlan) -> Microfile:

@@ -190,6 +190,13 @@ def _zero_every_weight(c):
             attr["weight"] = 0
 
 
+def _overflowing_weights(c):
+    # each weight is finite, but the largest pair cost sums them past the largest float
+    for attr in c["schema"]:
+        if attr["name"] in ("age", "military_service"):
+            attr["weight"] = 1e308
+
+
 #: Config edits that leave a group's swap weights unusable, each with the error it gives
 #: after the file name.  The weights are built at load, before the input is read.
 UNUSABLE_WEIGHTS = [
@@ -201,6 +208,9 @@ UNUSABLE_WEIGHTS = [
                  "matching categories must not cost more than mismatching", id="negative-chi-same"),
     pytest.param(_zero_every_weight,
                  "$.groups[0]: at least one influential weight must be positive", id="zero-weights"),
+    pytest.param(_overflowing_weights,
+                 "$.groups[0]: weights too large: the largest pair cost, the ordinal weights plus "
+                 "the nominal weights times chi_diff², overflows", id="overflowing-weights"),
 ]
 
 

@@ -122,15 +122,16 @@ class TestRunCommand:
                                     "published_violated_rows", "published_max_violation"}
         plan = group["plan"]
         assert set(plan) == {"blocks", "swept_blocks", "queues_built", "trees_built",
-                             "pairs_scored", "refills", "runs"}
+                             "pairs_scored", "refills", "runs", "batches"}
         # a quantity group's counts before and after give the flow the planner ran
         surplus = np.array(group["signal_before"]) - np.array(group["signal_after"])
         assert plan["blocks"] == len(remap._flow_blocks(surplus.astype(np.int64)))
         assert 0 <= plan["swept_blocks"] <= plan["blocks"]
         assert 0 < plan["queues_built"] <= 2 * len(group["signal_before"])
         assert plan["pairs_scored"] > 0
-        # a run pairs at least two swaps
+        # a run pairs at least two swaps, and only a batch pairs off runs
         assert 0 <= 2 * plan["runs"] <= group["swaps"]
+        assert plan["batches"] <= group["swaps"] and (plan["batches"] > 0 or plan["runs"] == 0)
 
     @pytest.mark.parametrize("case, solves", [("declared", 0), ("warm-start", 0),
                                               ("violated-start", 1), ("objective", None)])

@@ -201,6 +201,24 @@ class TestInfluentialMetric:
         with pytest.raises(RemapError, match="weights and category factors must be finite"):
             InfluentialWeights(**fields)
 
+    @pytest.mark.parametrize("ordinal, nominal, chi_diff", [
+        ({"age": 1e308, "income": 1.0}, {"service": 1e308}, 1.0),  # the sum overflows
+        ({"age": 1.0}, {"service": 1e300}, 1e5),  # weight * chi_diff² overflows
+        ({"age": 1e308, "income": 1e308}, {}, 1.0),
+    ])
+    def test_weights_whose_largest_pair_cost_overflows_rejected(self, ordinal, nominal, chi_diff):
+        with pytest.raises(RemapError, match="the largest pair cost, the ordinal weights plus the "
+                                             "nominal weights times chi_diff², overflows"):
+            InfluentialWeights(ordinal=ordinal, nominal=nominal, chi_diff=chi_diff)
+
+    def test_largest_finite_pair_cost_accepted(self):
+        # 1e308 + 1 + 1e308 * 0.5² is still finite, and so is the costliest pair's cost
+        w = InfluentialWeights(ordinal={"age": 1e308, "income": 1.0}, nominal={"service": 1e308},
+                               chi_diff=0.5)
+        m = toy_microfile([("a1", "1", 30, 0), ("a2", "0", 0, 100)])
+        plan = plan_swaps(m, toy_group(), target([0, 1, 0, 0]), w)
+        assert plan.costs.tolist() == [1e308 + 1.0 + 1e308 * 0.25]
+
     def test_needs_positive_weight(self):
         with pytest.raises(RemapError, match="positive"):
             InfluentialWeights(ordinal={"age": 0.0}, nominal={"service": 0.0})
@@ -352,6 +370,11 @@ class TestPlanSwaps:
 def as_tuples(plan):
     """The plan's swaps and costs as tuples of Python numbers, as ``exhaustive_plan`` gives them."""
     return tuple(map(tuple, plan.swaps.tolist())), tuple(plan.costs.tolist())
+
+
+def swaps_of(matched):
+    """A matcher's (member, partner, cost) arrays as a list of (member, partner, cost) tuples."""
+    return list(zip(*(x.tolist() for x in matched)))
 
 
 def exhaustive_plan(m, g, tgt, w):
@@ -569,7 +592,7 @@ class TestSingleSwapSweep:
         mem = np.sort(records[:n_mem])
         par = np.sort(records[n_mem:n_mem + int(rng.integers(1, n - n_mem + 1))])
         used, expected_used = remap._used_flags(n), remap._used_flags(n)
-        got = _sweep(pair_cost, mem, par, 1, used)
+        got = swaps_of(_sweep(pair_cost, mem, par, 1, used))
         assert got == lexsort_sweep(pair_cost, mem, par, 1, expected_used)
         assert bytes(used) == bytes(expected_used)
 
@@ -586,7 +609,7 @@ class TestSingleSwapSweep:
         finite = toy_microfile([("a1", "1", 1e300, 0), ("a1", "1", 2.0, 0), ("a2", "0", 1.0, 0)])
         mem, par = np.array([0, 1]), np.array([2])
         expected = lexsort_sweep(_PairCost(finite, w), mem, par, 1, remap._used_flags(3))
-        got = _sweep(_PairCost(finite, w), mem, par, 1, remap._used_flags(3))
+        got = swaps_of(_sweep(_PairCost(finite, w), mem, par, 1, remap._used_flags(3)))
         assert got == expected == [(1, 2, pytest.approx(1 / 9))]
 
 
@@ -629,7 +652,8 @@ class TestSmallBlockSweep:
             used = remap._used_flags(m.n_records)
             block = _Block(space, _Queue(space, mem, used), _Queue(space, par, used),
                            collections.Counter())
-            assert block.match(k) == _sweep(pair_cost, mem, par, k, remap._used_flags(m.n_records))
+            assert swaps_of(block.match(k)) == swaps_of(
+                _sweep(pair_cost, mem, par, k, remap._used_flags(m.n_records)))
         assert sides[True] >= 10 and sides[False] >= 10
 
     def test_sweep_takes_each_record_once_cheapest_first(self):
@@ -637,7 +661,7 @@ class TestSmallBlockSweep:
         m = toy_microfile([("a1", "1", 10, 0), ("a1", "1", 20, 0),
                            ("a2", "0", 20, 0), ("a2", "0", 11, 0), ("a2", "0", 0, 0)])
         used = remap._used_flags(m.n_records)
-        matched = _sweep(_PairCost(m, w), np.array([0, 1]), np.array([2, 3, 4]), 2, used)
+        matched = swaps_of(_sweep(_PairCost(m, w), np.array([0, 1]), np.array([2, 3, 4]), 2, used))
         # (1, 2) costs 0 and goes first; record 0 then gets its cheapest partner, 3
         assert [(a, b) for a, b, _ in matched] == [(1, 2), (0, 3)]
         assert matched[0][2] == 0.0
@@ -760,9 +784,9 @@ class TestAcrossBlocks:
         assert as_tuples(plan) == exhaustive_plan(fixture_microfile, fixture_group, tgt, w)
 
     # (_View builds, trees_built, refills, pairs_scored) with shallow lists on every block
-    @pytest.mark.parametrize("seed, shape", [(0, (42, 23, 3, 968)), (1, (40, 29, 3, 1119)),
-                                             (2, (41, 17, 8, 1020)), (3, (40, 21, 6, 1035)),
-                                             (4, (37, 21, 4, 1009)), (5, (37, 20, 1, 780))])
+    @pytest.mark.parametrize("seed, shape", [(0, (42, 23, 3, 968)), (1, (40, 29, 3, 1118)),
+                                             (2, (41, 17, 7, 1017)), (3, (40, 21, 5, 1029)),
+                                             (4, (37, 21, 4, 1007)), (5, (37, 20, 1, 780))])
     def test_kept_views_keep_the_search_shape(self, seed, shape):
         # a view key that stopped matching across blocks would build more
         # views and trees; the plan alone would not show it
@@ -1017,15 +1041,11 @@ TIED_CASES = [(seed, superset, chi_same, kinds) for seed in range(2) for superse
 class TestTiedGroups:
     """Pair-offs of a row class with several tied candidate groups, against the obvious planners.
 
-    ``_RUN`` at 0 pairs every run by array passes and at 10**9 record by
-    record; ``_FIRST_K=2, _SCORE_ALL=0`` lists candidates partition by
-    partition, sorted together.
+    ``_FIRST_K=2, _SCORE_ALL=0`` lists candidates partition by partition,
+    sorted together.
     """
 
-    SETTINGS = [{"_RUN": remap._RUN}, {"_RUN": 0}, {"_RUN": 10**9},
-                {"_FIRST_K": 2, "_SCORE_ALL": 0},
-                {"_FIRST_K": 2, "_SCORE_ALL": 0, "_RUN": 0},
-                {"_FIRST_K": 2, "_SCORE_ALL": 0, "_RUN": 10**9}]
+    SETTINGS = [{"_FIRST_K": remap._FIRST_K}, {"_FIRST_K": 2, "_SCORE_ALL": 0}]
 
     @pytest.mark.parametrize("case", TIED_CASES)
     def test_plan_matches_the_exhaustive_greedy(self, case):
@@ -1050,23 +1070,172 @@ class TestTiedGroups:
         pair_cost = _PairCost(m, w)
         service = m.column("service")
         members_, partners = np.flatnonzero(service == "1"), np.flatnonzero(service != "1")
-        # some records of each side already used, as by earlier blocks
+        # some records of each side already used, as by an earlier block of the
+        # same sides, so each class's lowest records are the used ones
         used = remap._used_flags(m.n_records)
+        _sweep(pair_cost, members_, partners, int(rng.integers(1, 40)), used)
         flags = np.frombuffer(used, dtype=bool)
-        flags[rng.choice(m.n_records, 40, replace=False)] = True
         mem, par = members_[~flags[members_]], partners[~flags[partners]]
         for k in (1, 2, 40, min(mem.size, par.size)):
-            for patch in ({"_RUN": 0}, {"_RUN": 10**9}, {"_RUN": 5}):
-                got_used, want_used = remap._used_flags(m.n_records), remap._used_flags(m.n_records)
-                np.frombuffer(got_used, dtype=bool)[:] = flags
-                np.frombuffer(want_used, dtype=bool)[:] = flags
-                space = _ClassSpace(pair_cost)
-                with mock.patch.multiple(remap, **patch):
-                    block = _Block(space, _Queue(space, members_, got_used),
-                                   _Queue(space, partners, got_used), collections.Counter())
-                    got = block.match(k)
-                assert got == _sweep(pair_cost, mem, par, k, want_used), (k, patch)
-                assert bytes(got_used) == bytes(want_used)
+            got_used, want_used = remap._used_flags(m.n_records), remap._used_flags(m.n_records)
+            np.frombuffer(got_used, dtype=bool)[:] = flags
+            np.frombuffer(want_used, dtype=bool)[:] = flags
+            space = _ClassSpace(pair_cost)
+            block = _Block(space, _Queue(space, members_, got_used),
+                           _Queue(space, partners, got_used), collections.Counter())
+            got = block.match(k)
+            assert swaps_of(got) == swaps_of(_sweep(pair_cost, mem, par, k, want_used)), k
+            assert bytes(got_used) == bytes(want_used)
+
+
+def repeated_case(seed, member_rows, spread):
+    """p0 hands members to p1 and p2 (p3 stays empty); every record repeats 2 to 6 times.
+
+    Each side draws its records from its own attribute combinations, each
+    repeated 2 to 6 times, so classes hold several records and a row class
+    may hold more records than its cheapest candidate classes.  The side
+    with fewer combinations is the one whose classes are rows: the members
+    when ``member_rows``.  Few combinations against many rows make rows'
+    cheapest candidates collide, and a narrow ``spread`` of ordinal values
+    ties costs across rows.
+    """
+    rng = np.random.default_rng(seed)
+    order = ("p0", "p1", "p2", "p3")
+    combos = (6, 30) if member_rows else (30, 6)
+    area, service, ordinal = [], [], {"age": [], "income": []}
+    for side, (n_combo, positions) in enumerate(zip(combos, (["p0"], ["p1", "p2"]))):
+        values = {name: rng.integers(0, spread + 1, n_combo).astype(float) for name in ordinal}
+        codes = ["1"] * n_combo if side == 0 else rng.choice(["0", "2"], n_combo)
+        for combo, copies in enumerate(rng.integers(2, 7, n_combo).tolist()):
+            for _ in range(copies):
+                area.append(rng.choice(positions))
+                service.append(codes[combo])
+                for name in ordinal:
+                    ordinal[name].append(values[name][combo])
+    n = len(area)
+    shuffle = rng.permutation(n)
+    m = Microfile(
+        attributes=(
+            Attribute("area", "nominal", "parameter"),
+            Attribute("service", "nominal", "vital", weight=1.0),
+            Attribute("age", "ordinal", "influential", weight=2.0),
+            Attribute("income", "ordinal", "influential", weight=1.0),
+        ),
+        columns={"area": np.array(area)[shuffle], "service": np.array(service)[shuffle],
+                 **{name: np.array(values)[shuffle] for name, values in ordinal.items()}},
+    )
+    g = GroupSpec.create({"service": {"1"}}, "area", order)
+    current = quantity_signal(m, g).values.astype(int)
+    area_of = m.column("area")
+    partners = [int(np.sum((area_of == p) & (m.column("service") != "1"))) for p in order]
+    # move most of p0's members, as far as p1's and p2's partners allow
+    to_p1 = min(partners[1], int(rng.integers(current[0] // 3, current[0] // 2 + 1)))
+    to_p2 = min(partners[2], current[0] - to_p1 - 1)
+    goal = current + [-to_p1 - to_p2, to_p1, to_p2, 0]
+    return m, g, GoalSignal("quantity", goal.astype(float), order), \
+        InfluentialWeights.from_attributes(m.attributes)
+
+
+class TestBatchedRuns:
+    """Runs paired off in batches, against the exhaustive greedy.
+
+    A batch pairs off a prefix of the rows' entries ordered by (cost,
+    member, partner): costs that rise strictly up to the entry after it,
+    classes shared by two entries only in turn, a row left with records
+    bounding the prefix by its next cost, and the block's remaining swaps.
+    """
+
+    @pytest.mark.parametrize("spread", [3, 40])
+    @pytest.mark.parametrize("member_rows", [True, False], ids=["member-rows", "partner-rows"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_plan_matches_the_exhaustive_greedy(self, seed, member_rows, spread):
+        m, g, tgt, w = repeated_case(seed, member_rows, spread)
+        expected = exhaustive_plan(m, g, tgt, w)
+        rows_are_members = []
+        block = remap._Block
+
+        def kept(*args):
+            made = block(*args)
+            rows_are_members.append(made.member_rows)
+            return made
+
+        for patch in ({"_FIRST_K": remap._FIRST_K}, {"_FIRST_K": 2, "_SCORE_ALL": 0}):
+            info = {}
+            with mock.patch.multiple(remap, **patch), \
+                    mock.patch.object(remap, "_Block", side_effect=kept):
+                plan = plan_swaps(m, g, tgt, w, info=info)
+            assert as_tuples(plan) == expected, patch
+            assert info["batches"] <= len(plan)
+        assert set(rows_are_members) == {member_rows}
+
+    def test_cases_pair_off_several_runs_a_batch(self):
+        several = 0
+        for seed in range(8):
+            for member_rows in (True, False):
+                info = {}
+                with mock.patch.multiple(remap, _FIRST_K=2, _SCORE_ALL=0):
+                    plan_swaps(*repeated_case(seed, member_rows, 40), info=info)
+                several += info["runs"] > info["batches"] > 0
+        assert several >= 4
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_block_matches_the_sweep_for_every_k(self, seed):
+        # k cut anywhere, mid-batch included, on both sides of the rows
+        m, _, _, w = repeated_case(seed, seed % 2 == 0, [3, 40][seed // 2 % 2])
+        pair_cost = _PairCost(m, w)
+        service, area = m.column("service"), m.column("area")
+        mem = np.flatnonzero((service == "1") & (area == "p0"))
+        par = np.flatnonzero((service != "1") & (area != "p0"))
+        for k in np.unique(np.linspace(1, min(mem.size, par.size), 7).astype(int)).tolist():
+            used = remap._used_flags(m.n_records)
+            space = _ClassSpace(pair_cost)
+            tally = collections.Counter()
+            block = _Block(space, _Queue(space, mem, used), _Queue(space, par, used), tally)
+            want_used = remap._used_flags(m.n_records)
+            assert swaps_of(block.match(k)) == swaps_of(_sweep(pair_cost, mem, par, k, want_used))
+            assert bytes(used) == bytes(want_used)
+
+    def test_a_tiled_table_takes_far_fewer_batches_than_runs(self, fixture_microfile,
+                                                              fixture_group):
+        # three copies of the fixture: every class holds three times the records
+        copies = 3
+        m = Microfile.from_cells(
+            fixture_microfile.attributes,
+            {a.name: np.tile(fixture_microfile.cells(a.name), copies)
+             for a in fixture_microfile.attributes},
+            {a.name: fixture_microfile.vocabulary(a.name) for a in fixture_microfile.attributes
+             if a.kind == "nominal"})
+        tgt = GoalSignal("quantity", copies * ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
+        info = {}
+        plan = plan_swaps(m, fixture_group, tgt, InfluentialWeights.from_attributes(m.attributes),
+                          info=info)
+        assert len(plan) == copies * int(np.abs(ref.QUANTITY_FINAL
+                                                - quantity_signal(fixture_microfile,
+                                                                  fixture_group).values).sum()) // 2
+        assert info["runs"] > 1000 and 10 * info["batches"] < info["runs"]
+
+    @pytest.mark.parametrize("score_all", [0, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_class_uses_its_lowest_records_first(self, seed, score_all):
+        # what each block start reads off the used flags: a class's used
+        # records are its lowest, whether sweeps or searches used them
+        m, g, tgt, w = cross_block_case(seed)
+        live, checked = remap._Queue.live, []
+
+        def checked_live(queue):
+            classes = live(queue)
+            flags = np.frombuffer(queue.used, dtype=bool)[queue.recs]
+            for start, nxt, end in zip(queue.start.tolist(), queue.next.tolist(),
+                                       queue.end.tolist()):
+                assert flags[start:nxt].all() and not flags[nxt:end].any()
+            checked.append(int(np.count_nonzero(flags)))
+            return classes
+
+        with mock.patch.object(remap._Queue, "live", checked_live), \
+                mock.patch.object(remap, "_SCORE_ALL", score_all):
+            plan = plan_swaps(m, g, tgt, w)
+        assert as_tuples(plan) == exhaustive_plan(m, g, tgt, w)
+        assert max(checked) > 0
 
 
 class TestCandidateLists:
@@ -1118,12 +1287,14 @@ class TestCandidateLists:
             return pair_cost(left, cand_recs) if block.member_rows else pair_cost(cand_recs, left)
 
         every_class = cands.classes.rep[cands.live()]
+        tokens, costs, limits, starts, ends = lists
         cut = 0
-        for a, (tokens, costs, limit, start, end) in zip(block.live_rows.tolist(), lists):
-            listed = costs[start:end]
+        for a, limit, start, end in zip(block.live_rows.tolist(), limits.tolist(), starts.tolist(),
+                                        ends.tolist()):
+            listed = costs[start:end].tolist()
             assert listed == sorted(listed) and all(c <= limit for c in listed)
-            groups = [(cands.view_of[t], t - cands.view_of[t].base) for t in tokens[start:end]]
-            reps = np.array([cands.classes.rep[view.rep[g]] for view, g in groups], dtype=int)
+            # a group costs what its first class costs
+            reps = cands.classes.rep[cands.group_classes[cands.group_start[tokens[start:end]]]]
             assert cost(a, reps).tolist() == listed
             every = cost(a, every_class)
             assert set(listed) == set(every[every <= limit].tolist())
