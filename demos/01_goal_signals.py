@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from groupanon.charts import svg_line_chart
-from groupanon.microfile import members
 from groupanon.reference import build_concentration_microfile, fixture_group, load_quantity_microfile
 from groupanon.signals import concentration_signal, difference_signal, quantity_signal
 
@@ -20,9 +19,9 @@ OUT.mkdir(exist_ok=True)
 
 microfile = load_quantity_microfile()
 group = fixture_group()
-print(f"fixture: {microfile.n_records} records, {members(microfile, group).size} group members")
-
 q = quantity_signal(microfile, group)
+print(f"fixture: {microfile.n_records} records, {int(q.total)} group members")
+
 print("quantity signal:", q.values.astype(int))
 print(f"  total {int(q.total)}, spike at position {int(np.argmax(q.values)) + 1} "
       f"({q.parameter_order[int(np.argmax(q.values))]})")

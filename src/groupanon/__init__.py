@@ -26,7 +26,6 @@ from .microfile import (
     GroupSpec,
     Microfile,
     load_microfile,
-    members,
     write_microfile,
 )
 from .redistribute import (
@@ -38,7 +37,6 @@ from .redistribute import (
     normalize_mean_std,
     reassemble,
     round_to_integers,
-    satisfies,
     solve_constraints,
 )
 from .remap import InfluentialWeights, SwapPlan, apply_swaps, influential_metric, plan_swaps

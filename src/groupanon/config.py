@@ -28,10 +28,10 @@ Errors carry the file name and the JSON path of the offending field.
 JSON's ``NaN``, ``Infinity`` and ``-Infinity``, and a number past float64
 (``1e999``) or past Python's integer digit limit, are errors wherever a
 value is read.  A field an object does not define is an error too, except a
-removed one (``REMOVED_ROOT_FIELDS``, ``REMOVED_GROUP_FIELDS``), which is
-ignored with a warning naming its path; ``"repair": "none"``, the old
-name of the default, loads as ``"mean_fix"`` with the same kind of
-warning.  A group name must be a plain file name, since the report files
+removed root field (``REMOVED_ROOT_FIELDS``), which is ignored with a
+warning naming its path.  A value of an ordinal attribute in ``vital``,
+``superset`` or ``subordinate_vital`` must be a finite number, as a number
+or a text.  A group name must be a plain file name, since the report files
 are named after it.  A group field that could not act is an error too: a
 ``subordinate_vital`` outside a difference group, a ``margin`` beside a
 declared shift or on a difference group, a negative ``margin``, and
@@ -75,9 +75,8 @@ CONSTRAINTS_FIELDS = ("rows", "objective", "nonnegative_coefficients")
 ROW_FIELDS = ("position", "relation", "bound")
 # What the signal edit reads; a group with a declared target skips the edit.
 EDIT_FIELDS = ("constraints", "solution", "shift", "margin", "repair")
-# No output ever depended on these; a config that sets one still loads.
+# No output ever depended on it; a config that sets it still loads.
 REMOVED_ROOT_FIELDS = ("seed",)
-REMOVED_GROUP_FIELDS = ("candidate_cap",)
 
 
 @dataclass(frozen=True)
@@ -296,8 +295,11 @@ def _parse_value_map(cur: _Cursor | None, attributes) -> dict | None:
     """``{attribute: [values]}`` as the value texts of each attribute; None for no cursor."""
     if cur is None:
         return None
-    out = {attr: {str(v) for v in cur.child(attr).array(*_TEXTS)}
-           for attr in cur.fields(attributes, what="attribute")}
+    out = {}
+    for attr in cur.fields(attributes, what="attribute"):
+        out[attr] = list(map(str, cur.child(attr).array(*_TEXTS)))
+        if attributes[attr].kind == "ordinal":
+            cur.child(attr).build(list, map(attributes[attr].number, out[attr]))
     if not out or not all(out.values()):
         cur.fail("expected at least one attribute, each with a non-empty array of values")
     return out
@@ -385,7 +387,7 @@ def _parse_constraints(cur: _Cursor, m: int) -> ConstraintSpec:
 
 
 def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
-    cur.fields(GROUP_FIELDS, REMOVED_GROUP_FIELDS)
+    cur.fields(GROUP_FIELDS)
     by_name = {a.name: a for a in schema}
     name = cur.field("name", str)
     if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
@@ -447,10 +449,6 @@ def _parse_group(cur: _Cursor, schema: tuple[Attribute, ...]) -> GroupConfig:
     if margin < 0:
         cur.child("margin").fail("margin must be non-negative")
     repair = cur.field("repair", str, "mean_fix")
-    if repair == "none":  # the old name of the default
-        logger.warning("%s: %s.repair: repair 'none' is the same as 'mean_fix' and loads as it",
-                       cur.source, cur.path)
-        repair = "mean_fix"
     if repair not in REPAIRS:
         cur.fail(f"repair must be one of {REPAIRS}, got {repair!r}")
     if repair == "mean_std" and signal != "quantity":

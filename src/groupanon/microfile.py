@@ -26,7 +26,7 @@ import logging
 import math
 import stat
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, repeat
@@ -50,7 +50,6 @@ __all__ = [
     "text_cells",
     "integer_cells",
     "formatted_cells",
-    "members",
     "group_census",
 ]
 
@@ -86,6 +85,13 @@ class Attribute:
                 f"attribute {self.name!r}: weight is only meaningful for roles "
                 f"{_WEIGHTED_ROLES}"
             )
+
+    def number(self, value) -> float:
+        """The number ``value`` selects in this ordinal column: its finite ``float``."""
+        with suppress(TypeError, ValueError):
+            if math.isfinite(number := float(value)):
+                return number
+        raise SchemaError(f"ordinal attribute {self.name!r}: {value!r} is not a finite number")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -264,22 +270,11 @@ def _match_mask(m: Microfile, pairs: tuple[tuple[str, frozenset], ...]) -> np.nd
     for name, values in pairs:
         cells, vocab = m.cells(name), m.vocabulary(name)
         if vocab is None:
-            mask &= np.isin(cells, [float(v) for v in values])
+            mask &= np.isin(cells, list(map(m.attribute(name).number, sorted(values, key=str))))
         else:
             wanted = set(map(str, values))
             mask &= np.fromiter(map(wanted.__contains__, vocab), bool, vocab.size)[cells]
     return mask
-
-
-def members(m: Microfile, g: GroupSpec) -> np.ndarray:
-    """Indices of records matching every vital (attribute, value-set) pair.
-
-    An empty vital combination matches every record.
-    """
-    for name, _ in g.vital:
-        m.attribute(name)
-    m.attribute(g.parameter)
-    return np.flatnonzero(_match_mask(m, g.vital))
 
 
 @contextmanager

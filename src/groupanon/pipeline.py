@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -26,7 +25,7 @@ from .atomic import atomic_write
 from .charts import svg_line_chart
 from .config import GroupConfig, PipelineConfig
 from .errors import GroupAnonError, StageError
-from .microfile import (Microfile, formatted_cells, integer_cells, load_microfile, members,
+from .microfile import (Microfile, formatted_cells, group_census, integer_cells, load_microfile,
                         text_cells, write_columns, write_microfile)
 from .remap import SwapPlan, apply_swaps, plan_swaps
 from .signals import (
@@ -98,16 +97,6 @@ class PipelineResult:
     reader: str
 
 
-@contextmanager
-def _stage(stages: dict[str, float], name: str):
-    """Add the time spent in the block to ``stages[name]``, also when it raises."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        stages[name] = stages.get(name, 0.0) + time.perf_counter() - t0
-
-
 def build_goal_signal(m: Microfile, gcfg: GroupConfig) -> GoalSignal:
     """The group's goal signal per its configured kind (single source of truth)."""
     if gcfg.signal == "quantity":
@@ -129,13 +118,15 @@ class GroupLog:
 
     def stage(self, name, fn, *args, **kwargs):
         """``fn(*args, **kwargs)`` timed as stage ``name``; a failure becomes a ``StageError``."""
+        t0 = time.perf_counter()
         try:
-            with _stage(self.timings, name):
-                return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         except StageError:
             raise
         except GroupAnonError as exc:
             raise StageError(name, self.name, str(exc)) from exc
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
 
     def warn(self, message: str) -> None:
         """Keep ``message`` for the report and log it."""
@@ -290,7 +281,8 @@ def _repair_and_target(m: Microfile, gcfg: GroupConfig, before: GoalSignal,
         final = rd.normalize_mean_std(final, before.values)
     c_target = GoalSignal("concentration", final + base, before.parameter_order,
                           denominators=_denominators(before))
-    target = concentration_to_quantity(c_target, int(members(m, gcfg.group).size), warn=log.warn)
+    total = int(np.count_nonzero(group_census(m, gcfg.group)[1]))
+    target = concentration_to_quantity(c_target, total, warn=log.warn)
     if before.denominators is None:
         final = target.values
     return final, shift, target

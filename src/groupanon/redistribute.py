@@ -47,7 +47,6 @@ __all__ = [
     "build_constraints",
     "solve_constraints",
     "check_solution",
-    "satisfies",
     "reassemble",
     "make_nonnegative",
     "normalize_mean_std",
@@ -338,8 +337,8 @@ def solve_constraints(lp: LinearProgram, warm_start: np.ndarray | None = None,
     trials that name an infeasible system's conflict are not counted.
     """
     info = {} if info is None else info
-    start = None if warm_start is None else np.asarray(warm_start, dtype=float)
-    if start is not None and start.size == lp.n_vars and satisfies(lp, start):
+    start = np.asarray(() if warm_start is None else warm_start, dtype=float)
+    if start.size == lp.n_vars and check_solution(lp, start).satisfied.all():
         if not lp.cost.any():
             info["solves"] = 0
             return start.copy()
@@ -393,11 +392,6 @@ def check_solution(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> 
         satisfied=gap <= tol,
         violation=np.where(gap < 0.0, 0.0, gap),
     )
-
-
-def satisfies(lp: LinearProgram, coeffs: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when ``coeffs`` meets every row within ``tol``; one sparse mat-vec, no text."""
-    return bool(np.all(lp.a_ub @ np.asarray(coeffs, dtype=float) - lp.b_ub <= tol))
 
 
 def reassemble(dec: WaveletDecomposition, coeffs: np.ndarray) -> np.ndarray:

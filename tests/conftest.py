@@ -147,6 +147,16 @@ MALFORMED_GROUPS = [
                  "$.groups[0].subordinate_vital", id="subordinate-vital-names-parameter"),
     pytest.param(lambda g: g.update(subordinate_vital={"nope": [True]}),
                  "$.groups[0].subordinate_vital", id="subordinate-vital-on-quantity-group"),
+    pytest.param(lambda g: g["vital"].update(age=["30", "old"]),
+                 "$.groups[0].vital.age: ordinal attribute 'age': 'old' is not a finite number",
+                 id="ordinal-vital-text"),
+    pytest.param(lambda g: g["superset"].update(age=["x1"]),
+                 "$.groups[0].superset.age: ordinal attribute 'age': 'x1' is not a finite number",
+                 id="ordinal-superset-text"),
+    pytest.param(lambda g: g.update(signal="difference",
+                                    subordinate_vital={"military_service": ["3"], "age": ["inf"]}),
+                 "$.groups[0].subordinate_vital.age: ordinal attribute 'age': 'inf' is not a "
+                 "finite number", id="ordinal-subordinate-vital-infinite"),
     pytest.param(lambda g: g.update(margin=1.0),
                  "$.groups[0].margin", id="margin-with-declared-shift"),
     pytest.param(lambda g: g.update(signal="difference", shift="auto", margin=1.0,

@@ -27,7 +27,6 @@ from groupanon.redistribute import (
     normalize_mean_std,
     reassemble,
     round_to_integers,
-    satisfies,
 )
 from groupanon.remap import InfluentialWeights, apply_swaps, influential_metric, plan_swaps
 from groupanon.signals import GoalSignal, quantity_signal
@@ -104,7 +103,7 @@ def test_c3_constraint_system_fixtures():
             assert np.max(np.abs(coeffs - np.array(printed))) <= 1e-3
 
         # the consistent quantity-case solution satisfies its system
-        assert satisfies(lp_q, ref.QUANTITY_SOLUTION)
+        assert check_solution(lp_q, ref.QUANTITY_SOLUTION).satisfied.all()
 
         # the concentration-case solution is known to violate exactly one row;
         # assert the verifier finds precisely the documented violation

@@ -445,21 +445,19 @@ class TestRunCommand:
         (tmp_path / "military.csv").unlink()
         assert run_cli("run", "--config", str(path)) in (1, 2)
 
-    def test_repair_none_writes_what_mean_fix_writes(self, config_factory, tmp_path, caplog):
+    def test_repair_none_exits_2_and_writes_nothing(self, config_factory, tmp_path, capsys):
         path = config_factory(repair="none")
-        with caplog.at_level("WARNING", logger="groupanon.config"):
-            assert run_cli("run", "--config", str(path)) == 0
-        assert [r.getMessage() for r in caplog.records if r.name == "groupanon.config"] == [
-            f"{path}: $.groups[0].repair: repair 'none' is the same as 'mean_fix' and loads as it"]
-        written = outputs(tmp_path / "out")
-        assert run_cli("run", "--config", str(config_factory(repair="mean_fix"))) == 0
-        assert outputs(tmp_path / "out") == written
+        assert run_cli("run", "--config", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {path}: $.groups[0]: repair must be one of "
+            "('mean_fix', 'mean_std'), got 'none'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unscaled_empty_group_is_repair_error(self, config_factory, capsys):
         config = base_config()
         group = config["groups"][0]
         del group["solution"]
-        group.update(vital={"military_service": ["9"]}, repair="none", shift="auto",
+        group.update(vital={"military_service": ["9"]}, repair="mean_fix", shift="auto",
                      constraints={"rows": [{"position": 1, "relation": "<=",
                                             "bound": "original"}]})
         path = config_factory(config)

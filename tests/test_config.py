@@ -125,26 +125,30 @@ class TestLoadConfig:
     def test_removed_fields_load_with_a_named_warning(self, tmp_path, caplog):
         config = base_config()
         config["seed"] = 20100923
-        config["groups"][0]["candidate_cap"] = 0
         path = write(tmp_path, config)
         with caplog.at_level("WARNING", logger="groupanon.config"):
             loaded = load_pipeline_config(path)
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: $.seed: field 'seed' was removed and is ignored",
-            f"{path}: $.groups[0].candidate_cap: field 'candidate_cap' was removed and is ignored",
         ]
         assert not hasattr(loaded, "seed")
-        assert not hasattr(loaded.groups[0], "candidate_cap")
 
-    def test_repair_none_loads_as_mean_fix_with_a_named_warning(self, tmp_path, caplog):
+    def test_candidate_cap_is_an_unknown_field(self, tmp_path):
+        config = base_config()
+        config["groups"][0]["candidate_cap"] = 0
+        path = str(write(tmp_path, config))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: $.groups[0]: unknown field 'candidate_cap'") + "$"):
+            load_pipeline_config(path)
+
+    def test_repair_none_is_an_error(self, tmp_path):
         config = base_config()
         config["groups"][0]["repair"] = "none"
-        path = write(tmp_path, config)
-        with caplog.at_level("WARNING", logger="groupanon.config"):
-            loaded = load_pipeline_config(path)
-        assert [r.getMessage() for r in caplog.records] == [
-            f"{path}: $.groups[0].repair: repair 'none' is the same as 'mean_fix' and loads as it"]
-        assert loaded.groups[0].repair == "mean_fix"
+        path = str(write(tmp_path, config))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: $.groups[0]: repair must be one of ('mean_fix', 'mean_std'), "
+                "got 'none'") + "$"):
+            load_pipeline_config(path)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "a/b", f"a{os.sep}b", "/abs"])
     def test_group_name_must_be_a_plain_file_name(self, tmp_path, name):

@@ -25,7 +25,6 @@ from groupanon.microfile import (
     Microfile,
     group_census,
     load_microfile,
-    members,
     write_microfile,
 )
 from groupanon.remap import InfluentialWeights, SwapPlan, _PairCost, apply_swaps
@@ -364,7 +363,6 @@ class TestCodedColumnsAgainstTexts:
                                    min_size=4, max_size=7, unique=True))
         g = GroupSpec.create({"v": vital}, "p", order, superset_vital={"s": superset})
         member = [texts["v"][i] in vital for i in range(n)]
-        assert members(m, g).tolist() == [i for i in range(n) if member[i]]
 
         positions = [order.index(t) if t in order else -1 for t in texts["p"]]
         outside = sorted({t for t, inside in zip(texts["p"], member) if inside} - set(order))
@@ -1149,26 +1147,50 @@ class TestWrite:
             assert out.read_bytes() == fh.read()
 
 
+def member_records(m, g):
+    """The records of group ``g``: its census member mask as indices."""
+    return np.flatnonzero(group_census(m, g)[1])
+
+
 class TestMembers:
     def test_empty_vital_matches_everything(self, tmp_path):
         m = load_microfile(toy_file(tmp_path), TOY_SCHEMA)
         g = GroupSpec.create({}, "area", ["a1", "a2", "a3", "a4"])
-        assert list(members(m, g)) == [0, 1, 2]
+        assert list(member_records(m, g)) == [0, 1, 2]
 
     def test_fixture_member_total(self, fixture_microfile, fixture_group):
-        assert members(fixture_microfile, fixture_group).size == 6272
+        assert member_records(fixture_microfile, fixture_group).size == 6272
 
     def test_absent_vital_value_matches_nothing(self, tmp_path):
         m = load_microfile(toy_file(tmp_path), TOY_SCHEMA)
         g = GroupSpec.create({"service": {"9"}}, "area", ["a1", "a2", "a3", "a4"])
-        assert members(m, g).size == 0
+        assert member_records(m, g).size == 0
 
     def test_group_is_subset_of_superset(self, fixture_microfile, fixture_group):
         _, member, superset = group_census(fixture_microfile, fixture_group)
-        assert np.flatnonzero(member).tolist() == members(fixture_microfile, fixture_group).tolist()
+        service = fixture_microfile.column("military_service").tolist()
+        assert np.flatnonzero(member).tolist() == [i for i, t in enumerate(service) if t == "1"]
         assert np.flatnonzero(superset).tolist() == superset_records(fixture_microfile,
                                                                      fixture_group)
         assert not (member & ~superset).any()
+
+    def test_ordinal_value_matches_its_number(self, fixture_microfile):
+        ages = fixture_microfile.cells("age")
+        want = np.flatnonzero(ages == ages[0]).tolist()
+        for value in (ages[0], int(ages[0]), str(int(ages[0])), f"{ages[0]:.1f}"):
+            g = GroupSpec.create({"age": {value}}, "area", ref.AREA_CODES)
+            assert member_records(fixture_microfile, g).tolist() == want
+
+    @pytest.mark.parametrize("value", ["old", "x1", "nan", "inf", None])
+    @pytest.mark.parametrize("where", ["vital", "superset"])
+    def test_non_number_on_ordinal_attribute_is_schema_error(self, fixture_microfile, value,
+                                                             where):
+        values = {"age": {"30", value}}
+        g = GroupSpec.create(values if where == "vital" else {"military_service": {"1"}},
+                             "area", ref.AREA_CODES, values if where == "superset" else None)
+        with pytest.raises(SchemaError, match=re.escape(
+                f"ordinal attribute 'age': {value!r} is not a finite number")):
+            group_census(fixture_microfile, g)
 
     def test_group_outside_superset_detected(self, tmp_path):
         schema = TOY_SCHEMA + (Attribute("sex", "nominal", "plain"),)

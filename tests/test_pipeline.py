@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from conftest import base_config, mean_fix
 from groupanon import reference as ref
 from groupanon.config import load_pipeline_config
-from groupanon.pipeline import GroupLog, _repair_and_target, _stage, edit_group
+from groupanon.errors import StageError
+from groupanon.microfile import GroupSpec
+from groupanon.pipeline import GroupLog, _repair_and_target, edit_group
 from groupanon.redistribute import make_nonnegative, round_to_integers
 from groupanon.signals import quantity_signal
 from groupanon.wavelet import decompose, get_filter
@@ -15,21 +18,22 @@ from groupanon.wavelet import decompose, get_filter
 
 class TestStageTimer:
     def test_repeated_stage_accumulates(self):
-        stages = {}
-        with _stage(stages, "check"):
-            pass
-        first = stages["check"]
-        with _stage(stages, "check"):
-            pass
-        assert set(stages) == {"check"}
-        assert stages["check"] >= first > 0.0
+        log = GroupLog("g")
+        log.stage("check", lambda: None)
+        first = log.timings["check"]
+        log.stage("check", lambda: None)
+        assert set(log.timings) == {"check"}
+        assert log.timings["check"] >= first > 0.0
 
     def test_exception_propagates_and_time_is_kept(self):
-        stages = {}
+        log = GroupLog("g")
+
+        def boom():
+            raise KeyError("boom")
+
         with pytest.raises(KeyError):
-            with _stage(stages, "solve"):
-                raise KeyError("boom")
-        assert stages["solve"] > 0.0
+            log.stage("solve", boom)
+        assert log.timings["solve"] > 0.0
 
 
 def edit(config_factory, fixture_microfile, config=None, **group_overrides):
@@ -63,11 +67,20 @@ class TestEditGroup:
         }
         del group["solution"]
         group["shift"] = "auto"
-        group["repair"] = "none"
+        group["repair"] = "mean_fix"
         result, _ = edit(config_factory, fixture_microfile, config)
         assert result.shift == 0.0
         assert np.max(np.abs(result.reassembled - ref.QUANTITY)) < 1e-9
         assert np.array_equal(result.final_signal, ref.QUANTITY)
+
+    def test_non_number_on_ordinal_vital_is_signal_stage_error(self, config_factory,
+                                                               fixture_microfile):
+        gcfg = load_pipeline_config(config_factory()).groups[0]
+        group = GroupSpec.create({"age": {"old"}}, "area", gcfg.group.parameter_order)
+        gcfg = dataclasses.replace(gcfg, group=group)
+        with pytest.raises(StageError, match=re.escape(
+                "[signal:active-duty] ordinal attribute 'age': 'old' is not a finite number")):
+            edit_group(fixture_microfile, gcfg, GroupLog(gcfg.name))
 
 
 class TestRepairChain:

@@ -20,7 +20,6 @@ from groupanon.redistribute import (
     normalize_mean_std,
     reassemble,
     round_to_integers,
-    satisfies,
     solve_constraints,
 )
 from groupanon.wavelet import FILTERS, approximation_component, decompose, reconstruction_matrix
@@ -56,7 +55,7 @@ class TestBuildConstraints:
 
     def test_original_bounds_make_coefficients_feasible(self, quantity_dec):
         lp = build_constraints(quantity_dec, spec_of([(i, "<=", "original") for i in range(1, 17)]))
-        assert satisfies(lp, quantity_dec.approx, tol=1e-9)
+        assert check_solution(lp, quantity_dec.approx, tol=1e-9).satisfied.all()
 
     def test_position_out_of_range(self, quantity_dec):
         with pytest.raises(ConstraintError, match="17"):
@@ -106,7 +105,7 @@ class TestBuildConstraints:
 class TestSolve:
     def test_consistent_solution_satisfies_quantity_system(self, quantity_dec):
         lp = build_constraints(quantity_dec, spec_from(ref.QUANTITY_SYSTEM))
-        assert satisfies(lp, ref.QUANTITY_SOLUTION)
+        assert check_solution(lp, ref.QUANTITY_SOLUTION).satisfied.all()
 
     def test_raw_quantity_solution_is_inconsistent(self, quantity_dec):
         # the raw bundled vector (corrupted third coefficient) fails exactly one
@@ -135,7 +134,7 @@ class TestSolve:
     def test_solver_output_satisfies_all_bounds(self, quantity_dec):
         lp = build_constraints(quantity_dec, spec_from(ref.QUANTITY_SYSTEM))
         out = solve_constraints(lp)
-        assert satisfies(lp, out, tol=1e-6)
+        assert check_solution(lp, out, tol=1e-6).satisfied.all()
         for (coeffs, relation, bound) in operator_rows(lp):
             lhs = float(coeffs @ out)
             assert lhs <= bound + 1e-6 if relation == "<=" else lhs >= bound - 1e-6
@@ -213,7 +212,6 @@ class TestCheckSolutionAgainstRowLoop:
             assert checks.violation[i] == violation
             assert checks.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=1e-12)
             assert lp.describe_row(i) == f"rows[{i}]: {text}"
-        assert satisfies(lp, coeffs) == checks.satisfied.all()
 
     def test_rows_recover_operator_form_exactly(self):
         dec, spec, _ = random_long_axis_case()
@@ -373,7 +371,7 @@ class TestSparseOperatorAgainstDense:
                 assert checks.satisfied[i] == (signed[i] - b[i] <= 1e-9)
                 assert checks.lhs[i] == pytest.approx(signed[i] * sign, rel=1e-12, abs=1e-12)
                 assert lp.describe_row(i) == f"rows[{i}]: {dense_text(a[i], relation, b[i])}"
-            assert satisfies(lp, coeffs) == bool(np.all(signed - b <= 1e-9))
+            assert checks.satisfied.all() == bool(np.all(signed - b <= 1e-9))
 
     @pytest.mark.parametrize("seed", [None, *range(20)])
     def test_infeasible_conflict_text_matches_dense_deletion_filter(self, quantity_dec, seed):
@@ -479,7 +477,7 @@ class TestSiftingAgainstOneFullSolve:
         assert outcome == expected
         if outcome == "optimal":
             assert lp.cost @ x == pytest.approx(value, rel=OBJECTIVE_TOL, abs=OBJECTIVE_TOL)
-            assert satisfies(lp, x, tol=1e-6)
+            assert check_solution(lp, x, tol=1e-6).satisfied.all()
             assert not lp.nonnegative or x.min() >= 0.0
         return outcome, solves
 
@@ -528,7 +526,8 @@ class TestSiftingAgainstOneFullSolve:
         rows = [(16, "<=", 0.9 * level[15])] + [(p, ">=", level[p - 1] - 500.0)
                                                  for p in range(1, 16)]
         spec = spec_with(rows, Objective("minimize", (3,)), False)
-        assert not satisfies(build_constraints(quantity_dec, spec), quantity_dec.approx)
+        lp = build_constraints(quantity_dec, spec)
+        assert not check_solution(lp, quantity_dec.approx).satisfied.all()
         assert self.assert_agrees(quantity_dec, spec) == ("optimal", 1)
         infeasible = spec_with(rows + [(16, ">=", level[15])], Objective("minimize", (3,)), False)
         # presolve's "infeasible" is solved once more without presolve
@@ -539,7 +538,7 @@ class TestSiftingAgainstOneFullSolve:
         # HiGHS's presolve reports it infeasible
         dec, rows, objective, nonnegative = sifting_case(43)
         lp = build_constraints(dec, spec_with(rows, objective, nonnegative))
-        assert satisfies(lp, dec.approx)
+        assert check_solution(lp, dec.approx).satisfied.all()
         assert linprog(lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(None, None),
                        method="highs").status == 2
         info = {}

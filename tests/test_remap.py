@@ -10,7 +10,7 @@ from conftest import superset_records
 from groupanon import reference as ref
 from groupanon import remap
 from groupanon.errors import RemapError, SchemaError
-from groupanon.microfile import Attribute, GroupSpec, Microfile, members
+from groupanon.microfile import Attribute, GroupSpec, Microfile, group_census
 from groupanon.remap import (InfluentialWeights, SwapPlan, _Block, _ClassSpace, _PairCost, _Queue,
                              _sweep, apply_swaps, influential_metric, plan_swaps)
 from groupanon.signals import GoalSignal, quantity_signal
@@ -385,7 +385,7 @@ def exhaustive_plan(m, g, tgt, w):
     of its first step.
     """
     param = m.column(g.parameter)
-    member = set(members(m, g).tolist())
+    member = set(np.flatnonzero(group_census(m, g)[1]).tolist())
     pool = set(superset_records(m, g) if g.superset_vital else range(m.n_records))
     member_at = [[i for i in range(m.n_records) if i in member and param[i] == v]
                  for v in g.parameter_order]
@@ -453,7 +453,7 @@ def random_case(seed, spread, nominal_only, chi_same, superset):
 
     pool = np.zeros(n, dtype=bool)
     pool[superset_records(m, g) if superset else np.arange(n)] = True
-    pool[members(m, g)] = False
+    pool[group_census(m, g)[1]] = False
     area = m.column("area")
     current = np.array([np.sum((service == "1") & (area == v)) for v in ORDER])
     partners = np.array([np.sum(pool & (area == v)) for v in ORDER])
@@ -767,8 +767,7 @@ class TestAcrossBlocks:
     def test_each_queue_is_built_once_per_plan(self, fixture_microfile, fixture_group):
         tgt = GoalSignal("quantity", ref.QUANTITY_FINAL.astype(float), ref.AREA_CODES)
         w = InfluentialWeights.from_attributes(fixture_microfile.attributes)
-        member = np.zeros(fixture_microfile.n_records, dtype=bool)
-        member[members(fixture_microfile, fixture_group)] = True
+        member = group_census(fixture_microfile, fixture_group)[1]
         area = fixture_microfile.column("area")
         info = {}
         with mock.patch.object(remap, "_SCORE_ALL", 0), \
